@@ -136,28 +136,23 @@ int main(int argc, char** argv) {
                      "final gap", "stale", "miss"});
   for (const auto& scenario : scenarios) {
     for (const auto& [mode_name, mode] : modes) {
+      // One configuration drives both arms; only the scheduler differs.
+      cluster::ClusterConfig config;
+      config.formulation = core::Formulation::kDual;
+      config.num_workers = workers;
+      config.aggregation = mode;
+      config.local_solver.kind = core::SolverKind::kSequential;
+      config.lambda = options.lambda;
+      config.faults = scenario.faults;
       {
-        cluster::DistConfig config;
-        config.formulation = core::Formulation::kDual;
-        config.num_workers = workers;
-        config.aggregation = mode;
-        config.local_solver.kind = core::SolverKind::kSequential;
-        config.lambda = options.lambda;
-        config.faults = scenario.faults;
-        cluster::DistributedSolver solver(dataset, config);
+        cluster::DistributedSolver solver(dataset,
+                                          cluster::DistConfig(config));
         const auto trace = cluster::run_distributed(solver, run);
         add_row(table, scenario.name, "sync", mode_name,
                 summarize(trace, target, solver.current_epoch()));
       }
       {
-        cluster::AsyncConfig config;
-        config.formulation = core::Formulation::kDual;
-        config.num_workers = workers;
-        config.aggregation = mode;
-        config.local_solver.kind = core::SolverKind::kSequential;
-        config.lambda = options.lambda;
-        config.faults = scenario.faults;
-        cluster::AsyncSolver solver(dataset, config);
+        cluster::AsyncSolver solver(dataset, cluster::AsyncConfig(config));
         const auto trace = cluster::run_async(solver, run);
         add_row(table, scenario.name, "async", mode_name,
                 summarize(trace, target, solver.current_epoch()));
@@ -190,32 +185,24 @@ int main(int argc, char** argv) {
     drill.add_integer(static_cast<long long>(
         trace.count_events(core::ClusterEventKind::kJoin)));
   };
+  cluster::ClusterConfig drill_config;
+  drill_config.formulation = core::Formulation::kDual;
+  drill_config.num_workers = workers;
+  drill_config.aggregation = cluster::AggregationMode::kAveraging;
+  drill_config.local_solver.kind = core::SolverKind::kSequential;
+  drill_config.lambda = options.lambda;
+  drill_config.max_restarts = 1;
+  for (int round = 1; round <= 4; ++round) {
+    drill_config.faults.scripted.push_back(crash_at(round, 1));
+  }
   {
-    cluster::DistConfig config;
-    config.formulation = core::Formulation::kDual;
-    config.num_workers = workers;
-    config.aggregation = cluster::AggregationMode::kAveraging;
-    config.local_solver.kind = core::SolverKind::kSequential;
-    config.lambda = options.lambda;
-    config.max_restarts = 1;
-    for (int epoch = 1; epoch <= 4; ++epoch) {
-      config.faults.scripted.push_back(crash_at(epoch, 1));
-    }
-    cluster::DistributedSolver solver(dataset, config);
+    cluster::DistributedSolver solver(dataset,
+                                      cluster::DistConfig(drill_config));
     const auto trace = cluster::run_distributed(solver, run);
     drill_row("sync (frozen)", trace, solver.current_epoch(), target);
   }
   {
-    cluster::AsyncConfig config;
-    config.formulation = core::Formulation::kDual;
-    config.num_workers = workers;
-    config.aggregation = cluster::AggregationMode::kAveraging;
-    config.local_solver.kind = core::SolverKind::kSequential;
-    config.lambda = options.lambda;
-    config.max_restarts = 1;
-    for (int round = 1; round <= 4; ++round) {
-      config.faults.scripted.push_back(crash_at(round, 1));
-    }
+    cluster::AsyncConfig config(drill_config);
     cluster::MembershipEvent join;
     join.kind = cluster::MembershipEvent::Kind::kJoin;
     join.round = 8;

@@ -58,16 +58,10 @@ int main(int argc, char** argv) {
       run_options.record_interval = 1;
       run_options.target_gap = eps;
       core::ConvergenceTrace trace;
-      cluster::EpochBreakdown total{};
       double sim_total = solver.setup_sim_seconds();
       for (int round = 1; round <= run_options.max_epochs; ++round) {
         const auto report = solver.run_epoch();
         sim_total += report.sim_seconds;
-        const auto& b = solver.last_breakdown();
-        total.compute_solver += b.compute_solver;
-        total.compute_host += b.compute_host;
-        total.pcie += b.pcie;
-        total.network += b.network;
         core::TracePoint point;
         point.epoch = round;
         point.gap = solver.duality_gap();
@@ -83,8 +77,10 @@ int main(int argc, char** argv) {
                                         : "not reached");
       table.add_cell(reached ? util::Table::format_number(seconds)
                              : "not reached");
+      const auto& total = solver.attribution_totals();
       table.add_cell(util::Table::format_number(
-                         100.0 * (total.pcie + total.network) /
+                         100.0 *
+                         (total.pcie_seconds + total.network_seconds) /
                          total.total()) +
                      "%");
       table.add_number(trace.final_gap());

@@ -47,22 +47,18 @@ int main(int argc, char** argv) {
       config.seed = options.seed;
       cluster::DistributedSolver solver(dataset, config);
 
-      cluster::EpochBreakdown total{};
       for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
         solver.run_epoch();
-        const auto& b = solver.last_breakdown();
-        total.compute_solver += b.compute_solver;
-        total.compute_host += b.compute_host;
-        total.pcie += b.pcie;
-        total.network += b.network;
         if (solver.duality_gap() <= eps) break;
       }
-      const double share = (total.pcie + total.network) / total.total();
+      const auto& total = solver.attribution_totals();
+      const double share =
+          (total.pcie_seconds + total.network_seconds) / total.total();
       table.begin_row();
       table.add_cell(network.name);
       table.add_integer(workers);
       table.add_number(total.total());
-      table.add_number(total.network);
+      table.add_number(total.network_seconds);
       table.add_cell(util::Table::format_number(share * 100.0) + "%");
       if (workers == 8 && network.name == "10GbE") share_10g = share;
       if (workers == 8 && network.name == "100GbE") share_100g = share;

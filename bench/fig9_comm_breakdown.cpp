@@ -48,24 +48,19 @@ int main(int argc, char** argv) {
     config.seed = options.seed;
     cluster::DistributedSolver solver(dataset, config);
 
-    cluster::EpochBreakdown total{};
     for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
       solver.run_epoch();
-      const auto& breakdown = solver.last_breakdown();
-      total.compute_solver += breakdown.compute_solver;
-      total.compute_host += breakdown.compute_host;
-      total.pcie += breakdown.pcie;
-      total.network += breakdown.network;
       if (solver.duality_gap() <= eps) break;
     }
-    const double comm = total.pcie + total.network;
+    const auto& total = solver.attribution_totals();
+    const double comm = total.pcie_seconds + total.network_seconds;
     const double share = comm / total.total();
     table.begin_row();
     table.add_integer(workers);
-    table.add_number(total.compute_solver);
-    table.add_number(total.compute_host);
-    table.add_number(total.pcie);
-    table.add_number(total.network);
+    table.add_number(total.compute_seconds + total.straggler_wait_seconds);
+    table.add_number(total.host_seconds);
+    table.add_number(total.pcie_seconds);
+    table.add_number(total.network_seconds);
     table.add_number(total.total());
     table.add_cell(util::Table::format_number(share * 100.0) + "%");
     if (workers == 8) comm_share_at_8 = share;

@@ -138,7 +138,6 @@ int run(int argc, char** argv) {
   std::vector<bench::BenchResult> kernels;
   std::vector<float> dense(dataset.num_features(), 1.5F);
   std::vector<float> target(dataset.num_features(), 0.5F);
-  std::vector<float> out(dataset.num_features(), 0.0F);
 
   const auto dot_times = time_kernel(
       dataset, trials,
@@ -160,17 +159,8 @@ int run(int argc, char** argv) {
       });
   add_kernel_result(kernels, "sparse_residual_dot", residual_times);
 
-  const auto axpy_times = time_kernel(
-      dataset, trials,
-      [&](const sparse::SparseVectorView& v) {
-        linalg::scalar::sparse_axpy(1e-6, v, out);
-      },
-      [&](const sparse::SparseVectorView& v) {
-        linalg::vec::sparse_axpy(1e-6, v, out);
-      });
-  add_kernel_result(kernels, "sparse_axpy", axpy_times);
-
-  // Dense reduction / update over the feature dimension.
+  // Dense reduction over the feature dimension.  (The fp32 axpy and
+  // sparse_axpy have only the scalar body, so there is no pair to time.)
   {
     const double n = static_cast<double>(dense.size());
     const int reps = 512;
@@ -182,15 +172,6 @@ int run(int argc, char** argv) {
       for (int i = 0; i < reps; ++i) g_sink = linalg::vec::dot(dense, target);
     });
     add_kernel_result(kernels, "dense_dot", times);
-
-    KernelTimes axpy;
-    axpy.scalar_ns_per_nnz = 1e9 / (n * reps) * best_of(trials, [&] {
-      for (int i = 0; i < reps; ++i) linalg::scalar::axpy(1e-6, dense, out);
-    });
-    axpy.vec_ns_per_nnz = 1e9 / (n * reps) * best_of(trials, [&] {
-      for (int i = 0; i < reps; ++i) linalg::vec::axpy(1e-6, dense, out);
-    });
-    add_kernel_result(kernels, "dense_axpy", axpy);
   }
 
   bench::write_json_file(out_dir + "/BENCH_kernels.json", "kernels", kernels,
@@ -299,8 +280,6 @@ int run(int argc, char** argv) {
         {"sparse_dot", dot_times.scalar_ns_per_nnz, dot_times.vec_ns_per_nnz},
         {"sparse_residual_dot", residual_times.scalar_ns_per_nnz,
          residual_times.vec_ns_per_nnz},
-        {"sparse_axpy", axpy_times.scalar_ns_per_nnz,
-         axpy_times.vec_ns_per_nnz},
     };
     bool ok = true;
     for (const auto& c : checks) {

@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
       const auto [seconds, reached] = bench::time_to_gap(trace, eps);
       result.time_to_gap = seconds;
       result.reached = reached;
-      result.round_seconds = solver.last_breakdown().total();
+      result.round_seconds = solver.last_attribution().total();
       cluster::placement::DriftReport drift;
       if (const auto* plan = solver.placement_result()) {
         result.predicted_round = plan->predicted.total();

@@ -84,12 +84,13 @@ int main(int argc, char** argv) {
                   solver.last_gamma(), sim_time);
     }
   }
-  const auto& breakdown = solver.last_breakdown();
+  const auto& breakdown = solver.last_attribution();
   std::printf(
       "last epoch breakdown: gpu %.4f s, host %.4f s, pcie %.4f s, "
       "network %.4f s\n",
-      breakdown.compute_solver, breakdown.compute_host, breakdown.pcie,
-      breakdown.network);
+      breakdown.compute_seconds + breakdown.straggler_wait_seconds,
+      breakdown.host_seconds, breakdown.pcie_seconds,
+      breakdown.network_seconds);
 
   // Evaluate: assemble the dual model, map to primal weights, score signs.
   const core::RidgeProblem problem(dataset, dist.lambda);

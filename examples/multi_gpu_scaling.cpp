@@ -64,25 +64,20 @@ int main(int argc, char** argv) {
     dist.lambda = parser.get_double("lambda", 1e-3);
     cluster::DistributedSolver solver(dataset, dist);
 
-    cluster::EpochBreakdown total{};
     double time_to_eps = -1.0;
     double sim_time = solver.setup_sim_seconds();
     int epochs_used = 0;
     for (int epoch = 1; epoch <= epoch_cap; ++epoch) {
       const auto report = solver.run_epoch();
       sim_time += report.sim_seconds;
-      const auto& b = solver.last_breakdown();
-      total.compute_solver += b.compute_solver;
-      total.compute_host += b.compute_host;
-      total.pcie += b.pcie;
-      total.network += b.network;
       epochs_used = epoch;
       if (solver.duality_gap() <= eps) {
         time_to_eps = sim_time;
         break;
       }
     }
-    const double comm = total.pcie + total.network;
+    const auto& total = solver.attribution_totals();
+    const double comm = total.pcie_seconds + total.network_seconds;
     char time_text[32];
     if (time_to_eps >= 0) {
       std::snprintf(time_text, sizeof(time_text), "%.3fs", time_to_eps);
@@ -90,8 +85,9 @@ int main(int argc, char** argv) {
       std::snprintf(time_text, sizeof(time_text), "not hit");
     }
     std::printf("%7d  %7d  %10s  %9.3f  %9.4f  %9.4f  %9.4f  %5.1f%%\n",
-                workers, epochs_used, time_text, total.compute_solver,
-                total.compute_host, total.pcie, total.network,
+                workers, epochs_used, time_text,
+                total.compute_seconds + total.straggler_wait_seconds,
+                total.host_seconds, total.pcie_seconds, total.network_seconds,
                 100.0 * comm / total.total());
   }
   std::printf("\nNote: the dataset is a webspam-scale stand-in; simulated "

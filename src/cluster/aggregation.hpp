@@ -13,7 +13,14 @@
 // Note two typos in the paper's printed formulas: eq. (7) omits the ⟨y, Δw⟩
 // term (correct only if its w denotes the residual Aβ − y), and the dual
 // denominator prints N‖α‖² where the derivative gives N‖Δα‖².
+//
+// Both cluster drivers choose γ here: the sync driver once per round on the
+// summed deltas of its contributors, the async driver once per push.
 #pragma once
+
+#include <span>
+
+#include "core/formulation.hpp"
 
 namespace tpa::cluster {
 
@@ -61,5 +68,35 @@ double optimal_gamma_primal(const PrimalGammaTerms& terms, double examples,
 
 double optimal_gamma_dual(const DualGammaTerms& terms, double examples,
                           double lambda, double fallback);
+
+/// Adds one coordinate's local move from → from + delta to the worker-side
+/// terms (primal ⟨β, Δβ⟩, ‖Δβ‖²; dual ⟨Δα, y⟩, ⟨Δα, α⟩, ‖Δα‖²); ownership
+/// is disjoint across workers, so the terms sum over coordinates and
+/// workers alike.  `label` is the coordinate's y (read by the dual only).
+inline void add_gamma_terms(core::Formulation formulation, double label,
+                            double from, double delta,
+                            PrimalGammaTerms& pterms, DualGammaTerms& dterms) {
+  if (formulation == core::Formulation::kPrimal) {
+    pterms.beta_dot_dbeta += from * delta;
+    pterms.dbeta_sq += delta * delta;
+  } else {
+    dterms.dalpha_dot_y += delta * label;
+    dterms.dalpha_dot_alpha += from * delta;
+    dterms.dalpha_sq += delta * delta;
+  }
+}
+
+/// The master's side of Algorithm 4: completes the workers' summed terms
+/// with the shared-vector terms of the summed move `dshared` from `shared`
+/// (`labels` are the global labels, used by the primal's ⟨y − w, Δw⟩) and
+/// returns the closed-form γ.  Once the model has converged to 32-bit
+/// precision the move is rounding noise and the exact line search is
+/// ill-conditioned, so it returns `fallback` there (it no longer matters).
+double line_search_gamma(core::Formulation formulation,
+                         std::span<const float> shared,
+                         std::span<const double> dshared,
+                         std::span<const float> labels, PrimalGammaTerms pterms,
+                         DualGammaTerms dterms, double examples, double lambda,
+                         double fallback);
 
 }  // namespace tpa::cluster

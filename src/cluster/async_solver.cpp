@@ -8,8 +8,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "cluster/delta_codec.hpp"
 #include "gpusim/device.hpp"
+#include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
 #include "sparse/io_binary.hpp"
 #include "util/timer.hpp"
 
@@ -27,12 +28,8 @@ struct AsyncStateHeader {
   std::uint64_t seed = 0;
 };
 
-struct WorkerRecord {
-  std::uint64_t draws_consumed = 0;
-  std::uint32_t status = 0;
-  std::uint32_t crash_count = 0;
-  double restart_at = 0.0;
-};
+// Worker records go to disk as-is: four fields, no padding.
+static_assert(sizeof(AsyncCheckpointState::WorkerState) == 24);
 
 }  // namespace
 
@@ -86,12 +83,7 @@ void write_async_state_file(const std::string& path,
     header.seed = state.seed;
     write_raw(&header, sizeof(header));
     for (const auto& worker : state.workers) {
-      WorkerRecord record;
-      record.draws_consumed = worker.draws_consumed;
-      record.status = worker.status;
-      record.crash_count = worker.crash_count;
-      record.restart_at = worker.restart_at;
-      write_raw(&record, sizeof(record));
+      write_raw(&worker, sizeof(worker));
     }
     const std::uint64_t digest = checksum.digest();
     out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
@@ -138,12 +130,7 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
   state.seed = header.seed;
   state.workers.resize(header.num_workers);
   for (auto& worker : state.workers) {
-    WorkerRecord record;
-    read_raw(&record, sizeof(record), "worker record");
-    worker.draws_consumed = record.draws_consumed;
-    worker.status = record.status;
-    worker.crash_count = record.crash_count;
-    worker.restart_at = record.restart_at;
+    read_raw(&worker, sizeof(worker), "worker record");
   }
   const std::uint64_t expected = checksum.digest();
   std::uint64_t stored = 0;
@@ -157,22 +144,15 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
 
 AsyncSolver::AsyncSolver(const data::Dataset& global,
                          const AsyncConfig& config)
-    : global_(&global),
-      config_(config),
-      global_problem_(global, config.lambda),
-      injector_(config.faults),
-      global_workload_(
-          core::TimingWorkload::for_dataset(global, config.formulation)) {
-  const auto dim = global_problem_.num_coordinates(config.formulation);
-  validate_cluster_config("AsyncSolver", config.num_workers, dim,
-                          config.formulation, config.local_epochs_per_round,
-                          config.max_restarts);
+    : ClusterSolver(global, config, "AsyncSolver", kAsyncMasterTrack, "async",
+                    /*comm_overlap=*/false),
+      staleness_window_(config.staleness_window),
+      staleness_policy_(config.staleness_policy),
+      membership_(config.membership),
+      workers_(static_cast<std::size_t>(config.num_workers)) {
   if (config.staleness_window < 0) {
     throw std::invalid_argument(
         "AsyncSolver: staleness_window must be >= 0 (0 = auto)");
-  }
-  if (config.delta_threshold < 0.0) {
-    throw std::invalid_argument("AsyncSolver: delta_threshold must be >= 0");
   }
   for (const auto& event : config.membership) {
     if (event.round < 1 || event.worker < 0 ||
@@ -184,131 +164,49 @@ AsyncSolver::AsyncSolver(const data::Dataset& global,
           ") must name a round >= 1 and a valid worker slot");
     }
   }
-  config.network.validate();
-  const bool heterogeneous = !config.fleet.empty();
-  if (heterogeneous &&
-      static_cast<int>(config.fleet.size()) != config.num_workers) {
-    throw std::invalid_argument(
-        "AsyncSolver: fleet has " + std::to_string(config.fleet.size()) +
-        " devices but num_workers is " + std::to_string(config.num_workers));
-  }
-  gpu_local_ = heterogeneous
-                   ? placement::fleet_has_gpu(config.fleet)
-                   : is_gpu_solver_kind(config.local_solver.kind);
-
-  // Same partition draw as the sync driver: with equal (seed, num_workers)
-  // the two arms of an ablation own identical shards — and the same
-  // placement plan for equal (fleet, placement_seed), so the sync/async
-  // arms of a heterogeneous ablation stay comparable too.
-  util::Rng rng(config.seed);
-  if (heterogeneous) {
-    placement::CostOptions cost_options;
-    cost_options.local_passes = config.local_epochs_per_round;
-    cost_options.seconds_per_vector_element =
-        config.local_solver.cpu_cost.seconds_per_vector_element;
-    if (config.compress_deltas) {
-      cost_options.delta_wire_bytes = quantized_delta_wire_bytes(
-          static_cast<std::size_t>(global_workload_.shared_dim));
-    }
-    placement::PlacementCostModel cost_model(config.fleet, dim,
-                                             global_workload_, config.network,
-                                             cost_options);
-    placement::AnnealConfig anneal;
-    anneal.seed = config.placement_seed;
-    placement_result_ =
-        placement::plan_placement(cost_model, config.placement, anneal);
-    partition_ = Partition::random_weighted(dim, placement_result_->sizes,
-                                            rng);
-  } else {
-    partition_ = Partition::random(dim, config.num_workers, rng);
-  }
-  shared_.assign(global_problem_.shared_dim(config.formulation), 0.0F);
-
-  workers_.reserve(static_cast<std::size_t>(config.num_workers));
-  for (int k = 0; k < config.num_workers; ++k) {
-    auto worker = std::make_unique<Worker>();
-    const core::SolverConfig local =
-        heterogeneous ? config.fleet[static_cast<std::size_t>(k)]
-                            .solver_config(config.local_solver)
-                      : config.local_solver;
-    init_worker_core(worker->core, global, partition_, k, config.formulation,
-                     config.lambda, local);
-    worker->gpu = heterogeneous
-                      ? config.fleet[static_cast<std::size_t>(k)].is_gpu()
-                      : gpu_local_;
-    // Host passes scale with this slot's owned coordinates; the legacy mean
-    // is kept for homogeneous configs so pre-placement timelines replay
-    // bit-for-bit.
-    worker->host_coords =
-        heterogeneous
-            ? static_cast<double>(global_workload_.num_coordinates) *
-                  static_cast<double>(
-                      partition_.owned[static_cast<std::size_t>(k)].size()) /
-                  static_cast<double>(dim)
-            : static_cast<double>(global_workload_.num_coordinates) /
-                  config.num_workers;
+  for (std::size_t k = 0; k < workers_.size(); ++k) {
     // Calibrate the nominal per-epoch compute time from a throwaway probe
     // solver on the same shard: the timing models are state-independent, so
     // this one number makes the whole event timeline a pure function of
     // (config, seeds) — the worker's real permutation stream stays untouched
     // and the numerics never feed back into the clock.
-    core::SolverConfig probe_config = local;
-    probe_config.formulation = config.formulation;
-    probe_config.seed = local.seed + static_cast<std::uint64_t>(k);
-    auto probe = core::make_solver(*worker->core.problem, probe_config);
-    worker->compute_seconds = probe->run_epoch().sim_seconds;
-    workers_.push_back(std::move(worker));
+    auto probe = core::make_solver(*core(k).problem, local_config(k));
+    workers_[k].compute_seconds = probe->run_epoch().sim_seconds;
   }
-
-  obs::set_track_name(kAsyncMasterTrack, "async/master");
-  obs::set_track_name(attribution_track(kAsyncMasterTrack),
-                      "async/attribution (sim)");
-  for (int k = 0; k < config.num_workers; ++k) {
-    obs::set_track_name(worker_track(kAsyncMasterTrack, k),
-                        "async/worker " + std::to_string(k));
-  }
-}
-
-void AsyncSolver::record_event(int worker, core::ClusterEventKind kind) {
-  record_cluster_event(events_, round_, worker, kind, kAsyncMasterTrack);
 }
 
 int AsyncSolver::live_workers() const {
   int live = 0;
   for (const auto& worker : workers_) {
-    if (worker->status != AsyncWorkerStatus::kDetached) ++live;
+    if (worker.status != AsyncWorkerStatus::kDetached) ++live;
   }
   return live;
 }
 
 AsyncWorkerStatus AsyncSolver::worker_status(int worker) const {
-  return workers_.at(static_cast<std::size_t>(worker))->status;
+  return workers_.at(static_cast<std::size_t>(worker)).status;
 }
 
 int AsyncSolver::effective_staleness_window() const {
-  return config_.staleness_window > 0
-             ? config_.staleness_window
+  return staleness_window_ > 0
+             ? staleness_window_
              : core::cluster_staleness_window(live_workers());
 }
 
-AsyncSolver::CycleCost AsyncSolver::cycle_cost(const Worker& worker) const {
+std::span<const float> AsyncSolver::committed_weights(std::size_t k) const {
+  return workers_[k].busy ? core(k).weights_start
+                          : core(k).solver->state().weights;
+}
+
+AsyncSolver::CycleCost AsyncSolver::cycle_cost(std::size_t k) const {
+  const auto& worker = workers_[k];
   CycleCost cost;
-  const std::size_t shared_bytes =
-      static_cast<std::size_t>(global_workload_.shared_dim) * sizeof(float);
   // Point-to-point pull + push instead of the sync tree: the master link is
   // modelled at the same granularity as the reduce/broadcast trees (no
   // master-side serialization), which favours neither arm — both charge one
-  // latency + bytes/bw term per hop.  Compression shrinks the push (delta)
-  // leg to the deterministic dense-quantized wire size; the pull leg is the
-  // dense model either way.
-  if (config_.compress_deltas) {
-    cost.network =
-        config_.network.point_to_point_seconds(shared_bytes) +
-        config_.network.point_to_point_seconds(quantized_delta_wire_bytes(
-            static_cast<std::size_t>(global_workload_.shared_dim)));
-  } else {
-    cost.network = 2.0 * config_.network.point_to_point_seconds(shared_bytes);
-  }
+  // latency + bytes/bw term per hop.
+  cost.network = config_.network.point_to_point_seconds(model_bytes_) +
+                 config_.network.point_to_point_seconds(delta_leg_bytes_);
   if (config_.aggregation == AggregationMode::kAdaptive) {
     cost.network +=
         config_.network.point_to_point_seconds(5 * sizeof(double));
@@ -316,13 +214,11 @@ AsyncSolver::CycleCost AsyncSolver::cycle_cost(const Worker& worker) const {
   const auto shared_elems = static_cast<double>(global_workload_.shared_dim);
   // Forming Δw and applying γθΔw on the master, plus forming / rescaling the
   // local weight delta — the same vector arithmetic the sync driver charges.
-  // host_coords is the legacy per-worker mean for homogeneous configs and
-  // this slot's placement-sized share for heterogeneous fleets.
   cost.host = config_.local_solver.cpu_cost.seconds_per_vector_element *
-              (2.0 * shared_elems + 2.0 * worker.host_coords);
-  if (worker.gpu) {
+              (2.0 * shared_elems + 2.0 * host_coordinates(k));
+  if (config_.fleet.empty() ? gpu_local_ : config_.fleet[k].is_gpu()) {
     gpusim::PcieLink link;
-    cost.pcie = 2.0 * link.transfer_seconds(shared_bytes, /*pinned=*/true);
+    cost.pcie = 2.0 * link.transfer_seconds(model_bytes_, /*pinned=*/true);
   }
   cost.compute = config_.local_epochs_per_round * worker.compute_seconds;
   if (worker.fault.kind == FaultKind::kStall) {
@@ -333,46 +229,33 @@ AsyncSolver::CycleCost AsyncSolver::cycle_cost(const Worker& worker) const {
   return cost;
 }
 
-double AsyncSolver::nominal_cycle_seconds(const Worker& worker) const {
-  return cycle_cost(worker).nominal();
-}
-
-double AsyncSolver::cycle_seconds(const Worker& worker) const {
-  // nominal() + stall reproduces the legacy sum order bit-for-bit, so the
-  // deterministic event timeline (and checkpoint replay) is unchanged.
-  return cycle_cost(worker).total();
-}
-
 void AsyncSolver::handle_crash(Worker& worker, int index) {
-  ++worker.crash_count;
-  record_event(index, core::ClusterEventKind::kCrash);
-  if (worker.crash_count > config_.max_restarts) {
+  if (count_crash(index, worker.crash_count)) {
     worker.status = AsyncWorkerStatus::kDetached;
-    record_event(index, core::ClusterEventKind::kEvict);
   } else {
     worker.status = AsyncWorkerStatus::kBackoff;
     worker.restart_pending = true;
     worker.event_at =
-        now_ + std::ldexp(nominal_cycle_seconds(worker),
-                          worker.crash_count - 1);
+        now_ + std::ldexp(cycle_cost(index).nominal(), worker.crash_count - 1);
   }
 }
 
-void AsyncSolver::discard_in_flight(Worker& worker) {
+void AsyncSolver::discard_in_flight(std::size_t index) {
+  auto& worker = workers_[index];
   if (!worker.busy) return;
   // The cycle's permutation draws stay consumed (draws_consumed already
   // counts them), so the stream position survives the discard.
-  worker.core.solver->mutable_state().weights = worker.weights_start;
+  core(index).solver->mutable_state().weights = core(index).weights_start;
   worker.busy = false;
 }
 
 void AsyncSolver::apply_membership(int round) {
-  for (const auto& event : config_.membership) {
+  for (const auto& event : membership_) {
     if (event.round != round) continue;
-    auto& worker = *workers_[event.worker];
+    auto& worker = workers_[event.worker];
     if (event.kind == MembershipEvent::Kind::kLeave) {
       if (worker.status == AsyncWorkerStatus::kDetached) continue;
-      discard_in_flight(worker);
+      discard_in_flight(event.worker);
       worker.restart_pending = false;
       worker.status = AsyncWorkerStatus::kDetached;
       record_event(event.worker, core::ClusterEventKind::kLeave);
@@ -390,7 +273,8 @@ void AsyncSolver::apply_membership(int round) {
 }
 
 void AsyncSolver::schedule_cycle(int index) {
-  auto& worker = *workers_[index];
+  auto& worker = workers_[index];
+  auto& local = core(index);
   const int passes = config_.local_epochs_per_round;
   // One fault draw per (round, worker), so a crash cannot re-fire on the
   // restart path within the same round and spiral straight to eviction.
@@ -408,7 +292,7 @@ void AsyncSolver::schedule_cycle(int index) {
     // The crash costs the whole local epoch's randomness, like the sync
     // driver: stream positions advance whether or not the work survives.
     worker.crashed_this_round = true;
-    worker.core.solver->skip_epoch_randomness(passes);
+    local.solver->skip_epoch_randomness(passes);
     worker.draws_consumed += static_cast<std::uint64_t>(passes);
     handle_crash(worker, index);
     return;
@@ -421,17 +305,13 @@ void AsyncSolver::schedule_cycle(int index) {
   // Pull arrow: the master publishes its current vector to this worker.
   const std::uint64_t pull_flow = ++flow_seq_;
   obs::trace_flow_begin("flow/pull", pull_flow, kAsyncMasterTrack);
-  auto& state = worker.core.solver->mutable_state();
-  state.shared.assign(shared_.begin(), shared_.end());
-  worker.weights_start = state.weights;
   {
     obs::TraceSpan span("async/local_solve",
                         worker_track(kAsyncMasterTrack, index), round_);
     obs::trace_flow_end("flow/pull", pull_flow,
                         worker_track(kAsyncMasterTrack, index));
-    for (int pass = 0; pass < passes; ++pass) {
-      worker.core.solver->run_epoch();
-    }
+    // The clock uses the calibrated compute_seconds, never the run's own.
+    run_local_epochs(index);
     // Push arrow: opened at solve end, closed when the master absorbs this
     // cycle in complete_cycle.
     worker.push_flow_id = ++flow_seq_;
@@ -439,13 +319,17 @@ void AsyncSolver::schedule_cycle(int index) {
                           worker_track(kAsyncMasterTrack, index));
   }
   worker.draws_consumed += static_cast<std::uint64_t>(passes);
-  worker.event_at = now_ + cycle_seconds(worker);
+  // nominal() + stall reproduces the legacy sum order bit-for-bit, so the
+  // deterministic event timeline (and checkpoint replay) is unchanged.
+  worker.event_at = now_ + cycle_cost(index).total();
 }
 
 void AsyncSolver::complete_cycle(int index, double segment_seconds) {
-  auto& worker = *workers_[index];
+  const auto k = static_cast<std::size_t>(index);
+  auto& worker = workers_[k];
+  auto& local = core(k);
   worker.busy = false;
-  auto& state = worker.core.solver->mutable_state();
+  auto& state = local.solver->mutable_state();
   ++pushes_this_round_;
   obs::metrics().counter("cluster.async.pushes").add();
   obs::trace_flow_end("flow/push", worker.push_flow_id, kAsyncMasterTrack);
@@ -457,7 +341,7 @@ void AsyncSolver::complete_cycle(int index, double segment_seconds) {
   // Attribution: charge `seconds` of master critical path to this cycle's
   // cost terms, pro rata (the stall share is time spent waiting on an
   // injected straggler, not useful compute).
-  const CycleCost cost = cycle_cost(worker);
+  const CycleCost cost = cycle_cost(k);
   const auto charge_split = [&](double seconds) {
     const double total = cost.total();
     if (total <= 0.0 || seconds <= 0.0) return;
@@ -469,7 +353,7 @@ void AsyncSolver::complete_cycle(int index, double segment_seconds) {
     round_attr_.straggler_wait_seconds += scale * cost.stall;
   };
 
-  const auto rollback = [&] { state.weights = worker.weights_start; };
+  const auto rollback = [&] { state.weights = local.weights_start; };
 
   if (worker.fault.kind == FaultKind::kDropDelta) {
     charge_split(segment_seconds);
@@ -478,53 +362,15 @@ void AsyncSolver::complete_cycle(int index, double segment_seconds) {
     return;
   }
 
-  std::vector<double> dshared(shared_.size());
-  for (std::size_t i = 0; i < shared_.size(); ++i) {
-    dshared[i] = static_cast<double>(state.shared[i]) -
-                 static_cast<double>(worker.pulled_shared[i]);
-  }
-
-  // Push-leg bytes accounting (and the raw fp64 baseline the precision
-  // ablation's reduction gate divides by).
-  const auto charge_wire = [&](std::size_t wire) {
-    const std::size_t dense = dense_delta_wire_bytes(shared_.size());
-    delta_bytes_on_wire_ += wire;
-    delta_bytes_dense_ += dense;
-    obs::metrics().counter("cluster.delta.wire_bytes").add(wire);
-    obs::metrics().counter("cluster.delta.dense_bytes").add(dense);
-  };
-
-  if (config_.compress_deltas) {
-    // The delta travels quantized; the master works with the decoded image,
-    // so the invariant holds up to the fp16 quantization error of the delta
-    // (DESIGN.md §16).  A transit flip lands in the quantized payload and
-    // the FNV stream over the encoded image must still catch it.
-    CompressedDelta encoded =
-        encode_delta(dshared, DeltaCodecConfig{config_.delta_threshold, 256});
-    charge_wire(encoded.wire_bytes());
-    if (worker.fault.kind == FaultKind::kCorruptDelta) {
-      const std::uint64_t sent = encoded.checksum;
-      corrupt_compressed_in_transit(encoded);
-      if (compressed_delta_checksum(encoded) != sent) {
-        charge_split(segment_seconds);
-        rollback();
-        record_event(index, core::ClusterEventKind::kDeltaCorrupted);
-        return;
-      }
-    }
-    decode_delta(encoded, dshared);
-  } else {
-    charge_wire(dense_delta_wire_bytes(shared_.size()));
-    if (worker.fault.kind == FaultKind::kCorruptDelta) {
-      const std::uint64_t sent = delta_checksum(dshared);
-      corrupt_in_transit(dshared);
-      if (delta_checksum(dshared) != sent) {
-        charge_split(segment_seconds);
-        rollback();
-        record_event(index, core::ClusterEventKind::kDeltaCorrupted);
-        return;
-      }
-    }
+  const Transit transit =
+      send_delta(state.shared, worker.pulled_shared,
+                 worker.fault.kind == FaultKind::kCorruptDelta, received_);
+  charge_wire(transit.wire_bytes);
+  if (!transit.verified) {
+    charge_split(segment_seconds);
+    rollback();
+    record_event(index, core::ClusterEventKind::kDeltaCorrupted);
+    return;
   }
 
   // ---- Bounded-staleness rule: versions elapsed since this worker's pull,
@@ -532,7 +378,7 @@ void AsyncSolver::complete_cycle(int index, double segment_seconds) {
   const int window = effective_staleness_window();
   double theta = 1.0;
   if (staleness > static_cast<std::uint64_t>(window)) {
-    if (config_.staleness_policy == StalenessPolicy::kReject) {
+    if (staleness_policy_ == StalenessPolicy::kReject) {
       // The whole cycle was wasted: the master learned nothing from it.
       round_attr_.stale_overhead_seconds += segment_seconds;
       rollback();
@@ -547,68 +393,17 @@ void AsyncSolver::complete_cycle(int index, double segment_seconds) {
   round_attr_.stale_overhead_seconds += (1.0 - theta) * segment_seconds;
   charge_split(theta * segment_seconds);
 
-  // ---- γ rescaled to live contributors; adaptive mode runs the Algorithm 4
-  // line search per delta against the master's *current* state (the exact
-  // optimum along the delta direction, so even a stale direction is a
-  // monotone step before damping).
-  const auto f = config_.formulation;
-  const int live = std::max(1, live_workers());
-  const double fallback_gamma = 1.0 / live;
-  double gamma = fallback_gamma;
-  if (config_.aggregation == AggregationMode::kFixed) {
-    gamma = config_.fixed_gamma;
-  } else if (config_.aggregation == AggregationMode::kAdaptive) {
-    PrimalGammaTerms pterms;
-    DualGammaTerms dterms;
-    accumulate_gamma_terms(f, worker.core.shard.labels(),
-                           worker.weights_start, state.weights, pterms,
-                           dterms);
-    double shared_sq = 0.0;
-    double dshared_sq = 0.0;
-    double shared_dot_dshared = 0.0;
-    for (std::size_t i = 0; i < shared_.size(); ++i) {
-      shared_sq += static_cast<double>(shared_[i]) * shared_[i];
-      dshared_sq += dshared[i] * dshared[i];
-      shared_dot_dshared += static_cast<double>(shared_[i]) * dshared[i];
-    }
-    const bool direction_is_noise =
-        dshared_sq <= 1e-10 * std::max(1.0, shared_sq);
-    if (direction_is_noise) {
-      gamma = fallback_gamma;
-    } else if (f == core::Formulation::kPrimal) {
-      const auto labels = global_->labels();
-      pterms.dw_sq = dshared_sq;
-      for (std::size_t i = 0; i < shared_.size(); ++i) {
-        pterms.y_minus_w_dot_dw +=
-            (static_cast<double>(labels[i]) - shared_[i]) * dshared[i];
-      }
-      gamma = optimal_gamma_primal(
-          pterms, static_cast<double>(global_problem_.num_examples()),
-          config_.lambda, fallback_gamma);
-    } else {
-      dterms.dwbar_sq = dshared_sq;
-      dterms.wbar_dot_dwbar = shared_dot_dshared;
-      gamma = optimal_gamma_dual(
-          dterms, static_cast<double>(global_problem_.num_examples()),
-          config_.lambda, fallback_gamma);
-    }
-  }
-  last_gamma_ = gamma;
-
-  // ---- Apply: master shared vector and the worker's committed weights move
-  // by the same γθ, so shared == A·(assembled weights) is preserved exactly
-  // (the invariant is linear in the delta).
-  const double step = gamma * theta;
+  // ---- The master step on this one delta: γ rescaled to live members
+  // (adaptive mode line-searches against the master's *current* state — the
+  // exact optimum along the delta direction, so even a stale direction is a
+  // monotone step before damping), then shared vector and the worker's
+  // committed weights move by the same γθ.
+  const WorkerMove move[] = {{k, nullptr}};
+  last_gamma_ =
+      choose_gamma(received_, move, 1.0 / std::max(1, live_workers()));
   const double apply_begin_us =
       obs::trace_enabled() ? obs::trace_now_us() : 0.0;
-  for (std::size_t i = 0; i < shared_.size(); ++i) {
-    shared_[i] = static_cast<float>(shared_[i] + step * dshared[i]);
-  }
-  for (std::size_t j = 0; j < state.weights.size(); ++j) {
-    const double start = worker.weights_start[j];
-    const double delta = static_cast<double>(state.weights[j]) - start;
-    state.weights[j] = static_cast<float>(start + step * delta);
-  }
+  apply_step(received_, move, last_gamma_ * theta);
   ++version_;
   applied_updates_ += state.weights.size();
   obs::metrics().counter("cluster.async.applied").add();
@@ -634,7 +429,7 @@ core::EpochReport AsyncSolver::run_epoch() {
   // previous cycle straddles the boundary keep flying — that is the point of
   // no-barrier rounds — and backoff workers keep their restart timers.
   for (int k = 0; k < config_.num_workers; ++k) {
-    auto& worker = *workers_[k];
+    const auto& worker = workers_[k];
     if (worker.status == AsyncWorkerStatus::kComputing && !worker.busy &&
         !worker.restart_pending) {
       schedule_cycle(k);
@@ -652,14 +447,14 @@ core::EpochReport AsyncSolver::run_epoch() {
     }
     int next = -1;
     for (int k = 0; k < config_.num_workers; ++k) {
-      const auto& worker = *workers_[k];
+      const auto& worker = workers_[k];
       if (!worker.busy && !worker.restart_pending) continue;
-      if (next < 0 || worker.event_at < workers_[next]->event_at) {
+      if (next < 0 || worker.event_at < workers_[next].event_at) {
         next = k;
       }
     }
     if (next < 0) break;  // no events pending: nothing can push this round
-    auto& worker = *workers_[next];
+    auto& worker = workers_[next];
     // Master-critical-path segment consumed by this event.  Segments
     // telescope over the round, so the attribution components sum to the
     // round's sim time exactly.
@@ -687,13 +482,7 @@ core::EpochReport AsyncSolver::run_epoch() {
       static_cast<double>(version_));
 
   const double round_sim = now_ - round_start;
-  last_attr_ = round_attr_;
-  attr_totals_ += round_attr_;
-  ++attr_rounds_;
-  obs::record_round_attribution(round_attr_, attr_totals_, round_sim,
-                                attr_clock_seconds_, round_,
-                                attribution_track(kAsyncMasterTrack));
-  attr_clock_seconds_ += round_sim;
+  close_round(round_attr_, round_sim);
   round_attr_ = obs::RoundAttribution{};
 
   core::EpochReport report;
@@ -703,44 +492,6 @@ core::EpochReport AsyncSolver::run_epoch() {
   return report;
 }
 
-double AsyncSolver::duality_gap(util::ThreadPool* pool) const {
-  const auto weights = global_weights();
-  return global_problem_.duality_gap(config_.formulation, weights, shared_,
-                                     pool);
-}
-
-void AsyncSolver::set_merge_every(int merge_every) {
-  for (auto& worker : workers_) {
-    worker->core.solver->set_merge_every(merge_every);
-  }
-}
-
-double AsyncSolver::setup_sim_seconds() const {
-  double slowest = 0.0;
-  for (const auto& worker : workers_) {
-    slowest = std::max(slowest, worker->core.solver->setup_sim_seconds());
-  }
-  return slowest;
-}
-
-std::vector<float> AsyncSolver::global_weights() const {
-  std::vector<float> weights(
-      global_problem_.num_coordinates(config_.formulation), 0.0F);
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    const auto& worker = *workers_[k];
-    // A busy worker's solver state is mid-cycle (schedule-time numerics run
-    // the local epochs eagerly); its committed weights — the ones the
-    // master's shared vector reflects — are the snapshot taken at its pull.
-    const auto& local = worker.busy ? worker.weights_start
-                                    : worker.core.solver->state().weights;
-    const auto& owned = partition_.owned[k];
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      weights[owned[j]] = local[j];
-    }
-  }
-  return weights;
-}
-
 core::SavedModel AsyncSolver::checkpoint() {
   // Rendezvous: drop in-flight cycles (their draws stay consumed) and
   // re-zero the simulated clock, shifting pending restart timers with it.
@@ -748,19 +499,12 @@ core::SavedModel AsyncSolver::checkpoint() {
   // restore() rebuilds — including the absolute event times the timeline
   // comparisons see, so resumed and straight-through runs cannot diverge on
   // floating-point tie-breaks.
-  for (auto& worker : workers_) {
-    discard_in_flight(*worker);
-    if (worker->restart_pending) worker->event_at -= now_;
+  for (std::size_t k = 0; k < workers_.size(); ++k) {
+    discard_in_flight(k);
+    if (workers_[k].restart_pending) workers_[k].event_at -= now_;
   }
   now_ = 0.0;
-
-  core::SavedModel saved;
-  saved.formulation = config_.formulation;
-  saved.lambda = config_.lambda;
-  saved.epoch = static_cast<std::uint32_t>(round_);
-  saved.weights = global_weights();
-  saved.shared = shared_;
-  return saved;
+  return saved_model();
 }
 
 AsyncCheckpointState AsyncSolver::checkpoint_state() const {
@@ -771,10 +515,10 @@ AsyncCheckpointState AsyncSolver::checkpoint_state() const {
   state.workers.reserve(workers_.size());
   for (const auto& worker : workers_) {
     AsyncCheckpointState::WorkerState ws;
-    ws.draws_consumed = worker->draws_consumed;
-    ws.status = static_cast<std::uint32_t>(worker->status);
-    ws.crash_count = static_cast<std::uint32_t>(worker->crash_count);
-    ws.restart_at = worker->restart_pending ? worker->event_at : 0.0;
+    ws.draws_consumed = worker.draws_consumed;
+    ws.status = static_cast<std::uint32_t>(worker.status);
+    ws.crash_count = static_cast<std::uint32_t>(worker.crash_count);
+    ws.restart_at = worker.restart_pending ? worker.event_at : 0.0;
     state.workers.push_back(ws);
   }
   return state;
@@ -787,29 +531,7 @@ void AsyncSolver::write_checkpoint_file(const std::string& path) {
 
 void AsyncSolver::restore(const core::SavedModel& saved,
                           const AsyncCheckpointState& state) {
-  if (round_ != 0) {
-    throw std::logic_error(
-        "AsyncSolver::restore: must be called on a fresh solver (rounds "
-        "have already run)");
-  }
-  if (saved.formulation != config_.formulation) {
-    throw std::invalid_argument(
-        "AsyncSolver::restore: checkpoint formulation mismatch");
-  }
-  if (saved.weights.size() !=
-          static_cast<std::size_t>(
-              global_problem_.num_coordinates(config_.formulation)) ||
-      saved.shared.size() != shared_.size()) {
-    throw std::invalid_argument(
-        "AsyncSolver::restore: checkpoint dimensions do not match the "
-        "dataset/partition");
-  }
-  if (saved.lambda != config_.lambda) {
-    throw std::invalid_argument(
-        "AsyncSolver::restore: checkpoint lambda " +
-        std::to_string(saved.lambda) + " != configured " +
-        std::to_string(config_.lambda));
-  }
+  validate_checkpoint(saved);
   if (state.workers.size() != workers_.size()) {
     throw std::invalid_argument(
         "AsyncSolver::restore: sidecar worker count " +
@@ -828,18 +550,11 @@ void AsyncSolver::restore(const core::SavedModel& saved,
         " (mismatched checkpoint pair)");
   }
 
-  shared_.assign(saved.shared.begin(), saved.shared.end());
+  scatter_checkpoint(saved);
   for (std::size_t k = 0; k < workers_.size(); ++k) {
-    auto& worker = *workers_[k];
+    auto& worker = workers_[k];
     const auto& ws = state.workers[k];
-    auto& solver_state = worker.core.solver->mutable_state();
-    const auto& owned = partition_.owned[k];
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      solver_state.weights[j] = saved.weights[owned[j]];
-    }
-    solver_state.shared.assign(shared_.begin(), shared_.end());
-    worker.weights_start = solver_state.weights;
-    worker.core.solver->skip_epoch_randomness(
+    core(k).solver->skip_epoch_randomness(
         static_cast<int>(ws.draws_consumed));
     worker.draws_consumed = ws.draws_consumed;
     worker.status = static_cast<AsyncWorkerStatus>(ws.status);
@@ -862,7 +577,7 @@ void AsyncSolver::restore_files(const std::string& path) {
 core::ConvergenceTrace run_async(AsyncSolver& solver,
                                  const core::RunOptions& options,
                                  const CheckpointConfig& ckpt) {
-  return run_cluster_loop(solver, options, ckpt, kAsyncMasterTrack);
+  return solver.run(options, ckpt);
 }
 
 }  // namespace tpa::cluster

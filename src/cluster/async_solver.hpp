@@ -30,6 +30,10 @@
 // so a later join can revive an evicted slot (the elastic recovery the sync
 // driver cannot express).
 //
+// Each absorbed push is the master step the sync driver runs once per round
+// (cluster_solver.hpp); this driver adds only its schedule: the event loop,
+// the staleness window, membership and the .async sidecar.
+//
 // Checkpoint/resume: checkpoint() is a rendezvous — in-flight cycles are
 // discarded (their permutation draws stay consumed, so streams remain
 // aligned) and the simulated clock is re-zeroed — and the solver's control
@@ -39,22 +43,10 @@
 // original bit-for-bit, faults and membership included.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "cluster/aggregation.hpp"
-#include "cluster/common.hpp"
-#include "cluster/fault_injector.hpp"
-#include "cluster/network_model.hpp"
-#include "cluster/partition.hpp"
-#include "cluster/placement/annealer.hpp"
-#include "cluster/placement/fleet.hpp"
-#include "core/convergence.hpp"
-#include "core/model_io.hpp"
-#include "core/solver_factory.hpp"
-#include "obs/attribution.hpp"
+#include "cluster/cluster_solver.hpp"
 
 namespace tpa::cluster {
 
@@ -75,24 +67,10 @@ struct MembershipEvent {
   Kind kind = Kind::kLeave;
 };
 
-struct AsyncConfig {
-  core::Formulation formulation = core::Formulation::kDual;
-  int num_workers = 4;
-  AggregationMode aggregation = AggregationMode::kAveraging;
-  double fixed_gamma = 1.0;
-  /// Local passes per pull→push cycle (H of the sync driver).
-  int local_epochs_per_round = 1;
-  /// Local solver configuration; formulation is overridden, seeds are
-  /// per-slot like the sync driver, so the same (config, seed) pair drives
-  /// both arms of an ablation over identical local streams.
-  core::SolverConfig local_solver{};
-  NetworkModel network = NetworkModel::ethernet_10g();
-  double lambda = 1e-3;
-  std::uint64_t seed = 99;
-
-  FaultConfig faults{};
-  /// Crashes a worker survives before eviction (backoff doubles per crash).
-  int max_restarts = 3;
+struct AsyncConfig : ClusterConfig {
+  AsyncConfig() = default;
+  explicit AsyncConfig(const ClusterConfig& shared)
+      : ClusterConfig(shared) {}
 
   /// Bounded-staleness window τ in master versions; 0 picks
   /// core::cluster_staleness_window(live) adaptively each push, so healthy
@@ -105,25 +83,6 @@ struct AsyncConfig {
   /// evicted) slot, a leave detaches an attached one; mismatches are
   /// ignored so schedules compose with fault-driven evictions.
   std::vector<MembershipEvent> membership;
-
-  // ---- Heterogeneous placement (DESIGN.md §14) ----
-  /// Same semantics as DistConfig: empty = homogeneous (bit-exact with
-  /// pre-placement runs); otherwise one DeviceSpec per slot and the
-  /// partition is sized by the placement plan.  The async driver has no
-  /// reduce to overlap (pushes are already barrier-free point-to-point),
-  /// so there is no comm_overlap switch here.
-  placement::FleetSpec fleet{};
-  placement::PlacementMode placement = placement::PlacementMode::kUniform;
-  std::uint64_t placement_seed = 7;
-
-  // ---- Compressed delta exchange (DESIGN.md §16) ----
-  /// Same semantics as DistConfig: the worker → master push leg carries the
-  /// quantized fp16 + per-block fp32-scale encoding; the model pull leg
-  /// stays the dense fp32 vector.  Off by default (bit-identical exchange).
-  bool compress_deltas = false;
-  /// Relative sparsification threshold for the codec; 0 keeps the
-  /// deterministic dense-quantized layout.
-  double delta_threshold = 0.0;
 };
 
 enum class AsyncWorkerStatus {
@@ -159,22 +118,16 @@ AsyncCheckpointState read_async_state_file(const std::string& path);
 /// Path of the control-plane sidecar written next to a model checkpoint.
 std::string async_state_path(const std::string& model_path);
 
-class AsyncSolver {
+class AsyncSolver : public ClusterSolver {
  public:
   /// Partitions `global` across the worker slots and builds their local
   /// solvers (shared plumbing with DistributedSolver: same Partition::random
-  /// draw from `seed`, same per-slot solver seeding).  The dataset must
-  /// outlive the solver.  Throws std::invalid_argument on invalid worker /
-  /// epoch / staleness / membership configuration.
+  /// draw from `seed`, same per-slot solver seeding).  The async driver has
+  /// no reduce to overlap (pushes are already barrier-free point-to-point),
+  /// so the placement plan never prices comm/compute overlap.  The dataset
+  /// must outlive the solver.  Throws std::invalid_argument on invalid
+  /// worker / epoch / staleness / membership configuration.
   AsyncSolver(const data::Dataset& global, const AsyncConfig& config);
-
-  int num_workers() const noexcept { return config_.num_workers; }
-  core::Formulation formulation() const noexcept {
-    return config_.formulation;
-  }
-  const core::RidgeProblem& global_problem() const noexcept {
-    return global_problem_;
-  }
 
   /// One outer round: applies this round's membership events, then advances
   /// the event timeline until the master has absorbed one push attempt per
@@ -182,62 +135,17 @@ class AsyncSolver {
   /// cycles regularly straddle round boundaries; the round is purely the
   /// observation/checkpoint cadence).  Returns the simulated time the round
   /// advanced the cluster clock.
-  core::EpochReport run_epoch();
-
-  double duality_gap(util::ThreadPool* pool = nullptr) const;
-  void set_merge_every(int merge_every);
-  double setup_sim_seconds() const;
-
-  std::vector<float> global_weights() const;
-  const std::vector<float>& global_shared() const noexcept { return shared_; }
-
-  /// The coordinate partition in force (placement-sized when a fleet is
-  /// configured; the legacy equal split otherwise).
-  const Partition& partition() const noexcept { return partition_; }
-
-  /// The placement plan; nullptr when no fleet is configured.
-  const placement::PlacementResult* placement_result() const noexcept {
-    return placement_result_ ? &*placement_result_ : nullptr;
-  }
+  core::EpochReport run_epoch() override;
 
   // ---- Async observability ----
-  int current_epoch() const noexcept { return round_; }
   /// Master version clock: applied deltas since construction/restore.
   std::uint64_t version() const noexcept { return version_; }
   /// Attached members (computing or in backoff); γ's averaging denominator.
   int live_workers() const;
   AsyncWorkerStatus worker_status(int worker) const;
-  /// γ of the most recently applied delta (before staleness damping).
-  double last_gamma() const noexcept { return last_gamma_; }
-  /// Live member count as of the last round (trace "contributors" column).
-  int last_contributors() const noexcept { return last_contributors_; }
   /// Staleness window in force for the most recent push (resolves the
   /// auto window against the live count).
   int effective_staleness_window() const;
-  const std::vector<core::ClusterEvent>& events() const noexcept {
-    return events_;
-  }
-
-  /// Cumulative delta payload bytes pushed to the master (encoded form when
-  /// compression is on; raw fp64 otherwise) and the raw fp64 baseline.
-  std::uint64_t delta_bytes_on_wire() const noexcept {
-    return delta_bytes_on_wire_;
-  }
-  std::uint64_t delta_bytes_dense() const noexcept {
-    return delta_bytes_dense_;
-  }
-
-  /// Round attribution (DESIGN.md §15): master-critical-path segment
-  /// accounting over the event timeline — every inter-event segment is
-  /// charged to the cost terms of the event that ended it, so the components
-  /// sum to the round's simulated time exactly (telescoping).
-  const obs::RoundAttribution& last_attribution() const noexcept {
-    return last_attr_;
-  }
-  const obs::RoundAttribution& attribution_totals() const noexcept {
-    return attr_totals_;
-  }
-  std::uint64_t attribution_rounds() const noexcept { return attr_rounds_; }
 
   // ---- Checkpoint / resume ----
   /// Rendezvous + snapshot: discards in-flight cycles (rolling their local
@@ -250,8 +158,8 @@ class AsyncSolver {
   core::SavedModel checkpoint();
   /// Control-plane counterpart of checkpoint(); call after it.
   AsyncCheckpointState checkpoint_state() const;
-  /// checkpoint() + model file + sidecar (run_cluster_loop hook).
-  void write_checkpoint_file(const std::string& path);
+  /// checkpoint() + model file + sidecar (run loop hook).
+  void write_checkpoint_file(const std::string& path) override;
 
   /// Restores a checkpoint pair into a freshly constructed solver (same
   /// dataset and config): scatters weights, fast-forwards every local
@@ -264,15 +172,18 @@ class AsyncSolver {
   /// Reads `path` and its sidecar, then restore()s.
   void restore_files(const std::string& path);
 
+ protected:
+  /// A busy worker's solver state is mid-cycle (schedule-time numerics run
+  /// the local epochs eagerly); its committed weights — the ones the
+  /// master's shared vector reflects — are the snapshot taken at its pull.
+  std::span<const float> committed_weights(std::size_t k) const override;
+
  private:
   struct Worker {
-    WorkerCore core;
     AsyncWorkerStatus status = AsyncWorkerStatus::kComputing;
     int crash_count = 0;
     std::uint64_t draws_consumed = 0;  // local epochs off the perm stream
     double compute_seconds = 0.0;      // calibrated nominal per local epoch
-    bool gpu = false;                  // this slot stages over PCIe
-    double host_coords = 0.0;          // paper-scale owned coordinates
 
     // Pending event: cycle completion (busy) or crash-backoff restart.
     bool busy = false;
@@ -284,7 +195,6 @@ class AsyncSolver {
     FaultEvent fault{};
     std::uint64_t pulled_version = 0;
     std::vector<float> pulled_shared;
-    std::vector<float> weights_start;
 
     // One fault draw per (round, worker): a crash is consumed the first
     // time it fires in a round so the restart path cannot re-crash on the
@@ -310,51 +220,30 @@ class AsyncSolver {
     double total() const noexcept { return nominal() + stall; }
   };
 
-  void record_event(int worker, core::ClusterEventKind kind);
   void apply_membership(int round);
   void handle_crash(Worker& worker, int index);
   /// Starts a pull→compute→push cycle (or consumes a crash) for an idle
   /// computing worker; arms its completion/restart event.
   void schedule_cycle(int index);
   /// Absorbs a completed cycle on the master: transit faults, staleness
-  /// rule, γ scaling, invariant-preserving apply.  `segment_seconds` is the
+  /// rule, then the shared master step.  `segment_seconds` is the
   /// master-critical-path segment this event consumed; it is attributed to
   /// the cycle's cost terms (or to stale overhead) in round_attr_.
   void complete_cycle(int index, double segment_seconds);
-  void discard_in_flight(Worker& worker);
-  CycleCost cycle_cost(const Worker& worker) const;
-  double cycle_seconds(const Worker& worker) const;
-  double nominal_cycle_seconds(const Worker& worker) const;
+  void discard_in_flight(std::size_t index);
+  CycleCost cycle_cost(std::size_t k) const;
 
-  const data::Dataset* global_;
-  AsyncConfig config_;
-  core::RidgeProblem global_problem_;
-  Partition partition_;
-  std::optional<placement::PlacementResult> placement_result_;
-  FaultInjector injector_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<float> shared_;  // the master's (global) shared vector
-  core::TimingWorkload global_workload_;
-  bool gpu_local_ = false;
+  int staleness_window_;
+  StalenessPolicy staleness_policy_;
+  std::vector<MembershipEvent> membership_;
+  std::vector<Worker> workers_;
 
   double now_ = 0.0;        // simulated cluster clock
-  int round_ = 0;           // outer rounds completed
   std::uint64_t version_ = 0;
   std::uint64_t pushes_this_round_ = 0;
   std::uint64_t applied_updates_ = 0;  // coordinate updates, current round
-  double last_gamma_ = 0.0;
-  int last_contributors_ = 0;
   obs::RoundAttribution round_attr_{};  // accumulating, current round
-  obs::RoundAttribution last_attr_{};
-  obs::RoundAttribution attr_totals_{};
-  std::uint64_t attr_rounds_ = 0;
-  // Monotone sim clock for the attribution spans: unlike now_, it is never
-  // re-zeroed by the checkpoint rendezvous, so rounds tile left-to-right.
-  double attr_clock_seconds_ = 0.0;
   std::uint64_t flow_seq_ = 0;  // pull/push flow-arrow ids
-  std::uint64_t delta_bytes_on_wire_ = 0;
-  std::uint64_t delta_bytes_dense_ = 0;
-  std::vector<core::ClusterEvent> events_;
 };
 
 /// Drives an AsyncSolver through the shared cluster run loop (gap cadence,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "sparse/io_binary.hpp"
@@ -80,8 +81,9 @@ CompressedDelta encode_delta(std::span<const double> delta,
   if (config.block == 0) {
     throw std::invalid_argument("encode_delta: block must be positive");
   }
-  if (config.threshold < 0.0) {
-    throw std::invalid_argument("encode_delta: threshold must be >= 0");
+  if (!(config.threshold >= 0.0) || !std::isfinite(config.threshold)) {
+    throw std::invalid_argument(
+        "encode_delta: threshold must be finite and >= 0");
   }
   CompressedDelta out;
   out.dim = static_cast<std::uint32_t>(delta.size());
@@ -175,6 +177,18 @@ void corrupt_compressed_in_transit(CompressedDelta& delta) {
     // header, so the flip lands there.
     delta.dim ^= 1U;
   }
+}
+
+std::uint64_t delta_checksum(std::span<const double> delta) {
+  return sparse::fnv1a(delta.data(), delta.size() * sizeof(double));
+}
+
+void corrupt_in_transit(std::span<double> delta) {
+  if (delta.empty()) return;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, delta.data(), sizeof(bits));
+  bits ^= 0x1ULL;
+  std::memcpy(delta.data(), &bits, sizeof(bits));
 }
 
 }  // namespace tpa::cluster

@@ -1,4 +1,5 @@
-// Compressed delta exchange for the cluster drivers (DESIGN.md §16).
+// Compressed delta exchange for the cluster drivers (DESIGN.md §16), plus
+// the checksum and corruption model of the raw fp64 exchange.
 //
 // Worker → master shared-vector deltas dominate the bytes the distributed
 // solvers put on the wire.  The codec here halves (and more) that traffic by
@@ -66,7 +67,8 @@ std::size_t quantized_delta_wire_bytes(std::size_t dim,
 std::size_t dense_delta_wire_bytes(std::size_t dim) noexcept;
 
 /// Encodes `delta`.  Throws std::invalid_argument on block == 0 or a
-/// negative threshold.  The returned checksum already covers the encoding.
+/// threshold that is negative, NaN or infinite.  The returned checksum
+/// already covers the encoding.
 CompressedDelta encode_delta(std::span<const double> delta,
                              const DeltaCodecConfig& config = {});
 
@@ -84,5 +86,13 @@ std::vector<double> decode_delta(const CompressedDelta& delta);
 /// compressed analogue of corrupt_in_transit on raw deltas.  The checksum
 /// field is left as sent, so verification must fail.
 void corrupt_compressed_in_transit(CompressedDelta& delta);
+
+/// FNV-1a over a raw fp64 delta: the uncompressed exchange's checksum.
+std::uint64_t delta_checksum(std::span<const double> delta);
+
+/// Simulated transit corruption of a raw delta: flips one mantissa bit of
+/// the first entry.  Any single-bit change defeats FNV-1a, which is the
+/// point — the master must notice without trusting the payload.
+void corrupt_in_transit(std::span<double> delta);
 
 }  // namespace tpa::cluster

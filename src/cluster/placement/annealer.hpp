@@ -49,8 +49,8 @@ struct PlacementResult {
   /// a strictly cheaper placement).
   std::vector<Index> sizes;
   std::vector<Index> uniform_sizes;
-  RoundPrediction predicted;          // for `sizes`
-  RoundPrediction uniform_predicted;  // the baseline, always reported
+  obs::RoundAttribution predicted;          // for `sizes`
+  obs::RoundAttribution uniform_predicted;  // the baseline, always reported
   /// True iff sizes != uniform_sizes (the annealer won).
   bool optimized = false;
   int sa_iterations = 0;

@@ -98,14 +98,14 @@ std::vector<double> PlacementCostModel::worker_compute_seconds(
   return seconds;
 }
 
-RoundPrediction PlacementCostModel::price(
+obs::RoundAttribution PlacementCostModel::price(
     std::span<const Index> sizes) const {
   const auto compute = worker_compute_seconds(sizes);
   const int workers = num_workers();
   const std::size_t shared_bytes =
       static_cast<std::size_t>(global_.shared_dim) * sizeof(float);
 
-  RoundPrediction prediction;
+  obs::RoundAttribution prediction;
   prediction.compute_seconds =
       *std::max_element(compute.begin(), compute.end());
 

@@ -20,6 +20,7 @@
 #include "cluster/placement/fleet.hpp"
 #include "core/cost_model.hpp"
 #include "data/dataset.hpp"
+#include "obs/attribution.hpp"
 
 namespace tpa::cluster::placement {
 
@@ -39,18 +40,6 @@ std::vector<Index> uniform_partition_sizes(Index num_coordinates,
 /// last arrival unchanged for K <= 1 (nothing to reduce).
 double overlapped_reduce_seconds(std::vector<double> arrivals,
                                  std::size_t bytes, const NetworkModel& net);
-
-/// One simulated round, broken down the same way EpochBreakdown is.
-struct RoundPrediction {
-  double compute_seconds = 0.0;  // slowest worker's local passes
-  double host_seconds = 0.0;     // master/worker vector arithmetic
-  double pcie_seconds = 0.0;     // pinned staging (GPU fleets only)
-  double network_seconds = 0.0;  // exposed (post-overlap) reduce + broadcast
-
-  double total() const noexcept {
-    return compute_seconds + host_seconds + pcie_seconds + network_seconds;
-  }
-};
 
 struct CostOptions {
   int local_passes = 1;       // DistConfig::local_epochs_per_round
@@ -93,8 +82,12 @@ class PlacementCostModel {
   std::vector<double> worker_compute_seconds(
       std::span<const Index> sizes) const;
 
-  /// Full round price for the candidate sizes.
-  RoundPrediction price(std::span<const Index> sizes) const;
+  /// Full round price for the candidate sizes, in the same terms the
+  /// drivers attribute a simulated round: compute is the slowest worker's
+  /// local passes, network the exposed (post-overlap) reduce + broadcast.
+  /// A fault-free round has no straggler wait or stale overhead, so those
+  /// stay zero and total() is compute + host + pcie + network exactly.
+  obs::RoundAttribution price(std::span<const Index> sizes) const;
 
   /// Shorthand for price(sizes).total() — the annealer's objective.
   double round_seconds(std::span<const Index> sizes) const;

@@ -9,7 +9,7 @@
 
 namespace tpa::cluster::placement {
 
-DriftReport audit_placement_drift(const RoundPrediction& predicted,
+DriftReport audit_placement_drift(const obs::RoundAttribution& predicted,
                                   const obs::RoundAttribution& measured_totals,
                                   std::uint64_t rounds) {
   DriftReport report;

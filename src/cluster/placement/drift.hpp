@@ -41,7 +41,7 @@ struct DriftReport {
 /// Audits `predicted` (one round) against the engine's cumulative measured
 /// attribution over `rounds` rounds (per-round means are compared).
 /// Returns an empty report when rounds == 0.
-DriftReport audit_placement_drift(const RoundPrediction& predicted,
+DriftReport audit_placement_drift(const obs::RoundAttribution& predicted,
                                   const obs::RoundAttribution& measured_totals,
                                   std::uint64_t rounds);
 

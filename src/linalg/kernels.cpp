@@ -251,19 +251,6 @@ double dot(std::span<const double> x, std::span<const double> y) {
   return (a0 + a1) + (a2 + a3);
 }
 
-void axpy(double alpha, std::span<const float> x, std::span<float> y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  std::size_t i = 0;
-  for (const std::size_t n4 = n & ~std::size_t{3}; i < n4; i += 4) {
-    y[i] = static_cast<float>(y[i] + alpha * x[i]);
-    y[i + 1] = static_cast<float>(y[i + 1] + alpha * x[i + 1]);
-    y[i + 2] = static_cast<float>(y[i + 2] + alpha * x[i + 2]);
-    y[i + 3] = static_cast<float>(y[i + 3] + alpha * x[i + 3]);
-  }
-  for (; i < n; ++i) y[i] = static_cast<float>(y[i] + alpha * x[i]);
-}
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   assert(x.size() == y.size());
   const std::size_t n = x.size();
@@ -385,41 +372,6 @@ double sparse_residual_dot(const SparseVectorView& a,
   }
   return (a0 + a1) + (a2 + a3);
 #endif
-}
-
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<float> dense) {
-  // Scatter stays an in-order read-modify-write per element: padded views
-  // from the bucketed layout repeat their last index (with value 0), so
-  // batching the four loads ahead of the stores would let a padded duplicate
-  // clobber the real update with a stale read.  Each element's expression is
-  // exactly the scalar reference's; the 4-way unroll only amortises loop
-  // control, and the hardware overlaps the independent iterations itself.
-  // The scatter stays an in-order read-modify-write per element, even on
-  // AVX-512: a gather-update-scatter batch was measured slower here than the
-  // plain RMW loop (hardware scatters cost ~an order of magnitude more than
-  // the stores they replace), and batching is anyway illegal when indices
-  // repeat — padded views from the bucketed layout repeat their last index
-  // (with value 0), so a duplicate's lane would scatter a stale read over
-  // the real update.  Each element's expression is exactly the scalar
-  // reference's; the 4-way unroll only amortises loop control, and the
-  // hardware overlaps the independent iterations itself.
-  const std::size_t n = a.nnz();
-  const sparse::Index* idx = a.indices.data();
-  const sparse::Value* val = a.values.data();
-  float* out = dense.data();
-  std::size_t k = 0;
-  for (const std::size_t n4 = n & ~std::size_t{3}; k < n4; k += 4) {
-    const auto i0 = idx[k], i1 = idx[k + 1], i2 = idx[k + 2], i3 = idx[k + 3];
-    out[i0] = static_cast<float>(out[i0] + alpha * val[k]);
-    out[i1] = static_cast<float>(out[i1] + alpha * val[k + 1]);
-    out[i2] = static_cast<float>(out[i2] + alpha * val[k + 2]);
-    out[i3] = static_cast<float>(out[i3] + alpha * val[k + 3]);
-  }
-  for (; k < n; ++k) {
-    const auto i = idx[k];
-    out[i] = static_cast<float>(out[i] + alpha * val[k]);
-  }
 }
 
 void add_diff(std::span<float> w, std::span<const float> replica,

@@ -12,11 +12,12 @@
 //     current x86); four independent double accumulators break that chain so
 //     the loop retires one fused load-convert-multiply-add per cycle and the
 //     compiler is free to turn the unrolled bodies into packed SIMD.
-//     Element-wise kernels (axpy, sparse_axpy) perform exactly the same
-//     per-element operations as the scalar reference — only reductions
-//     reassociate, so only reductions may differ, and then only in the last
-//     ULPs of the double accumulator (see DESIGN.md §9 for the tolerance
-//     contract).
+//     Element-wise kernels perform exactly the same per-element operations
+//     as the scalar reference — only reductions reassociate, so only
+//     reductions may differ, and then only in the last ULPs of the double
+//     accumulator (see DESIGN.md §9 for the tolerance contract).  The fp32
+//     axpy and sparse_axpy have no vec body: unrolled, they measured no
+//     faster than the plain loop, so both backends run the scalar one.
 //
 // The public entry points in vector_ops.hpp dispatch on kernel_backend();
 // the default is kVectorized, overridable with TPA_KERNELS=scalar in the
@@ -86,14 +87,11 @@ namespace vec {
 
 double dot(std::span<const float> x, std::span<const float> y);
 double dot(std::span<const double> x, std::span<const double> y);
-void axpy(double alpha, std::span<const float> x, std::span<float> y);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 double sparse_dot(const SparseVectorView& a, std::span<const float> dense);
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
                            std::span<const float> dense);
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<float> dense);
 void add_diff(std::span<float> w, std::span<const float> replica,
               std::span<const float> base);
 

@@ -28,10 +28,9 @@ double squared_norm(std::span<const float> x) { return dot(x, x); }
 double squared_norm(std::span<const double> x) { return dot(x, x); }
 
 void axpy(double alpha, std::span<const float> x, std::span<float> y) {
-  // Always the scalar reference: the float axpy is a pure streaming RMW the
-  // compiler already vectorises from the plain loop, and the unrolled body
-  // measured no faster (BENCH_kernels.json: 1.00x).  Both bodies apply the
-  // identical per-element expression, so this is a perf choice only.
+  // The scalar reference in both backends: the float axpy is a pure
+  // streaming RMW the compiler already vectorises from the plain loop, and
+  // unrolling it measured no faster (0.98x).
   scalar::axpy(alpha, x, y);
 }
 
@@ -61,11 +60,10 @@ double sparse_residual_dot(const SparseVectorView& a,
 
 void sparse_axpy(double alpha, const SparseVectorView& a,
                  std::span<float> dense) {
-  // Always the scalar reference: the scatter is an in-order RMW in both
-  // backends (no batching is legal under padded duplicate indices), so the
-  // unrolled variant only amortises loop control and measured within noise
-  // of scalar (BENCH_kernels.json: ≤1.03x).  Same per-element expression
-  // either way — a perf choice, not a numerics one.
+  // The scalar reference in both backends: the scatter must stay an
+  // in-order RMW (no batching is legal under padded duplicate indices), so
+  // unrolling only amortises loop control; it measured within noise of
+  // scalar (≤1.03x).
   scalar::sparse_axpy(alpha, a, dense);
 }
 

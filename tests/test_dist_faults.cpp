@@ -319,8 +319,10 @@ TEST(DistFaults, DeadlineMissExtendsTheEpochToTheGraceWindow) {
   // straggler — slower than a clean epoch, but far better than the 4x
   // stall a deadline-free synchronous reduce would eat.
   EXPECT_GT(stalled_seconds, healthy_seconds);
-  EXPECT_LT(stalled.last_breakdown().compute_solver,
-            4.0 * healthy.last_breakdown().compute_solver);
+  EXPECT_LT(stalled.last_attribution().compute_seconds +
+                stalled.last_attribution().straggler_wait_seconds,
+            4.0 * (healthy.last_attribution().compute_seconds +
+                   healthy.last_attribution().straggler_wait_seconds));
 }
 
 // --- Checkpoint / restore ---------------------------------------------------

@@ -257,14 +257,16 @@ TEST(DistributedSolver, BreakdownAccountsComponents) {
   config.local_solver.kind = core::SolverKind::kTpaM4000;
   DistributedSolver solver(corpus(), config);
   solver.run_epoch();
-  const auto& breakdown = solver.last_breakdown();
-  EXPECT_GT(breakdown.compute_solver, 0.0);
-  EXPECT_GT(breakdown.compute_host, 0.0);
-  EXPECT_GT(breakdown.pcie, 0.0);       // GPU local solver moves the vector
-  EXPECT_GT(breakdown.network, 0.0);    // K > 1 communicates
+  const auto& breakdown = solver.last_attribution();
+  EXPECT_GT(breakdown.compute_seconds + breakdown.straggler_wait_seconds,
+            0.0);
+  EXPECT_GT(breakdown.host_seconds, 0.0);
+  EXPECT_GT(breakdown.pcie_seconds, 0.0);  // GPU local solver moves the vector
+  EXPECT_GT(breakdown.network_seconds, 0.0);  // K > 1 communicates
   EXPECT_NEAR(breakdown.total(),
-              breakdown.compute_solver + breakdown.compute_host +
-                  breakdown.pcie + breakdown.network,
+              breakdown.compute_seconds + breakdown.straggler_wait_seconds +
+                  breakdown.host_seconds + breakdown.pcie_seconds +
+                  breakdown.network_seconds,
               1e-15);
 }
 
@@ -272,8 +274,8 @@ TEST(DistributedSolver, NoNetworkOrPcieForLoneCpuWorker) {
   auto config = base_config(Formulation::kDual, 1);
   DistributedSolver solver(corpus(), config);
   solver.run_epoch();
-  EXPECT_EQ(solver.last_breakdown().network, 0.0);
-  EXPECT_EQ(solver.last_breakdown().pcie, 0.0);
+  EXPECT_EQ(solver.last_attribution().network_seconds, 0.0);
+  EXPECT_EQ(solver.last_attribution().pcie_seconds, 0.0);
 }
 
 TEST(DistributedSolver, GpuWorkersChargeSetupUpload) {

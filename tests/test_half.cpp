@@ -354,6 +354,12 @@ TEST(DeltaCodec, RejectsInvalidConfigAndStructure) {
   const auto delta = ramp_delta(32);
   EXPECT_THROW(encode_delta(delta, {0.0, 0}), std::invalid_argument);
   EXPECT_THROW(encode_delta(delta, {-0.1, 256}), std::invalid_argument);
+  EXPECT_THROW(
+      encode_delta(delta, {std::numeric_limits<double>::quiet_NaN(), 256}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      encode_delta(delta, {std::numeric_limits<double>::infinity(), 256}),
+      std::invalid_argument);
 
   const auto encoded = encode_delta(delta);
   std::vector<double> wrong_size(encoded.dim + 1);

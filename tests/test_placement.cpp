@@ -373,8 +373,8 @@ TEST(DistPlacement, OverlapOnlyChangesTheClockNotTheMath) {
   for (int epoch = 0; epoch < 3; ++epoch) {
     plain.run_epoch();
     overlapped.run_epoch();
-    plain_total += plain.last_breakdown().total();
-    overlapped_total += overlapped.last_breakdown().total();
+    plain_total += plain.last_attribution().total();
+    overlapped_total += overlapped.last_attribution().total();
   }
   EXPECT_EQ(plain.global_weights(), overlapped.global_weights());
   EXPECT_EQ(plain.global_shared(), overlapped.global_shared());
@@ -393,8 +393,8 @@ TEST(DistPlacement, OverlapSavingsAreBoundedByTheTreeLatency) {
       dataset, dist_config(fleet, PlacementMode::kUniform, true));
   plain.run_epoch();
   overlapped.run_epoch();
-  const double saving = plain.last_breakdown().network -
-                        overlapped.last_breakdown().network;
+  const double saving = plain.last_attribution().network_seconds -
+                        overlapped.last_attribution().network_seconds;
   EXPECT_GE(saving, 0.0);
   EXPECT_LE(saving, NetworkModel::pcie_peer().reduce_seconds(0, 4) + 1e-15);
   EXPECT_EQ(plain.global_weights(), overlapped.global_weights());

@@ -596,27 +596,31 @@ int main(int argc, char** argv) {
         static_cast<int>(parser.get_int("checkpoint-every", 0));
     ckpt.path = parser.get_string("checkpoint", "tpascd.ckpt");
 
+    // The fields both cluster drivers share; each driver adds its own knobs.
+    cluster::ClusterConfig cluster_config;
+    cluster_config.formulation = formulation;
+    cluster_config.num_workers = workers;
+    cluster_config.aggregation = parser.get_bool("adaptive")
+                                     ? cluster::AggregationMode::kAdaptive
+                                     : cluster::AggregationMode::kAveraging;
+    cluster_config.local_solver = solver_config;
+    cluster_config.lambda = lambda;
+    cluster_config.max_restarts =
+        static_cast<int>(parser.get_int("max-restarts", 3));
+    cluster_config.network = network;
+    cluster_config.fleet = fleet;
+    cluster_config.placement = placement_mode;
+    cluster_config.placement_seed = placement_seed;
+    cluster_config.compress_deltas = parser.get_bool("compress-deltas");
+    cluster_config.delta_threshold = parser.get_double("delta-threshold", 0.0);
+    build_faults(cluster_config.faults);
+
     if (workers > 1 && parser.get_bool("async")) {
-      cluster::AsyncConfig async;
-      async.formulation = formulation;
-      async.num_workers = workers;
-      async.aggregation = parser.get_bool("adaptive")
-                              ? cluster::AggregationMode::kAdaptive
-                              : cluster::AggregationMode::kAveraging;
-      async.local_solver = solver_config;
-      async.lambda = lambda;
-      async.max_restarts = static_cast<int>(parser.get_int("max-restarts", 3));
+      cluster::AsyncConfig async(cluster_config);
       async.staleness_window =
           static_cast<int>(parser.get_int("staleness-window", 0));
       async.staleness_policy = cluster::parse_staleness_policy(
           parser.get_string("staleness-policy", "damp"));
-      async.network = network;
-      async.fleet = fleet;
-      async.placement = placement_mode;
-      async.placement_seed = placement_seed;
-      async.compress_deltas = parser.get_bool("compress-deltas");
-      async.delta_threshold = parser.get_double("delta-threshold", 0.0);
-      build_faults(async.faults);
       if (parser.get_bool("elastic")) {
         const int leave_worker =
             static_cast<int>(parser.get_int("leave-worker", -1));
@@ -679,24 +683,9 @@ int main(int argc, char** argv) {
       model.weights = solver.global_weights();
       model.shared = solver.global_shared();
     } else if (workers > 1) {
-      cluster::DistConfig dist;
-      dist.formulation = formulation;
-      dist.num_workers = workers;
-      dist.aggregation = parser.get_bool("adaptive")
-                             ? cluster::AggregationMode::kAdaptive
-                             : cluster::AggregationMode::kAveraging;
-      dist.local_solver = solver_config;
-      dist.lambda = lambda;
+      cluster::DistConfig dist(cluster_config);
       dist.straggler_grace = parser.get_double("straggler-grace", 1.5);
-      dist.max_restarts = static_cast<int>(parser.get_int("max-restarts", 3));
-      dist.network = network;
-      dist.fleet = fleet;
-      dist.placement = placement_mode;
-      dist.placement_seed = placement_seed;
       dist.comm_overlap = !fleet.empty() && !parser.get_bool("no-overlap");
-      dist.compress_deltas = parser.get_bool("compress-deltas");
-      dist.delta_threshold = parser.get_double("delta-threshold", 0.0);
-      build_faults(dist.faults);
 
       cluster::DistributedSolver solver(dataset, dist);
       if (resuming) solver.restore(resume_model);
@@ -726,7 +715,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(solver.delta_bytes_on_wire()));
       }
       report_placement(solver.placement_result(),
-                       solver.last_breakdown().total());
+                       solver.last_attribution().total());
       print_attribution(solver.attribution_totals(),
                         solver.attribution_rounds());
       if (const auto* plan = solver.placement_result()) {
