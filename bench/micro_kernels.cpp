@@ -48,9 +48,10 @@ void BM_SparseDot(benchmark::State& state) {
   std::uint64_t entries = 0;
   for (auto _ : state) {
     const auto view = dataset.by_row().row(row);
-    benchmark::DoNotOptimize(backend == linalg::KernelBackend::kScalar
-                                 ? linalg::scalar::sparse_dot(view, dense)
-                                 : linalg::vec::sparse_dot(view, dense));
+    benchmark::DoNotOptimize(
+        backend == linalg::KernelBackend::kScalar
+            ? linalg::scalar::sparse_dot<float>(view, dense)
+            : linalg::vec::sparse_dot<float>(view, dense));
     entries += view.nnz();
     row = (row + 1) % dataset.num_examples();
   }
@@ -69,7 +70,7 @@ void BM_SparseDotBucketed(benchmark::State& state) {
   std::uint64_t entries = 0;
   for (auto _ : state) {
     const auto view = dataset.bucketed_rows().padded(row);
-    benchmark::DoNotOptimize(linalg::vec::sparse_dot(view, dense));
+    benchmark::DoNotOptimize(linalg::vec::sparse_dot<float>(view, dense));
     entries += view.nnz();
     row = (row + 1) % dataset.num_examples();
   }
@@ -86,7 +87,7 @@ void BM_SparseAxpy(benchmark::State& state) {
   std::uint64_t entries = 0;
   for (auto _ : state) {
     const auto view = dataset.by_row().row(row);
-    linalg::scalar::sparse_axpy(0.001, view, dense);
+    linalg::scalar::sparse_axpy<float>(0.001, view, dense);
     entries += view.nnz();
     row = (row + 1) % dataset.num_examples();
   }

@@ -142,20 +142,20 @@ int run(int argc, char** argv) {
   const auto dot_times = time_kernel(
       dataset, trials,
       [&](const sparse::SparseVectorView& v) {
-        g_sink = linalg::scalar::sparse_dot(v, dense);
+        g_sink = linalg::scalar::sparse_dot<float>(v, dense);
       },
       [&](const sparse::SparseVectorView& v) {
-        g_sink = linalg::vec::sparse_dot(v, dense);
+        g_sink = linalg::vec::sparse_dot<float>(v, dense);
       });
   add_kernel_result(kernels, "sparse_dot", dot_times);
 
   const auto residual_times = time_kernel(
       dataset, trials,
       [&](const sparse::SparseVectorView& v) {
-        g_sink = linalg::scalar::sparse_residual_dot(v, target, dense);
+        g_sink = linalg::scalar::sparse_residual_dot<float>(v, target, dense);
       },
       [&](const sparse::SparseVectorView& v) {
-        g_sink = linalg::vec::sparse_residual_dot(v, target, dense);
+        g_sink = linalg::vec::sparse_residual_dot<float>(v, target, dense);
       });
   add_kernel_result(kernels, "sparse_residual_dot", residual_times);
 

@@ -103,22 +103,14 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
   if (!in) {
     throw std::runtime_error("async state: cannot open " + path);
   }
-  sparse::Fnv1a checksum;
-  const auto read_raw = [&](void* data, std::size_t bytes, const char* what) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (static_cast<std::size_t>(in.gcount()) != bytes) {
-      throw std::runtime_error("async state: truncated reading " +
-                               std::string(what) + " from " + path);
-    }
-    checksum.update(data, bytes);
-  };
+  sparse::CheckedReader reader(in, "async state " + path);
   char magic[4];
-  read_raw(magic, sizeof(magic), "magic");
+  reader.read(magic, sizeof(magic));
   if (std::memcmp(magic, kAsyncStateMagic, sizeof(kAsyncStateMagic)) != 0) {
     throw std::runtime_error("async state: bad magic in " + path);
   }
   AsyncStateHeader header;
-  read_raw(&header, sizeof(header), "header");
+  reader.read(&header, sizeof(header));
   if (header.format_version != kAsyncStateVersion) {
     throw std::runtime_error("async state: unsupported format version " +
                              std::to_string(header.format_version) + " in " +
@@ -128,11 +120,9 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
   state.round = header.round;
   state.version = header.version;
   state.seed = header.seed;
-  state.workers.resize(header.num_workers);
-  for (auto& worker : state.workers) {
-    read_raw(&worker, sizeof(worker), "worker record");
-  }
-  const std::uint64_t expected = checksum.digest();
+  state.workers =
+      reader.read_array<AsyncCheckpointState::WorkerState>(header.num_workers);
+  const std::uint64_t expected = reader.digest();
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(stored) ||

@@ -37,13 +37,8 @@ EpochReport AsyncScdSolver::run_epoch() {
   }();
   const auto stats = [&] {
     obs::TraceSpan sweep("async_scd/sweep");
-    const auto compute = [this](sparse::Index j,
-                                std::span<const float> shared) {
-      return problem_->coordinate_delta(formulation_, j, shared,
-                                        state_.weights[j]);
-    };
-    const auto compute_half = [this](sparse::Index j,
-                                     std::span<const linalg::Half> shared) {
+    // `shared` may be an fp16 replica under the replicated policy.
+    const auto compute = [this](sparse::Index j, auto shared) {
       return problem_->coordinate_delta(formulation_, j, shared,
                                         state_.weights[j]);
     };
@@ -61,8 +56,8 @@ EpochReport AsyncScdSolver::run_epoch() {
               : replica_auto_interval(problem_->dataset().nnz(), coords,
                                       state_.shared.size(), threads_);
       return engine_.run_epoch_replicated(
-          order, compute, compute_half, vec_of, apply_weight, state_.shared,
-          replicas_, interval, replica_damping(coords, threads_, interval));
+          order, compute, vec_of, apply_weight, state_.shared, replicas_,
+          interval, replica_damping(coords, threads_, interval));
     }
     return engine_.run_epoch(order, compute, vec_of, apply_weight,
                              state_.shared);

@@ -28,15 +28,6 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
   checksum = sparse::fnv1a(data, bytes, checksum);
 }
 
-void read_raw(std::istream& in, void* data, std::size_t bytes,
-              std::uint64_t& checksum) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    throw std::runtime_error("model read truncated");
-  }
-  checksum = sparse::fnv1a(data, bytes, checksum);
-}
-
 }  // namespace
 
 void write_model(std::ostream& out, const SavedModel& model) {
@@ -88,24 +79,20 @@ SavedModel read_model(std::istream& in) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("model read: bad magic");
   }
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  sparse::CheckedReader reader(in, "model read");
   Header header;
-  read_raw(in, &header, sizeof(header), checksum);
+  reader.read(&header, sizeof(header));
   SavedModel model;
   model.formulation =
       header.formulation == 0 ? Formulation::kPrimal : Formulation::kDual;
   model.epoch = header.epoch;
   model.lambda = header.lambda;
-  model.weights.resize(header.weights);
-  model.shared.resize(header.shared);
-  read_raw(in, model.weights.data(), model.weights.size() * sizeof(float),
-           checksum);
-  read_raw(in, model.shared.data(), model.shared.size() * sizeof(float),
-           checksum);
+  model.weights = reader.read_array<float>(header.weights);
+  model.shared = reader.read_array<float>(header.shared);
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(stored) ||
-      stored != checksum) {
+      stored != reader.digest()) {
     throw std::runtime_error("model read: checksum mismatch");
   }
   return model;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 #include "linalg/vector_ops.hpp"
 #include "obs/metrics_registry.hpp"
@@ -23,41 +24,40 @@ std::size_t padded_stride(std::size_t dim) {
 void ReplicaSet::configure(std::size_t dim, int count,
                            linalg::SharedPrecision precision) {
   assert(count >= 1);
-  if (dim == dim_ && count == count_ && precision == precision_) return;
+  if (dim == dim_ && count == count_ && precision == this->precision()) {
+    return;
+  }
   dim_ = dim;
   count_ = count;
-  precision_ = precision;
   const auto slots = static_cast<std::size_t>(count + 1);
   // Zero-fill the pad tail once; merges only ever touch [0, dim) per slot.
   if (precision == linalg::SharedPrecision::kFp16) {
     stride_ = padded_stride<linalg::Half>(dim);
-    half_storage_.assign(stride_ * slots, linalg::Half{});
-    storage_.assign(0, 0.0F);
+    storage_.emplace<Slots<linalg::Half>>(stride_ * slots);
   } else {
     stride_ = padded_stride<float>(dim);
-    storage_.assign(stride_ * slots, 0.0F);
-    half_storage_.assign(0, linalg::Half{});
+    storage_.emplace<Slots<float>>(stride_ * slots);
   }
 }
 
 void ReplicaSet::reset_from(std::span<const float> global) {
   assert(global.size() == dim_);
-  if (precision_ == linalg::SharedPrecision::kFp16) {
-    // Narrow once into the base slot, then replicate the half image — every
-    // slot starts from the identical RNE rounding of the global vector.
-    linalg::Half* slot = half_storage_.data();
-    linalg::narrow(global, {slot, dim_});
-    const linalg::Half* base_image = slot;
-    slot += stride_;
-    for (int r = 0; r < count_; ++r, slot += stride_) {
-      std::memcpy(slot, base_image, dim_ * sizeof(linalg::Half));
-    }
-    return;
-  }
-  float* slot = storage_.data();
-  for (int r = 0; r <= count_; ++r, slot += stride_) {
-    std::memcpy(slot, global.data(), dim_ * sizeof(float));
-  }
+  std::visit(
+      [&](auto& slots) {
+        using T = typename std::decay_t<decltype(slots)>::value_type;
+        // Store once into the base slot — a copy, or one RNE narrowing
+        // under fp16 — then replicate that image: every slot starts from
+        // identical bits.
+        if constexpr (std::is_same_v<T, float>) {
+          std::memcpy(slots.data(), global.data(), global.size_bytes());
+        } else {
+          linalg::narrow(global, {slots.data(), dim_});
+        }
+        for (int r = 0; r < count_; ++r) {
+          std::memcpy(replica<T>(r).data(), slots.data(), dim_ * sizeof(T));
+        }
+      },
+      storage_);
 }
 
 void ReplicaSet::merge_into(std::span<float> global) {
@@ -65,31 +65,25 @@ void ReplicaSet::merge_into(std::span<float> global) {
   obs::TraceSpan span("replica/merge");
   static obs::Counter& merges = obs::metrics().counter("solver.merges");
   merges.add(1);
-  if (precision_ == linalg::SharedPrecision::kFp16) {
-    if (count_ == 1) {
-      // Single replica: widening its half image verbatim (exact) keeps the
-      // merge self-consistent with the fp32 special case below — the merged
-      // vector *is* the replica, at its storage precision.
-      linalg::widen(replica_half(0), global);
-    } else {
-      for (int r = 0; r < count_; ++r) {
-        linalg::add_diff(global, replica_half(r), base_half());
-      }
-    }
-    reset_from(global);
-    return;
-  }
-  if (count_ == 1) {
-    // One replica owns every coordinate: the merged vector *is* the replica.
-    // Copying it verbatim (rather than folding w + (r − w), which is not
-    // exactly r in float) keeps the merge_every=1 single-thread path
-    // bit-exact against the sequential solver.
-    std::memcpy(global.data(), replica(0).data(), dim_ * sizeof(float));
-  } else {
-    for (int r = 0; r < count_; ++r) {
-      linalg::add_diff(global, replica(r), base());
-    }
-  }
+  std::visit(
+      [&](auto& slots) {
+        using T = typename std::decay_t<decltype(slots)>::value_type;
+        if (count_ > 1) {
+          for (int r = 0; r < count_; ++r) {
+            linalg::add_diff(global, replica<T>(r), base<T>());
+          }
+        } else if constexpr (std::is_same_v<T, float>) {
+          // One replica owns every coordinate: the merged vector *is* the
+          // replica.  Copying it verbatim (rather than folding w + (r − w),
+          // which is not exactly r in float) keeps the merge_every=1
+          // single-thread path bit-exact against the sequential solver.
+          std::memcpy(global.data(), replica<T>(0).data(), global.size_bytes());
+        } else {
+          // The same under fp16: the replica's half image, widened exactly.
+          linalg::widen(replica<T>(0), global);
+        }
+      },
+      storage_);
   reset_from(global);
 }
 

@@ -23,10 +23,14 @@
 // special-cased to a verbatim copy — float w + (r − w) is not exactly r in
 // general, and the copy makes the merge_every=1 single-thread path bit-exact
 // against the sequential solver.
+//
+// Storage is float or linalg::Half (fp16, DESIGN.md §16) behind one set of
+// bodies; reset and merge differ only in the element conversion.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <variant>
 
 #include "linalg/half.hpp"
 #include "util/aligned.hpp"
@@ -51,36 +55,28 @@ class ReplicaSet {
   /// Elements between consecutive slots — dim rounded up to a full cache
   /// line of the storage type.
   std::size_t stride() const noexcept { return stride_; }
-  linalg::SharedPrecision precision() const noexcept { return precision_; }
-
-  /// Worker r's private copy of the shared vector (fp32 storage only).
-  std::span<float> replica(int r) noexcept {
-    return {storage_.data() + stride_ * static_cast<std::size_t>(r + 1), dim_};
-  }
-  std::span<const float> replica(int r) const noexcept {
-    return {storage_.data() + stride_ * static_cast<std::size_t>(r + 1), dim_};
-  }
-  /// Snapshot of the global vector at the last merge/reseed (fp32 storage).
-  std::span<const float> base() const noexcept {
-    return {storage_.data(), dim_};
+  linalg::SharedPrecision precision() const noexcept {
+    return std::holds_alternative<Slots<float>>(storage_)
+               ? linalg::SharedPrecision::kFp32
+               : linalg::SharedPrecision::kFp16;
   }
 
-  /// fp16-storage accessors (valid only after configure(..., kFp16)).
-  std::span<linalg::Half> replica_half(int r) noexcept {
-    return {half_storage_.data() + stride_ * static_cast<std::size_t>(r + 1),
-            dim_};
+  /// Worker r's private copy of the shared vector, as the configured
+  /// storage type T: float under kFp32, linalg::Half under kFp16.
+  template <typename T = float>
+  std::span<T> replica(int r) {
+    auto& slots = std::get<Slots<T>>(storage_);
+    return {slots.data() + stride_ * static_cast<std::size_t>(r + 1), dim_};
   }
-  std::span<const linalg::Half> replica_half(int r) const noexcept {
-    return {half_storage_.data() + stride_ * static_cast<std::size_t>(r + 1),
-            dim_};
-  }
-  std::span<const linalg::Half> base_half() const noexcept {
-    return {half_storage_.data(), dim_};
+  /// Snapshot of the global vector at the last merge/reseed.
+  template <typename T = float>
+  std::span<const T> base() const {
+    return {std::get<Slots<T>>(storage_).data(), dim_};
   }
 
-  /// Reseeds base and every replica from `global` (global.size() == dim).
-  /// Under fp16 storage the global is narrowed once (RNE) and the same
-  /// half image is copied into every slot.
+  /// Reseeds base and every replica from `global` (global.size() == dim):
+  /// the global is stored once into the base slot (under fp16, narrowed
+  /// with RNE) and that image is copied into every replica.
   void reset_from(std::span<const float> global);
 
   /// Folds every replica's delta against base into `global` in replica
@@ -89,12 +85,13 @@ class ReplicaSet {
   void merge_into(std::span<float> global);
 
  private:
-  util::AlignedVector<float> storage_;  // [base | replica 0 | replica 1 | ...]
-  util::AlignedVector<linalg::Half> half_storage_;  // same layout, fp16 mode
+  template <typename T>
+  using Slots = util::AlignedVector<T>;  // [base | replica 0 | replica 1 | ...]
+
+  std::variant<Slots<float>, Slots<linalg::Half>> storage_;
   std::size_t dim_ = 0;
   std::size_t stride_ = 0;
   int count_ = 0;
-  linalg::SharedPrecision precision_ = linalg::SharedPrecision::kFp32;
 };
 
 }  // namespace tpa::core

@@ -50,6 +50,18 @@ util::ThreadPool* effective_pool(util::ThreadPool* pool,
              : nullptr;
 }
 
+// The inner product the closed form needs, at either storage type of the
+// shared vector: ⟨y − w, a_m⟩ for the primal, ⟨w̄, āₙ⟩ for the dual.
+template <typename T>
+double coordinate_dot(const RidgeProblem& problem, Formulation f, Index j,
+                      std::span<const T> shared) {
+  const auto vec = problem.coordinate_vector(f, j);
+  return f == Formulation::kPrimal
+             ? linalg::sparse_residual_dot(vec, problem.dataset().labels(),
+                                           shared)
+             : linalg::sparse_dot(vec, shared);
+}
+
 }  // namespace
 
 RidgeProblem::RidgeProblem(const data::Dataset& dataset, double lambda,
@@ -93,38 +105,28 @@ double RidgeProblem::coordinate_squared_norm(Formulation f, Index j) const {
 double RidgeProblem::coordinate_delta(Formulation f, Index j,
                                       std::span<const float> shared,
                                       double weight_j) const {
-  const auto n = static_cast<double>(effective_examples());
-  const auto vec = coordinate_vector(f, j);
-  const double norm_sq = coordinate_squared_norm(f, j);
-  if (f == Formulation::kPrimal) {
-    // Eq. (2): Δβ = (⟨y − w, a_m⟩ − Nλβ_m) / (||a_m||² + Nλ).
-    const double residual_dot =
-        linalg::sparse_residual_dot(vec, dataset_->labels(), shared);
-    return (residual_dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
-  }
-  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
-  const double wbar_dot = linalg::sparse_dot(vec, shared);
-  const double y_n = dataset_->labels()[j];
-  return (lambda_ * y_n - wbar_dot - lambda_ * n * weight_j) /
-         (lambda_ * n + norm_sq);
+  return closed_form_delta(f, j, coordinate_dot(*this, f, j, shared),
+                           weight_j);
 }
 
 double RidgeProblem::coordinate_delta(Formulation f, Index j,
                                       std::span<const linalg::Half> shared,
                                       double weight_j) const {
-  // Same closed-form steps as the float overload; the half kernels widen
-  // each gathered element exactly, so the formulas are untouched.
+  return closed_form_delta(f, j, coordinate_dot(*this, f, j, shared),
+                           weight_j);
+}
+
+double RidgeProblem::closed_form_delta(Formulation f, Index j, double dot,
+                                       double weight_j) const {
   const auto n = static_cast<double>(effective_examples());
-  const auto vec = coordinate_vector(f, j);
   const double norm_sq = coordinate_squared_norm(f, j);
   if (f == Formulation::kPrimal) {
-    const double residual_dot =
-        linalg::sparse_residual_dot(vec, dataset_->labels(), shared);
-    return (residual_dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
+    // Eq. (2): Δβ = (⟨y − w, a_m⟩ − Nλβ_m) / (||a_m||² + Nλ).
+    return (dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
   }
-  const double wbar_dot = linalg::sparse_dot(vec, shared);
+  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
   const double y_n = dataset_->labels()[j];
-  return (lambda_ * y_n - wbar_dot - lambda_ * n * weight_j) /
+  return (lambda_ * y_n - dot - lambda_ * n * weight_j) /
          (lambda_ * n + norm_sq);
 }
 

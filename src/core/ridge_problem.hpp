@@ -68,18 +68,23 @@ class RidgeProblem {
 
   /// Exact single-coordinate optimiser (paper eqs. 2 / 4): the closed-form
   /// Δ that minimises P (resp. maximises D) along coordinate j given the
-  /// shared vector and the coordinate's current weight.
+  /// shared vector and the coordinate's current weight.  The Half overload
+  /// reads an fp16-stored shared vector (DESIGN.md §16): its kernels widen
+  /// each element to fp32 exactly, so the only difference from the float
+  /// overload is the storage rounding already present in `shared`.
   double coordinate_delta(Formulation f, Index j,
                           std::span<const float> shared,
                           double weight_j) const;
-
-  /// Same closed-form step against an fp16-stored shared vector (DESIGN.md
-  /// §16): the gather widens each element to fp32 exactly, so the only
-  /// difference from the float overload is the storage rounding already
-  /// present in `shared`.
   double coordinate_delta(Formulation f, Index j,
                           std::span<const linalg::Half> shared,
                           double weight_j) const;
+
+  /// The closed form of eqs. (2) / (4) given coordinate j's inner product
+  /// with the shared vector: `dot` is ⟨y − w, a_m⟩ (primal) or ⟨w̄, āₙ⟩
+  /// (dual).  coordinate_delta evaluates `dot` with the kernel layer;
+  /// TPA-SCD passes its block-reduced one.
+  double closed_form_delta(Formulation f, Index j, double dot,
+                           double weight_j) const;
 
   /// P(β) with w = Aβ supplied by the caller.  A non-null `pool` evaluates
   /// the partial sums in fixed-size chunks across the pool; the chunked

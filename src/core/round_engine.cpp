@@ -1,6 +1,7 @@
 #include "core/round_engine.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "linalg/vector_ops.hpp"
 
@@ -87,8 +88,9 @@ AsyncEngineStats AsyncEngine::run_epoch(std::span<const std::uint32_t> order,
   return stats;
 }
 
-AsyncEngineStats AsyncEngine::run_epoch_replicated(
-    std::span<const std::uint32_t> order, const ComputeFn& compute,
+template <typename T>
+AsyncEngineStats AsyncEngine::run_replicated(
+    std::span<const std::uint32_t> order, const ComputeOn<T>& compute,
     const VectorFn& vec_of, const WeightFn& apply_weight,
     std::span<float> shared, ReplicaSet& replicas, int merge_every,
     double damping) {
@@ -101,7 +103,9 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
         "AsyncEngine::run_epoch_replicated: damping must be in (0, 1]");
   }
   AsyncEngineStats stats;
-  replicas.configure(shared.size(), static_cast<int>(window_));
+  replicas.configure(shared.size(), static_cast<int>(window_),
+                     std::is_same_v<T, float> ? linalg::SharedPrecision::kFp32
+                                              : linalg::SharedPrecision::kFp16);
   // Reseed every epoch: callers (the distributed solver in particular) may
   // overwrite `shared` between epochs.
   replicas.reset_from(shared);
@@ -113,7 +117,7 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
   std::uint64_t since_merge = 0;
   for (std::size_t p = 0; p < order.size(); ++p) {
     const int lane = static_cast<int>(p % window_);
-    auto rep = replicas.replica(lane);
+    auto rep = replicas.replica<T>(lane);
     const auto j = order[p];
     // The lane reads its own replica: the last merge plus its own updates
     // since — other lanes' post-merge updates are invisible until the next
@@ -138,53 +142,12 @@ AsyncEngineStats AsyncEngine::run_epoch_replicated(
   return stats;
 }
 
-AsyncEngineStats AsyncEngine::run_epoch_replicated(
-    std::span<const std::uint32_t> order, const ComputeFn& compute,
-    const ComputeHalfFn& compute_half, const VectorFn& vec_of,
-    const WeightFn& apply_weight, std::span<float> shared,
-    ReplicaSet& replicas, int merge_every, double damping) {
-  if (linalg::shared_precision() != linalg::SharedPrecision::kFp16 ||
-      !compute_half) {
-    return run_epoch_replicated(order, compute, vec_of, apply_weight, shared,
-                                replicas, merge_every, damping);
-  }
-  if (merge_every <= 0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: merge_every must be positive");
-  }
-  if (!(damping > 0.0) || damping > 1.0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: damping must be in (0, 1]");
-  }
-  // The fp16 pipeline is the fp32 one with half-stored replicas: the lane's
-  // gather widens exactly, the scatter narrows with RNE, and the merge folds
-  // half deltas in double — storage precision is the only difference.
-  AsyncEngineStats stats;
-  replicas.configure(shared.size(), static_cast<int>(window_),
-                     linalg::SharedPrecision::kFp16);
-  replicas.reset_from(shared);
-
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(window_) *
-      static_cast<std::uint64_t>(merge_every);
-  std::uint64_t since_merge = 0;
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    const int lane = static_cast<int>(p % window_);
-    auto rep = replicas.replica_half(lane);
-    const auto j = order[p];
-    const double step = damping * compute_half(j, rep);
-    apply_weight(j, step);
-    const auto vec = vec_of(j);
-    linalg::sparse_axpy(step, vec, rep);
-    ++stats.updates;
-    stats.committed_entries += vec.nnz();
-    if (++since_merge >= interval) {
-      replicas.merge_into(shared);
-      since_merge = 0;
-    }
-  }
-  if (since_merge > 0) replicas.merge_into(shared);
-  return stats;
-}
+template AsyncEngineStats AsyncEngine::run_replicated(
+    std::span<const std::uint32_t>, const ComputeOn<float>&, const VectorFn&,
+    const WeightFn&, std::span<float>, ReplicaSet&, int, double);
+template AsyncEngineStats AsyncEngine::run_replicated(
+    std::span<const std::uint32_t>, const ComputeOn<linalg::Half>&,
+    const VectorFn&, const WeightFn&, std::span<float>, ReplicaSet&, int,
+    double);
 
 }  // namespace tpa::core

@@ -60,13 +60,11 @@ class AsyncEngine {
   CommitPolicy policy() const noexcept { return policy_; }
 
   /// Computes the update delta for coordinate j from the currently visible
-  /// shared vector.
-  using ComputeFn =
-      std::function<double(sparse::Index j, std::span<const float> shared)>;
-  /// Same, against an fp16-stored replica (the reduced-precision pipeline;
-  /// DESIGN.md §16).
-  using ComputeHalfFn = std::function<double(
-      sparse::Index j, std::span<const linalg::Half> shared)>;
+  /// shared vector, stored as T.
+  template <typename T>
+  using ComputeOn =
+      std::function<double(sparse::Index j, std::span<const T> shared)>;
+  using ComputeFn = ComputeOn<float>;
   /// Returns coordinate j's sparse vector (the scatter pattern of its
   /// shared-vector update).
   using VectorFn = std::function<sparse::SparseVectorView(sparse::Index j)>;
@@ -94,27 +92,38 @@ class AsyncEngine {
   /// every update delta (weights and shared together) — callers pass
   /// core::replica_damping so large merge intervals slow down instead of
   /// diverging; 1.0 (the exact coordinate step) within the safe budget.
+  ///
+  /// The one place this pipeline reads linalg::shared_precision(): under
+  /// kFp16 the replicas are stored as linalg::Half (DESIGN.md §16), so
+  /// `compute` must accept a replica span of either storage type —
+  /// typically a lambda taking `auto`.
+  template <typename Compute>
   AsyncEngineStats run_epoch_replicated(std::span<const std::uint32_t> order,
-                                        const ComputeFn& compute,
+                                        const Compute& compute,
                                         const VectorFn& vec_of,
                                         const WeightFn& apply_weight,
                                         std::span<float> shared,
                                         ReplicaSet& replicas, int merge_every,
-                                        double damping = 1.0);
-
-  /// Precision-aware variant: when linalg::shared_precision() is kFp16 the
-  /// replicas are stored as binary16 and each lane computes through
-  /// `compute_half` (gathers widen exactly, scatters narrow with RNE),
-  /// halving the bytes the pipeline touches per update; otherwise this is
-  /// exactly the fp32 overload above.  `compute_half` must be valid — pass
-  /// the same coordinate formula over a Half span.
-  AsyncEngineStats run_epoch_replicated(
-      std::span<const std::uint32_t> order, const ComputeFn& compute,
-      const ComputeHalfFn& compute_half, const VectorFn& vec_of,
-      const WeightFn& apply_weight, std::span<float> shared,
-      ReplicaSet& replicas, int merge_every, double damping = 1.0);
+                                        double damping = 1.0) {
+    if (linalg::shared_precision() == linalg::SharedPrecision::kFp16) {
+      return run_replicated<linalg::Half>(order, compute, vec_of,
+                                          apply_weight, shared, replicas,
+                                          merge_every, damping);
+    }
+    return run_replicated<float>(order, compute, vec_of, apply_weight, shared,
+                                 replicas, merge_every, damping);
+  }
 
  private:
+  // The replicated body for replicas stored as T (float or linalg::Half);
+  // instantiated for both in round_engine.cpp.
+  template <typename T>
+  AsyncEngineStats run_replicated(
+      std::span<const std::uint32_t> order, const ComputeOn<T>& compute,
+      const VectorFn& vec_of, const WeightFn& apply_weight,
+      std::span<float> shared, ReplicaSet& replicas, int merge_every,
+      double damping);
+
   struct PendingUpdate {
     sparse::Index coord = 0;
     double delta = 0.0;

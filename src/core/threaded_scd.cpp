@@ -11,35 +11,23 @@ namespace tpa::core {
 namespace {
 
 // The body of the sequential solver's sweep, against one worker's private
-// replica: plain loads and in-order plain stores, no atomics.  Coordinate
-// slices are disjoint, so weights[j] has exactly one writer.  The exact
-// coordinate step is under-relaxed by `damping` (1.0 within the safe
-// staleness budget, where the multiply is exact and this is the sequential
-// body verbatim); weights and replica scale together, preserving the
-// shared-vector invariant at any θ.
+// replica stored as T (float, or linalg::Half under fp16 storage, whose
+// gathers widen exactly and scatters narrow with RNE — DESIGN.md §16):
+// plain loads and in-order plain stores, no atomics.  Coordinate slices are
+// disjoint, so weights[j] has exactly one writer.  The exact coordinate step
+// is under-relaxed by `damping` (1.0 within the safe staleness budget, where
+// the multiply is exact and this is the sequential body verbatim); weights
+// and replica scale together, preserving the shared-vector invariant at
+// any θ.
+template <typename T>
 void replica_pass(const RidgeProblem& problem, Formulation f,
                   std::span<const std::uint32_t> coords,
-                  std::span<float> weights, std::span<float> replica,
+                  std::span<float> weights, std::span<T> replica,
                   double damping) {
   for (const auto j : coords) {
     const double step =
-        damping * problem.coordinate_delta(f, j, replica, weights[j]);
-    weights[j] = static_cast<float>(weights[j] + step);
-    linalg::sparse_axpy(step, problem.coordinate_vector(f, j), replica);
-  }
-}
-
-// fp16-storage variant: identical structure against a half-stored replica —
-// gathers widen exactly, scatters narrow with RNE (DESIGN.md §16).
-void replica_pass(const RidgeProblem& problem, Formulation f,
-                  std::span<const std::uint32_t> coords,
-                  std::span<float> weights, std::span<linalg::Half> replica,
-                  double damping) {
-  for (const auto j : coords) {
-    const double step =
-        damping * problem.coordinate_delta(
-                      f, j, std::span<const linalg::Half>(replica),
-                      weights[j]);
+        damping * problem.coordinate_delta(f, j, std::span<const T>(replica),
+                                           weights[j]);
     weights[j] = static_cast<float>(weights[j] + step);
     linalg::sparse_axpy(step, problem.coordinate_vector(f, j), replica);
   }
@@ -52,9 +40,9 @@ void replicated_sweep(const RidgeProblem& problem, Formulation f,
                       std::span<float> weights, std::span<float> shared,
                       ReplicaSet& replicas, util::ThreadPool& pool,
                       int threads, int merge_every) {
-  // Replica storage follows the process-wide precision mode: fp16 halves
-  // the bytes every round touches while weights, merges and objectives stay
-  // in full precision.
+  // Replica storage follows the process-wide precision mode, read once per
+  // sweep here: fp16 halves the bytes every round touches while weights,
+  // merges and objectives stay in full precision.
   const linalg::SharedPrecision precision = linalg::shared_precision();
   replicas.configure(shared.size(), threads, precision);
   // Reseed every call: the caller may overwrite `shared` between sweeps.
@@ -95,12 +83,14 @@ void replicated_sweep(const RidgeProblem& problem, Formulation f,
       if (begin >= end) return;
       obs::TraceSpan chunk("threaded_scd/round", obs::kCurrentThread,
                            static_cast<std::int64_t>(end - begin));
+      const auto coords = order.subspan(begin, end - begin);
+      const int r = static_cast<int>(t);
       if (precision == linalg::SharedPrecision::kFp16) {
-        replica_pass(problem, f, order.subspan(begin, end - begin), weights,
-                     replicas.replica_half(static_cast<int>(t)), damping);
+        replica_pass(problem, f, coords, weights,
+                     replicas.replica<linalg::Half>(r), damping);
       } else {
-        replica_pass(problem, f, order.subspan(begin, end - begin), weights,
-                     replicas.replica(static_cast<int>(t)), damping);
+        replica_pass(problem, f, coords, weights, replicas.replica<float>(r),
+                     damping);
       }
     };
     if (pooled) {

@@ -61,61 +61,23 @@ EpochReport TpaScdSolver::run_epoch() {
     return permutation_.next();
   }();
   const auto labels = problem_->dataset().labels();
-  const auto n = static_cast<double>(problem_->effective_examples());
-  const double lambda = problem_->lambda();
 
   obs::TraceSpan sweep("tpa_scd/sweep");
   // The thread-block body of Algorithm 2: strided partial inner product
   // in 32-bit floats, shared-memory tree reduction, then thread 0's
-  // closed-form delta.
-  const AsyncEngine::ComputeFn compute =
-      [&](sparse::Index j, std::span<const float> shared) {
-        const auto vec = problem_->coordinate_vector(formulation_, j);
-        const double norm_sq =
-            problem_->coordinate_squared_norm(formulation_, j);
-        if (formulation_ == Formulation::kPrimal) {
-          const double dot = block_.strided_reduce(
-              vec.nnz(), [&](std::size_t k) {
-                const auto i = vec.indices[k];
-                return (labels[i] - shared[i]) * vec.values[k];
-              });
-          return (dot - n * lambda * state_.weights[j]) /
-                 (norm_sq + n * lambda);
-        }
-        const double dot = block_.strided_reduce(
-            vec.nnz(), [&](std::size_t k) {
-              return shared[vec.indices[k]] * vec.values[k];
-            });
-        return (lambda * labels[j] - dot -
-                lambda * n * state_.weights[j]) /
-               (lambda * n + norm_sq);
-      };
-  // The same block body against an fp16-stored replica: gathers widen each
-  // element exactly, so only the storage rounding differs (DESIGN.md §16).
-  const AsyncEngine::ComputeHalfFn compute_half =
-      [&](sparse::Index j, std::span<const linalg::Half> shared) {
-        const auto vec = problem_->coordinate_vector(formulation_, j);
-        const double norm_sq =
-            problem_->coordinate_squared_norm(formulation_, j);
-        if (formulation_ == Formulation::kPrimal) {
-          const double dot = block_.strided_reduce(
-              vec.nnz(), [&](std::size_t k) {
-                const auto i = vec.indices[k];
-                return (labels[i] - linalg::half_to_float(shared[i])) *
-                       vec.values[k];
-              });
-          return (dot - n * lambda * state_.weights[j]) /
-                 (norm_sq + n * lambda);
-        }
-        const double dot = block_.strided_reduce(
-            vec.nnz(), [&](std::size_t k) {
-              return linalg::half_to_float(shared[vec.indices[k]]) *
-                     vec.values[k];
-            });
-        return (lambda * labels[j] - dot -
-                lambda * n * state_.weights[j]) /
-               (lambda * n + norm_sq);
-      };
+  // closed-form delta.  The batched write-back may hand it an fp16 replica,
+  // whose elements widen exactly, so only the storage rounding differs.
+  const bool primal = formulation_ == Formulation::kPrimal;
+  const auto compute = [&](sparse::Index j, auto shared) {
+    const auto vec = problem_->coordinate_vector(formulation_, j);
+    const double dot = block_.strided_reduce(vec.nnz(), [&](std::size_t k) {
+      const auto i = vec.indices[k];
+      const float s = linalg::to_float(shared[i]);
+      return (primal ? labels[i] - s : s) * vec.values[k];
+    });
+    return problem_->closed_form_delta(formulation_, j, dot,
+                                       state_.weights[j]);
+  };
   const AsyncEngine::VectorFn vec_of = [this](sparse::Index j) {
     return problem_->coordinate_vector(formulation_, j);
   };
@@ -132,8 +94,8 @@ EpochReport TpaScdSolver::run_epoch() {
     // CPU paths.
     const auto coords = problem_->num_coordinates(formulation_);
     engine_.run_epoch_replicated(
-        order, compute, compute_half, vec_of, apply_weight, state_.shared,
-        replicas_, options_.merge_every,
+        order, compute, vec_of, apply_weight, state_.shared, replicas_,
+        options_.merge_every,
         replica_damping(coords, static_cast<int>(engine_.window()),
                         options_.merge_every));
   } else {
@@ -141,13 +103,13 @@ EpochReport TpaScdSolver::run_epoch() {
   }
 
   // The bandwidth model prices the shared-vector traffic at the storage
-  // width the epoch actually ran with: the replicated pipeline honours the
-  // process-wide precision mode; the atomic-commit path is always fp32
-  // (float atomics have no 16-bit form).
+  // width the epoch actually ran with: the replicas' precision, which the
+  // engine picked from the process-wide mode; the atomic-commit path is
+  // always fp32 (float atomics have no 16-bit form).
   workload_.shared_value_bytes =
       options_.merge_every > 0
           ? static_cast<std::uint32_t>(
-                linalg::shared_value_bytes(linalg::shared_precision()))
+                linalg::shared_value_bytes(replicas_.precision()))
           : 4U;
 
   EpochReport report;

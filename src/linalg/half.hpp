@@ -96,6 +96,11 @@ constexpr std::uint32_t half_bits_to_float_bits(std::uint16_t h) noexcept {
 float half_to_float(Half h) noexcept;
 Half float_to_half(float x) noexcept;
 
+/// Reads one shared-vector element at either storage type — the identity
+/// for float, exact widening for Half — so one body serves both precisions.
+inline float to_float(float x) noexcept { return x; }
+inline float to_float(Half h) noexcept { return half_to_float(h); }
+
 /// out[i] = float(src[i]) — exact widening.  Dispatches on kernel_backend():
 /// the vectorized backend uses VCVTPH2PS eight lanes at a time on an F16C
 /// build; results are bit-identical either way (widening is exact).

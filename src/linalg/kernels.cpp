@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 
@@ -56,6 +57,14 @@ double reduce_lanes(__m256d acc) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 #endif
+
+// The store half of to_float (half.hpp): fp16 narrows with RNE.
+inline void store(float& out, float x) noexcept { out = x; }
+inline void store(Half& out, float x) noexcept { out = float_to_half(x); }
+
+// Shared-vector spans, for the explicit instantiations below.
+using Floats = std::span<const float>;
+using Halves = std::span<const Half>;
 
 }  // namespace
 
@@ -120,88 +129,61 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-double sparse_dot(const SparseVectorView& a, std::span<const float> dense) {
+template <typename T>
+double sparse_dot(const SparseVectorView& a, std::span<const T> dense) {
   double acc = 0.0;
   for (std::size_t k = 0; k < a.nnz(); ++k) {
     acc += static_cast<double>(a.values[k]) *
-           static_cast<double>(dense[a.indices[k]]);
+           static_cast<double>(to_float(dense[a.indices[k]]));
   }
   return acc;
 }
 
+template <typename T>
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
-                           std::span<const float> dense) {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < a.nnz(); ++k) {
-    const auto i = a.indices[k];
-    acc += static_cast<double>(a.values[k]) *
-           (static_cast<double>(target[i]) - static_cast<double>(dense[i]));
-  }
-  return acc;
-}
-
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<float> dense) {
-  for (std::size_t k = 0; k < a.nnz(); ++k) {
-    const auto i = a.indices[k];
-    dense[i] = static_cast<float>(dense[i] + alpha * a.values[k]);
-  }
-}
-
-void add_diff(std::span<float> w, std::span<const float> replica,
-              std::span<const float> base) {
-  assert(replica.size() >= w.size() && base.size() >= w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] = static_cast<float>(w[i] + (static_cast<double>(replica[i]) -
-                                      static_cast<double>(base[i])));
-  }
-}
-
-double sparse_dot(const SparseVectorView& a, std::span<const Half> dense) {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < a.nnz(); ++k) {
-    acc += static_cast<double>(a.values[k]) *
-           static_cast<double>(half_to_float(dense[a.indices[k]]));
-  }
-  return acc;
-}
-
-double sparse_residual_dot(const SparseVectorView& a,
-                           std::span<const float> target,
-                           std::span<const Half> dense) {
+                           std::span<const T> dense) {
   double acc = 0.0;
   for (std::size_t k = 0; k < a.nnz(); ++k) {
     const auto i = a.indices[k];
     acc += static_cast<double>(a.values[k]) *
            (static_cast<double>(target[i]) -
-            static_cast<double>(half_to_float(dense[i])));
+            static_cast<double>(to_float(dense[i])));
   }
   return acc;
 }
 
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<Half> dense) {
-  // Read-widen, add in double, narrow-store with RNE.  Like the float
-  // scatter this must stay an in-order RMW per element: padded views repeat
-  // their last index, so batching would scatter a stale read over the real
-  // update.
+template <typename T>
+void sparse_axpy(double alpha, const SparseVectorView& a, std::span<T> dense) {
+  // Read, add in double, store.  This must stay an in-order RMW per
+  // element: padded views repeat their last index, so batching would
+  // scatter a stale read over the real update.
   for (std::size_t k = 0; k < a.nnz(); ++k) {
     const auto i = a.indices[k];
-    dense[i] = float_to_half(static_cast<float>(
-        static_cast<double>(half_to_float(dense[i])) + alpha * a.values[k]));
+    store(dense[i],
+          static_cast<float>(to_float(dense[i]) + alpha * a.values[k]));
   }
 }
 
-void add_diff(std::span<float> w, std::span<const Half> replica,
-              std::span<const Half> base) {
+template <typename T>
+void add_diff(std::span<float> w, std::span<const T> replica,
+              std::span<const T> base) {
   assert(replica.size() >= w.size() && base.size() >= w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     w[i] = static_cast<float>(
-        w[i] + (static_cast<double>(half_to_float(replica[i])) -
-                static_cast<double>(half_to_float(base[i]))));
+        w[i] + (static_cast<double>(to_float(replica[i])) -
+                static_cast<double>(to_float(base[i]))));
   }
 }
+
+template double sparse_dot(const SparseVectorView&, Floats);
+template double sparse_dot(const SparseVectorView&, Halves);
+template double sparse_residual_dot(const SparseVectorView&, Floats, Floats);
+template double sparse_residual_dot(const SparseVectorView&, Floats, Halves);
+template void sparse_axpy(double, const SparseVectorView&, std::span<float>);
+template void sparse_axpy(double, const SparseVectorView&, std::span<Half>);
+template void add_diff(std::span<float>, Floats, Floats);
+template void add_diff(std::span<float>, Halves, Halves);
 
 }  // namespace scalar
 
@@ -264,234 +246,144 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-double sparse_dot(const SparseVectorView& a, std::span<const float> dense) {
+template <typename T>
+double sparse_dot(const SparseVectorView& a, std::span<const T> dense) {
   const std::size_t n = a.nnz();
   const sparse::Index* idx = a.indices.data();
   const sparse::Value* val = a.values.data();
 #if TPA_KERNELS_GATHER
-  // Eight hardware-gathered lanes per step (one vgatherdps ymm), widened to
-  // two 4-lane double accumulators.  Duplicate indices (bucketed padding)
-  // are harmless for a gather; their values are 0 and contribute exact
-  // zeros.  fmadd is bit-identical to mul+add here — the product of two
-  // float-derived doubles is exact in double, so the fused single rounding
-  // equals the two-step result.  The combine order is fixed, so the result
-  // is deterministic.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (const std::size_t n8 = n & ~std::size_t{7}; k < n8; k += 8) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    const __m256 gathered = _mm256_i32gather_ps(dense.data(), vidx, 4);
-    const __m256 vval = _mm256_loadu_ps(val + k);
-    acc_lo = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(_mm256_castps256_ps128(vval)),
-        _mm256_cvtps_pd(_mm256_castps256_ps128(gathered)), acc_lo);
-    acc_hi = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(_mm256_extractf128_ps(vval, 1)),
-        _mm256_cvtps_pd(_mm256_extractf128_ps(gathered, 1)), acc_hi);
+  if constexpr (std::is_same_v<T, float>) {
+    // Eight hardware-gathered lanes per step (one vgatherdps ymm), widened
+    // to two 4-lane double accumulators.  Duplicate indices (bucketed
+    // padding) are harmless for a gather; their values are 0 and contribute
+    // exact zeros.  fmadd is bit-identical to mul+add here — the product of
+    // two float-derived doubles is exact in double, so the fused single
+    // rounding equals the two-step result.  The combine order is fixed, so
+    // the result is deterministic.
+    __m256d acc_lo = _mm256_setzero_pd();
+    __m256d acc_hi = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (const std::size_t n8 = n & ~std::size_t{7}; k < n8; k += 8) {
+      const __m256i vidx =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
+      const __m256 gathered = _mm256_i32gather_ps(dense.data(), vidx, 4);
+      const __m256 vval = _mm256_loadu_ps(val + k);
+      acc_lo = _mm256_fmadd_pd(
+          _mm256_cvtps_pd(_mm256_castps256_ps128(vval)),
+          _mm256_cvtps_pd(_mm256_castps256_ps128(gathered)), acc_lo);
+      acc_hi = _mm256_fmadd_pd(
+          _mm256_cvtps_pd(_mm256_extractf128_ps(vval, 1)),
+          _mm256_cvtps_pd(_mm256_extractf128_ps(gathered, 1)), acc_hi);
+    }
+    double tail = 0.0;
+    for (; k < n; ++k) {
+      tail += static_cast<double>(val[k]) * static_cast<double>(dense[idx[k]]);
+    }
+    return (reduce_lanes(acc_lo) + reduce_lanes(acc_hi)) + tail;
   }
-  double tail = 0.0;
-  for (; k < n; ++k) {
-    tail += static_cast<double>(val[k]) * static_cast<double>(dense[idx[k]]);
-  }
-  return (reduce_lanes(acc_lo) + reduce_lanes(acc_hi)) + tail;
-#else
+#endif
+  // The portable body: four double accumulators.  It is also the fp16 body
+  // on every build — no 16-bit gather exists, and widening is exact, so
+  // each term equals the scalar reference's and only the combine order
+  // differs.
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   std::size_t k = 0;
   for (const std::size_t n4 = n & ~std::size_t{3}; k < n4; k += 4) {
-    a0 += static_cast<double>(val[k]) * static_cast<double>(dense[idx[k]]);
+    a0 += static_cast<double>(val[k]) *
+          static_cast<double>(to_float(dense[idx[k]]));
     a1 += static_cast<double>(val[k + 1]) *
-          static_cast<double>(dense[idx[k + 1]]);
+          static_cast<double>(to_float(dense[idx[k + 1]]));
     a2 += static_cast<double>(val[k + 2]) *
-          static_cast<double>(dense[idx[k + 2]]);
+          static_cast<double>(to_float(dense[idx[k + 2]]));
     a3 += static_cast<double>(val[k + 3]) *
-          static_cast<double>(dense[idx[k + 3]]);
+          static_cast<double>(to_float(dense[idx[k + 3]]));
   }
   for (; k < n; ++k) {
-    a0 += static_cast<double>(val[k]) * static_cast<double>(dense[idx[k]]);
+    a0 += static_cast<double>(val[k]) *
+          static_cast<double>(to_float(dense[idx[k]]));
   }
   return (a0 + a1) + (a2 + a3);
-#endif
 }
 
+template <typename T>
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
-                           std::span<const float> dense) {
+                           std::span<const T> dense) {
   const std::size_t n = a.nnz();
   const sparse::Index* idx = a.indices.data();
   const sparse::Value* val = a.values.data();
 #if TPA_KERNELS_GATHER
-  // ⟨a, target − dense⟩: two 8-lane gathers per step, subtracted in double
-  // exactly as the scalar expression does.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (const std::size_t n8 = n & ~std::size_t{7}; k < n8; k += 8) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    const __m256 t = _mm256_i32gather_ps(target.data(), vidx, 4);
-    const __m256 d = _mm256_i32gather_ps(dense.data(), vidx, 4);
-    const __m256 vval = _mm256_loadu_ps(val + k);
-    const __m256d diff_lo =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(t)),
-                      _mm256_cvtps_pd(_mm256_castps256_ps128(d)));
-    const __m256d diff_hi =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(t, 1)),
-                      _mm256_cvtps_pd(_mm256_extractf128_ps(d, 1)));
-    acc_lo = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(_mm256_castps256_ps128(vval)), diff_lo, acc_lo);
-    acc_hi = _mm256_fmadd_pd(
-        _mm256_cvtps_pd(_mm256_extractf128_ps(vval, 1)), diff_hi, acc_hi);
+  if constexpr (std::is_same_v<T, float>) {
+    // ⟨a, target − dense⟩: two 8-lane gathers per step, subtracted in
+    // double exactly as the scalar expression does.
+    __m256d acc_lo = _mm256_setzero_pd();
+    __m256d acc_hi = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (const std::size_t n8 = n & ~std::size_t{7}; k < n8; k += 8) {
+      const __m256i vidx =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
+      const __m256 t = _mm256_i32gather_ps(target.data(), vidx, 4);
+      const __m256 d = _mm256_i32gather_ps(dense.data(), vidx, 4);
+      const __m256 vval = _mm256_loadu_ps(val + k);
+      const __m256d diff_lo =
+          _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(t)),
+                        _mm256_cvtps_pd(_mm256_castps256_ps128(d)));
+      const __m256d diff_hi =
+          _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(t, 1)),
+                        _mm256_cvtps_pd(_mm256_extractf128_ps(d, 1)));
+      acc_lo = _mm256_fmadd_pd(
+          _mm256_cvtps_pd(_mm256_castps256_ps128(vval)), diff_lo, acc_lo);
+      acc_hi = _mm256_fmadd_pd(
+          _mm256_cvtps_pd(_mm256_extractf128_ps(vval, 1)), diff_hi, acc_hi);
+    }
+    double tail = 0.0;
+    for (; k < n; ++k) {
+      const auto i = idx[k];
+      tail += static_cast<double>(val[k]) *
+              (static_cast<double>(target[i]) - static_cast<double>(dense[i]));
+    }
+    return (reduce_lanes(acc_lo) + reduce_lanes(acc_hi)) + tail;
   }
-  double tail = 0.0;
-  for (; k < n; ++k) {
-    const auto i = idx[k];
-    tail += static_cast<double>(val[k]) *
-            (static_cast<double>(target[i]) - static_cast<double>(dense[i]));
-  }
-  return (reduce_lanes(acc_lo) + reduce_lanes(acc_hi)) + tail;
-#else
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t k = 0;
-  for (const std::size_t n4 = n & ~std::size_t{3}; k < n4; k += 4) {
-    const auto i0 = idx[k], i1 = idx[k + 1], i2 = idx[k + 2], i3 = idx[k + 3];
-    a0 += static_cast<double>(val[k]) *
-          (static_cast<double>(target[i0]) - static_cast<double>(dense[i0]));
-    a1 += static_cast<double>(val[k + 1]) *
-          (static_cast<double>(target[i1]) - static_cast<double>(dense[i1]));
-    a2 += static_cast<double>(val[k + 2]) *
-          (static_cast<double>(target[i2]) - static_cast<double>(dense[i2]));
-    a3 += static_cast<double>(val[k + 3]) *
-          (static_cast<double>(target[i3]) - static_cast<double>(dense[i3]));
-  }
-  for (; k < n; ++k) {
-    const auto i = idx[k];
-    a0 += static_cast<double>(val[k]) *
-          (static_cast<double>(target[i]) - static_cast<double>(dense[i]));
-  }
-  return (a0 + a1) + (a2 + a3);
 #endif
-}
-
-void add_diff(std::span<float> w, std::span<const float> replica,
-              std::span<const float> base) {
-  // Element-wise, so the expression matches the scalar reference exactly;
-  // the 4-way unroll only amortises loop control and lets the compiler pack
-  // the convert/subtract/add chain into SIMD lanes.
-  assert(replica.size() >= w.size() && base.size() >= w.size());
-  const std::size_t n = w.size();
-  float* out = w.data();
-  const float* r = replica.data();
-  const float* b = base.data();
-  std::size_t i = 0;
-  for (const std::size_t n4 = n & ~std::size_t{3}; i < n4; i += 4) {
-    out[i] = static_cast<float>(out[i] + (static_cast<double>(r[i]) -
-                                          static_cast<double>(b[i])));
-    out[i + 1] = static_cast<float>(
-        out[i + 1] +
-        (static_cast<double>(r[i + 1]) - static_cast<double>(b[i + 1])));
-    out[i + 2] = static_cast<float>(
-        out[i + 2] +
-        (static_cast<double>(r[i + 2]) - static_cast<double>(b[i + 2])));
-    out[i + 3] = static_cast<float>(
-        out[i + 3] +
-        (static_cast<double>(r[i + 3]) - static_cast<double>(b[i + 3])));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(out[i] + (static_cast<double>(r[i]) -
-                                          static_cast<double>(b[i])));
-  }
-}
-
-double sparse_dot(const SparseVectorView& a, std::span<const Half> dense) {
-  // No 16-bit gather exists, so the half path stays a multi-accumulator
-  // conversion loop; widening is exact, so each term equals the scalar
-  // reference's and only the combine order differs.
-  const std::size_t n = a.nnz();
-  const sparse::Index* idx = a.indices.data();
-  const sparse::Value* val = a.values.data();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t k = 0;
-  for (const std::size_t n4 = n & ~std::size_t{3}; k < n4; k += 4) {
-    a0 += static_cast<double>(val[k]) *
-          static_cast<double>(half_to_float(dense[idx[k]]));
-    a1 += static_cast<double>(val[k + 1]) *
-          static_cast<double>(half_to_float(dense[idx[k + 1]]));
-    a2 += static_cast<double>(val[k + 2]) *
-          static_cast<double>(half_to_float(dense[idx[k + 2]]));
-    a3 += static_cast<double>(val[k + 3]) *
-          static_cast<double>(half_to_float(dense[idx[k + 3]]));
-  }
-  for (; k < n; ++k) {
-    a0 += static_cast<double>(val[k]) *
-          static_cast<double>(half_to_float(dense[idx[k]]));
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-double sparse_residual_dot(const SparseVectorView& a,
-                           std::span<const float> target,
-                           std::span<const Half> dense) {
-  const std::size_t n = a.nnz();
-  const sparse::Index* idx = a.indices.data();
-  const sparse::Value* val = a.values.data();
+  // Portable body, shared with fp16 storage as in sparse_dot.
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   std::size_t k = 0;
   for (const std::size_t n4 = n & ~std::size_t{3}; k < n4; k += 4) {
     const auto i0 = idx[k], i1 = idx[k + 1], i2 = idx[k + 2], i3 = idx[k + 3];
     a0 += static_cast<double>(val[k]) *
           (static_cast<double>(target[i0]) -
-           static_cast<double>(half_to_float(dense[i0])));
+           static_cast<double>(to_float(dense[i0])));
     a1 += static_cast<double>(val[k + 1]) *
           (static_cast<double>(target[i1]) -
-           static_cast<double>(half_to_float(dense[i1])));
+           static_cast<double>(to_float(dense[i1])));
     a2 += static_cast<double>(val[k + 2]) *
           (static_cast<double>(target[i2]) -
-           static_cast<double>(half_to_float(dense[i2])));
+           static_cast<double>(to_float(dense[i2])));
     a3 += static_cast<double>(val[k + 3]) *
           (static_cast<double>(target[i3]) -
-           static_cast<double>(half_to_float(dense[i3])));
+           static_cast<double>(to_float(dense[i3])));
   }
   for (; k < n; ++k) {
     const auto i = idx[k];
     a0 += static_cast<double>(val[k]) *
           (static_cast<double>(target[i]) -
-           static_cast<double>(half_to_float(dense[i])));
+           static_cast<double>(to_float(dense[i])));
   }
   return (a0 + a1) + (a2 + a3);
-}
-
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<Half> dense) {
-  // In-order RMW per element for the same aliasing reason as the float
-  // scatter: padded duplicate indices make any batching illegal.  The
-  // expression matches the scalar half reference exactly.
-  const std::size_t n = a.nnz();
-  const sparse::Index* idx = a.indices.data();
-  const sparse::Value* val = a.values.data();
-  Half* out = dense.data();
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto i = idx[k];
-    out[i] = float_to_half(static_cast<float>(
-        static_cast<double>(half_to_float(out[i])) + alpha * val[k]));
-  }
 }
 
 void add_diff(std::span<float> w, std::span<const Half> replica,
               std::span<const Half> base) {
   assert(replica.size() >= w.size() && base.size() >= w.size());
-  const std::size_t n = w.size();
-  float* out = w.data();
-  const Half* r = replica.data();
-  const Half* b = base.data();
   std::size_t i = 0;
 #if TPA_KERNELS_GATHER && defined(__F16C__)
   // Eight lanes per step: VCVTPH2PS widens both operands exactly, the
   // subtract/add chain runs in packed double, and the store narrows to
-  // float — the same per-element expression as the scalar half reference,
-  // evaluated in SIMD lanes.
-  for (const std::size_t n8 = n & ~std::size_t{7}; i < n8; i += 8) {
+  // float — the scalar per-element expression, evaluated in SIMD lanes.
+  float* out = w.data();
+  const Half* r = replica.data();
+  const Half* b = base.data();
+  for (const std::size_t n8 = w.size() & ~std::size_t{7}; i < n8; i += 8) {
     const __m256 rf = _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + i)));
     const __m256 bf = _mm256_cvtph_ps(
@@ -512,12 +404,14 @@ void add_diff(std::span<float> w, std::span<const Half> replica,
         _mm256_set_m128(_mm256_cvtpd_ps(sum_hi), _mm256_cvtpd_ps(sum_lo)));
   }
 #endif
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(
-        out[i] + (static_cast<double>(half_to_float(r[i])) -
-                  static_cast<double>(half_to_float(b[i]))));
-  }
+  // The remainder — everything on a build without F16C — is the scalar body.
+  scalar::add_diff(w.subspan(i), replica.subspan(i), base.subspan(i));
 }
+
+template double sparse_dot(const SparseVectorView&, Floats);
+template double sparse_dot(const SparseVectorView&, Halves);
+template double sparse_residual_dot(const SparseVectorView&, Floats, Floats);
+template double sparse_residual_dot(const SparseVectorView&, Floats, Halves);
 
 }  // namespace vec
 

@@ -16,8 +16,17 @@
 //     as the scalar reference — only reductions reassociate, so only
 //     reductions may differ, and then only in the last ULPs of the double
 //     accumulator (see DESIGN.md §9 for the tolerance contract).  The fp32
-//     axpy and sparse_axpy have no vec body: unrolled, they measured no
-//     faster than the plain loop, so both backends run the scalar one.
+//     axpy, the sparse_axpy scatter and the fp32 add_diff have no vec body:
+//     unrolled, they measured no faster than the plain loop, so both
+//     backends run the scalar one.
+//
+// The shared-vector kernels are templates over the storage type T of the
+// shared vector: float, or Half for fp16 storage (DESIGN.md §16).  Each body
+// is explicitly instantiated for both types in kernels.cpp, the one
+// translation unit built with -ffp-contract=off and the native ISA.  A Half
+// element widens to fp32 exactly before any arithmetic, accumulation stays
+// fp64, and a Half store narrows with RNE: the storage type is the only
+// difference between the two instantiations.
 //
 // The public entry points in vector_ops.hpp dispatch on kernel_backend();
 // the default is kVectorized, overridable with TPA_KERNELS=scalar in the
@@ -60,26 +69,17 @@ double dot(std::span<const float> x, std::span<const float> y);
 double dot(std::span<const double> x, std::span<const double> y);
 void axpy(double alpha, std::span<const float> x, std::span<float> y);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-double sparse_dot(const SparseVectorView& a, std::span<const float> dense);
+template <typename T>
+double sparse_dot(const SparseVectorView& a, std::span<const T> dense);
+template <typename T>
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
-                           std::span<const float> dense);
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<float> dense);
-void add_diff(std::span<float> w, std::span<const float> replica,
-              std::span<const float> base);
-
-// fp16-storage variants: every element is widened to fp32 exactly before
-// arithmetic, accumulation stays fp64, and stores narrow with RNE — only
-// the stored representation differs from the float kernels above.
-double sparse_dot(const SparseVectorView& a, std::span<const Half> dense);
-double sparse_residual_dot(const SparseVectorView& a,
-                           std::span<const float> target,
-                           std::span<const Half> dense);
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<Half> dense);
-void add_diff(std::span<float> w, std::span<const Half> replica,
-              std::span<const Half> base);
+                           std::span<const T> dense);
+template <typename T>
+void sparse_axpy(double alpha, const SparseVectorView& a, std::span<T> dense);
+template <typename T>
+void add_diff(std::span<float> w, std::span<const T> replica,
+              std::span<const T> base);
 
 }  // namespace scalar
 
@@ -88,22 +88,13 @@ namespace vec {
 double dot(std::span<const float> x, std::span<const float> y);
 double dot(std::span<const double> x, std::span<const double> y);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
-double sparse_dot(const SparseVectorView& a, std::span<const float> dense);
+template <typename T>
+double sparse_dot(const SparseVectorView& a, std::span<const T> dense);
+template <typename T>
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
-                           std::span<const float> dense);
-void add_diff(std::span<float> w, std::span<const float> replica,
-              std::span<const float> base);
-
-// fp16-storage variants; element-wise expressions match the scalar
-// reference exactly (half<->float conversion is exact widening / RNE
-// narrowing in both backends), only reductions reassociate.
-double sparse_dot(const SparseVectorView& a, std::span<const Half> dense);
-double sparse_residual_dot(const SparseVectorView& a,
-                           std::span<const float> target,
-                           std::span<const Half> dense);
-void sparse_axpy(double alpha, const SparseVectorView& a,
-                 std::span<Half> dense);
+                           std::span<const T> dense);
+// F16C conversion lanes over fp16 replicas; the remainder is the scalar body.
 void add_diff(std::span<float> w, std::span<const Half> replica,
               std::span<const Half> base);
 

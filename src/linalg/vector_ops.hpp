@@ -60,9 +60,10 @@ void sparse_axpy(double alpha, const SparseVectorView& a,
 void add_diff(std::span<float> w, std::span<const float> replica,
               std::span<const float> base);
 
-/// fp16-storage overloads of the shared-vector kernels (DESIGN.md §16):
-/// elements widen to fp32 exactly before arithmetic, accumulation stays
-/// fp64, and stores narrow with round-to-nearest-even.
+/// fp16-storage overloads of the shared-vector kernels (DESIGN.md §16).
+/// They dispatch to the Half instantiation of the same kernel bodies as the
+/// float overloads above: elements widen to fp32 exactly before arithmetic,
+/// accumulation stays fp64, and stores narrow with round-to-nearest-even.
 double sparse_dot(const SparseVectorView& a, std::span<const Half> dense);
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,

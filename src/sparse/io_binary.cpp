@@ -18,15 +18,6 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
   checksum.update(data, bytes);
 }
 
-void read_raw(std::istream& in, void* data, std::size_t bytes,
-              Fnv1a& checksum) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    throw std::runtime_error("binary read truncated");
-  }
-  checksum.update(data, bytes);
-}
-
 LabeledMatrix assemble(const BinaryHeader& header, std::vector<Offset> offsets,
                        std::vector<Index> indices, std::vector<Value> values,
                        std::vector<float> labels) {
@@ -53,6 +44,30 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
   Fnv1a acc(seed);
   acc.update(data, bytes);
   return acc.digest();
+}
+
+void CheckedReader::read(void* data, std::size_t bytes) {
+  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
+  if (static_cast<std::size_t>(in_.gcount()) != bytes) {
+    throw std::runtime_error(context_ + " truncated");
+  }
+  checksum_.update(data, bytes);
+}
+
+bool CheckedReader::fits(std::uint64_t count, std::size_t element_bytes) {
+  const std::istream::pos_type here = in_.tellg();
+  if (here == std::istream::pos_type(-1)) return false;
+  in_.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(in_.tellg() - here);
+  in_.seekg(here);
+  if (count > left / element_bytes) {
+    throw std::runtime_error(context_ + ": header declares " +
+                             std::to_string(count) + " entries of " +
+                             std::to_string(element_bytes) +
+                             " bytes, but only " + std::to_string(left) +
+                             " bytes remain");
+  }
+  return true;
 }
 
 std::uint64_t BinaryHeader::payload_bytes() const noexcept {
@@ -129,25 +144,21 @@ LabeledMatrix read_binary(std::istream& in) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("binary read: bad magic");
   }
-  Fnv1a checksum;
+  CheckedReader reader(in, "binary read");
   BinaryHeader header;
-  read_raw(in, &header, sizeof(header), checksum);
+  reader.read(&header, sizeof(header));
 
-  std::vector<Offset> offsets(header.rows + 1);
-  std::vector<Index> indices(header.nnz);
-  std::vector<Value> values(header.nnz);
-  std::vector<float> labels(header.labels);
-  read_raw(in, offsets.data(), offsets.size() * sizeof(Offset), checksum);
-  read_raw(in, indices.data(), indices.size() * sizeof(Index), checksum);
-  read_raw(in, values.data(), values.size() * sizeof(Value), checksum);
-  read_raw(in, labels.data(), labels.size() * sizeof(float), checksum);
+  auto offsets = reader.read_array<Offset>(header.rows + 1);
+  auto indices = reader.read_array<Index>(header.nnz);
+  auto values = reader.read_array<Value>(header.nnz);
+  auto labels = reader.read_array<float>(header.labels);
 
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(stored)) {
     throw std::runtime_error("binary read truncated (checksum)");
   }
-  if (stored != checksum.digest()) {
+  if (stored != reader.digest()) {
     throw std::runtime_error("binary read: checksum mismatch");
   }
   return assemble(header, std::move(offsets), std::move(indices),

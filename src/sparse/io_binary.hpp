@@ -14,9 +14,12 @@
 // payload — the store manifest validates shard files this way.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sparse/io_svmlight.hpp"
 
@@ -43,6 +46,50 @@ class Fnv1a {
 /// One-shot FNV-1a 64-bit over a byte range (wraps Fnv1a).
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = Fnv1a::kOffsetBasis);
+
+/// The one stream reader of the checksummed binary formats (TPA1 here,
+/// .tpam models, TPSC and .async checkpoints): every read is exact and
+/// folded into a running Fnv1a, and read_array() refuses a header-declared
+/// length larger than the bytes left in the stream *before* allocating, so
+/// a hostile header fails as std::runtime_error instead of a giant
+/// allocation or std::bad_alloc.  Error messages start with `context`.
+class CheckedReader {
+ public:
+  CheckedReader(std::istream& in, std::string context)
+      : in_(in), context_(std::move(context)) {}
+
+  /// Reads exactly `bytes` into `data` and folds them into the checksum;
+  /// throws "<context> truncated" on a short read.
+  void read(void* data, std::size_t bytes);
+
+  /// Reads `count` elements of T.  A stream that cannot report its length
+  /// is read in bounded chunks instead, so the allocation never runs more
+  /// than one chunk ahead of the bytes actually delivered.
+  template <typename T>
+  std::vector<T> read_array(std::uint64_t count) {
+    const bool checked = fits(count, sizeof(T));
+    std::vector<T> out;
+    if (checked) out.reserve(static_cast<std::size_t>(count));
+    constexpr std::uint64_t kChunk = (std::uint64_t{1} << 20) / sizeof(T) + 1;
+    while (out.size() < count) {
+      const std::size_t have = out.size();
+      out.resize(have + std::min(count - have, kChunk));
+      read(out.data() + have, (out.size() - have) * sizeof(T));
+    }
+    return out;
+  }
+
+  std::uint64_t digest() const noexcept { return checksum_.digest(); }
+
+ private:
+  /// False when the stream cannot seek; throws when `count` elements of
+  /// `element_bytes` cannot fit in the bytes left.
+  bool fits(std::uint64_t count, std::size_t element_bytes);
+
+  std::istream& in_;
+  std::string context_;
+  Fnv1a checksum_;
+};
 
 /// The fixed-size header following the 4-byte magic.  Field order matches
 /// the on-disk layout exactly.

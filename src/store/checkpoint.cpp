@@ -31,15 +31,6 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
   checksum.update(data, bytes);
 }
 
-void read_raw(std::istream& in, void* data, std::size_t bytes,
-              sparse::Fnv1a& checksum) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    throw std::runtime_error("checkpoint truncated");
-  }
-  checksum.update(data, bytes);
-}
-
 }  // namespace
 
 void write_checkpoint_file(const std::string& path,
@@ -79,24 +70,12 @@ StreamingCheckpoint read_checkpoint_file(const std::string& path) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("checkpoint: bad magic");
   }
-  sparse::Fnv1a checksum;
+  // The reader sizes the rows/cols arrays against the bytes left in the file
+  // before trusting them: a corrupted field fails cleanly, not as a giant
+  // allocation.
+  sparse::CheckedReader reader(in, "checkpoint");
   Header header;
-  read_raw(in, &header, sizeof(header), checksum);
-  // Validate the header against the file size before trusting its array
-  // lengths: a corrupted rows/cols field must fail cleanly here, not as a
-  // giant allocation.
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  if (header.rows > file_size || header.cols > file_size) {
-    throw std::runtime_error("checkpoint: header contradicts file size");
-  }
-  const std::uint64_t expected = sizeof(kMagic) + sizeof(Header) +
-                                 (header.rows + header.cols) * sizeof(float) +
-                                 sizeof(std::uint64_t);
-  if (file_size != expected) {
-    throw std::runtime_error("checkpoint: header contradicts file size");
-  }
-  in.seekg(sizeof(kMagic) + sizeof(Header), std::ios::beg);
+  reader.read(&header, sizeof(header));
   StreamingCheckpoint checkpoint;
   checkpoint.epoch = header.epoch;
   checkpoint.shards_done = header.shards_done;
@@ -106,18 +85,17 @@ StreamingCheckpoint read_checkpoint_file(const std::string& path) {
   checkpoint.cols = header.cols;
   checkpoint.shards = header.shards;
   checkpoint.lambda = header.lambda;
-  checkpoint.alpha.resize(header.rows);
-  checkpoint.shared.resize(header.cols);
-  read_raw(in, checkpoint.alpha.data(),
-           checkpoint.alpha.size() * sizeof(float), checksum);
-  read_raw(in, checkpoint.shared.data(),
-           checkpoint.shared.size() * sizeof(float), checksum);
+  checkpoint.alpha = reader.read_array<float>(header.rows);
+  checkpoint.shared = reader.read_array<float>(header.cols);
   std::uint64_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(stored)) {
     throw std::runtime_error("checkpoint truncated (checksum)");
   }
-  if (stored != checksum.digest()) {
+  if (in.peek() != std::char_traits<char>::eof()) {
+    throw std::runtime_error("checkpoint: header contradicts file size");
+  }
+  if (stored != reader.digest()) {
     throw std::runtime_error("checkpoint: checksum mismatch");
   }
   return checkpoint;

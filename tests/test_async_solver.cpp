@@ -5,6 +5,7 @@
 // faults and membership replaying deterministically.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -384,6 +385,25 @@ TEST(AsyncCheckpoint, ResumeReplaysFaultsAndMembership) {
   EXPECT_EQ(original.version(), resumed.version());
   EXPECT_EQ(original.global_shared(), resumed.global_shared());
   EXPECT_EQ(original.global_weights(), resumed.global_weights());
+}
+
+// The most workers a header can declare (the u32 at byte 8) must fail as a
+// typed error, not as a 100 GB allocation.
+TEST(AsyncCheckpoint, SidecarRejectsHostileWorkerCount) {
+  AsyncCheckpointState state;
+  state.workers.push_back({12, 0, 0, 0.0});
+  const auto path =
+      (std::filesystem::temp_directory_path() / "tpa_async_hostile.bin")
+          .string();
+  write_async_state_file(path, state);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t workers = 0xFFFFFFFFu;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&workers), sizeof(workers));
+  }
+  EXPECT_THROW(read_async_state_file(path), std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 TEST(AsyncCheckpoint, SidecarFileRoundtrips) {

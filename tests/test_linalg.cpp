@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "linalg/kernels.hpp"
@@ -158,10 +159,11 @@ TEST_P(KernelEquivalence, SparseKernelsMatchScalarReference) {
   }
   const auto view = make_view(idx, val);
 
-  EXPECT_NEAR(vec::sparse_dot(view, dense), scalar::sparse_dot(view, dense),
+  EXPECT_NEAR(vec::sparse_dot<float>(view, dense),
+              scalar::sparse_dot<float>(view, dense),
               reduction_tol(4.0 * abs_sum, nnz));
-  EXPECT_NEAR(vec::sparse_residual_dot(view, target, dense),
-              scalar::sparse_residual_dot(view, target, dense),
+  EXPECT_NEAR(vec::sparse_residual_dot<float>(view, target, dense),
+              scalar::sparse_residual_dot<float>(view, target, dense),
               reduction_tol(8.0 * abs_sum, nnz));
 }
 
@@ -207,9 +209,183 @@ TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOps) {
   // The fp32 scatter has only the scalar body.
   std::vector<float> from_real = dense;
   std::vector<float> from_padded = dense;
-  scalar::sparse_axpy(-0.75, real, from_real);
-  scalar::sparse_axpy(-0.75, padded, from_padded);
+  scalar::sparse_axpy<float>(-0.75, real, from_real);
+  scalar::sparse_axpy<float>(-0.75, padded, from_padded);
   EXPECT_EQ(from_real, from_padded);
+}
+
+// --- fp16 storage: the Half instantiations of the shared-vector kernels ---
+
+/// Restores the process-wide kernel backend on scope exit.
+struct BackendGuard {
+  KernelBackend saved = kernel_backend();
+  ~BackendGuard() { set_kernel_backend(saved); }
+};
+
+std::vector<Half> to_halves(std::span<const float> x) {
+  std::vector<Half> out(x.size());
+  narrow(x, out);
+  return out;
+}
+
+std::vector<std::uint16_t> bits_of(std::span<const Half> x) {
+  std::vector<std::uint16_t> out;
+  for (const Half h : x) out.push_back(h.bits);
+  return out;
+}
+
+/// A random sparse coordinate with strictly increasing indices (so every
+/// scatter touches an element once) and dense vectors of `dim` entries.
+/// With `half_values` every dense entry is half-representable, so the
+/// float and Half images of each vector hold exactly the same values.
+struct SharedVectorCase {
+  std::vector<sparse::Index> idx;
+  std::vector<float> val;
+  std::vector<float> dense, target, w, replica, base;
+  double abs_sum = 0.0;
+
+  SharedVectorCase(std::size_t nnz, std::uint64_t seed, bool half_values) {
+    util::Rng rng(seed);
+    const std::size_t dim = 4 * nnz + 8;
+    const auto draw = [&](std::size_t n) {
+      std::vector<float> v(n);
+      for (auto& x : v) x = static_cast<float>(rng.normal());
+      if (half_values) widen(to_halves(v), v);
+      return v;
+    };
+    dense = draw(dim);
+    target = draw(dim);
+    replica = draw(dim);
+    base = draw(dim);
+    // Shorter than the replicas (padded storage), with a tail that is not a
+    // multiple of the unroll or SIMD width.
+    w = draw(3 * nnz + 5);
+    sparse::Index at = 0;
+    for (std::size_t k = 0; k < nnz; ++k) {
+      at += 1 + static_cast<sparse::Index>(rng.uniform() * 3.0);
+      idx.push_back(at);
+      val.push_back(static_cast<float>(rng.normal()));
+      abs_sum += std::abs(static_cast<double>(val.back()));
+    }
+  }
+  sparse::SparseVectorView view() const { return make_view(idx, val); }
+};
+
+// Through the public dispatch at both storage types: the element-wise
+// kernels (add_diff, sparse_axpy) are bit-identical across backends, the
+// reductions agree within the §9 tolerance.
+TEST_P(KernelEquivalence, SharedVectorKernelsMatchAcrossBackends) {
+  const std::size_t nnz = GetParam();
+  const SharedVectorCase c(nnz, 0xFACE + nnz, /*half_values=*/false);
+  const auto view = c.view();
+  const auto dense_h = to_halves(c.dense);
+  const auto replica_h = to_halves(c.replica);
+  const auto base_h = to_halves(c.base);
+
+  struct Outputs {
+    double dot = 0.0, residual = 0.0, dot_h = 0.0, residual_h = 0.0;
+    std::vector<float> scatter, diff, diff_h;
+    std::vector<Half> scatter_h;
+  };
+  const BackendGuard guard;
+  const auto run = [&](KernelBackend backend) {
+    set_kernel_backend(backend);
+    Outputs out;
+    out.dot = sparse_dot(view, c.dense);
+    out.residual = sparse_residual_dot(view, c.target, c.dense);
+    out.dot_h = sparse_dot(view, dense_h);
+    out.residual_h = sparse_residual_dot(view, c.target, dense_h);
+    out.scatter = c.dense;
+    sparse_axpy(-0.75, view, out.scatter);
+    out.scatter_h = dense_h;
+    sparse_axpy(-0.75, view, out.scatter_h);
+    out.diff = c.w;
+    add_diff(out.diff, c.replica, c.base);
+    out.diff_h = c.w;
+    add_diff(out.diff_h, replica_h, base_h);
+    return out;
+  };
+  const Outputs scalar_out = run(KernelBackend::kScalar);
+  const Outputs vec_out = run(KernelBackend::kVectorized);
+
+  const double dot_tol = reduction_tol(4.0 * c.abs_sum, nnz);
+  const double residual_tol = reduction_tol(8.0 * c.abs_sum, nnz);
+  EXPECT_NEAR(vec_out.dot, scalar_out.dot, dot_tol);
+  EXPECT_NEAR(vec_out.residual, scalar_out.residual, residual_tol);
+  EXPECT_NEAR(vec_out.dot_h, scalar_out.dot_h, dot_tol);
+  EXPECT_NEAR(vec_out.residual_h, scalar_out.residual_h, residual_tol);
+  EXPECT_EQ(vec_out.scatter, scalar_out.scatter);
+  EXPECT_EQ(bits_of(vec_out.scatter_h), bits_of(scalar_out.scatter_h));
+  EXPECT_EQ(vec_out.diff, scalar_out.diff);
+  EXPECT_EQ(vec_out.diff_h, scalar_out.diff_h);
+}
+
+// On half-representable inputs both instantiations of one body see exactly
+// the same values, so they must agree bit for bit: the scalar reductions,
+// add_diff in either backend, and the scatter, whose Half result is the
+// float result narrowed once per touched element.
+TEST_P(KernelEquivalence, HalfKernelsEqualFloatKernelsOnHalfValues) {
+  const std::size_t nnz = GetParam();
+  const SharedVectorCase c(nnz, 0xF00D + nnz, /*half_values=*/true);
+  const auto view = c.view();
+  const auto dense_h = to_halves(c.dense);
+
+  EXPECT_EQ(scalar::sparse_dot<Half>(view, dense_h),
+            scalar::sparse_dot<float>(view, c.dense));
+  EXPECT_EQ(scalar::sparse_residual_dot<Half>(view, c.target, dense_h),
+            scalar::sparse_residual_dot<float>(view, c.target, c.dense));
+
+  std::vector<float> diff = c.w;
+  scalar::add_diff<float>(diff, c.replica, c.base);
+  std::vector<float> diff_scalar_h = c.w;
+  scalar::add_diff<Half>(diff_scalar_h, to_halves(c.replica),
+                         to_halves(c.base));
+  std::vector<float> diff_vec_h = c.w;
+  vec::add_diff(diff_vec_h, to_halves(c.replica), to_halves(c.base));
+  EXPECT_EQ(diff_scalar_h, diff);
+  EXPECT_EQ(diff_vec_h, diff);
+
+  std::vector<float> scatter = c.dense;
+  scalar::sparse_axpy<float>(0.3125, view, scatter);
+  std::vector<Half> scatter_h = dense_h;
+  scalar::sparse_axpy<Half>(0.3125, view, scatter_h);
+  EXPECT_EQ(bits_of(scatter_h), bits_of(to_halves(scatter)));
+}
+
+// The padded no-op contract of PaddedDuplicateIndicesAreExactNoOps, for
+// fp16 storage in both backends.
+TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOpsForHalf) {
+  const std::vector<sparse::Index> real_idx{1, 4, 9};
+  const std::vector<float> real_val{0.5F, -2.0F, 3.25F};
+  std::vector<sparse::Index> padded_idx = real_idx;
+  std::vector<float> padded_val = real_val;
+  while (padded_idx.size() % 8 != 0) {
+    padded_idx.push_back(real_idx.back());
+    padded_val.push_back(0.0F);
+  }
+  const auto real = make_view(real_idx, real_val);
+  const auto padded = make_view(padded_idx, padded_val);
+  std::vector<float> dense_f(12);
+  std::vector<float> target(12);
+  for (std::size_t i = 0; i < dense_f.size(); ++i) {
+    dense_f[i] = 0.25F * static_cast<float>(i) - 1.0F;
+    target[i] = 1.5F - 0.125F * static_cast<float>(i);
+  }
+  const auto dense = to_halves(dense_f);
+
+  const BackendGuard guard;
+  for (const auto backend :
+       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
+    set_kernel_backend(backend);
+    EXPECT_EQ(sparse_dot(padded, dense), sparse_dot(real, dense));
+    EXPECT_EQ(sparse_residual_dot(padded, target, dense),
+              sparse_residual_dot(real, target, dense));
+    std::vector<Half> from_real = dense;
+    std::vector<Half> from_padded = dense;
+    sparse_axpy(-0.75, real, from_real);
+    sparse_axpy(-0.75, padded, from_padded);
+    EXPECT_EQ(bits_of(from_real), bits_of(from_padded));
+  }
 }
 
 TEST(KernelBackends, EnvironmentDefaultAndOverride) {

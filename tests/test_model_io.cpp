@@ -2,11 +2,16 @@
 // cross-formulation prediction path the CLI tool relies on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include "core/metrics.hpp"
 #include "core/model_io.hpp"
@@ -112,6 +117,48 @@ TEST(ModelIo, DetectsTruncation) {
   std::stringstream truncated(full.substr(0, full.size() - 6),
                               std::ios::in | std::ios::binary);
   EXPECT_THROW(read_model(truncated), std::runtime_error);
+}
+
+// The bytes of sample_model() with the weight count (header offset 12)
+// rewritten to `weights`.
+std::string model_bytes_declaring(std::uint64_t weights) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  write_model(stream, sample_model());
+  auto bytes = stream.str();
+  std::memcpy(bytes.data() + 12, &weights, sizeof(weights));
+  return bytes;
+}
+
+// A header may declare any length; the reader must refuse one the stream
+// cannot hold before allocating it — a typed error, never std::bad_alloc.
+TEST(ModelIo, HostileLengthThrowsRuntimeError) {
+  std::stringstream stream(model_bytes_declaring(std::uint64_t{1} << 40),
+                           std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_model(stream), std::runtime_error);
+}
+
+// A streambuf that cannot seek: tellg() reports -1, so the reader cannot
+// size arrays up front and reads them in bounded chunks instead.
+class NoSeekBuffer : public std::streambuf {
+ public:
+  explicit NoSeekBuffer(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(ModelIo, UnseekableStreamReadsInBoundedChunks) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  write_model(stream, sample_model());
+  NoSeekBuffer good(stream.str());
+  std::istream good_in(&good);
+  EXPECT_EQ(read_model(good_in).weights, sample_model().weights);
+
+  NoSeekBuffer hostile(model_bytes_declaring(std::uint64_t{1} << 40));
+  std::istream hostile_in(&hostile);
+  EXPECT_THROW(read_model(hostile_in), std::runtime_error);
 }
 
 TEST(ModelIo, MissingFileThrows) {

@@ -1,6 +1,8 @@
 // svmlight text IO and checksummed binary IO.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "sparse/io_binary.hpp"
@@ -111,6 +113,18 @@ TEST(BinaryIo, DetectsBadMagic) {
   std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
   stream << "NOPE-this-is-not-the-format";
   EXPECT_THROW(read_binary(stream), std::runtime_error);
+}
+
+// A header declaring 2^40 rows must fail as a typed error before anything
+// that size is allocated.
+TEST(BinaryIo, HostileLengthThrowsRuntimeError) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  write_binary(stream, sample_data());
+  auto bytes = stream.str();
+  const std::uint64_t rows = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + 4, &rows, sizeof(rows));  // header.rows
+  std::stringstream hostile(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_binary(hostile), std::runtime_error);
 }
 
 TEST(BinaryIo, DetectsTruncation) {

@@ -199,6 +199,24 @@ TEST_F(StreamingTest, CheckpointFileRejectsCorruption) {
   EXPECT_THROW(read_checkpoint_file(path), std::runtime_error);
 }
 
+TEST_F(StreamingTest, CheckpointFileRejectsHostileLength) {
+  StreamingCheckpoint checkpoint;
+  checkpoint.rows = 2;
+  checkpoint.cols = 1;
+  checkpoint.alpha = {1.0F, 2.0F};
+  checkpoint.shared = {3.0F};
+  const auto path = (dir_ / "hostile.tpsc").string();
+  write_checkpoint_file(path, checkpoint);
+  {
+    // Header rows field: magic, then epoch/shards_done/seed/threads.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t rows = std::uint64_t{1} << 40;
+    file.seekp(4 + 4 * sizeof(std::uint64_t));
+    file.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  }
+  EXPECT_THROW(read_checkpoint_file(path), std::runtime_error);
+}
+
 TEST_F(StreamingTest, GapThrowsMidEpochAndResumeRejectsUsedSolver) {
   const auto data = make_data(256);
   MemoryShardedDataset source("ds", data, 4);
