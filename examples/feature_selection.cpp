@@ -8,17 +8,16 @@
 //      and which features survive selection, and
 //   2. an SVM trained by SDCA on sign labels, with its duality gap closing
 //      just like the ridge pipeline's.
-// Both run on the same AsyncEngine as TPA-SCD, so passing --gpu executes
-// them with the Titan X's asynchrony window.
+// Both are losses of core::RidgeProblem, so any make_solver kind runs them:
+// sequential SCD by default, TPA-SCD on the simulated Titan X with --gpu.
 //
 //   ./feature_selection [--examples N] [--features M] [--lambda L] [--gpu]
 #include <cstdio>
 
 #include "core/elastic_net.hpp"
 #include "core/metrics.hpp"
-#include "core/svm_dual.hpp"
+#include "core/solver_factory.hpp"
 #include "data/generators.hpp"
-#include "gpusim/device.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
   parser.add_option("features", "number of features", "8192");
   parser.add_option("lambda", "regularisation strength", "0.01");
   parser.add_option("epochs", "epochs per solve", "40");
-  parser.add_flag("gpu", "run with the Titan X asynchrony window");
+  parser.add_flag("gpu", "run TPA-SCD on the simulated Titan X");
   if (!parser.parse(argc, argv)) return 1;
 
   data::WebspamLikeConfig config;
@@ -44,25 +43,29 @@ int main(int argc, char** argv) {
 
   const double lambda = parser.get_double("lambda", 0.01);
   const int epochs = static_cast<int>(parser.get_int("epochs", 40));
-  const std::size_t window =
-      parser.get_bool("gpu")
-          ? static_cast<std::size_t>(
-                gpusim::DeviceSpec::titan_x().async_staleness())
-          : 1;
-  std::printf("dataset %u x %u, lambda %.3g, %s execution\n",
+  core::SolverConfig solver_config;
+  solver_config.kind = parser.get_bool("gpu") ? core::SolverKind::kTpaTitanX
+                                              : core::SolverKind::kSequential;
+  std::printf("dataset %u x %u, lambda %.3g, solver %s\n",
               dataset.num_examples(), dataset.num_features(), lambda,
-              window == 1 ? "sequential" : "GPU-window");
+              core::solver_kind_name(solver_config.kind));
 
   // --- 1. Elastic-net regularisation path over the L1 ratio. ---
   std::printf("\nelastic-net path:\n  l1-ratio  non-zeros  objective   "
               "kkt-violation\n");
+  solver_config.formulation = core::Formulation::kPrimal;
+  solver_config.seed = 3;
   for (const double eta : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const core::ElasticNetProblem problem(dataset, lambda, eta);
-    core::ElasticNetSolver solver(problem, /*seed=*/3, window);
-    for (int epoch = 0; epoch < epochs; ++epoch) solver.run_epoch();
-    std::printf("  %8.2f  %9zu  %.6f  %.3e\n", eta,
-                dataset.num_features() - solver.zero_coefficients(),
-                solver.objective(), solver.kkt_violation());
+    const core::RidgeProblem problem(dataset, lambda,
+                                     core::Loss::elastic_net(eta));
+    const auto solver = core::make_solver(problem, solver_config);
+    for (int epoch = 0; epoch < epochs; ++epoch) solver->run_epoch();
+    const auto& state = solver->state();
+    std::size_t nonzeros = 0;
+    for (const float b : state.weights) nonzeros += b != 0.0F ? 1 : 0;
+    std::printf("  %8.2f  %9zu  %.6f  %.3e\n", eta, nonzeros,
+                problem.primal_objective(state.weights, state.shared),
+                solver->duality_gap(problem));
   }
   std::printf("  (eta = 0 is ridge: every coefficient active; eta = 1 is "
               "the lasso: only informative features survive)\n");
@@ -84,14 +87,17 @@ int main(int argc, char** argv) {
   for (auto& y : signs) y = y >= 0.0F ? 1.0F : -1.0F;
   const data::Dataset classes("svm_corpus", dataset.by_row(),
                               std::move(signs));
-  const core::SvmProblem svm(classes, 1e-3);
-  core::SvmDualSolver sdca(svm, /*seed=*/4, window);
+  const core::RidgeProblem svm(classes, 1e-3, core::Loss::hinge());
+  solver_config.formulation = core::Formulation::kDual;
+  solver_config.seed = 4;
+  const auto sdca = core::make_solver(svm, solver_config);
   std::printf("\nSVM (SDCA, hinge loss):\n  epoch  duality-gap  accuracy\n");
   for (int epoch = 1; epoch <= epochs; ++epoch) {
-    sdca.run_epoch();
+    sdca->run_epoch();
     if (epoch % 10 == 0 || epoch == 1) {
-      const auto predictions = core::predict(classes, sdca.weights());
-      std::printf("  %5d  %.3e    %.2f%%\n", epoch, sdca.duality_gap(),
+      const auto predictions = core::predict(
+          classes, svm.primal_from_dual_shared(sdca->state().shared));
+      std::printf("  %5d  %.3e    %.2f%%\n", epoch, sdca->duality_gap(svm),
                   100.0 * core::sign_accuracy(predictions, classes.labels()));
     }
   }

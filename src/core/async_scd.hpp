@@ -34,7 +34,7 @@ class AsyncScdSolver : public Solver {
   }
 
   /// Replicated path only: updates per lane between merges (0 = automatic,
-  /// core::replica_merge_interval).  Ignored by the atomic/wild policies.
+  /// core::replica_auto_interval).  Ignored by the atomic/wild policies.
   void set_merge_every(int merge_every) override {
     merge_every_ = merge_every;
   }

@@ -1,143 +1,17 @@
 #include "core/elastic_net.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "core/solver_factory.hpp"
 #include "linalg/vector_ops.hpp"
-#include "util/timer.hpp"
 
 namespace tpa::core {
 
-ElasticNetProblem::ElasticNetProblem(const data::Dataset& dataset,
-                                     double lambda, double l1_ratio)
-    : dataset_(&dataset), lambda_(lambda), l1_ratio_(l1_ratio) {
-  if (lambda <= 0.0) {
-    throw std::invalid_argument("ElasticNetProblem: lambda must be positive");
-  }
-  if (l1_ratio < 0.0 || l1_ratio > 1.0) {
-    throw std::invalid_argument("ElasticNetProblem: l1_ratio must be in [0,1]");
-  }
-  if (dataset.num_examples() == 0 || dataset.num_features() == 0) {
-    throw std::invalid_argument("ElasticNetProblem: dataset must be non-empty");
-  }
-}
-
-double ElasticNetProblem::soft_threshold(double z, double threshold) {
-  if (z > threshold) return z - threshold;
-  if (z < -threshold) return z + threshold;
-  return 0.0;
-}
-
-double ElasticNetProblem::objective(std::span<const float> beta,
-                                    std::span<const float> w) const {
-  const auto n = static_cast<double>(num_examples());
-  const auto labels = dataset_->labels();
-  double residual_sq = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double r = static_cast<double>(w[i]) - labels[i];
-    residual_sq += r * r;
-  }
-  double l1 = 0.0;
-  for (const auto b : beta) l1 += std::abs(static_cast<double>(b));
-  const double l2_sq = linalg::squared_norm(beta);
-  return residual_sq / (2.0 * n) +
-         lambda_ * ((1.0 - l1_ratio_) / 2.0 * l2_sq + l1_ratio_ * l1);
-}
-
-double ElasticNetProblem::coordinate_minimiser(Index m,
-                                               std::span<const float> w,
-                                               double beta_m) const {
-  const auto n = static_cast<double>(num_examples());
-  const auto col = dataset_->by_col().col(m);
-  const double norm_sq = dataset_->col_squared_norms()[m];
-  // Partial residual correlation with column m, with βₘ's own contribution
-  // added back:  z = (1/N)·⟨y − w + aₘβₘ, aₘ⟩.
-  const double residual_dot =
-      linalg::sparse_residual_dot(col, dataset_->labels(), w);
-  const double z = residual_dot / n + norm_sq / n * beta_m;
-  const double denominator = norm_sq / n + lambda_ * (1.0 - l1_ratio_);
-  if (denominator <= 0.0) return 0.0;  // empty column, pure-L1 corner
-  return soft_threshold(z, lambda_ * l1_ratio_) / denominator;
-}
-
-double ElasticNetProblem::kkt_violation(std::span<const float> beta,
-                                        std::span<const float> w) const {
-  const auto n = static_cast<double>(num_examples());
-  const auto labels = dataset_->labels();
-  double worst = 0.0;
-  for (Index m = 0; m < num_features(); ++m) {
-    const auto col = dataset_->by_col().col(m);
-    const double grad =
-        -linalg::sparse_residual_dot(col, labels, w) / n +
-        lambda_ * (1.0 - l1_ratio_) * static_cast<double>(beta[m]);
-    const double t = lambda_ * l1_ratio_;
-    double violation = 0.0;
-    if (beta[m] > 0.0F) {
-      violation = std::abs(grad + t);
-    } else if (beta[m] < 0.0F) {
-      violation = std::abs(grad - t);
-    } else {
-      violation = std::max(0.0, std::abs(grad) - t);
-    }
-    worst = std::max(worst, violation);
-  }
-  return worst;
-}
-
-ElasticNetSolver::ElasticNetSolver(const ElasticNetProblem& problem,
-                                   std::uint64_t seed,
-                                   std::size_t async_window,
-                                   CpuCostModel cost)
-    : problem_(&problem),
-      beta_(problem.num_features(), 0.0F),
-      shared_(problem.num_examples(), 0.0F),
-      permutation_(problem.num_features(), util::Rng(seed)),
-      engine_(async_window, CommitPolicy::kAtomicAdd),
-      cost_model_(cost),
-      workload_(TimingWorkload::for_dataset(problem.dataset(),
-                                            Formulation::kPrimal)) {}
-
-EpochReport ElasticNetSolver::run_epoch() {
-  const util::WallTimer timer;
-  const auto order = permutation_.next();
-  engine_.run_epoch(
-      order,
-      [this](sparse::Index m, std::span<const float> shared) {
-        return problem_->coordinate_minimiser(m, shared, beta_[m]) -
-               static_cast<double>(beta_[m]);
-      },
-      [this](sparse::Index m) { return problem_->dataset().by_col().col(m); },
-      [this](sparse::Index m, double delta) {
-        beta_[m] = static_cast<float>(beta_[m] + delta);
-      },
-      shared_);
-
-  EpochReport report;
-  report.coordinate_updates = order.size();
-  report.sim_seconds = cost_model_.epoch_seconds_sequential(workload_);
-  report.wall_seconds = timer.seconds();
-  return report;
-}
-
-std::size_t ElasticNetSolver::zero_coefficients() const {
-  std::size_t zeros = 0;
-  for (const auto b : beta_) {
-    if (b == 0.0F) ++zeros;
-  }
-  return zeros;
-}
-
-void ElasticNetSolver::warm_start(std::span<const float> beta) {
-  if (beta.size() != beta_.size()) {
-    throw std::invalid_argument("warm_start: beta size mismatch");
-  }
-  beta_.assign(beta.begin(), beta.end());
-  shared_ = linalg::csr_matvec(problem_->dataset().by_row(), beta_);
-}
-
 double elastic_net_lambda_max(const data::Dataset& dataset,
                               double l1_ratio) {
-  if (l1_ratio <= 0.0) {
+  if (!(l1_ratio > 0.0)) {
     throw std::invalid_argument("lambda_max needs an L1 component");
   }
   const auto n = static_cast<double>(dataset.num_examples());
@@ -153,11 +27,11 @@ double elastic_net_lambda_max(const data::Dataset& dataset,
 
 std::vector<PathPoint> elastic_net_path(const data::Dataset& dataset,
                                         const PathOptions& options) {
-  if (options.l1_ratio <= 0.0 || options.l1_ratio > 1.0) {
+  if (!(options.l1_ratio > 0.0 && options.l1_ratio <= 1.0)) {
     throw std::invalid_argument("elastic_net_path: l1_ratio must be (0,1]");
   }
-  if (options.num_lambdas < 2 || options.lambda_min_ratio <= 0.0 ||
-      options.lambda_min_ratio >= 1.0) {
+  if (options.num_lambdas < 2 ||
+      !(options.lambda_min_ratio > 0.0 && options.lambda_min_ratio < 1.0)) {
     throw std::invalid_argument("elastic_net_path: bad grid parameters");
   }
   const double lambda_max =
@@ -166,24 +40,33 @@ std::vector<PathPoint> elastic_net_path(const data::Dataset& dataset,
       std::pow(options.lambda_min_ratio,
                1.0 / static_cast<double>(options.num_lambdas - 1));
 
+  SolverConfig config;
+  config.kind = SolverKind::kSequential;
+  config.formulation = Formulation::kPrimal;
+  config.seed = options.seed;
+
   std::vector<PathPoint> path;
   path.reserve(static_cast<std::size_t>(options.num_lambdas));
   std::vector<float> warm(dataset.num_features(), 0.0F);
   double lambda = lambda_max;
   for (int step = 0; step < options.num_lambdas; ++step) {
-    const ElasticNetProblem problem(dataset, lambda, options.l1_ratio);
-    ElasticNetSolver solver(problem, options.seed);
-    solver.warm_start(warm);
+    const RidgeProblem problem(dataset, lambda,
+                               Loss::elastic_net(options.l1_ratio));
+    const auto solver = make_solver(problem, config);
+    ModelState& state = solver->mutable_state();
+    state.weights = warm;
+    state.recompute_shared(problem);
     for (int epoch = 0; epoch < options.epochs_per_lambda; ++epoch) {
-      solver.run_epoch();
+      solver->run_epoch();
     }
-    warm = solver.beta();
+    warm = state.weights;
 
     PathPoint point;
     point.lambda = lambda;
-    point.nonzeros = dataset.num_features() - solver.zero_coefficients();
-    point.objective = solver.objective();
-    point.beta = solver.beta();
+    point.nonzeros = static_cast<std::size_t>(std::count_if(
+        warm.begin(), warm.end(), [](float b) { return b != 0.0F; }));
+    point.objective = problem.primal_objective(state.weights, state.shared);
+    point.beta = warm;
     path.push_back(std::move(point));
     lambda *= decay;
   }

@@ -1,104 +1,19 @@
-// Elastic-net regression by stochastic coordinate descent.
+// The elastic net's regularisation path.
 //
-// The paper (Sections I-II) focuses on ridge regression "for the sake of
-// simplicity" but notes that the same stochastic coordinate machinery solves
-// "regression with elastic net regularization as well as support vector
-// machines".  This module provides that first extension: the primal
-// objective
-//
-//   P(β) = 1/(2N)·||Aβ − y||² + λ·( (1−η)/2·||β||² + η·||β||₁ )
-//
-// with mixing parameter η ∈ [0, 1] (η = 0 is ridge, η = 1 is the lasso),
-// solved by the soft-threshold closed-form coordinate update of Friedman et
-// al. [4] — the same reference as the paper's Algorithm 1.  The solver runs
-// through the same AsyncEngine as the ridge solvers, so the sequential,
-// multi-threaded-atomic and GPU (TPA-style) execution models all apply.
+// The elastic net itself is a loss of RidgeProblem (Loss::elastic_net, see
+// ridge_problem.hpp), so every make_solver kind runs it.  What is specific to
+// it is the glmnet-style path of Friedman et al. [4] — the same reference as
+// the paper's Algorithm 1: a geometric λ grid from λ_max, where every
+// coefficient is zero, down to λ_min, each solve warm-started from the
+// previous solution.
 #pragma once
 
-#include <span>
+#include <cstdint>
 #include <vector>
 
-#include "core/cost_model.hpp"
-#include "core/round_engine.hpp"
-#include "core/solver.hpp"
 #include "data/dataset.hpp"
-#include "util/permutation.hpp"
 
 namespace tpa::core {
-
-class ElasticNetProblem {
- public:
-  /// λ > 0 is the overall regularisation strength; l1_ratio = η ∈ [0, 1]
-  /// splits it between the L1 and L2 terms.  Throws std::invalid_argument
-  /// outside those ranges.
-  ElasticNetProblem(const data::Dataset& dataset, double lambda,
-                    double l1_ratio);
-
-  const data::Dataset& dataset() const noexcept { return *dataset_; }
-  double lambda() const noexcept { return lambda_; }
-  double l1_ratio() const noexcept { return l1_ratio_; }
-  Index num_features() const noexcept { return dataset_->num_features(); }
-  Index num_examples() const noexcept { return dataset_->num_examples(); }
-
-  /// P(β) with w = Aβ supplied by the caller.
-  double objective(std::span<const float> beta,
-                   std::span<const float> w) const;
-
-  /// The closed-form coordinate minimiser: returns the *new* value of βₘ
-  /// given the shared vector w = Aβ (soft-thresholding).
-  double coordinate_minimiser(Index m, std::span<const float> w,
-                              double beta_m) const;
-
-  /// Max KKT violation over all coordinates — the convergence measure
-  /// (0 at the optimum): for βₘ ≠ 0 the subgradient must vanish; for
-  /// βₘ = 0 the plain gradient must lie within [−λη, λη].
-  double kkt_violation(std::span<const float> beta,
-                       std::span<const float> w) const;
-
-  /// Soft-threshold operator  sign(z)·max(|z| − t, 0)  (exposed for tests).
-  static double soft_threshold(double z, double threshold);
-
- private:
-  const data::Dataset* dataset_;
-  double lambda_;
-  double l1_ratio_;
-};
-
-/// Coordinate-descent solver for the elastic net, running on the shared
-/// asynchronous engine: window = 1 is exactly sequential SCD; wider windows
-/// model multi-threaded or GPU execution (always with atomic commits — the
-/// wild variant is not offered because its bias breaks the KKT guarantee).
-class ElasticNetSolver {
- public:
-  ElasticNetSolver(const ElasticNetProblem& problem, std::uint64_t seed,
-                   std::size_t async_window = 1, CpuCostModel cost = {});
-
-  const std::vector<float>& beta() const noexcept { return beta_; }
-  const std::vector<float>& shared() const noexcept { return shared_; }
-
-  /// Warm start from a previous solution (the regularisation-path idiom of
-  /// Friedman et al. [4]): sets β and recomputes w = Aβ exactly.  Throws
-  /// std::invalid_argument on a size mismatch.
-  void warm_start(std::span<const float> beta);
-
-  EpochReport run_epoch();
-
-  double objective() const { return problem_->objective(beta_, shared_); }
-  double kkt_violation() const {
-    return problem_->kkt_violation(beta_, shared_);
-  }
-  /// Number of exactly-zero coefficients (the lasso's selling point).
-  std::size_t zero_coefficients() const;
-
- private:
-  const ElasticNetProblem* problem_;
-  std::vector<float> beta_;
-  std::vector<float> shared_;
-  util::EpochPermutation permutation_;
-  AsyncEngine engine_;
-  CpuCostModel cost_model_;
-  TimingWorkload workload_;
-};
 
 /// One solution along a regularisation path.
 struct PathPoint {
@@ -117,14 +32,16 @@ struct PathOptions {
 };
 
 /// The smallest λ at which every coefficient is exactly zero:
-/// λ_max = max_m |⟨y, a_m⟩| / (N·η).
+/// λ_max = max_m |⟨y, a_m⟩| / (N·η).  Throws std::invalid_argument unless
+/// l1_ratio > 0.
 double elastic_net_lambda_max(const data::Dataset& dataset, double l1_ratio);
 
-/// Computes a glmnet-style regularisation path [4]: a geometric λ grid from
-/// λ_max down to λ_min, each solve warm-started from the previous solution
-/// — the standard way coordinate descent traces a whole family of models
-/// for barely more than the cost of one.  Throws std::invalid_argument for
-/// l1_ratio <= 0.
+/// Computes the path with sequential SCD (make_solver's kSequential), each
+/// solve warm-started through Solver::mutable_state — the standard way
+/// coordinate descent traces a whole family of models for barely more than
+/// the cost of one.  Throws std::invalid_argument for l1_ratio outside
+/// (0, 1] or a grid that is not num_lambdas >= 2 and 0 < lambda_min_ratio
+/// < 1.
 std::vector<PathPoint> elastic_net_path(const data::Dataset& dataset,
                                         const PathOptions& options);
 

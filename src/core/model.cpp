@@ -1,10 +1,19 @@
 #include "core/model.hpp"
 
+#include <stdexcept>
+
 #include "linalg/vector_ops.hpp"
 
 namespace tpa::core {
 
 ModelState ModelState::zeros(const RidgeProblem& problem, Formulation f) {
+  const LossKind loss = problem.loss().kind;
+  if (loss == LossKind::kElasticNet && f == Formulation::kDual) {
+    throw std::invalid_argument("the elastic net has no dual formulation");
+  }
+  if (loss == LossKind::kHinge && f == Formulation::kPrimal) {
+    throw std::invalid_argument("the hinge loss has no primal formulation");
+  }
   ModelState state;
   state.formulation = f;
   state.weights.assign(problem.num_coordinates(f), 0.0F);

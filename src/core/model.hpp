@@ -18,7 +18,10 @@ struct ModelState {
   std::vector<float> weights;  // β ∈ R^M (primal) or α ∈ R^N (dual)
   std::vector<float> shared;   // w ∈ R^N (primal) or w̄ ∈ R^M (dual)
 
-  /// All-zero state of the right dimensions for `problem` / `f`.
+  /// All-zero state of the right dimensions for `problem` / `f`.  Every
+  /// solver binds its problem to a formulation here, so this is where a
+  /// loss without `f` (elastic net dual, hinge primal) throws
+  /// std::invalid_argument.
   static ModelState zeros(const RidgeProblem& problem, Formulation f);
 
   /// Recomputes the shared vector exactly from the weights (the paper's

@@ -62,18 +62,82 @@ double coordinate_dot(const RidgeProblem& problem, Formulation f, Index j,
              : linalg::sparse_dot(vec, shared);
 }
 
+// The elastic-net step in the delta form of eq. (2).  With l2 = Nλ(1−η) and
+// t = Nλη, the new βₘ soft-thresholds z = ⟨y − w, aₘ⟩ + ||aₘ||²βₘ at t and
+// divides by ||aₘ||² + l2; at η = 0 the Δ below performs exactly eq. (2)'s
+// floating-point operations.  An empty column in the pure-L1 corner has no
+// curvature and goes to zero.
+double elastic_net_delta(double dot, double norm_sq, double weight,
+                         double n_lambda, double l1_ratio) {
+  const double l2 = n_lambda * (1.0 - l1_ratio);
+  const double t = n_lambda * l1_ratio;
+  const double z = dot + norm_sq * weight;
+  if (norm_sq + l2 <= 0.0) return -weight;
+  if (z > t) return (dot - l2 * weight - t) / (norm_sq + l2);
+  if (z < -t) return (dot - l2 * weight + t) / (norm_sq + l2);
+  return -weight;
+}
+
+// The SDCA step [9] on the signed dual βₙ = yₙαₙ: maximise D in αₙ exactly,
+// clip to [0, 1], and return the step in β.  `dot` is ⟨w̄, āₙ⟩ = λN·⟨v, āₙ⟩.
+// An empty example carries no constraint.
+double hinge_delta(double dot, double norm_sq, double weight, double label,
+                   double lambda_n) {
+  if (norm_sq == 0.0) return 0.0;
+  const double alpha = label * weight;
+  const double margin = label * dot / lambda_n;
+  const double next =
+      std::clamp(alpha + (1.0 - margin) * lambda_n / norm_sq, 0.0, 1.0);
+  return label * (next - alpha);
+}
+
+// Max KKT violation of the elastic net at β: where βₘ ≠ 0 the subgradient
+// must vanish; where βₘ = 0 the smooth gradient must lie within [−λη, λη].
+// The gradient is taken at w = Aβ recomputed from the weights, not at a
+// solver's shared vector: lost updates let that drift from Aβ, and a β
+// stationary for a drifted w is biased, which must not read as converged.
+double elastic_net_kkt(const RidgeProblem& problem,
+                       std::span<const float> beta) {
+  const auto w = linalg::csr_matvec(problem.dataset().by_row(), beta);
+  const double t = problem.lambda() * problem.loss().l1_ratio;
+  double worst = 0.0;
+  for (Index m = 0; m < problem.num_features(); ++m) {
+    const auto b = static_cast<double>(beta[m]);
+    // The squared loss's partial less the L1 share of its λβₘ term.
+    const double grad = problem.primal_partial(m, beta, w) - t * b;
+    const double violation = b > 0.0   ? std::abs(grad + t)
+                             : b < 0.0 ? std::abs(grad - t)
+                                       : std::max(0.0, std::abs(grad) - t);
+    worst = std::max(worst, violation);
+  }
+  return worst;
+}
+
 }  // namespace
 
 RidgeProblem::RidgeProblem(const data::Dataset& dataset, double lambda,
-                           Index global_examples)
+                           Index global_examples, Loss loss)
     : dataset_(&dataset),
       lambda_(lambda),
-      global_examples_(global_examples) {
-  if (lambda <= 0.0) {
-    throw std::invalid_argument("RidgeProblem: lambda must be positive");
+      global_examples_(global_examples),
+      loss_(loss) {
+  if (!(lambda > 0.0) || !std::isfinite(lambda)) {
+    throw std::invalid_argument(
+        "RidgeProblem: lambda must be positive and finite");
+  }
+  if (!(loss.l1_ratio >= 0.0 && loss.l1_ratio <= 1.0)) {
+    throw std::invalid_argument("RidgeProblem: l1_ratio must be in [0, 1]");
   }
   if (dataset.num_examples() == 0 || dataset.num_features() == 0) {
     throw std::invalid_argument("RidgeProblem: dataset must be non-empty");
+  }
+  if (loss.kind == LossKind::kHinge) {
+    for (const auto y : dataset.labels()) {
+      if (y != 1.0F && y != -1.0F) {
+        throw std::invalid_argument(
+            "RidgeProblem: the hinge loss needs labels of +-1");
+      }
+    }
   }
 }
 
@@ -121,11 +185,18 @@ double RidgeProblem::closed_form_delta(Formulation f, Index j, double dot,
   const auto n = static_cast<double>(effective_examples());
   const double norm_sq = coordinate_squared_norm(f, j);
   if (f == Formulation::kPrimal) {
+    if (loss_.kind == LossKind::kElasticNet) {
+      return elastic_net_delta(dot, norm_sq, weight_j, n * lambda_,
+                               loss_.l1_ratio);
+    }
     // Eq. (2): Δβ = (⟨y − w, a_m⟩ − Nλβ_m) / (||a_m||² + Nλ).
     return (dot - n * lambda_ * weight_j) / (norm_sq + n * lambda_);
   }
-  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
   const double y_n = dataset_->labels()[j];
+  if (loss_.kind == LossKind::kHinge) {
+    return hinge_delta(dot, norm_sq, weight_j, y_n, lambda_ * n);
+  }
+  // Eq. (4): Δα = (λyₙ − ⟨w̄, āₙ⟩ − λNαₙ) / (λN + ||āₙ||²).
   return (lambda_ * y_n - dot - lambda_ * n * weight_j) /
          (lambda_ * n + norm_sq);
 }
@@ -135,7 +206,15 @@ double RidgeProblem::primal_objective(std::span<const float> beta,
                                       util::ThreadPool* pool) const {
   const auto n = static_cast<double>(effective_examples());
   const auto labels = dataset_->labels();
-  if (util::ThreadPool* p = effective_pool(pool, w.size() + beta.size())) {
+  if (loss_.kind == LossKind::kHinge) {
+    double hinge_sum = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      hinge_sum += std::max(0.0, 1.0 - labels[i] * static_cast<double>(w[i]));
+    }
+    return 0.5 * lambda_ * linalg::squared_norm(beta) + hinge_sum / n;
+  }
+  if (util::ThreadPool* p = effective_pool(pool, w.size() + beta.size());
+      p != nullptr && loss_.kind == LossKind::kSquared) {
     const double residual_sq =
         chunked_sum(*p, w.size(), [&](std::size_t b, std::size_t e) {
           double acc = 0.0;
@@ -156,6 +235,14 @@ double RidgeProblem::primal_objective(std::span<const float> beta,
     const double r = static_cast<double>(w[i]) - labels[i];
     residual_sq += r * r;
   }
+  if (loss_.kind == LossKind::kElasticNet) {
+    const double eta = loss_.l1_ratio;
+    double l1 = 0.0;
+    for (const auto b : beta) l1 += std::abs(static_cast<double>(b));
+    return residual_sq / (2.0 * n) +
+           lambda_ * ((1.0 - eta) / 2.0 * linalg::squared_norm(beta) +
+                      eta * l1);
+  }
   return residual_sq / (2.0 * n) +
          0.5 * lambda_ * linalg::squared_norm(beta);
 }
@@ -165,6 +252,15 @@ double RidgeProblem::dual_objective(std::span<const float> alpha,
                                     util::ThreadPool* pool) const {
   const auto n = static_cast<double>(effective_examples());
   const auto labels = dataset_->labels();
+  if (loss_.kind == LossKind::kHinge) {
+    // αₙ = yₙβₙ, and λ/2·||v||² = ||w̄||² / (2λN²).
+    double alpha_sum = 0.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) {
+      alpha_sum += labels[i] * static_cast<double>(alpha[i]);
+    }
+    return alpha_sum / n -
+           linalg::squared_norm(wbar) / (2.0 * lambda_ * n * n);
+  }
   if (util::ThreadPool* p =
           effective_pool(pool, 2 * alpha.size() + wbar.size())) {
     const double alpha_sq =
@@ -230,6 +326,10 @@ double RidgeProblem::duality_gap(Formulation f,
                                  std::span<const float> weights,
                                  std::span<const float> shared,
                                  util::ThreadPool* pool) const {
+  if (loss_.kind == LossKind::kElasticNet) {
+    return elastic_net_kkt(*this, weights);
+  }
+  if (loss_.kind == LossKind::kHinge) pool = nullptr;
   return f == Formulation::kPrimal ? primal_duality_gap(weights, shared, pool)
                                    : dual_duality_gap(weights, shared, pool);
 }
@@ -237,7 +337,10 @@ double RidgeProblem::duality_gap(Formulation f,
 std::vector<float> RidgeProblem::primal_from_dual_shared(
     std::span<const float> wbar) const {
   std::vector<float> beta(wbar.size());
-  const double inv_lambda = 1.0 / lambda_;
+  const double inv_lambda =
+      1.0 / (loss_.kind == LossKind::kHinge
+                 ? lambda_ * static_cast<double>(effective_examples())
+                 : lambda_);
   for (std::size_t i = 0; i < wbar.size(); ++i) {
     beta[i] = static_cast<float>(wbar[i] * inv_lambda);
   }

@@ -38,7 +38,7 @@ class Solver {
 
   /// Replica-merge interval for solvers with a replicated shared vector:
   /// updates per lane between merges; 0 restores the solver's automatic
-  /// choice (core::replica_merge_interval).  No-op for solvers without a
+  /// choice (core::replica_auto_interval).  No-op for solvers without a
   /// replicated path.
   virtual void set_merge_every(int merge_every) { (void)merge_every; }
 

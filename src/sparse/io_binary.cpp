@@ -28,6 +28,19 @@ LabeledMatrix assemble(const BinaryHeader& header, std::vector<Offset> offsets,
       std::move(labels)};
 }
 
+// Throws unless `count` entries of `element_bytes` fit in a `size`-byte
+// image.
+void fits_image(std::uint64_t count, std::size_t element_bytes,
+                std::size_t size) {
+  if (count > size / element_bytes) {
+    throw std::runtime_error("binary read: header declares " +
+                             std::to_string(count) + " entries of " +
+                             std::to_string(element_bytes) +
+                             " bytes, but the image has " +
+                             std::to_string(size) + " bytes");
+  }
+}
+
 }  // namespace
 
 void Fnv1a::update(const void* data, std::size_t bytes) noexcept {
@@ -168,6 +181,11 @@ LabeledMatrix read_binary(std::istream& in) {
 LabeledMatrix read_binary(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   const BinaryHeader header = read_binary_header(data, size);
+  // Bound each declared count by the image before file_bytes() sums them:
+  // a sum that wraps uint64 would pass the size check below.
+  fits_image(header.rows, sizeof(Offset), size);
+  fits_image(header.nnz, sizeof(Index) + sizeof(Value), size);
+  fits_image(header.labels, sizeof(float), size);
   if (header.file_bytes() != size) {
     throw std::runtime_error("binary read truncated (payload)");
   }

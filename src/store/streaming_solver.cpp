@@ -30,9 +30,9 @@ StreamingScdSolver::StreamingScdSolver(const StreamingDataset& source,
       alpha_(static_cast<std::size_t>(source.rows()), 0.0F),
       shared_(static_cast<std::size_t>(source.cols()), 0.0F),
       shard_perm_([&] {
-        if (config.lambda <= 0.0) {
+        if (!(config.lambda > 0.0) || !std::isfinite(config.lambda)) {
           throw std::invalid_argument(
-              "StreamingScdSolver: lambda must be positive");
+              "StreamingScdSolver: lambda must be positive and finite");
         }
         if (config.threads <= 0) {
           throw std::invalid_argument(

@@ -67,7 +67,8 @@ struct StreamingConfig {
 class StreamingScdSolver {
  public:
   /// `source` must outlive the solver.  Throws std::invalid_argument on a
-  /// non-positive lambda/threads or an empty source.
+  /// lambda that is not positive and finite, non-positive threads or an
+  /// empty source.
   StreamingScdSolver(const StreamingDataset& source, StreamingConfig config);
 
   const std::string& name() const noexcept { return name_; }

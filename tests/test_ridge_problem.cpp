@@ -28,6 +28,8 @@ TEST(RidgeProblem, RejectsBadInputs) {
   const auto dataset = tiny_dataset();
   EXPECT_THROW(RidgeProblem(dataset, 0.0), std::invalid_argument);
   EXPECT_THROW(RidgeProblem(dataset, -1.0), std::invalid_argument);
+  EXPECT_THROW(RidgeProblem(dataset, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(RidgeProblem(dataset, HUGE_VAL), std::invalid_argument);
 }
 
 TEST(RidgeProblem, DimensionsPerFormulation) {

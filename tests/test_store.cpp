@@ -223,6 +223,34 @@ TEST_F(StoreTest, RejectsTruncatedShard) {
   EXPECT_THROW(reader.read_shard(1), std::runtime_error);
 }
 
+// A shard whose header sizes wrap uint64 must fail as a typed error that
+// names the shard in both read modes, never as an allocation failure.
+TEST_F(StoreTest, RejectsWrappingHeaderInBothModes) {
+  const auto data = make_data(8, 6);
+  write_store(dir_.string(), "wrap", data, 2);
+  const auto shard_path = dir_ / "wrap.shard00001.tpa1";
+  const std::uint64_t fields[5] = {(std::uint64_t{1} << 61) - 1, 6144, 0, 0,
+                                   0};
+  {
+    std::ofstream file(shard_path, std::ios::binary | std::ios::trunc);
+    file.write("TPA1", 4);
+    file.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+  }
+  auto manifest = read_manifest_file((dir_ / "wrap.manifest").string());
+  manifest.shards[1].bytes = 44;
+  for (const auto mode : {ReadMode::kBuffered, ReadMode::kMmap}) {
+    const ShardReader reader(manifest, dir_.string(), mode);
+    try {
+      reader.read_shard(1);
+      FAIL() << "wrapping header was accepted in mode "
+             << read_mode_name(mode);
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(shard_path.string()), std::string::npos) << what;
+    }
+  }
+}
+
 TEST_F(StoreTest, RejectsCorruptedShardInBothModes) {
   const auto data = make_data(8, 6);
   write_store(dir_.string(), "corrupt", data, 2);

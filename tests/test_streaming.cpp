@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,18 @@ class StreamingTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+TEST_F(StreamingTest, RejectsNonFiniteLambda) {
+  const auto data = make_data(64);
+  const MemoryShardedDataset source("lambda", data, 2);
+  for (const double lambda : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    StreamingConfig config = base_config();
+    config.lambda = lambda;
+    EXPECT_THROW(StreamingScdSolver(source, config), std::invalid_argument)
+        << lambda;
+  }
+}
 
 TEST_F(StreamingTest, StoreRunIsBitExactWithInMemoryShards) {
   const auto data = make_data();
