@@ -4,8 +4,8 @@
 // TPA-SCD: fp16 *storage* for the shared vector (the per-nnz gather/scatter
 // traffic of every local sweep, arithmetic still fp32-widened with fp64
 // accumulation) and fp16-quantized *delta exchange* (the worker → master
-// reduce leg, one fp32 scale per 256 entries, FNV checksum over the encoded
-// image).  This bench sweeps the 2x2 grid
+// reduce leg, one fp32 scale per 256 entries, transit checksum over the
+// encoded image).  This bench sweeps the 2x2 grid
 //
 //   fp32/dense        the historical path (baseline)
 //   fp32/compressed   quantized deltas only

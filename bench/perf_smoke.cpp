@@ -1,5 +1,6 @@
 // Perf smoke harness: times the kernel layer (scalar reference vs the
-// multi-accumulator vectorized backend) and the system-level hot paths
+// multi-accumulator vectorized backend, including the delta codec's encode
+// and decode per entry) and the system-level hot paths
 // (sequential epoch per backend, pooled threaded epoch, serial vs pooled
 // duality gap, gap_every amortisation), then emits the measurements as
 // BENCH_kernels.json and BENCH_epoch.json via the bench_json emitter.
@@ -11,11 +12,13 @@
 //   perf_smoke --out-dir . --check --slack 1.15
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "cluster/delta_codec.hpp"
 #include "core/convergence.hpp"
 #include "obs/build_info.hpp"
 #include "core/ridge_problem.hpp"
@@ -52,10 +55,11 @@ double best_of(int trials, const Fn& fn) {
   return best;
 }
 
+/// Nanoseconds per nnz (or per entry, for the codec) on each backend.
 struct KernelTimes {
-  double scalar_ns_per_nnz = 0.0;
-  double vec_ns_per_nnz = 0.0;
-  double speedup() const { return scalar_ns_per_nnz / vec_ns_per_nnz; }
+  double scalar_ns = 0.0;
+  double vec_ns = 0.0;
+  double speedup() const { return scalar_ns / vec_ns; }
 };
 
 /// Times one full sweep of `fn(view)` over every bucketed row view with both
@@ -67,30 +71,25 @@ KernelTimes time_kernel(const data::Dataset& dataset, int trials,
   const auto& rows = dataset.bucketed_rows();
   const double padded_nnz = static_cast<double>(rows.padded_nnz());
   KernelTimes times;
-  times.scalar_ns_per_nnz = 1e9 / padded_nnz *
-                            best_of(trials, [&] {
-                              for (sparse::Index r = 0; r < rows.count(); ++r) {
-                                scalar_fn(rows.padded(r));
-                              }
-                            });
-  times.vec_ns_per_nnz = 1e9 / padded_nnz *
-                         best_of(trials, [&] {
-                           for (sparse::Index r = 0; r < rows.count(); ++r) {
-                             vec_fn(rows.padded(r));
-                           }
-                         });
+  times.scalar_ns = 1e9 / padded_nnz * best_of(trials, [&] {
+    for (sparse::Index r = 0; r < rows.count(); ++r) scalar_fn(rows.padded(r));
+  });
+  times.vec_ns = 1e9 / padded_nnz * best_of(trials, [&] {
+    for (sparse::Index r = 0; r < rows.count(); ++r) vec_fn(rows.padded(r));
+  });
   return times;
 }
 
 void add_kernel_result(std::vector<bench::BenchResult>& results,
-                       const std::string& name, const KernelTimes& times) {
-  results.push_back({name + "/scalar", times.scalar_ns_per_nnz, "ns_per_nnz",
-                     {}});
-  results.push_back({name + "/vectorized", times.vec_ns_per_nnz, "ns_per_nnz",
+                       const std::string& name, const KernelTimes& times,
+                       const std::string& per = "nnz") {
+  const std::string unit = "ns_per_" + per;
+  results.push_back({name + "/scalar", times.scalar_ns, unit, {}});
+  results.push_back({name + "/vectorized", times.vec_ns, unit,
                      {{"speedup_vs_scalar", times.speedup()}}});
-  std::printf("%-24s scalar %7.3f ns/nnz   vectorized %7.3f ns/nnz   %.2fx\n",
-              name.c_str(), times.scalar_ns_per_nnz, times.vec_ns_per_nnz,
-              times.speedup());
+  std::printf("%-24s scalar %7.3f ns/%s   vectorized %7.3f ns/%s   %.2fx\n",
+              name.c_str(), times.scalar_ns, per.c_str(), times.vec_ns,
+              per.c_str(), times.speedup());
 }
 
 int run(int argc, char** argv) {
@@ -165,13 +164,45 @@ int run(int argc, char** argv) {
     const double n = static_cast<double>(dense.size());
     const int reps = 512;
     KernelTimes times;
-    times.scalar_ns_per_nnz = 1e9 / (n * reps) * best_of(trials, [&] {
+    times.scalar_ns = 1e9 / (n * reps) * best_of(trials, [&] {
       for (int i = 0; i < reps; ++i) g_sink = linalg::scalar::dot(dense, target);
     });
-    times.vec_ns_per_nnz = 1e9 / (n * reps) * best_of(trials, [&] {
+    times.vec_ns = 1e9 / (n * reps) * best_of(trials, [&] {
       for (int i = 0; i < reps; ++i) g_sink = linalg::vec::dot(dense, target);
     });
     add_kernel_result(kernels, "dense_dot", times);
+  }
+
+  // The delta codec on one shared-vector-sized delta, per entry: encode into
+  // a reused frame (block max-abs, quantize, transit hash) and decode
+  // (dequantize), with the codec kernels on each backend.
+  KernelTimes encode_times;
+  KernelTimes decode_times;
+  {
+    std::vector<double> delta(dense.size());
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = 1e-3 * std::sin(static_cast<double>(i));
+    }
+    cluster::CompressedDelta frame;
+    std::vector<double> decoded(delta.size());
+    const auto encode = [&] { cluster::encode_delta(delta, {}, frame); };
+    const auto decode = [&] { cluster::decode_delta(frame, decoded); };
+    const auto time_leg = [&](linalg::KernelBackend backend, const auto& leg) {
+      constexpr int kReps = 64;
+      linalg::set_kernel_backend(backend);
+      return 1e9 / (static_cast<double>(delta.size()) * kReps) *
+             best_of(trials, [&] {
+               for (int i = 0; i < kReps; ++i) leg();
+             });
+    };
+    const auto saved_backend = linalg::kernel_backend();
+    encode_times = {time_leg(linalg::KernelBackend::kScalar, encode),
+                    time_leg(linalg::KernelBackend::kVectorized, encode)};
+    decode_times = {time_leg(linalg::KernelBackend::kScalar, decode),
+                    time_leg(linalg::KernelBackend::kVectorized, decode)};
+    linalg::set_kernel_backend(saved_backend);
+    add_kernel_result(kernels, "delta_codec/encode", encode_times, "entry");
+    add_kernel_result(kernels, "delta_codec/decode", decode_times, "entry");
   }
 
   bench::write_json_file(out_dir + "/BENCH_kernels.json", "kernels", kernels,
@@ -271,21 +302,23 @@ int run(int argc, char** argv) {
 
   if (parser.get_bool("check")) {
     // The vectorized backend must not lose to the reference beyond `slack`
-    // on any reduction kernel, nor on the end-to-end sequential epoch.
+    // on any reduction kernel, nor on either leg of the delta codec.
     struct Check {
       const char* name;
-      double scalar, vec;
+      KernelTimes times;
     };
     const std::vector<Check> checks = {
-        {"sparse_dot", dot_times.scalar_ns_per_nnz, dot_times.vec_ns_per_nnz},
-        {"sparse_residual_dot", residual_times.scalar_ns_per_nnz,
-         residual_times.vec_ns_per_nnz},
+        {"sparse_dot", dot_times},
+        {"sparse_residual_dot", residual_times},
+        {"delta_codec/encode", encode_times},
+        {"delta_codec/decode", decode_times},
     };
     bool ok = true;
     for (const auto& c : checks) {
-      if (c.vec > c.scalar * slack) {
-        std::printf("CHECK FAILED: %s vectorized %.3f ns/nnz > scalar %.3f "
-                    "* slack %.2f\n", c.name, c.vec, c.scalar, slack);
+      if (c.times.vec_ns > c.times.scalar_ns * slack) {
+        std::printf("CHECK FAILED: %s vectorized %.3f ns > scalar %.3f "
+                    "* slack %.2f\n", c.name, c.times.vec_ns,
+                    c.times.scalar_ns, slack);
         ok = false;
       }
     }

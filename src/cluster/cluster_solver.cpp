@@ -236,25 +236,25 @@ bool ClusterSolver::count_crash(int worker, int& crash_count) {
 
 ClusterSolver::Transit ClusterSolver::send_delta(
     std::span<const float> local, std::span<const float> base, bool corrupt,
-    std::vector<double>& delta) const {
+    std::vector<double>& delta) {
   delta.resize(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     delta[i] = static_cast<double>(local[i]) - static_cast<double>(base[i]);
   }
   Transit transit;
   if (config_.compress_deltas) {
-    // A transit flip lands in the quantized payload; the FNV stream over the
-    // encoded image must still catch it.
-    CompressedDelta encoded =
-        encode_delta(delta, DeltaCodecConfig{config_.delta_threshold, 256});
-    transit.wire_bytes = encoded.wire_bytes();
+    // A transit flip lands in the quantized payload; the transit hash over
+    // the encoded image must still catch it.
+    encode_delta(delta, DeltaCodecConfig{config_.delta_threshold, 256},
+                 frame_);
+    transit.wire_bytes = frame_.wire_bytes();
     if (corrupt) {
-      const std::uint64_t sent = encoded.checksum;
-      corrupt_compressed_in_transit(encoded);
-      transit.verified = compressed_delta_checksum(encoded) == sent;
+      const std::uint64_t sent = frame_.checksum;
+      corrupt_compressed_in_transit(frame_);
+      transit.verified = compressed_delta_checksum(frame_) == sent;
       if (!transit.verified) return transit;
     }
-    decode_delta(encoded, delta);
+    decode_delta(frame_, delta);
     return transit;
   }
   transit.wire_bytes = dense_delta_wire_bytes(delta.size());

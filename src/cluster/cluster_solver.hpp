@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "cluster/aggregation.hpp"
+#include "cluster/delta_codec.hpp"
 #include "cluster/fault_injector.hpp"
 #include "cluster/network_model.hpp"
 #include "cluster/partition.hpp"
@@ -144,7 +145,7 @@ struct ClusterConfig {
 
   // ---- Compressed delta exchange (DESIGN.md §16) ----
   /// Quantize worker → master deltas: fp16 payload with one fp32 scale per
-  /// 256-entry block, FNV-checksummed in encoded form
+  /// 256-entry block, checksummed in encoded form
   /// (cluster/delta_codec.hpp).  The master → worker leg stays the dense
   /// fp32 model — workers must start from the master's exact state.  Off by
   /// default; the uncompressed path is bit-identical to the historical
@@ -303,14 +304,15 @@ class ClusterSolver {
     bool verified = true;        // false: checksum caught a corruption
   };
   /// Forms Δ = local − base in `delta` and sends it worker → master: under
-  /// compression it is quantized and checksummed in encoded form and
-  /// `delta` ends as the decoded image the master works with (so the
-  /// invariant holds up to the fp16 quantization error, DESIGN.md §16);
-  /// otherwise the raw fp64 delta travels.  With `corrupt` one bit flips in
-  /// transit and the master's checksum rejects the delta.  Bytes are
-  /// charged separately (charge_wire), when the delta reaches the master.
+  /// compression it is quantized and checksummed in encoded form — in the
+  /// one frame this solver reuses for every delta — and `delta` ends as the
+  /// decoded image the master works with (so the invariant holds up to the
+  /// fp16 quantization error, DESIGN.md §16); otherwise the raw fp64 delta
+  /// travels.  With `corrupt` one bit flips in transit and the master's
+  /// checksum rejects the delta.  Bytes are charged separately
+  /// (charge_wire), when the delta reaches the master.
   Transit send_delta(std::span<const float> local, std::span<const float> base,
-                     bool corrupt, std::vector<double>& delta) const;
+                     bool corrupt, std::vector<double>& delta);
   /// Bytes-on-wire accounting for a delta that reached the master, with the
   /// raw fp64 size recorded as the baseline.
   void charge_wire(std::size_t wire_bytes);
@@ -378,6 +380,7 @@ class ClusterSolver {
   std::optional<placement::PlacementResult> placement_result_;
   std::vector<std::unique_ptr<WorkerCore>> cores_;
   std::vector<core::ClusterEvent> events_;
+  CompressedDelta frame_;  // the encoded delta in transit, reused
   std::uint64_t delta_bytes_on_wire_ = 0;
   std::uint64_t delta_bytes_dense_ = 0;
   obs::RoundAttribution last_attr_{};

@@ -6,8 +6,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "sparse/io_binary.hpp"
-
 namespace tpa::cluster {
 namespace {
 
@@ -15,6 +13,52 @@ namespace {
 // trailing 8-byte checksum — matches the sidecar framing elsewhere.
 constexpr std::size_t kWireHeaderBytes = 3 * sizeof(std::uint32_t);
 constexpr std::size_t kWireChecksumBytes = sizeof(std::uint64_t);
+
+// ---- Transit hash ----------------------------------------------------------
+// Four lanes per field, lane k taking words k, k+4, k+8, ...  One step,
+// h -> rotl((h ^ w)·p, 31) with p odd, is a bijection of h for a fixed word
+// and of the word for a fixed h, so a flipped bit changes its lane and every
+// later step carries the difference through.  The rotation feeds the high
+// bits, which a multiply only carries upward, back to the low ones, so two
+// flips of one high bit cannot cancel.
+constexpr std::uint64_t kLanePrimes[4] = {
+    0x9E3779B185EBCA87ULL, 0xC2B2AE3D27D4EB4FULL, 0x165667B19E3779F9ULL,
+    0xD6E8FEB86659FD93ULL};
+constexpr std::uint64_t kHashSeed = 0x27D4EB2F165667C5ULL;
+constexpr std::size_t kHashStep = sizeof(kLanePrimes);  // bytes per step
+
+constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t word,
+                            std::uint64_t prime) noexcept {
+  return std::rotl((h ^ word) * prime, 31);
+}
+
+/// One field's digest from the fixed seed — never from another field's, so a
+/// flip in one field changes exactly one of the digests folded below.  The
+/// tail is zero-padded to a full step and the byte length is folded in.
+std::uint64_t hash_field(const void* data, std::size_t bytes) noexcept {
+  std::uint64_t lanes[4] = {kHashSeed, kHashSeed + 1, kHashSeed + 2,
+                            kHashSeed + 3};
+  const auto consume = [&lanes](const unsigned char* step) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, step + k * sizeof(word), sizeof(word));
+      lanes[k] = mix(lanes[k], word, kLanePrimes[k]);
+    }
+  };
+  const auto* in = static_cast<const unsigned char*>(data);
+  std::size_t i = 0;
+  for (; i + kHashStep <= bytes; i += kHashStep) consume(in + i);
+  if (i < bytes) {
+    unsigned char tail[kHashStep] = {};
+    std::memcpy(tail, in + i, bytes - i);
+    consume(tail);
+  }
+  std::uint64_t digest = mix(kHashSeed, bytes, kLanePrimes[0]);
+  for (const std::uint64_t lane : lanes) {
+    digest = mix(digest, lane, kLanePrimes[0]);
+  }
+  return digest;
+}
 
 void validate_structure(const CompressedDelta& delta) {
   if (delta.block == 0) {
@@ -27,6 +71,15 @@ void validate_structure(const CompressedDelta& delta) {
   if (delta.dense && delta.payload.size() != delta.dim) {
     throw std::invalid_argument(
         "CompressedDelta: dense layout must cover every coordinate");
+  }
+  if (!delta.dense) {
+    for (std::size_t i = 0; i < delta.indices.size(); ++i) {
+      if (delta.indices[i] >= delta.dim ||
+          (i > 0 && delta.indices[i] <= delta.indices[i - 1])) {
+        throw std::invalid_argument(
+            "CompressedDelta: sparse indices must ascend strictly below dim");
+      }
+    }
   }
   const std::size_t blocks =
       (delta.payload.size() + delta.block - 1) / delta.block;
@@ -56,28 +109,24 @@ std::size_t dense_delta_wire_bytes(std::size_t dim) noexcept {
 }
 
 std::uint64_t compressed_delta_checksum(const CompressedDelta& delta) {
-  sparse::Fnv1a checksum;
-  checksum.update(&delta.dim, sizeof(delta.dim));
-  checksum.update(&delta.block, sizeof(delta.block));
-  const std::uint32_t dense = delta.dense ? 1 : 0;
-  checksum.update(&dense, sizeof(dense));
-  if (!delta.indices.empty()) {
-    checksum.update(delta.indices.data(),
-                    delta.indices.size() * sizeof(std::uint32_t));
+  const std::uint32_t header[] = {delta.dim, delta.block,
+                                  delta.dense ? 1U : 0U};
+  std::uint64_t digest = kHashSeed;
+  for (const std::uint64_t field :
+       {hash_field(header, sizeof(header)),
+        hash_field(delta.indices.data(),
+                   delta.indices.size() * sizeof(std::uint32_t)),
+        hash_field(delta.payload.data(),
+                   delta.payload.size() * sizeof(linalg::Half)),
+        hash_field(delta.scales.data(),
+                   delta.scales.size() * sizeof(float))}) {
+    digest = mix(digest, field, kLanePrimes[0]);
   }
-  if (!delta.payload.empty()) {
-    checksum.update(delta.payload.data(),
-                    delta.payload.size() * sizeof(linalg::Half));
-  }
-  if (!delta.scales.empty()) {
-    checksum.update(delta.scales.data(),
-                    delta.scales.size() * sizeof(float));
-  }
-  return checksum.digest();
+  return digest;
 }
 
-CompressedDelta encode_delta(std::span<const double> delta,
-                             const DeltaCodecConfig& config) {
+void encode_delta(std::span<const double> delta,
+                  const DeltaCodecConfig& config, CompressedDelta& out) {
   if (config.block == 0) {
     throw std::invalid_argument("encode_delta: block must be positive");
   }
@@ -85,55 +134,53 @@ CompressedDelta encode_delta(std::span<const double> delta,
     throw std::invalid_argument(
         "encode_delta: threshold must be finite and >= 0");
   }
-  CompressedDelta out;
   out.dim = static_cast<std::uint32_t>(delta.size());
   out.block = config.block;
   out.dense = config.threshold == 0.0;
+  out.indices.clear();
 
   // Survivor selection.  Dense layout keeps everything (the wire size must
-  // stay a pure function of the dimension); sparse layout drops entries
-  // below the relative threshold.
-  std::vector<double> survivors;
-  if (out.dense) {
-    survivors.assign(delta.begin(), delta.end());
-  } else {
-    double max_abs = 0.0;
-    for (const double v : delta) max_abs = std::max(max_abs, std::abs(v));
-    const double cut = config.threshold * max_abs;
-    out.indices.reserve(delta.size() / 4);
+  // stay a pure function of the dimension) and reads `delta` in place;
+  // sparse layout gathers the entries above the relative threshold.
+  std::span<const double> survivors = delta;
+  std::vector<double> gathered;
+  if (!out.dense) {
+    const double cut = config.threshold * linalg::max_abs(delta);
     for (std::size_t i = 0; i < delta.size(); ++i) {
       if (std::abs(delta[i]) > cut) {
         out.indices.push_back(static_cast<std::uint32_t>(i));
-        survivors.push_back(delta[i]);
+        gathered.push_back(delta[i]);
       }
     }
+    survivors = gathered;
   }
 
   // Per-block max-abs scaling keeps every stored ratio in [-1, 1]; the scale
   // is rounded to fp32 first so encode and decode agree on the exact factor.
   out.payload.resize(survivors.size());
-  const std::size_t blocks =
-      (survivors.size() + config.block - 1) / config.block;
-  out.scales.resize(blocks, 0.0F);
-  for (std::size_t b = 0; b < blocks; ++b) {
+  out.scales.resize((survivors.size() + config.block - 1) / config.block);
+  const std::span<linalg::Half> payload = out.payload;
+  for (std::size_t b = 0; b < out.scales.size(); ++b) {
     const std::size_t begin = b * config.block;
-    const std::size_t end =
-        std::min(begin + config.block, survivors.size());
-    double max_abs = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      max_abs = std::max(max_abs, std::abs(survivors[i]));
-    }
-    const auto scale = static_cast<float>(max_abs);
+    const std::size_t count =
+        std::min<std::size_t>(config.block, survivors.size() - begin);
+    const auto block = survivors.subspan(begin, count);
+    const auto scale = static_cast<float>(linalg::max_abs(block));
     out.scales[b] = scale;
-    for (std::size_t i = begin; i < end; ++i) {
-      out.payload[i] =
-          scale > 0.0F
-              ? linalg::float_to_half(static_cast<float>(
-                    survivors[i] / static_cast<double>(scale)))
-              : linalg::Half{};
+    if (scale > 0.0F) {
+      linalg::quantize(block, static_cast<double>(scale),
+                       payload.subspan(begin, count));
+    } else {
+      std::fill_n(payload.begin() + begin, count, linalg::Half{});
     }
   }
   out.checksum = compressed_delta_checksum(out);
+}
+
+CompressedDelta encode_delta(std::span<const double> delta,
+                             const DeltaCodecConfig& config) {
+  CompressedDelta out;
+  encode_delta(delta, config, out);
   return out;
 }
 
@@ -146,12 +193,21 @@ void decode_delta(const CompressedDelta& delta, std::span<double> out) {
   if (!delta.dense) {
     std::fill(out.begin(), out.end(), 0.0);
   }
-  for (std::size_t i = 0; i < delta.payload.size(); ++i) {
-    const double scale =
-        static_cast<double>(delta.scales[i / delta.block]);
-    const double value =
-        static_cast<double>(linalg::half_to_float(delta.payload[i])) * scale;
-    out[delta.dense ? i : delta.indices[i]] = value;
+  const std::span<const linalg::Half> payload = delta.payload;
+  for (std::size_t b = 0; b < delta.scales.size(); ++b) {
+    const std::size_t begin = b * delta.block;
+    const std::size_t count =
+        std::min<std::size_t>(delta.block, payload.size() - begin);
+    const auto scale = static_cast<double>(delta.scales[b]);
+    if (delta.dense) {
+      linalg::dequantize(payload.subspan(begin, count), scale,
+                         out.subspan(begin, count));
+    } else {
+      for (std::size_t i = begin; i < begin + count; ++i) {
+        out[delta.indices[i]] =
+            static_cast<double>(linalg::half_to_float(payload[i])) * scale;
+      }
+    }
   }
 }
 
@@ -163,8 +219,8 @@ std::vector<double> decode_delta(const CompressedDelta& delta) {
 
 void corrupt_compressed_in_transit(CompressedDelta& delta) {
   // Flip one low payload bit — the least detectable change a transit fault
-  // can make to the quantized image.  FNV-1a over the encoding still
-  // diverges on any single-bit flip.
+  // can make to the quantized image.  The transit hash over the encoding
+  // still diverges on any single-bit flip.
   if (!delta.payload.empty()) {
     delta.payload.front().bits ^= 1U;
   } else if (!delta.indices.empty()) {
@@ -180,7 +236,7 @@ void corrupt_compressed_in_transit(CompressedDelta& delta) {
 }
 
 std::uint64_t delta_checksum(std::span<const double> delta) {
-  return sparse::fnv1a(delta.data(), delta.size() * sizeof(double));
+  return hash_field(delta.data(), delta.size() * sizeof(double));
 }
 
 void corrupt_in_transit(std::span<double> delta) {

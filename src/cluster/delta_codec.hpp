@@ -10,11 +10,21 @@
 // |Δ_i| <= threshold · max|Δ| before quantizing, trading exactness for an
 // index list that pays off once most of the delta is numerically dead.
 //
-// Integrity: the FNV-1a checksum the uncompressed exchange computes over the
+// Integrity: the transit checksum the uncompressed exchange computes over the
 // raw fp64 delta is preserved — it is taken over the *encoded* image (header,
 // index list, fp16 payload bits, fp32 scale bits), so a single bit flipped in
 // transit anywhere in the compressed representation still fails verification
-// on the master and the delta is discarded, never silently dequantized.
+// on the master and the delta is discarded, never silently dequantized.  The
+// hash is word-wise — four lanes per field, each field from a fixed seed, every
+// step a bijection (delta_codec.cpp) — so it catches every single-bit flip at
+// a fraction of byte-wise FNV-1a's cost.  Transit frames are never persisted;
+// every on-disk format keeps its FNV-1a (sparse/io_binary.hpp).
+//
+// Speed: the codec runs at memory speed.  Block max-abs, quantization and
+// dequantization are the dispatched linalg::max_abs / quantize / dequantize
+// kernels (F16C on the vectorized backend, bit-identical to the scalar
+// bodies), and encode_delta can refill a caller-owned frame so the dense
+// exchange allocates nothing in steady state.
 //
 // Determinism: with threshold == 0 the layout is dense-quantized — no index
 // list, the payload covers every coordinate — and the wire size is a pure
@@ -50,7 +60,7 @@ struct CompressedDelta {
   std::vector<std::uint32_t> indices;  // sparse layout only, ascending
   std::vector<linalg::Half> payload;   // quantized survivors (Δ_i / scale)
   std::vector<float> scales;           // one per `block` payload entries
-  std::uint64_t checksum = 0;          // FNV-1a over the encoded image
+  std::uint64_t checksum = 0;          // transit hash of the encoded image
 
   /// Bytes this delta occupies on the wire: header + index list + fp16
   /// payload + fp32 scales.
@@ -66,18 +76,24 @@ std::size_t quantized_delta_wire_bytes(std::size_t dim,
 /// its trailing checksum.  The baseline of the bytes-on-wire metric.
 std::size_t dense_delta_wire_bytes(std::size_t dim) noexcept;
 
-/// Encodes `delta`.  Throws std::invalid_argument on block == 0 or a
-/// threshold that is negative, NaN or infinite.  The returned checksum
-/// already covers the encoding.
+/// Encodes `delta` into `out`, reusing its vectors' capacity: every field is
+/// overwritten, so one frame can carry delta after delta; the dense layout
+/// then allocates nothing.  Throws std::invalid_argument on block == 0 or a
+/// threshold that is negative, NaN or infinite.  out.checksum already covers
+/// the encoding.
+void encode_delta(std::span<const double> delta,
+                  const DeltaCodecConfig& config, CompressedDelta& out);
 CompressedDelta encode_delta(std::span<const double> delta,
                              const DeltaCodecConfig& config = {});
 
-/// FNV-1a over the encoded image; what the master recomputes on receipt.
+/// Transit hash of the encoded image (header, indices, payload, scales);
+/// what the master recomputes on receipt.
 std::uint64_t compressed_delta_checksum(const CompressedDelta& delta);
 
 /// Dequantizes into `out` (overwrites; dropped entries decode to 0).
 /// Throws std::invalid_argument if out.size() != delta.dim or the encoding
-/// is structurally inconsistent.
+/// is structurally inconsistent — including sparse indices that are not
+/// strictly ascending or not below dim.
 void decode_delta(const CompressedDelta& delta, std::span<double> out);
 std::vector<double> decode_delta(const CompressedDelta& delta);
 
@@ -87,12 +103,13 @@ std::vector<double> decode_delta(const CompressedDelta& delta);
 /// field is left as sent, so verification must fail.
 void corrupt_compressed_in_transit(CompressedDelta& delta);
 
-/// FNV-1a over a raw fp64 delta: the uncompressed exchange's checksum.
+/// Transit hash of a raw fp64 delta: the uncompressed exchange's checksum.
 std::uint64_t delta_checksum(std::span<const double> delta);
 
 /// Simulated transit corruption of a raw delta: flips one mantissa bit of
-/// the first entry.  Any single-bit change defeats FNV-1a, which is the
-/// point — the master must notice without trusting the payload.
+/// the first entry.  The transit hash changes under any single-bit flip,
+/// which is the point — the master must notice without trusting the
+/// payload.
 void corrupt_in_transit(std::span<double> delta);
 
 }  // namespace tpa::cluster

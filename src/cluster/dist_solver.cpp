@@ -213,7 +213,7 @@ core::EpochReport DistributedSolver::run_epoch() {
         record_event(index, core::ClusterEventKind::kDeltaCorrupted);
         continue;
       }
-      // Unreachable (a bit flip always changes the FNV stream), but if the
+      // Unreachable (a bit flip always changes the transit hash), but if the
       // check ever passed the delta is byte-identical and safe to use.
     }
 

@@ -1,8 +1,10 @@
 #include "linalg/half.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -55,6 +57,26 @@ void narrow_scalar(std::span<const float> src, std::span<Half> out) {
   for (std::size_t i = 0; i < src.size(); ++i) out[i] = float_to_half(src[i]);
 }
 
+double max_abs_scalar(std::span<const double> src) {
+  double acc = 0.0;
+  for (const double x : src) acc = std::max(acc, std::abs(x));
+  return acc;
+}
+
+void quantize_scalar(std::span<const double> src, double scale,
+                     std::span<Half> out) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    out[i] = float_to_half(static_cast<float>(src[i] / scale));
+  }
+}
+
+void dequantize_scalar(std::span<const Half> src, double scale,
+                       std::span<double> out) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    out[i] = static_cast<double>(half_to_float(src[i])) * scale;
+  }
+}
+
 #if TPA_HALF_F16C
 
 void widen_f16c(std::span<const Half> src, std::span<float> out) {
@@ -80,6 +102,67 @@ void narrow_f16c(std::span<const float> src, std::span<Half> out) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), packed);
   }
   for (; i < n; ++i) out[i] = float_to_half(src[i]);
+}
+
+double max_abs_f16c(std::span<const double> src) {
+  const std::size_t n = src.size();
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  // Four accumulators hide VMAXPD's latency.  |x| is the first operand, so a
+  // NaN lane keeps the accumulator (MAXPD returns the second operand when
+  // either is NaN) — the scalar loop's NaN rule.  Accumulators never hold
+  // NaN, and a maximum of non-NaN values is exact in any order.
+  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+  std::size_t i = 0;
+  for (const std::size_t n16 = n & ~std::size_t{15}; i < n16; i += 16) {
+    for (int k = 0; k < 4; ++k) {
+      const __m256d x = _mm256_loadu_pd(src.data() + i + 4 * k);
+      acc[k] = _mm256_max_pd(_mm256_andnot_pd(sign, x), acc[k]);
+    }
+  }
+  const __m256d folded = _mm256_max_pd(_mm256_max_pd(acc[0], acc[1]),
+                                       _mm256_max_pd(acc[2], acc[3]));
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, folded);
+  double result = std::max(std::max(lanes[0], lanes[1]),
+                           std::max(lanes[2], lanes[3]));
+  for (; i < n; ++i) result = std::max(result, std::abs(src[i]));
+  return result;
+}
+
+void quantize_f16c(std::span<const double> src, double scale,
+                   std::span<Half> out) {
+  const std::size_t n = src.size();
+  auto* dst = reinterpret_cast<std::uint16_t*>(out.data());
+  const __m256d divisor = _mm256_set1_pd(scale);
+  std::size_t i = 0;
+  for (const std::size_t n8 = n & ~std::size_t{7}; i < n8; i += 8) {
+    const __m128 lo = _mm256_cvtpd_ps(
+        _mm256_div_pd(_mm256_loadu_pd(src.data() + i), divisor));
+    const __m128 hi = _mm256_cvtpd_ps(
+        _mm256_div_pd(_mm256_loadu_pd(src.data() + i + 4), divisor));
+    const __m128i packed =
+        _mm256_cvtps_ph(_mm256_set_m128(hi, lo), _MM_FROUND_TO_NEAREST_INT);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), packed);
+  }
+  quantize_scalar(src.subspan(i), scale, out.subspan(i));
+}
+
+void dequantize_f16c(std::span<const Half> src, double scale,
+                     std::span<double> out) {
+  const std::size_t n = src.size();
+  const auto* in = reinterpret_cast<const std::uint16_t*>(src.data());
+  const __m256d factor = _mm256_set1_pd(scale);
+  std::size_t i = 0;
+  for (const std::size_t n8 = n & ~std::size_t{7}; i < n8; i += 8) {
+    const __m256 values = _mm256_cvtph_ps(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
+    const __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(values));
+    const __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(values, 1));
+    _mm256_storeu_pd(out.data() + i, _mm256_mul_pd(lo, factor));
+    _mm256_storeu_pd(out.data() + i + 4, _mm256_mul_pd(hi, factor));
+  }
+  dequantize_scalar(src.subspan(i), scale, out.subspan(i));
 }
 
 #endif  // TPA_HALF_F16C
@@ -114,6 +197,36 @@ void narrow(std::span<const float> src, std::span<Half> out) {
   }
 #endif
   narrow_scalar(src, out);
+}
+
+double max_abs(std::span<const double> src) noexcept {
+#if TPA_HALF_F16C
+  if (!use_scalar()) return max_abs_f16c(src);
+#endif
+  return max_abs_scalar(src);
+}
+
+void quantize(std::span<const double> src, double scale, std::span<Half> out) {
+  assert(out.size() >= src.size());
+#if TPA_HALF_F16C
+  if (!use_scalar()) {
+    quantize_f16c(src, scale, out);
+    return;
+  }
+#endif
+  quantize_scalar(src, scale, out);
+}
+
+void dequantize(std::span<const Half> src, double scale,
+                std::span<double> out) {
+  assert(out.size() >= src.size());
+#if TPA_HALF_F16C
+  if (!use_scalar()) {
+    dequantize_f16c(src, scale, out);
+    return;
+  }
+#endif
+  dequantize_scalar(src, scale, out);
 }
 
 bool half_hardware_build() noexcept { return TPA_HALF_F16C != 0; }

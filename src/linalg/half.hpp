@@ -111,8 +111,26 @@ void widen(std::span<const Half> src, std::span<float> out);
 /// (test_half cross-checks them).
 void narrow(std::span<const float> src, std::span<Half> out);
 
+/// max_i |src[i]|, 0 for an empty span.  NaN entries are skipped, exactly as
+/// acc = std::max(acc, |x|) skips them.  The delta codec's block scale; the
+/// vectorized backend folds four lanes with VMAXPD (exact for a maximum).
+double max_abs(std::span<const double> src) noexcept;
+
+/// out[i] = half(float(src[i] / scale)) — the delta codec's quantization:
+/// one fp64 divide (never a reciprocal multiply, which rounds differently),
+/// RNE to fp32, RNE to binary16.  Vectorized backend: VDIVPD, VCVTPD2PS,
+/// VCVTPS2PH on an F16C build; bit-identical either way.
+void quantize(std::span<const double> src, double scale, std::span<Half> out);
+
+/// out[i] = double(float(src[i])) * scale — the codec's dequantization: exact
+/// widening, then one fp64 multiply.  Vectorized backend: VCVTPH2PS,
+/// VCVTPS2PD, VMULPD on an F16C build; bit-identical either way.
+void dequantize(std::span<const Half> src, double scale,
+                std::span<double> out);
+
 /// True when the kernels TU was compiled with F16C available, i.e. the
-/// vectorized widen/narrow paths use hardware conversions.
+/// vectorized widen/narrow/quantize/dequantize paths use hardware
+/// conversions.
 bool half_hardware_build() noexcept;
 
 /// Storage precision of the shared vector in the replicated hot paths.

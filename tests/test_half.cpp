@@ -1,17 +1,25 @@
 // binary16 conversion edge cases (subnormals, infinities, NaN payloads, RNE
-// ties, overflow saturation) and the compressed delta codec: quantized
-// round-trip accuracy, wire-size formulas, and the checksum catching bit
-// flips injected into the encoded image in transit.
+// ties, overflow saturation), the codec kernels against their scalar bodies,
+// and the compressed delta codec: a bit-exact golden on both backends,
+// quantized round-trip accuracy, wire-size formulas, the transit checksum
+// catching every single-bit flip of the encoded image, and hostile frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cluster/delta_codec.hpp"
 #include "linalg/half.hpp"
+#include "linalg/kernels.hpp"
+#include "sparse/io_binary.hpp"
 
 namespace tpa::linalg {
 namespace {
@@ -196,6 +204,114 @@ TEST(Half, SpanConversionsMatchScalarBitForBit) {
   }
 }
 
+/// Inputs near scale · (fp32 tie that sits on an fp16 tie) on which
+/// quantize's divide and a reciprocal multiply disagree: the cases that make
+/// the codec divide.  Found by scanning a few ulps around each candidate.
+std::vector<double> reciprocal_rounding_edges(double scale) {
+  std::vector<double> edges;
+  // fp16 ties in [0.5, 1), rounding down (k even) and up (k odd), each
+  // nudged to the fp32 tie just above it.
+  for (int k = 0; k < 1024; k += 31) {
+    const double tie = 0.5 + (k + 0.5) * 0x1p-11;
+    double x = scale * (tie + 0x1p-25);
+    for (int step = 0; step < 8; ++step) x = std::nextafter(x, 0.0);
+    for (int step = 0; step < 16; ++step, x = std::nextafter(x, 2.0 * x)) {
+      if (float_to_half(static_cast<float>(x / scale)).bits !=
+          float_to_half(static_cast<float>(x * (1.0 / scale))).bits) {
+        edges.push_back(x);
+      }
+    }
+  }
+  return edges;
+}
+
+TEST(Half, CodecKernelsMatchScalarBodiesBitForBit) {
+  // max_abs / quantize / dequantize on both backends against the codec's
+  // per-entry formulas: edge values (NaN first and mid-vector, ±inf, signed
+  // zeros, subnormals, past FLT_MAX) at every length 0-40 for the vector
+  // tails, then a long pseudorandom span; the maximum against a NaN at every
+  // pair of positions; and the inputs a reciprocal multiply would round
+  // differently.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> src = {nan,  -0.0,    0.0,   1.0,    -0.75, 0x1p-1074,
+                             1e39, -3.5e38, inf,   -1e-310, nan,  0.5 + 0x1p-12,
+                             -inf, 3e-8,    1e-46, -2.0};
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  while (src.size() < 1013) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    src.push_back((static_cast<double>(state >> 11) * 0x1p-53 - 0.5) * 3.0);
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<std::size_t> lengths(41);  // 0-40, then the whole span
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(src.size());
+  const auto saved = kernel_backend();
+  for (const auto backend :
+       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
+    set_kernel_backend(backend);
+    for (const std::size_t len : lengths) {
+      const std::span<const double> x(src.data(), len);
+      double expected = 0.0;
+      for (const double v : x) expected = std::max(expected, std::abs(v));
+      ASSERT_EQ(bits(max_abs(x)), bits(expected)) << "len=" << len;
+      for (const double scale : {1.0, 0.7, 0x1p-30, 3.0e5, inf}) {
+        std::vector<Half> out(len);
+        quantize(x, scale, out);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(out[i].bits,
+                    float_to_half(static_cast<float>(x[i] / scale)).bits)
+              << "len=" << len << " i=" << i << " scale=" << scale;
+        }
+      }
+    }
+    // The maximum and a NaN at every pair of positions across three vector
+    // steps: a NaN may never displace the running maximum.
+    std::vector<double> mixed(src.begin() + 20, src.begin() + 68);
+    for (std::size_t top = 0; top < mixed.size(); ++top) {
+      for (std::size_t hole = 0; hole < mixed.size(); ++hole) {
+        if (hole == top) continue;
+        std::vector<double> x = mixed;
+        x[top] = -100.0;
+        x[hole] = nan;
+        ASSERT_EQ(max_abs(x), 100.0) << "top=" << top << " nan=" << hole;
+      }
+    }
+    std::size_t edge_count = 0;
+    for (const double scale : {0.7, 1.1, 0.9, 2.2e-3}) {
+      // Eight copies, so every edge also runs through the 8-wide body.
+      std::vector<double> edges;
+      for (int copy = 0; copy < 8; ++copy) {
+        const auto found = reciprocal_rounding_edges(scale);
+        edges.insert(edges.end(), found.begin(), found.end());
+      }
+      edge_count += edges.size();
+      std::vector<Half> out(edges.size());
+      quantize(edges, scale, out);
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        ASSERT_EQ(out[i].bits,
+                  float_to_half(static_cast<float>(edges[i] / scale)).bits)
+            << "x=" << edges[i] << " scale=" << scale;
+      }
+    }
+    ASSERT_GT(edge_count, 0U);
+    std::vector<Half> every(65536 + 5);  // every pattern, plus a tail
+    for (std::size_t i = 0; i < every.size(); ++i) {
+      every[i].bits = static_cast<std::uint16_t>(i);
+    }
+    for (const double scale : {1.0, 0.7, 0x1p-1000, 1e300, inf}) {
+      std::vector<double> out(every.size());
+      dequantize(every, scale, out);
+      for (std::size_t i = 0; i < every.size(); ++i) {
+        ASSERT_EQ(bits(out[i]),
+                  bits(static_cast<double>(half_to_float(every[i])) * scale))
+            << "half bits 0x" << std::hex << every[i].bits;
+      }
+    }
+  }
+  set_kernel_backend(saved);
+}
+
 TEST(Half, SharedPrecisionModeRoundTrips) {
   const auto saved = shared_precision();
   set_shared_precision(SharedPrecision::kFp16);
@@ -348,6 +464,214 @@ TEST(DeltaCodec, CorruptionFallsBackForEmptyPayload) {
   EXPECT_NE(compressed_delta_checksum(encoded), sent);
 }
 
+// --- Golden: every encoded and every decoded bit -----------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Signed zeros, subnormal doubles, doubles past FLT_MAX (their block scale
+// rounds to inf), NaN and the infinities, between ordinary values.
+constexpr double kEdgeValues[] = {
+    0.0,    -0.0,     0x1p-1074, -0x1.8p-1040, 1e-310,
+    std::numeric_limits<double>::quiet_NaN(),  kInf,  -kInf,
+    1e39,   -3.5e38,  0x1.fffffep127,          1.0,   -0.75, 3e-8};
+constexpr double kFiniteEdgeValues[] = {
+    0.0, -0.0, 0x1p-1074, -0x1.8p-1040, 1e-310, 1e39, -3.5e38,
+    0x1.fffffep127, 1.0, -0.75, 3e-8};
+// Ratios (against a block scale of 1) that tie in the fp16 rounding, in the
+// fp64 -> fp32 rounding, or in the fp16 rounding only after the fp32 one.
+constexpr double kTieValues[] = {
+    0.5 + 0x1p-12,  0.5 + 0x3p-12,  1.0 - 0x1p-12, 0x1p-25,
+    0x3p-25,        0x5p-25,        0.75 + 0x1p-25, 0.75 + 0x3p-25,
+    0.5 + 0x1p-12 + 0x1p-40};
+
+/// Deterministic uniform draw in [-1, 1) from (family, dim, i).
+double golden_uniform(int family, std::size_t dim, std::size_t i) {
+  std::uint64_t state = (static_cast<std::uint64_t>(family) << 48) ^
+                        (static_cast<std::uint64_t>(dim) << 24) ^ i;
+  for (int round = 0; round < 2; ++round) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  return static_cast<double>(state >> 11) * 0x1p-52 - 1.0;
+}
+
+/// Delta `family` of dimension `dim`: 0 edges among ordinary values, 1 the
+/// same without NaN/inf, 2 runs of 8 entries whose fp32 scale underflows to
+/// zero, 3 nothing but underflowing entries, 4 rounding ties.
+std::vector<double> golden_delta(int family, std::size_t dim) {
+  std::vector<double> delta(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double r = golden_uniform(family, dim, i);
+    switch (family) {
+      case 0:
+        delta[i] = i % 3 == 0 ? kEdgeValues[(i / 3) % std::size(kEdgeValues)]
+                              : 2.0 * r;
+        break;
+      case 1:
+        delta[i] = i % 3 == 0 ? kFiniteEdgeValues[(i / 3) %
+                                                  std::size(kFiniteEdgeValues)]
+                              : 2.0 * r;
+        break;
+      case 2:
+        delta[i] = (i / 8) % 2 == 0 ? 1e-46 * r : r;
+        break;
+      case 3:
+        delta[i] = 1e-300 * r;
+        break;
+      default: {
+        const double sign = r < 0.0 ? -1.0 : 1.0;
+        delta[i] = sign * (i % 7 == 0 ? 1.0
+                                      : kTieValues[i % std::size(kTieValues)]);
+        break;
+      }
+    }
+  }
+  return delta;
+}
+
+/// Digest of every frame and every decoded image of `family` over dims 1-17
+/// and 4096, blocks 1, 7 and 256, dense and threshold layouts.
+std::uint64_t golden_digest(int family) {
+  std::vector<std::size_t> dims;
+  for (std::size_t dim = 1; dim <= 17; ++dim) dims.push_back(dim);
+  dims.push_back(4096);
+  sparse::Fnv1a digest;
+  for (const std::size_t dim : dims) {
+    const auto delta = golden_delta(family, dim);
+    for (const std::uint32_t block : {1U, 7U, 256U}) {
+      for (const double threshold : {0.0, 0.3}) {
+        const auto frame = encode_delta(delta, {threshold, block});
+        const std::uint32_t header[] = {frame.dim, frame.block,
+                                        frame.dense ? 1U : 0U};
+        digest.update(header, sizeof(header));
+        digest.update(frame.indices.data(),
+                      frame.indices.size() * sizeof(std::uint32_t));
+        digest.update(frame.payload.data(),
+                      frame.payload.size() * sizeof(linalg::Half));
+        digest.update(frame.scales.data(), frame.scales.size() * sizeof(float));
+        std::vector<double> decoded(dim, 7.0);  // sparse decode must zero it
+        decode_delta(frame, decoded);
+        digest.update(decoded.data(), decoded.size() * sizeof(double));
+      }
+    }
+  }
+  return digest.digest();
+}
+
+TEST(DeltaCodec, EncodedImageMatchesGolden) {
+  // Recorded from the original per-entry codec loops (software fp16, scalar
+  // division): the dispatched kernels must reproduce them on both backends.
+  constexpr std::uint64_t kGolden[] = {
+      948879711004349876ULL, 13707224387321913017ULL, 3450896978466416916ULL,
+      2227025853931596171ULL, 7297818388442909480ULL};
+  const auto saved = linalg::kernel_backend();
+  for (const auto backend :
+       {linalg::KernelBackend::kScalar, linalg::KernelBackend::kVectorized}) {
+    linalg::set_kernel_backend(backend);
+    for (int family = 0; family < 5; ++family) {
+      EXPECT_EQ(golden_digest(family), kGolden[family])
+          << "family " << family << " on the "
+          << linalg::kernel_backend_name(backend) << " backend";
+    }
+  }
+  linalg::set_kernel_backend(saved);
+}
+
+TEST(DeltaCodec, ReusedFrameMatchesFreshEncode) {
+  // One frame carrying dense, sparse, empty and dense again must end every
+  // encode exactly as a fresh frame would — no index list or stale payload
+  // survives a layout change.
+  CompressedDelta frame;
+  const std::vector<double> empty;
+  const std::pair<std::vector<double>, DeltaCodecConfig> inputs[] = {
+      {ramp_delta(600), {0.0, 256}}, {ramp_delta(300), {0.3, 7}},
+      {empty, {0.5, 256}},           {ramp_delta(33), {0.0, 7}},
+      {ramp_delta(1000), {0.5, 1}},  {ramp_delta(5), {0.0, 256}}};
+  for (const auto& [delta, config] : inputs) {
+    encode_delta(delta, config, frame);
+    const auto fresh = encode_delta(delta, config);
+    EXPECT_EQ(frame.dim, fresh.dim);
+    EXPECT_EQ(frame.block, fresh.block);
+    EXPECT_EQ(frame.dense, fresh.dense);
+    EXPECT_EQ(frame.indices, fresh.indices);
+    ASSERT_EQ(frame.payload.size(), fresh.payload.size());
+    for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+      ASSERT_EQ(frame.payload[i].bits, fresh.payload[i].bits) << "i=" << i;
+    }
+    EXPECT_EQ(frame.scales, fresh.scales);
+    EXPECT_EQ(frame.checksum, fresh.checksum);
+  }
+}
+
+// --- Transit hash: every single-bit flip ------------------------------------
+
+/// Flips every bit of `bytes` bytes at `data`, one at a time, calling
+/// `caught()` after each flip; returns the flips it missed.
+template <typename Caught>
+std::size_t missed_flips(void* data, std::size_t bytes, const Caught& caught) {
+  auto* raw = static_cast<unsigned char*>(data);
+  std::size_t missed = 0;
+  for (std::size_t b = 0; b < bytes; ++b) {
+    for (int bit = 0; bit < 8; ++bit) {
+      raw[b] ^= static_cast<unsigned char>(1U << bit);
+      if (!caught()) ++missed;
+      raw[b] ^= static_cast<unsigned char>(1U << bit);
+    }
+  }
+  return missed;
+}
+
+/// Misses over every bit of every field of `frame`.
+std::size_t missed_frame_flips(CompressedDelta frame) {
+  const std::uint64_t sent = frame.checksum;
+  const auto caught = [&] { return compressed_delta_checksum(frame) != sent; };
+  std::size_t missed = missed_flips(&frame.dim, sizeof(frame.dim), caught) +
+                       missed_flips(&frame.block, sizeof(frame.block), caught);
+  frame.dense = !frame.dense;  // the layout flag is one bit on the wire
+  if (!caught()) ++missed;
+  frame.dense = !frame.dense;
+  return missed +
+         missed_flips(frame.indices.data(),
+                      frame.indices.size() * sizeof(std::uint32_t), caught) +
+         missed_flips(frame.payload.data(),
+                      frame.payload.size() * sizeof(linalg::Half), caught) +
+         missed_flips(frame.scales.data(), frame.scales.size() * sizeof(float),
+                      caught);
+}
+
+TEST(DeltaCodec, ChecksumCatchesEverySingleBitFlip) {
+  const auto dense = encode_delta(ramp_delta(300));
+  ASSERT_TRUE(dense.dense);
+  EXPECT_EQ(missed_frame_flips(dense), 0U);
+
+  const auto sparse = encode_delta(golden_delta(2, 300), {0.3, 7});
+  ASSERT_FALSE(sparse.dense);
+  ASSERT_GT(sparse.indices.size(), 50U);
+  EXPECT_EQ(missed_frame_flips(sparse), 0U);
+
+  auto raw = ramp_delta(100);
+  const std::uint64_t sent = delta_checksum(raw);
+  EXPECT_EQ(missed_flips(raw.data(), raw.size() * sizeof(double),
+                         [&] { return delta_checksum(raw) != sent; }),
+            0U);
+}
+
+TEST(DeltaCodec, ChecksumCatchesPairedSignFlips) {
+  // A multiply carries a word's top bit only upward, so without the lane
+  // rotation two flips of one high bit would cancel — here the sign bits of
+  // two fp64 entries, in the same lane or in different ones.
+  auto raw = ramp_delta(64);
+  const std::uint64_t sent = delta_checksum(raw);
+  for (std::size_t a = 0; a < 16; ++a) {
+    for (std::size_t b = a + 1; b < 16; ++b) {
+      raw[a] = -raw[a];
+      raw[b] = -raw[b];
+      EXPECT_NE(delta_checksum(raw), sent) << "entries " << a << ", " << b;
+      raw[a] = -raw[a];
+      raw[b] = -raw[b];
+    }
+  }
+}
+
 // --- Validation --------------------------------------------------------------
 
 TEST(DeltaCodec, RejectsInvalidConfigAndStructure) {
@@ -373,6 +697,30 @@ TEST(DeltaCodec, RejectsInvalidConfigAndStructure) {
   auto missing_scales = encoded;
   missing_scales.scales.clear();
   EXPECT_THROW(decode_delta(missing_scales, out), std::invalid_argument);
+}
+
+TEST(DeltaCodec, RejectsOutOfRangeOrUnsortedIndices) {
+  // A hostile sparse frame must fail as a typed error before decode writes
+  // through its index list.
+  const auto reference = encode_delta(ramp_delta(64), {0.5, 256});
+  ASSERT_FALSE(reference.dense);
+  ASSERT_GE(reference.indices.size(), 3U);
+  std::vector<double> out(reference.dim);
+  EXPECT_NO_THROW(decode_delta(reference, out));
+
+  auto out_of_range = reference;
+  out_of_range.indices.back() = 1000000;
+  EXPECT_THROW(decode_delta(out_of_range, out), std::invalid_argument);
+  out_of_range.indices.back() = reference.dim;  // one past the end
+  EXPECT_THROW(decode_delta(out_of_range, out), std::invalid_argument);
+
+  auto duplicate = reference;
+  duplicate.indices[1] = duplicate.indices[0];
+  EXPECT_THROW(decode_delta(duplicate, out), std::invalid_argument);
+
+  auto descending = reference;
+  std::swap(descending.indices[0], descending.indices[1]);
+  EXPECT_THROW(decode_delta(descending, out), std::invalid_argument);
 }
 
 }  // namespace

@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
                     "fp32");
   parser.add_flag("compress-deltas",
                   "cluster drivers: ship worker deltas quantized (fp16 "
-                  "payload + per-block fp32 scales, FNV-checksummed in "
+                  "payload + per-block fp32 scales, checksummed in "
                   "encoded form)");
   parser.add_option("delta-threshold",
                     "compressed deltas: drop entries below this fraction of "
