@@ -405,7 +405,7 @@ core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,
   std::size_t seen_events = events_.size();
   int last_checkpointed = start_epoch;
   const int interval = core::effective_gap_interval(options);
-  if (options.merge_every != 0) {
+  if (core::checked_merge_every(options.merge_every, "RunOptions") != 0) {
     set_merge_every(options.merge_every);
   }
   const auto write_checkpoint = [&](int epoch) {

@@ -37,7 +37,7 @@ DeviceSpec parse_device(const std::string& token) {
 
 core::SolverKind DeviceSpec::solver_kind() const noexcept {
   if (kind == Kind::kGpu) return gpu_solver;
-  return threads > 1 ? core::SolverKind::kAsyncReplicated
+  return threads > 1 ? core::SolverKind::kThreadedReplicated
                      : core::SolverKind::kSequential;
 }
 

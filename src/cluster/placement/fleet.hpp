@@ -41,7 +41,7 @@ struct DeviceSpec {
 
   bool is_gpu() const noexcept { return kind == Kind::kGpu; }
 
-  /// Local-solver kind this device runs (seq / rep / tpa-*).
+  /// Local-solver kind this device runs (seq / rep-threads / tpa-*).
   core::SolverKind solver_kind() const noexcept;
 
   /// Per-slot SolverConfig: `base` supplies the shared fields (seed base,

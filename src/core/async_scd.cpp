@@ -12,20 +12,18 @@ AsyncScdSolver::AsyncScdSolver(const RidgeProblem& problem, Formulation f,
                                std::uint64_t seed, CpuCostModel cost_model)
     : problem_(&problem),
       formulation_(f),
-      threads_(threads),
+      // Checked before the engine sizes its commit ring from the count.
+      threads_(threads > 0 ? threads
+                           : throw std::invalid_argument(
+                                 "AsyncScdSolver: threads must be positive")),
       policy_(policy),
       state_(ModelState::zeros(problem, f)),
       permutation_(problem.num_coordinates(f), util::Rng(seed)),
       engine_(static_cast<std::size_t>(threads), policy),
       cost_model_(cost_model),
       workload_(TimingWorkload::for_dataset(problem.dataset(), f)) {
-  if (threads <= 0) {
-    throw std::invalid_argument("AsyncScdSolver: threads must be positive");
-  }
-  const char* base = policy == CommitPolicy::kAtomicAdd ? "A-SCD"
-                     : policy == CommitPolicy::kLastWriterWins
-                         ? "PASSCoDe-Wild"
-                         : "Replicated-SCD";
+  const char* base =
+      policy == CommitPolicy::kAtomicAdd ? "A-SCD" : "PASSCoDe-Wild";
   name_ = std::string(base) + " (" + std::to_string(threads) + " threads)";
 }
 
@@ -37,8 +35,8 @@ EpochReport AsyncScdSolver::run_epoch() {
   }();
   const auto stats = [&] {
     obs::TraceSpan sweep("async_scd/sweep");
-    // `shared` may be an fp16 replica under the replicated policy.
-    const auto compute = [this](sparse::Index j, auto shared) {
+    const auto compute = [this](sparse::Index j,
+                                std::span<const float> shared) {
       return problem_->coordinate_delta(formulation_, j, shared,
                                         state_.weights[j]);
     };
@@ -48,17 +46,6 @@ EpochReport AsyncScdSolver::run_epoch() {
     const auto apply_weight = [this](sparse::Index j, double delta) {
       state_.weights[j] = static_cast<float>(state_.weights[j] + delta);
     };
-    if (policy_ == CommitPolicy::kReplicated) {
-      const auto coords = problem_->num_coordinates(formulation_);
-      const int interval =
-          merge_every_ > 0
-              ? merge_every_
-              : replica_auto_interval(problem_->dataset().nnz(), coords,
-                                      state_.shared.size(), threads_);
-      return engine_.run_epoch_replicated(
-          order, compute, vec_of, apply_weight, state_.shared, replicas_,
-          interval, replica_damping(coords, threads_, interval));
-    }
     return engine_.run_epoch(order, compute, vec_of, apply_weight,
                              state_.shared);
   }();
@@ -69,9 +56,7 @@ EpochReport AsyncScdSolver::run_epoch() {
   report.coordinate_updates = order.size();
   const double speedup = policy_ == CommitPolicy::kAtomicAdd
                              ? cost_model_.atomic_speedup(threads_)
-                         : policy_ == CommitPolicy::kLastWriterWins
-                             ? cost_model_.wild_speedup(threads_)
-                             : cost_model_.replicated_speedup(threads_);
+                             : cost_model_.wild_speedup(threads_);
   report.sim_seconds =
       cost_model_.epoch_seconds_sequential(workload_) / speedup;
 

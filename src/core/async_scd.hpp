@@ -7,7 +7,8 @@
 //     and the duality gap converges to a nonzero floor; ≈4x speed-up.
 // Both run on the AsyncEngine with `threads` concurrent lanes (see
 // round_engine.hpp for why this deterministic model is used on this
-// machine); threaded_scd.hpp provides real std::thread execution.
+// machine); threaded_scd.hpp provides real std::thread execution, and the
+// replicated solver, whose deterministic lanes need no engine.
 #pragma once
 
 #include "core/cost_model.hpp"
@@ -19,6 +20,7 @@ namespace tpa::core {
 
 class AsyncScdSolver : public Solver {
  public:
+  /// Throws std::invalid_argument on non-positive `threads`.
   AsyncScdSolver(const RidgeProblem& problem, Formulation f, int threads,
                  CommitPolicy policy, std::uint64_t seed,
                  CpuCostModel cost_model = {});
@@ -31,12 +33,6 @@ class AsyncScdSolver : public Solver {
   EpochReport run_epoch() override;
   void skip_epoch_randomness(int epochs) override {
     permutation_.skip(epochs);
-  }
-
-  /// Replicated path only: updates per lane between merges (0 = automatic,
-  /// core::replica_auto_interval).  Ignored by the atomic/wild policies.
-  void set_merge_every(int merge_every) override {
-    merge_every_ = merge_every;
   }
 
   /// Cumulative shared-vector adds lost to races (zero for atomic commits).
@@ -58,12 +54,10 @@ class AsyncScdSolver : public Solver {
   ModelState state_;
   util::EpochPermutation permutation_;
   AsyncEngine engine_;
-  ReplicaSet replicas_;  // storage persists across epochs (kReplicated only)
   CpuCostModel cost_model_;
   TimingWorkload workload_;
   std::uint64_t lost_updates_ = 0;
   int recompute_interval_ = 0;
-  int merge_every_ = 0;  // 0 = automatic interval
   int epochs_run_ = 0;
 };
 
@@ -83,17 +77,6 @@ class PasscodeWildSolver final : public AsyncScdSolver {
                      std::uint64_t seed, CpuCostModel cost_model = {})
       : AsyncScdSolver(problem, f, threads, CommitPolicy::kLastWriterWins,
                        seed, cost_model) {}
-};
-
-/// Replicated SCD (SySCD-style): per-lane replicas with periodic merge —
-/// contention-free plain stores, staleness bounded by the merge interval
-/// (replica_set.hpp, DESIGN.md §11).
-class ReplicatedScdSolver final : public AsyncScdSolver {
- public:
-  ReplicatedScdSolver(const RidgeProblem& problem, Formulation f, int threads,
-                      std::uint64_t seed, CpuCostModel cost_model = {})
-      : AsyncScdSolver(problem, f, threads, CommitPolicy::kReplicated, seed,
-                       cost_model) {}
 };
 
 }  // namespace tpa::core

@@ -143,7 +143,9 @@ ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
       options.include_setup_time ? solver.setup_sim_seconds() : 0.0;
   double wall_total = 0.0;
   const int interval = effective_gap_interval(options);
-  if (options.merge_every != 0) solver.set_merge_every(options.merge_every);
+  if (checked_merge_every(options.merge_every, "RunOptions") != 0) {
+    solver.set_merge_every(options.merge_every);
+  }
   // A gap evaluation streams the matrix once (one entry-visit per stored
   // nonzero) plus the dense vector terms; only build a pool when the cost
   // model predicts the requested workers actually beat the serial pass on

@@ -115,7 +115,7 @@ struct RunOptions {
   /// Replica-merge interval for solvers with a replicated shared vector
   /// (updates per worker between merges): 0 keeps the solver's automatic
   /// choice; forwarded via Solver::set_merge_every otherwise (no-op for
-  /// non-replicated solvers).  DESIGN.md §11.
+  /// non-replicated solvers).  Negative values throw.  DESIGN.md §11.
   int merge_every = 0;
   /// Include the solver's one-time setup (GPU upload) in cumulative time.
   bool include_setup_time = true;

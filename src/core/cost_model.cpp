@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace tpa::core {
@@ -94,6 +96,16 @@ const PoolDispatchModel& pool_dispatch() noexcept { return g_pool_dispatch; }
 
 void set_pool_dispatch(const PoolDispatchModel& model) noexcept {
   g_pool_dispatch = model;
+}
+
+int checked_merge_every(int merge_every, const char* who) {
+  if (merge_every < 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": merge_every must be >= 0 (0 = automatic), "
+                                "got " +
+                                std::to_string(merge_every));
+  }
+  return merge_every;
 }
 
 int replica_merge_interval(std::uint64_t nnz, std::uint64_t num_coordinates,

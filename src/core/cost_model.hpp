@@ -121,6 +121,11 @@ int replica_merge_interval(std::uint64_t nnz, std::uint64_t num_coordinates,
 /// deltas and SCD diverges (DESIGN.md §11); 1/64 keeps a 2x margin.
 int replica_safe_interval(std::uint64_t num_coordinates, int threads) noexcept;
 
+/// Returns `merge_every`, the updates per worker between replica merges
+/// (0 = replica_auto_interval), after rejecting a negative value: throws
+/// std::invalid_argument naming `who` and merge_every.
+int checked_merge_every(int merge_every, const char* who);
+
 /// Updates per worker between merges when RunOptions::merge_every is 0
 /// (auto): the cost-optimal interval, capped at the convergence-safe one.
 /// Callers additionally clamp to their slice length.

@@ -1,7 +1,7 @@
 #include "core/round_engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "linalg/vector_ops.hpp"
 
@@ -47,7 +47,7 @@ AsyncEngineStats AsyncEngine::run_epoch(std::span<const std::uint32_t> order,
                                         std::span<float> shared) {
   if (policy_ == CommitPolicy::kReplicated) {
     throw std::logic_error(
-        "AsyncEngine::run_epoch: kReplicated requires run_epoch_replicated");
+        "AsyncEngine::run_epoch: kReplicated runs on replicated_sweep");
   }
   AsyncEngineStats stats;
   const bool need_snapshot = policy_ == CommitPolicy::kLastWriterWins;
@@ -87,67 +87,5 @@ AsyncEngineStats AsyncEngine::run_epoch(std::span<const std::uint32_t> order,
   }
   return stats;
 }
-
-template <typename T>
-AsyncEngineStats AsyncEngine::run_replicated(
-    std::span<const std::uint32_t> order, const ComputeOn<T>& compute,
-    const VectorFn& vec_of, const WeightFn& apply_weight,
-    std::span<float> shared, ReplicaSet& replicas, int merge_every,
-    double damping) {
-  if (merge_every <= 0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: merge_every must be positive");
-  }
-  if (!(damping > 0.0) || damping > 1.0) {
-    throw std::invalid_argument(
-        "AsyncEngine::run_epoch_replicated: damping must be in (0, 1]");
-  }
-  AsyncEngineStats stats;
-  replicas.configure(shared.size(), static_cast<int>(window_),
-                     std::is_same_v<T, float> ? linalg::SharedPrecision::kFp32
-                                              : linalg::SharedPrecision::kFp16);
-  // Reseed every epoch: callers (the distributed solver in particular) may
-  // overwrite `shared` between epochs.
-  replicas.reset_from(shared);
-
-  // One merge interval = merge_every updates per lane.
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(window_) *
-      static_cast<std::uint64_t>(merge_every);
-  std::uint64_t since_merge = 0;
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    const int lane = static_cast<int>(p % window_);
-    auto rep = replicas.replica<T>(lane);
-    const auto j = order[p];
-    // The lane reads its own replica: the last merge plus its own updates
-    // since — other lanes' post-merge updates are invisible until the next
-    // merge (staleness bounded by the interval).
-    // Under-relax the exact coordinate step by θ (1.0 within the safe
-    // staleness budget): weight and shared contributions scale together, so
-    // the w = A^T·α invariant is preserved at any damping.
-    const double step = damping * compute(j, rep);
-    apply_weight(j, step);
-    const auto vec = vec_of(j);
-    // Plain in-order stores into private storage; nothing races, nothing is
-    // lost, and the result is independent of any physical schedule.
-    linalg::sparse_axpy(step, vec, rep);
-    ++stats.updates;
-    stats.committed_entries += vec.nnz();
-    if (++since_merge >= interval) {
-      replicas.merge_into(shared);
-      since_merge = 0;
-    }
-  }
-  if (since_merge > 0) replicas.merge_into(shared);
-  return stats;
-}
-
-template AsyncEngineStats AsyncEngine::run_replicated(
-    std::span<const std::uint32_t>, const ComputeOn<float>&, const VectorFn&,
-    const WeightFn&, std::span<float>, ReplicaSet&, int, double);
-template AsyncEngineStats AsyncEngine::run_replicated(
-    std::span<const std::uint32_t>, const ComputeOn<linalg::Half>&,
-    const VectorFn&, const WeightFn&, std::span<float>, ReplicaSet&, int,
-    double);
 
 }  // namespace tpa::core

@@ -25,7 +25,9 @@
 // Everything is deterministic given the epoch permutation; on a one-core CI
 // machine this is *more* faithful to the paper's 16-thread / many-block
 // behaviour than real threads would be (threaded_scd.hpp provides the real-
-// thread path).
+// thread path).  The third policy, kReplicated, has no commit ring to model:
+// its lanes own private replicas, so core::replicated_sweep (threaded_scd.hpp)
+// runs it deterministically on any schedule and the engine refuses it.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "core/replica_set.hpp"
 #include "sparse/csr.hpp"
 
 namespace tpa::core {
@@ -42,6 +43,7 @@ enum class CommitPolicy {
   kAtomicAdd,        // every lane's update lands (A-SCD, TPA-SCD)
   kLastWriterWins,   // racing read-modify-writes lose updates (Wild)
   kReplicated,       // plain stores into per-lane replicas, periodic merge
+                     // (core::replicated_sweep; not an engine policy)
 };
 
 struct AsyncEngineStats {
@@ -60,11 +62,9 @@ class AsyncEngine {
   CommitPolicy policy() const noexcept { return policy_; }
 
   /// Computes the update delta for coordinate j from the currently visible
-  /// shared vector, stored as T.
-  template <typename T>
-  using ComputeOn =
-      std::function<double(sparse::Index j, std::span<const T> shared)>;
-  using ComputeFn = ComputeOn<float>;
+  /// shared vector.
+  using ComputeFn =
+      std::function<double(sparse::Index j, std::span<const float> shared)>;
   /// Returns coordinate j's sparse vector (the scatter pattern of its
   /// shared-vector update).
   using VectorFn = std::function<sparse::SparseVectorView(sparse::Index j)>;
@@ -74,56 +74,13 @@ class AsyncEngine {
   /// Runs one epoch over `order` (a permutation of the coordinates),
   /// mutating `shared` in place; all in-flight updates are drained before
   /// returning.  Requires policy kAtomicAdd or kLastWriterWins — the
-  /// replicated pipeline lives in run_epoch_replicated.
+  /// replicated policy runs on core::replicated_sweep.
   AsyncEngineStats run_epoch(std::span<const std::uint32_t> order,
                              const ComputeFn& compute, const VectorFn& vec_of,
                              const WeightFn& apply_weight,
                              std::span<float> shared);
 
-  /// Replicated (SySCD-style) variant of the same pipeline: lane p % window
-  /// computes against and scatters into its own replica with plain stores —
-  /// no commit ring, no per-entry races — and all replicas are folded into
-  /// `shared` every window × merge_every updates (and once more at epoch
-  /// end).  Staleness is bounded by the merge interval instead of the
-  /// in-flight window; with window == 1 and merge_every == 1 this is
-  /// bit-exact sequential SCD.  `replicas` is caller-owned so its storage
-  /// persists across epochs; it is (re)configured and reseeded from `shared`
-  /// here.  merge_every must be positive.  `damping` ∈ (0, 1] under-relaxes
-  /// every update delta (weights and shared together) — callers pass
-  /// core::replica_damping so large merge intervals slow down instead of
-  /// diverging; 1.0 (the exact coordinate step) within the safe budget.
-  ///
-  /// The one place this pipeline reads linalg::shared_precision(): under
-  /// kFp16 the replicas are stored as linalg::Half (DESIGN.md §16), so
-  /// `compute` must accept a replica span of either storage type —
-  /// typically a lambda taking `auto`.
-  template <typename Compute>
-  AsyncEngineStats run_epoch_replicated(std::span<const std::uint32_t> order,
-                                        const Compute& compute,
-                                        const VectorFn& vec_of,
-                                        const WeightFn& apply_weight,
-                                        std::span<float> shared,
-                                        ReplicaSet& replicas, int merge_every,
-                                        double damping = 1.0) {
-    if (linalg::shared_precision() == linalg::SharedPrecision::kFp16) {
-      return run_replicated<linalg::Half>(order, compute, vec_of,
-                                          apply_weight, shared, replicas,
-                                          merge_every, damping);
-    }
-    return run_replicated<float>(order, compute, vec_of, apply_weight, shared,
-                                 replicas, merge_every, damping);
-  }
-
  private:
-  // The replicated body for replicas stored as T (float or linalg::Half);
-  // instantiated for both in round_engine.cpp.
-  template <typename T>
-  AsyncEngineStats run_replicated(
-      std::span<const std::uint32_t> order, const ComputeOn<T>& compute,
-      const VectorFn& vec_of, const WeightFn& apply_weight,
-      std::span<float> shared, ReplicaSet& replicas, int merge_every,
-      double damping);
-
   struct PendingUpdate {
     sparse::Index coord = 0;
     double delta = 0.0;

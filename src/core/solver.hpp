@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "core/cost_model.hpp"
 #include "core/model.hpp"
 #include "core/ridge_problem.hpp"
 
@@ -39,8 +40,10 @@ class Solver {
   /// Replica-merge interval for solvers with a replicated shared vector:
   /// updates per lane between merges; 0 restores the solver's automatic
   /// choice (core::replica_auto_interval).  No-op for solvers without a
-  /// replicated path.
-  virtual void set_merge_every(int merge_every) { (void)merge_every; }
+  /// replicated path; every solver rejects a negative value.
+  virtual void set_merge_every(int merge_every) {
+    checked_merge_every(merge_every, "Solver");
+  }
 
   /// Advances the solver's per-epoch randomness (the coordinate
   /// permutation stream) past `epochs` epochs without doing any work.  The

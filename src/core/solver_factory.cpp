@@ -11,6 +11,7 @@ namespace tpa::core {
 
 std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
                                     const SolverConfig& config) {
+  checked_merge_every(config.merge_every, "SolverConfig");
   auto with_merge = [&config](std::unique_ptr<Solver> solver) {
     if (config.merge_every != 0) solver->set_merge_every(config.merge_every);
     return solver;
@@ -27,10 +28,6 @@ std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
       return std::make_unique<PasscodeWildSolver>(
           problem, config.formulation, config.threads, config.seed,
           config.cpu_cost);
-    case SolverKind::kAsyncReplicated:
-      return with_merge(std::make_unique<ReplicatedScdSolver>(
-          problem, config.formulation, config.threads, config.seed,
-          config.cpu_cost));
     case SolverKind::kThreadedAtomic:
       return std::make_unique<ThreadedScdSolver>(
           problem, config.formulation, config.threads,
@@ -65,7 +62,6 @@ SolverKind parse_solver_kind(const std::string& name) {
   if (name == "seq") return SolverKind::kSequential;
   if (name == "ascd") return SolverKind::kAsyncAtomic;
   if (name == "wild") return SolverKind::kAsyncWild;
-  if (name == "rep") return SolverKind::kAsyncReplicated;
   if (name == "ascd-threads") return SolverKind::kThreadedAtomic;
   if (name == "wild-threads") return SolverKind::kThreadedWild;
   if (name == "rep-threads") return SolverKind::kThreadedReplicated;
@@ -82,8 +78,6 @@ const char* solver_kind_name(SolverKind kind) {
       return "ascd";
     case SolverKind::kAsyncWild:
       return "wild";
-    case SolverKind::kAsyncReplicated:
-      return "rep";
     case SolverKind::kThreadedAtomic:
       return "ascd-threads";
     case SolverKind::kThreadedWild:

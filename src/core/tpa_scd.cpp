@@ -1,6 +1,7 @@
 #include "core/tpa_scd.hpp"
 
 #include "core/cost_model.hpp"
+#include "core/threaded_scd.hpp"
 #include "linalg/half.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -37,6 +38,7 @@ TpaScdSolver::TpaScdSolver(const RidgeProblem& problem, Formulation f,
       timing_(options.device),
       memory_(options.device),
       workload_(make_workload(problem, f)) {
+  checked_merge_every(options_.merge_every, "TpaScdSolver");
   // "The dataset ... is transferred into the GPU memory once at the
   // beginning of operation and does not move" (paper Section V.A).
   const auto& dataset = problem.dataset();
@@ -68,43 +70,43 @@ EpochReport TpaScdSolver::run_epoch() {
   // closed-form delta.  The batched write-back may hand it an fp16 replica,
   // whose elements widen exactly, so only the storage rounding differs.
   const bool primal = formulation_ == Formulation::kPrimal;
-  const auto compute = [&](sparse::Index j, auto shared) {
+  const auto block_step = [&](sparse::Index j, auto shared, double weight_j) {
     const auto vec = problem_->coordinate_vector(formulation_, j);
     const double dot = block_.strided_reduce(vec.nnz(), [&](std::size_t k) {
       const auto i = vec.indices[k];
       const float s = linalg::to_float(shared[i]);
       return (primal ? labels[i] - s : s) * vec.values[k];
     });
-    return problem_->closed_form_delta(formulation_, j, dot,
-                                       state_.weights[j]);
-  };
-  const AsyncEngine::VectorFn vec_of = [this](sparse::Index j) {
-    return problem_->coordinate_vector(formulation_, j);
-  };
-  const AsyncEngine::WeightFn apply_weight = [this](sparse::Index j,
-                                                    double delta) {
-    state_.weights[j] = static_cast<float>(state_.weights[j] + delta);
+    return problem_->closed_form_delta(formulation_, j, dot, weight_j);
   };
   if (options_.merge_every > 0) {
-    // Batched write-back: resident blocks scatter into per-lane replicas and
-    // the device folds them every merge_every updates per lane — the same
-    // delta-merge primitive the CPU replicated solvers use.  With hundreds
-    // of resident blocks the concurrent staleness is large even at
-    // merge_every=1, so the damping factor matters here more than on the
-    // CPU paths.
-    const auto coords = problem_->num_coordinates(formulation_);
-    engine_.run_epoch_replicated(
-        order, compute, vec_of, apply_weight, state_.shared, replicas_,
-        options_.merge_every,
-        replica_damping(coords, static_cast<int>(engine_.window()),
-                        options_.merge_every));
+    // Batched write-back: the resident blocks are the lanes of the CPU
+    // replicated solver's sweep, folded every merge_every updates per lane.
+    // With hundreds of resident blocks the concurrent staleness is large
+    // even at merge_every=1, so the damping factor matters here more than
+    // on the CPU paths.
+    replicated_sweep(*problem_, formulation_, order, state_.weights,
+                     state_.shared, replicas_,
+                     static_cast<int>(engine_.window()), options_.merge_every,
+                     /*pool=*/nullptr, block_step);
   } else {
-    engine_.run_epoch(order, compute, vec_of, apply_weight, state_.shared);
+    engine_.run_epoch(
+        order,
+        [&](sparse::Index j, std::span<const float> shared) {
+          return block_step(j, shared, state_.weights[j]);
+        },
+        [this](sparse::Index j) {
+          return problem_->coordinate_vector(formulation_, j);
+        },
+        [this](sparse::Index j, double delta) {
+          state_.weights[j] = static_cast<float>(state_.weights[j] + delta);
+        },
+        state_.shared);
   }
 
   // The bandwidth model prices the shared-vector traffic at the storage
   // width the epoch actually ran with: the replicas' precision, which the
-  // engine picked from the process-wide mode; the atomic-commit path is
+  // sweep picked from the process-wide mode; the atomic-commit path is
   // always fp32 (float atomics have no 16-bit form).
   workload_.shared_value_bytes =
       options_.merge_every > 0

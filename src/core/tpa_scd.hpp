@@ -19,6 +19,7 @@
 // which is exactly the paper's motivation for the distributed Section V).
 #pragma once
 
+#include "core/replica_set.hpp"
 #include "core/round_engine.hpp"
 #include "core/solver.hpp"
 #include "gpusim/block_context.hpp"
@@ -42,10 +43,11 @@ struct TpaScdOptions {
   /// convergence degrades.
   int async_window_override = 0;
   /// 0 (default): every block commits its shared-vector update immediately
-  /// with hardware float atomics — the paper's write-back.  > 0: blocks
-  /// batch write-backs through the replica delta-merge primitive instead
-  /// (per-lane replicas folded every merge_every updates per lane), the
-  /// same code path the CPU replicated solvers use (replica_set.hpp).
+  /// with hardware float atomics — the paper's write-back.  > 0: the
+  /// resident blocks are the lanes of core::replicated_sweep, the CPU
+  /// replicated solver's body, and batch their write-backs into per-lane
+  /// replicas folded every merge_every updates per lane.  Must not be
+  /// negative.
   int merge_every = 0;
 };
 
@@ -70,9 +72,9 @@ class TpaScdSolver final : public Solver {
 
   /// Switches between per-update atomic write-back (0, the default) and
   /// batched write-back through the replica merge (> 0); see
-  /// TpaScdOptions::merge_every.
+  /// TpaScdOptions::merge_every.  Negative values throw.
   void set_merge_every(int merge_every) override {
-    options_.merge_every = merge_every;
+    options_.merge_every = checked_merge_every(merge_every, "TpaScdSolver");
   }
 
   const gpusim::DeviceSpec& device() const noexcept { return options_.device; }

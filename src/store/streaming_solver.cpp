@@ -38,6 +38,7 @@ StreamingScdSolver::StreamingScdSolver(const StreamingDataset& source,
           throw std::invalid_argument(
               "StreamingScdSolver: threads must be positive");
         }
+        core::checked_merge_every(config.merge_every, "StreamingScdSolver");
         if (source.num_shards() == 0 || source.rows() == 0 ||
             source.cols() == 0) {
           throw std::invalid_argument(
@@ -57,8 +58,10 @@ StreamingScdSolver::StreamingScdSolver(const StreamingDataset& source,
                             master.split());
   }
   if (config_.threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(config_.threads));
+    // `threads` lanes share as many workers as the host runs at once; the
+    // lane count alone fixes the trajectory.
+    pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(
+        core::pool_dispatch().effective_threads(config_.threads)));
   }
 }
 
@@ -86,8 +89,8 @@ void StreamingScdSolver::sweep_shard(const ResidentShard& shard) {
           static_cast<std::size_t>(shard.dataset.num_examples()));
   if (config_.threads > 1) {
     core::replicated_sweep(problem, core::Formulation::kDual, order, weights,
-                           shared_, replicas_, *pool_, config_.threads,
-                           config_.merge_every);
+                           shared_, replicas_, config_.threads,
+                           config_.merge_every, pool_.get());
   } else {
     core::scd_sweep(problem, core::Formulation::kDual, order, weights,
                     shared_);

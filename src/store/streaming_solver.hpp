@@ -54,21 +54,23 @@ namespace tpa::store {
 struct StreamingConfig {
   double lambda = 1e-3;
   std::uint64_t seed = 42;
-  /// 1 = sequential sweep per shard; >1 = replicated sweep across a pool.
+  /// 1 = sequential sweep per shard; >1 = replicated sweep with this many
+  /// lanes, on a pool sized to the host.
   int threads = 1;
   /// Decoded shards allowed in memory at once (>= 1; 2 = double buffer).
   std::size_t resident_shards = 2;
   /// false = load inline in acquire() (the no-overlap control arm).
   bool async_prefetch = true;
-  /// Replicated sweeps: updates per worker between merges (0 = auto).
+  /// Replicated sweeps: updates per lane between merges (0 = auto; must
+  /// not be negative).
   int merge_every = 0;
 };
 
 class StreamingScdSolver {
  public:
   /// `source` must outlive the solver.  Throws std::invalid_argument on a
-  /// lambda that is not positive and finite, non-positive threads or an
-  /// empty source.
+  /// lambda that is not positive and finite, non-positive threads, a
+  /// negative merge_every or an empty source.
   StreamingScdSolver(const StreamingDataset& source, StreamingConfig config);
 
   const std::string& name() const noexcept { return name_; }

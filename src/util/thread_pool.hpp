@@ -1,8 +1,8 @@
-// Fixed-size thread pool used by the real-threaded variants of the
-// asynchronous CPU solvers (A-SCD / PASSCoDe-Wild / replicated) and the
-// pooled objective/gap passes.  The deterministic interleaved engine in
-// core/ is the default for experiments; this pool lets the same solvers
-// also run on genuine hardware threads.
+// Fixed-size thread pool used by the real-threaded A-SCD / PASSCoDe-Wild
+// solvers (one worker per thread), by core::replicated_sweep (as many
+// workers as the host runs at once, whatever the lane count — the lanes
+// are deterministic, so the pool only decides where they run) and by the
+// pooled objective/gap passes.
 //
 // Wakeup is spin-then-park: a worker that runs out of work spins on an
 // atomic pending-task counter for a bounded number of pause iterations

@@ -1,8 +1,8 @@
 // Loss conformance: every loss of RidgeProblem under every make_solver kind.
 //   - At η = 0 the elastic net is ridge primal bit for bit — weights, shared
 //     vector and each epoch's sim_seconds — on every deterministic kind ×
-//     fp32/fp16 shared-vector storage × scalar/vectorized kernels (28 arms).
-//   - The elastic net (η = 0.5) and the hinge loss converge under all nine
+//     fp32/fp16 shared-vector storage × scalar/vectorized kernels (24 arms).
+//   - The elastic net (η = 0.5) and the hinge loss converge under all eight
 //     kinds at both storage precisions.  Wild's lost updates leave both
 //     losses a floor, as they do for ridge, so their two Wild kinds assert
 //     only a finite measure (and, for the hinge, a feasible dual); the
@@ -31,20 +31,18 @@ using linalg::KernelBackend;
 using linalg::SharedPrecision;
 
 constexpr SolverKind kAllKinds[] = {
-    SolverKind::kSequential,     SolverKind::kAsyncAtomic,
-    SolverKind::kAsyncWild,      SolverKind::kAsyncReplicated,
-    SolverKind::kThreadedAtomic, SolverKind::kThreadedWild,
-    SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
-    SolverKind::kTpaTitanX,
+    SolverKind::kSequential,         SolverKind::kAsyncAtomic,
+    SolverKind::kAsyncWild,          SolverKind::kThreadedAtomic,
+    SolverKind::kThreadedWild,       SolverKind::kThreadedReplicated,
+    SolverKind::kTpaM4000,           SolverKind::kTpaTitanX,
 };
 
 // The kinds whose trajectory is a pure function of the seed: all but the
 // real-thread atomic and wild races.
 constexpr SolverKind kDeterministicKinds[] = {
     SolverKind::kSequential,         SolverKind::kAsyncAtomic,
-    SolverKind::kAsyncWild,          SolverKind::kAsyncReplicated,
-    SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
-    SolverKind::kTpaTitanX,
+    SolverKind::kAsyncWild,          SolverKind::kThreadedReplicated,
+    SolverKind::kTpaM4000,           SolverKind::kTpaTitanX,
 };
 
 /// Selects a kernel backend and shared-vector precision for one scope.
@@ -169,11 +167,6 @@ std::vector<ConvergenceArm> convergence_arms() {
   return arms;
 }
 
-bool replicated(SolverKind kind) {
-  return kind == SolverKind::kAsyncReplicated ||
-         kind == SolverKind::kThreadedReplicated;
-}
-
 bool wild(SolverKind kind) {
   return kind == SolverKind::kAsyncWild || kind == SolverKind::kThreadedWild;
 }
@@ -209,7 +202,7 @@ TEST_P(LossConvergence, ReachesItsBoundAfterFortyEpochs) {
     // Measured max KKT violation at w = Aβ: ≤ 1.5e-8, except 7.7e-5 with
     // fp16 replicas.
     EXPECT_LT(gap, arm.precision == SharedPrecision::kFp16 &&
-                           replicated(arm.kind)
+                           arm.kind == SolverKind::kThreadedReplicated
                        ? 5e-4
                        : 1e-7);
   }

@@ -49,7 +49,7 @@ TEST(FleetSpec, ParsesMixedFleet) {
   for (int k = 4; k < 8; ++k) {
     EXPECT_FALSE(fleet[k].is_gpu());
     EXPECT_EQ(fleet[k].threads, 4);
-    EXPECT_EQ(fleet[k].solver_kind(), core::SolverKind::kAsyncReplicated);
+    EXPECT_EQ(fleet[k].solver_kind(), core::SolverKind::kThreadedReplicated);
   }
   EXPECT_TRUE(fleet_has_gpu(fleet));
   EXPECT_EQ(fleet_summary(fleet), "4xtitanx + 4xcpu:4 (8 workers)");
@@ -81,7 +81,7 @@ TEST(FleetSpec, SolverConfigKeepsBaseSeedAndMergeInterval) {
   base.seed = 4242;
   base.merge_every = 32;
   const auto cpu = DeviceSpec::cpu_pool(8).solver_config(base);
-  EXPECT_EQ(cpu.kind, core::SolverKind::kAsyncReplicated);
+  EXPECT_EQ(cpu.kind, core::SolverKind::kThreadedReplicated);
   EXPECT_EQ(cpu.threads, 8);
   EXPECT_EQ(cpu.seed, 4242u);
   EXPECT_EQ(cpu.merge_every, 32);

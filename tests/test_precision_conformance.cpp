@@ -14,7 +14,9 @@
 // The expected digests were recorded before the fp16 twins of the kernels,
 // the coordinate step, the replicated engine and ReplicaSet were folded into
 // their fp32 bodies, so any refactor that moves one bit of either
-// instantiation fails here by arm name.
+// instantiation fails here by arm name.  The repthreads and streaming
+// digests were re-recorded when every replicated path moved onto
+// core::replicated_sweep's strided lanes; every other digest held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +27,6 @@
 #include <vector>
 
 #include "cluster/dist_solver.hpp"
-#include "core/async_scd.hpp"
 #include "core/cost_model.hpp"
 #include "core/seq_scd.hpp"
 #include "core/threaded_scd.hpp"
@@ -60,8 +61,8 @@ const data::Dataset& corpus() {
 
 enum class Kind {
   kSeq,               // control: no replicas, ignores the precision mode
-  kRep16,             // ReplicatedScdSolver, 16 lanes, auto interval
-  kRep1,              // ReplicatedScdSolver, 1 lane, merge_every 1
+  kRep16,             // ThreadedScdSolver kReplicated, 16 lanes, auto
+  kRep1,              // ThreadedScdSolver kReplicated, 1 lane, merge_every 1
   kRepThreadsInline,  // ThreadedScdSolver kReplicated, 4 threads, inline
   kRepThreadsPooled,  // same, rounds forced onto the pool
   kTpaBatched,        // TPA-SCD Titan X, merge_every 2
@@ -168,12 +169,14 @@ std::uint64_t run_arm(const Arm& arm) {
       break;
     }
     case Kind::kRep16: {
-      ReplicatedScdSolver solver(problem, arm.formulation, 16, kSeed);
+      ThreadedScdSolver solver(problem, arm.formulation, 16,
+                               CommitPolicy::kReplicated, kSeed);
       run_solver(solver, digest);
       break;
     }
     case Kind::kRep1: {
-      ReplicatedScdSolver solver(problem, arm.formulation, 1, kSeed);
+      ThreadedScdSolver solver(problem, arm.formulation, 1,
+                               CommitPolicy::kReplicated, kSeed);
       solver.set_merge_every(1);
       run_solver(solver, digest);
       break;
@@ -259,15 +262,15 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"rep16_dual_fp32_scalar", 0xca7608f72342e12dULL},
       {"rep1_primal_fp32_scalar", 0xda655736c86cf451ULL},
       {"rep1_dual_fp32_scalar", 0x4a4a351c3d4b5d10ULL},
-      {"repthreads_inline_primal_fp32_scalar", 0xdc4e0179f2b0c9ffULL},
-      {"repthreads_inline_dual_fp32_scalar", 0x86c7d527f48a0619ULL},
-      {"repthreads_pooled_primal_fp32_scalar", 0xdc4e0179f2b0c9ffULL},
-      {"repthreads_pooled_dual_fp32_scalar", 0x86c7d527f48a0619ULL},
+      {"repthreads_inline_primal_fp32_scalar", 0xf583063181885046ULL},
+      {"repthreads_inline_dual_fp32_scalar", 0xd7dae389a09f5942ULL},
+      {"repthreads_pooled_primal_fp32_scalar", 0xf583063181885046ULL},
+      {"repthreads_pooled_dual_fp32_scalar", 0xd7dae389a09f5942ULL},
       {"tpa_merge2_primal_fp32_scalar", 0x44aace2a0685ac64ULL},
       {"tpa_merge2_dual_fp32_scalar", 0x9afb4b4843b38d91ULL},
       {"tpa_atomic_primal_fp32_scalar", 0xf88d6c1683ec4ddeULL},
       {"tpa_atomic_dual_fp32_scalar", 0xee94b9c94b81678dULL},
-      {"streaming_dual_fp32_scalar", 0x7b3d94775dcf7879ULL},
+      {"streaming_dual_fp32_scalar", 0x26ef650ab5b03ab4ULL},
       {"cluster_tpa_primal_fp32_scalar", 0x1ab85dce66192251ULL},
       {"cluster_tpa_dual_fp32_scalar", 0xbbd48a66ed4440d0ULL},
       {"seq_primal_fp16_scalar", 0xda655736c86cf451ULL},
@@ -276,15 +279,15 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"rep16_dual_fp16_scalar", 0x5a6a4d6526e54066ULL},
       {"rep1_primal_fp16_scalar", 0x33b018b01fc27c70ULL},
       {"rep1_dual_fp16_scalar", 0x2d0b49cf52f88d63ULL},
-      {"repthreads_inline_primal_fp16_scalar", 0x74bd725af708a4e3ULL},
-      {"repthreads_inline_dual_fp16_scalar", 0x4fca37fa395878d5ULL},
-      {"repthreads_pooled_primal_fp16_scalar", 0x74bd725af708a4e3ULL},
-      {"repthreads_pooled_dual_fp16_scalar", 0x4fca37fa395878d5ULL},
+      {"repthreads_inline_primal_fp16_scalar", 0x1d528463cee2247bULL},
+      {"repthreads_inline_dual_fp16_scalar", 0x8a7eb483fca1d793ULL},
+      {"repthreads_pooled_primal_fp16_scalar", 0x1d528463cee2247bULL},
+      {"repthreads_pooled_dual_fp16_scalar", 0x8a7eb483fca1d793ULL},
       {"tpa_merge2_primal_fp16_scalar", 0xf5888d12b288e406ULL},
       {"tpa_merge2_dual_fp16_scalar", 0x7f529bbfa85beea0ULL},
       {"tpa_atomic_primal_fp16_scalar", 0xf88d6c1683ec4ddeULL},
       {"tpa_atomic_dual_fp16_scalar", 0xee94b9c94b81678dULL},
-      {"streaming_dual_fp16_scalar", 0x77336ec243eef002ULL},
+      {"streaming_dual_fp16_scalar", 0x985483f4b29d7574ULL},
       {"cluster_tpa_primal_fp16_scalar", 0x863a0e3b6531822aULL},
       {"cluster_tpa_dual_fp16_scalar", 0x3cebc7561b4cea7dULL},
       {"seq_primal_fp16_vec", 0xda655736c86cf451ULL},
@@ -293,15 +296,15 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"rep16_dual_fp16_vec", 0x5a6a4d6526e54066ULL},
       {"rep1_primal_fp16_vec", 0x33b018b01fc27c70ULL},
       {"rep1_dual_fp16_vec", 0x2d0b49cf52f88d63ULL},
-      {"repthreads_inline_primal_fp16_vec", 0x74bd725af708a4e3ULL},
-      {"repthreads_inline_dual_fp16_vec", 0x4fca37fa395878d5ULL},
-      {"repthreads_pooled_primal_fp16_vec", 0x74bd725af708a4e3ULL},
-      {"repthreads_pooled_dual_fp16_vec", 0x4fca37fa395878d5ULL},
+      {"repthreads_inline_primal_fp16_vec", 0x1d528463cee2247bULL},
+      {"repthreads_inline_dual_fp16_vec", 0x8a7eb483fca1d793ULL},
+      {"repthreads_pooled_primal_fp16_vec", 0x1d528463cee2247bULL},
+      {"repthreads_pooled_dual_fp16_vec", 0x8a7eb483fca1d793ULL},
       {"tpa_merge2_primal_fp16_vec", 0xf5888d12b288e406ULL},
       {"tpa_merge2_dual_fp16_vec", 0x7f529bbfa85beea0ULL},
       {"tpa_atomic_primal_fp16_vec", 0xf88d6c1683ec4ddeULL},
       {"tpa_atomic_dual_fp16_vec", 0xee94b9c94b81678dULL},
-      {"streaming_dual_fp16_vec", 0x77336ec243eef002ULL},
+      {"streaming_dual_fp16_vec", 0x985483f4b29d7574ULL},
       {"cluster_tpa_primal_fp16_vec", 0x863a0e3b6531822aULL},
       {"cluster_tpa_dual_fp16_vec", 0x3cebc7561b4cea7dULL},
   };

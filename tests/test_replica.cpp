@@ -1,8 +1,9 @@
 // Shared-vector replication (DESIGN.md §11): ReplicaSet layout and merge
-// semantics, bit-exactness of the merge_every=1 single-worker path against
-// the sequential solver, tolerance-bounded convergence equivalence of the
-// multi-worker paths, schedule independence under forced pool dispatch, and
-// the factory/engine plumbing for the replicated solver kinds.
+// semantics, the lane contract of core::replicated_sweep, bit-exactness of
+// the merge_every=1 single-worker path against the sequential solver,
+// tolerance-bounded convergence equivalence of the multi-worker paths,
+// schedule independence under forced pool dispatch, and the factory
+// plumbing for the replicated solver kind.
 #include "core/replica_set.hpp"
 
 #include <gtest/gtest.h>
@@ -10,10 +11,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/async_scd.hpp"
+#include "core/convergence.hpp"
 #include "core/cost_model.hpp"
 #include "core/round_engine.hpp"
 #include "core/seq_scd.hpp"
@@ -21,6 +26,7 @@
 #include "core/threaded_scd.hpp"
 #include "core/tpa_scd.hpp"
 #include "data/generators.hpp"
+#include "obs/trace.hpp"
 #include "util/aligned.hpp"
 #include "util/permutation.hpp"
 #include "util/rng.hpp"
@@ -232,41 +238,188 @@ TEST(AsyncEngine, RunEpochRejectsReplicatedPolicy) {
       std::logic_error);
 }
 
-TEST(AsyncEngine, RunEpochReplicatedRejectsNonPositiveMergeEvery) {
-  AsyncEngine engine(2, CommitPolicy::kReplicated);
-  std::vector<sparse::Index> order = {0};
-  std::vector<float> shared(4, 0.0F);
+/// Expects `fn` to throw std::invalid_argument whose message names
+/// merge_every.
+template <typename Fn>
+void expect_rejects_merge_every(const Fn& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "a negative merge_every was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("merge_every"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReplicatedSweep, RejectsNegativeMergeEveryAndNonPositiveLanes) {
+  const RidgeProblem problem(webspam_small(), 1e-3);
+  const std::vector<std::uint32_t> order = {0, 1, 2};
+  std::vector<float> weights(problem.num_coordinates(Formulation::kDual));
+  std::vector<float> shared(problem.shared_dim(Formulation::kDual));
   ReplicaSet replicas;
-  EXPECT_THROW(
-      engine.run_epoch_replicated(
-          order, [](sparse::Index, auto) { return 0.0; },
-          [&](sparse::Index) {
-            return sparse::SparseVectorView{};
-          },
-          [](sparse::Index, double) {}, shared, replicas, 0),
-      std::invalid_argument);
+  expect_rejects_merge_every([&] {
+    replicated_sweep(problem, Formulation::kDual, order, weights, shared,
+                     replicas, 2, -1);
+  });
+  for (const int lanes : {0, -1}) {
+    EXPECT_THROW(replicated_sweep(problem, Formulation::kDual, order, weights,
+                                  shared, replicas, lanes, 0),
+                 std::invalid_argument)
+        << lanes;
+  }
+  // Nothing ran: the weights are untouched.
+  EXPECT_EQ(weights, std::vector<float>(weights.size(), 0.0F));
+}
+
+// merge_every counts updates per worker between merges (0 = automatic); a
+// negative count means nothing and is refused by name wherever it enters,
+// including by the solvers that ignore the interval.
+TEST(ReplicatedSweep, NegativeMergeEveryIsRejectedWhereverItEnters) {
+  const RidgeProblem problem(webspam_small(), 1e-3);
+  for (const auto kind :
+       {SolverKind::kThreadedReplicated, SolverKind::kSequential}) {
+    SolverConfig config;
+    config.kind = kind;
+    config.threads = 2;
+    config.merge_every = -4;
+    expect_rejects_merge_every([&] { (void)make_solver(problem, config); });
+  }
+  SeqScdSolver seq(problem, Formulation::kDual, 7);
+  RunOptions options;
+  options.max_epochs = 1;
+  options.merge_every = -4;
+  expect_rejects_merge_every([&] { (void)run_solver(seq, problem, options); });
+  expect_rejects_merge_every([&] { seq.set_merge_every(-1); });
+  ThreadedScdSolver threaded(problem, Formulation::kDual, 2,
+                             CommitPolicy::kReplicated, 7);
+  expect_rejects_merge_every([&] { threaded.set_merge_every(-1); });
+  TpaScdOptions tpa_options;
+  tpa_options.merge_every = -1;
+  expect_rejects_merge_every(
+      [&] { TpaScdSolver(problem, Formulation::kDual, 7, tpa_options); });
+  TpaScdSolver tpa(problem, Formulation::kDual, 7);
+  expect_rejects_merge_every([&] { tpa.set_merge_every(-1); });
+}
+
+// The lane contract every replicated path shares: lane t owns order[t],
+// order[t + W], order[t + 2W], …; a round advances each lane by m of its
+// coordinates against its own replica, then the replicas merge in replica
+// order.  A step that always moves 1.0 along rows whose entry 0 is 1 makes
+// the contract visible: entry 0 of the replica a lane reads counts every
+// update merged before the round plus the lane's own earlier updates in it.
+// The inline schedule runs the lanes of a round in replica order, so the
+// call sequence itself is fixed too.  Entry 1 gets values of mixed
+// magnitude, whose float sum tells the merge orders apart.
+TEST(ReplicatedSweep, LaneTOwnsEveryWthCoordinateInRoundsOfM) {
+  // 262 rows: θ = 1 at W = 3, m = 2 (staleness 4 within 262/64), and a
+  // ragged last round (lane 0 owns 88 rows, lanes 1 and 2 own 87).
+  constexpr std::uint32_t kRows = 262;
+  constexpr int kLanes = 3;
+  constexpr int kMergeEvery = 2;
+  std::vector<sparse::Offset> row_offsets(kRows + 1);
+  std::vector<sparse::Index> columns;
+  std::vector<float> values;
+  util::Rng rng(21);
+  for (std::uint32_t n = 0; n < kRows; ++n) {
+    row_offsets[n + 1] = 2 * (n + 1);
+    columns.insert(columns.end(), {0, 1});
+    values.push_back(1.0F);
+    values.push_back(static_cast<float>(
+        rng.normal() * std::ldexp(1.0, static_cast<int>(n % 24))));
+  }
+  sparse::CsrMatrix matrix(kRows, 2, std::move(row_offsets), columns,
+                           values);
+  const data::Dataset dataset("lanes", std::move(matrix),
+                              std::vector<float>(kRows, 1.0F));
+  const RidgeProblem problem(dataset, 1e-3);
+  ASSERT_EQ(replica_damping(kRows, kLanes, kMergeEvery), 1.0);
+
+  util::EpochPermutation permutation(kRows, util::Rng(5));
+  const auto order = permutation.next();
+  std::vector<float> weights(kRows, 0.0F);
+  std::vector<float> shared(2, 0.0F);
+  ReplicaSet replicas;
+  struct Call {
+    std::uint32_t j;
+    const void* replica;
+    float seen;
+  };
+  std::vector<Call> calls;
+  replicated_sweep(problem, Formulation::kDual, order, weights, shared,
+                   replicas, kLanes, kMergeEvery, /*pool=*/nullptr,
+                   [&](sparse::Index j, auto replica, double) {
+                     calls.push_back({j, replica.data(),
+                                      linalg::to_float(replica[0])});
+                     return 1.0;
+                   });
+
+  std::size_t call = 0;
+  for (std::size_t first = 0; first * kLanes < kRows;
+       first += kMergeEvery) {
+    const auto merged = static_cast<float>(first * kLanes);
+    for (int t = 0; t < kLanes; ++t) {
+      for (std::size_t k = first; k < first + kMergeEvery; ++k) {
+        const std::size_t p = t + k * kLanes;
+        if (p >= kRows) break;
+        ASSERT_LT(call, calls.size());
+        SCOPED_TRACE("round " + std::to_string(first / kMergeEvery) +
+                     ", lane " + std::to_string(t) + ", k " +
+                     std::to_string(k));
+        EXPECT_EQ(calls[call].j, order[p]);
+        EXPECT_EQ(calls[call].replica, replicas.replica(t).data());
+        EXPECT_EQ(calls[call].seen,
+                  merged + static_cast<float>(k - first));
+        ++call;
+      }
+    }
+  }
+  EXPECT_EQ(call, calls.size());
+  EXPECT_EQ(shared[0], static_cast<float>(kRows));
+  EXPECT_EQ(weights, std::vector<float>(kRows, 1.0F));
+
+  // Entry 1, spelled out: each lane scatters its round into a copy of the
+  // merged value, and the copies fold into it in `merge_order`
+  // (ReplicaSet's w + (replica − base) in double, stored as float).
+  const auto fold = [&](const std::vector<int>& merge_order) {
+    float merged = 0.0F;
+    for (std::size_t first = 0; first * kLanes < kRows;
+         first += kMergeEvery) {
+      std::vector<float> lane(kLanes, merged);
+      for (int t = 0; t < kLanes; ++t) {
+        for (std::size_t k = first; k < first + kMergeEvery; ++k) {
+          const std::size_t p = t + k * kLanes;
+          if (p >= kRows) break;
+          lane[t] = static_cast<float>(static_cast<double>(lane[t]) +
+                                       values[2 * order[p] + 1]);
+        }
+      }
+      const float base = merged;
+      for (const int t : merge_order) {
+        merged = static_cast<float>(
+            merged + (static_cast<double>(lane[t]) - base));
+      }
+    }
+    return merged;
+  };
+  ASSERT_NE(fold({0, 1, 2}), fold({2, 1, 0}));  // the orders differ
+  EXPECT_EQ(shared[1], fold({0, 1, 2}));
 }
 
 // merge_every=1 with a single worker reproduces the sequential solver
 // *bit-exactly*: one replica, verbatim-copy merges, and the identical
-// kernel calls in between (the ISSUE's equivalence gate).
+// kernel calls in between.
 TEST(ReplicatedScd, SingleThreadMergeEveryOneIsBitExactVsSequential) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   SeqScdSolver seq(problem, Formulation::kDual, 7);
   ThreadedScdSolver threaded(problem, Formulation::kDual, 1,
                              CommitPolicy::kReplicated, 7);
   threaded.set_merge_every(1);
-  ReplicatedScdSolver async(problem, Formulation::kDual, 1, 7);
-  async.set_merge_every(1);
   for (int epoch = 0; epoch < 3; ++epoch) {
     seq.run_epoch();
     threaded.run_epoch();
-    async.run_epoch();
   }
   EXPECT_EQ(seq.state().weights, threaded.state().weights);
   EXPECT_EQ(seq.state().shared, threaded.state().shared);
-  EXPECT_EQ(seq.state().weights, async.state().weights);
-  EXPECT_EQ(seq.state().shared, async.state().shared);
 }
 
 // The automatic merge interval (merge_every=0) changes staleness, not
@@ -309,12 +462,16 @@ TEST(ReplicatedScd, MultiThreadGapTraceMatchesAtomicWithinTolerance) {
   EXPECT_LT(replicated.duality_gap(problem), 1e-4);
 }
 
+// The replicated kind's 16-lane default converges too, and its merges lose
+// no update.
 TEST(ReplicatedScd, AsyncLaneVariantConverges) {
   const RidgeProblem problem(webspam_small(), 1e-3);
-  ReplicatedScdSolver solver(problem, Formulation::kDual, 16, 7);
+  ThreadedScdSolver solver(problem, Formulation::kDual, 16,
+                           CommitPolicy::kReplicated, 7);
   for (int epoch = 0; epoch < 10; ++epoch) solver.run_epoch();
   EXPECT_LT(solver.duality_gap(problem), 1e-4);
-  EXPECT_EQ(solver.total_lost_updates(), 0u);  // merges never lose updates
+  // Merges never lose updates: the shared vector is still A^T alpha.
+  EXPECT_LT(solver.state().shared_inconsistency(problem), 1e-4);
 }
 
 // Replicated execution is schedule-independent: coordinates are partitioned
@@ -341,6 +498,42 @@ TEST(ReplicatedScd, PooledAndInlineExecutionAreBitIdentical) {
                                   CommitPolicy::kReplicated, 7);
   for (int epoch = 0; epoch < 3; ++epoch) pooled_solver.run_epoch();
 
+  EXPECT_EQ(inline_solver.state().weights, pooled_solver.state().weights);
+  EXPECT_EQ(inline_solver.state().shared, pooled_solver.state().shared);
+}
+
+// The lane count fixes the trajectory; the pool only runs it.  With two
+// hardware threads, 16 lanes share a two-worker pool — never 16 OS threads —
+// and the pooled epoch equals the inline one bit for bit.
+TEST(ReplicatedScd, PoolIsSizedToTheHostNotTheLanes) {
+  const RidgeProblem problem(webspam_small(), 1e-3);
+  const DispatchGuard guard;
+
+  PoolDispatchModel serial_model;
+  serial_model.hardware_threads = 1;
+  set_pool_dispatch(serial_model);
+  ThreadedScdSolver inline_solver(problem, Formulation::kDual, 16,
+                                  CommitPolicy::kReplicated, 7);
+  inline_solver.run_epoch();
+
+  PoolDispatchModel two_cores;
+  two_cores.hardware_threads = 2;  // pooled, on at most two workers
+  two_cores.dispatch_seconds = 0.0;
+  two_cores.per_chunk_seconds = 0.0;
+  set_pool_dispatch(two_cores);
+  ThreadedScdSolver pooled_solver(problem, Formulation::kDual, 16,
+                                  CommitPolicy::kReplicated, 7);
+  const bool was_tracing = obs::trace_enabled();
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  pooled_solver.run_epoch();
+  obs::set_trace_enabled(was_tracing);
+  std::set<std::int32_t> threads;
+  for (const auto& record : obs::trace_records()) {
+    if (record.name == "threaded_scd/round") threads.insert(record.track);
+  }
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 2u);
   EXPECT_EQ(inline_solver.state().weights, pooled_solver.state().weights);
   EXPECT_EQ(inline_solver.state().shared, pooled_solver.state().shared);
 }
@@ -400,20 +593,18 @@ TEST(TpaScd, BatchedWriteBackStaysStableAtNativeWindow) {
 
 TEST(SolverFactory, BuildsReplicatedKindsWithMergeEvery) {
   const RidgeProblem problem(webspam_small(), 1e-3);
-  for (const auto kind :
-       {SolverKind::kAsyncReplicated, SolverKind::kThreadedReplicated}) {
-    SolverConfig config;
-    config.kind = kind;
-    config.threads = 4;
-    config.merge_every = 16;
-    const auto solver = make_solver(problem, config);
-    ASSERT_NE(solver, nullptr);
-    EXPECT_NE(solver->name().find("Replicated"), std::string::npos);
-    solver->run_epoch();  // must run with the configured interval
-  }
-  EXPECT_EQ(parse_solver_kind("rep"), SolverKind::kAsyncReplicated);
+  SolverConfig config;
+  config.kind = SolverKind::kThreadedReplicated;
+  config.threads = 4;
+  config.merge_every = 16;
+  const auto solver = make_solver(problem, config);
+  ASSERT_NE(solver, nullptr);
+  EXPECT_NE(solver->name().find("Replicated"), std::string::npos);
+  solver->run_epoch();  // must run with the configured interval
   EXPECT_EQ(parse_solver_kind("rep-threads"),
             SolverKind::kThreadedReplicated);
+  // One replicated kind: "rep" named a second body of the same sweep.
+  EXPECT_THROW(parse_solver_kind("rep"), std::invalid_argument);
 }
 
 }  // namespace

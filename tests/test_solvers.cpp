@@ -112,6 +112,9 @@ TEST(AsyncScd, RejectsNonPositiveThreads) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   EXPECT_THROW(AScdSolver(problem, Formulation::kDual, 0, 1),
                std::invalid_argument);
+  // Refused before the engine sizes its commit ring from the count.
+  EXPECT_THROW(AScdSolver(problem, Formulation::kDual, -1, 1),
+               std::invalid_argument);
 }
 
 TEST(ThreadedScd, AtomicVariantConverges) {
@@ -141,10 +144,9 @@ TEST(SolverFactory, BuildsEveryKind) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   for (const auto kind :
        {SolverKind::kSequential, SolverKind::kAsyncAtomic,
-        SolverKind::kAsyncWild, SolverKind::kAsyncReplicated,
-        SolverKind::kThreadedAtomic, SolverKind::kThreadedWild,
-        SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
-        SolverKind::kTpaTitanX}) {
+        SolverKind::kAsyncWild, SolverKind::kThreadedAtomic,
+        SolverKind::kThreadedWild, SolverKind::kThreadedReplicated,
+        SolverKind::kTpaM4000, SolverKind::kTpaTitanX}) {
     SolverConfig config;
     config.kind = kind;
     config.threads = 4;
@@ -158,10 +160,9 @@ TEST(SolverFactory, BuildsEveryKind) {
 TEST(SolverFactory, ParseRoundTripsNames) {
   for (const auto kind :
        {SolverKind::kSequential, SolverKind::kAsyncAtomic,
-        SolverKind::kAsyncWild, SolverKind::kAsyncReplicated,
-        SolverKind::kThreadedAtomic, SolverKind::kThreadedWild,
-        SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
-        SolverKind::kTpaTitanX}) {
+        SolverKind::kAsyncWild, SolverKind::kThreadedAtomic,
+        SolverKind::kThreadedWild, SolverKind::kThreadedReplicated,
+        SolverKind::kTpaM4000, SolverKind::kTpaTitanX}) {
     EXPECT_EQ(parse_solver_kind(solver_kind_name(kind)), kind);
   }
   EXPECT_THROW(parse_solver_kind("nope"), std::invalid_argument);

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,21 @@ TEST_F(StreamingTest, RejectsNonFiniteLambda) {
     config.lambda = lambda;
     EXPECT_THROW(StreamingScdSolver(source, config), std::invalid_argument)
         << lambda;
+  }
+}
+
+TEST_F(StreamingTest, RejectsNegativeMergeEvery) {
+  const auto data = make_data(64);
+  const MemoryShardedDataset source("merge", data, 2);
+  StreamingConfig config = base_config();
+  config.threads = 2;
+  config.merge_every = -1;
+  try {
+    StreamingScdSolver solver(source, config);
+    ADD_FAILURE() << "a negative merge_every was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("merge_every"), std::string::npos)
+        << e.what();
   }
 }
 

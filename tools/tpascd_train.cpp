@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   parser.add_option("features", "generated feature count", "2x examples");
   parser.add_option("seed", "RNG seed", "42");
   parser.add_option("solver",
-                    "seq | ascd | wild | rep | ascd-threads | wild-threads | "
+                    "seq | ascd | wild | ascd-threads | wild-threads | "
                     "rep-threads | tpa-m4000 | tpa-titanx",
                     "tpa-titanx");
   parser.add_option("form", "primal | dual", "dual");
