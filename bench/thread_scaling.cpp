@@ -121,8 +121,8 @@ ProblemTimes bench_problem(const std::string& label,
         static_cast<int>((coords + static_cast<unsigned>(t) - 1) /
                          static_cast<unsigned>(t));
     core::ThreadedScdSolver wb_solver(problem, kForm, t,
-                                      core::CommitPolicy::kReplicated, 7);
-    wb_solver.set_merge_every(slice_len);
+                                      core::CommitPolicy::kReplicated, 7,
+                                      /*cost_model=*/{}, slice_len);
     const double wb_s = best_of(trials, [&] { wb_solver.run_epoch(); });
     results.push_back(
         {label + "/replicated_writeback/t" + std::to_string(t), wb_s,

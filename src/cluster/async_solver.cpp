@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -62,40 +61,20 @@ std::string async_state_path(const std::string& model_path) {
 
 void write_async_state_file(const std::string& path,
                             const AsyncCheckpointState& state) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("async state: cannot open " + tmp +
-                               " for writing");
-    }
-    sparse::Fnv1a checksum;
-    const auto write_raw = [&](const void* data, std::size_t bytes) {
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(bytes));
-      checksum.update(data, bytes);
-    };
-    write_raw(kAsyncStateMagic, sizeof(kAsyncStateMagic));
+  sparse::commit_file(path, "async state", [&](std::ostream& out) {
+    sparse::CheckedWriter writer(out, "async state");
+    writer.write(kAsyncStateMagic, sizeof(kAsyncStateMagic));
     AsyncStateHeader header;
     header.num_workers = static_cast<std::uint32_t>(state.workers.size());
     header.round = state.round;
     header.version = state.version;
     header.seed = state.seed;
-    write_raw(&header, sizeof(header));
-    for (const auto& worker : state.workers) {
-      write_raw(&worker, sizeof(worker));
-    }
-    const std::uint64_t digest = checksum.digest();
-    out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    if (!out) {
-      throw std::runtime_error("async state: write to " + tmp + " failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("async state: cannot rename " + tmp + " to " +
-                             path);
-  }
+    writer.write(&header, sizeof(header));
+    writer.write(state.workers.data(),
+                 state.workers.size() *
+                     sizeof(AsyncCheckpointState::WorkerState));
+    writer.write_digest();
+  });
 }
 
 AsyncCheckpointState read_async_state_file(const std::string& path) {

@@ -109,8 +109,10 @@ struct AsyncCheckpointState {
   std::vector<WorkerState> workers;
 };
 
-/// Checksummed binary sidecar IO ("TPAA" magic).  Readers throw
-/// std::runtime_error on truncation, bad magic or checksum mismatch.
+/// Checksummed binary sidecar IO ("TPAA" magic).  The writer commits
+/// through sparse::commit_file (a failed write throws and keeps the
+/// previous sidecar); readers throw std::runtime_error on truncation, bad
+/// magic or checksum mismatch.
 void write_async_state_file(const std::string& path,
                             const AsyncCheckpointState& state);
 AsyncCheckpointState read_async_state_file(const std::string& path);

@@ -189,10 +189,6 @@ double ClusterSolver::duality_gap(util::ThreadPool* pool) const {
                                      pool);
 }
 
-void ClusterSolver::set_merge_every(int merge_every) {
-  for (auto& core : cores_) core->solver->set_merge_every(merge_every);
-}
-
 double ClusterSolver::setup_sim_seconds() const {
   double slowest = 0.0;
   for (const auto& core : cores_) {
@@ -405,9 +401,6 @@ core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,
   std::size_t seen_events = events_.size();
   int last_checkpointed = start_epoch;
   const int interval = core::effective_gap_interval(options);
-  if (core::checked_merge_every(options.merge_every, "RunOptions") != 0) {
-    set_merge_every(options.merge_every);
-  }
   const auto write_checkpoint = [&](int epoch) {
     obs::TraceSpan span("train/checkpoint", master_track_, epoch);
     write_checkpoint_file(ckpt.path);

@@ -205,11 +205,6 @@ class ClusterSolver {
   /// parallelises the evaluation (see core::RidgeProblem::duality_gap).
   double duality_gap(util::ThreadPool* pool = nullptr) const;
 
-  /// Forwards a replica-merge interval to every worker's local solver
-  /// (core::Solver::set_merge_every; no-op for non-replicated locals,
-  /// negative values throw).
-  void set_merge_every(int merge_every);
-
   /// One-time setup: slowest worker's dataset upload (GPU locals only).
   double setup_sim_seconds() const;
 

@@ -5,16 +5,16 @@
 //   * PasscodeWildSolver — PASSCoDe-Wild of Hsieh et al. [14]: non-atomic
 //     writes lose racing updates, the shared vector drifts from the weights,
 //     and the duality gap converges to a nonzero floor; ≈4x speed-up.
-// Both run on the AsyncEngine with `threads` concurrent lanes (see
+// Both sweep on the AsyncEngine with `threads` concurrent lanes (see
 // round_engine.hpp for why this deterministic model is used on this
-// machine); threaded_scd.hpp provides real std::thread execution, and the
-// replicated solver, whose deterministic lanes need no engine.
+// machine), plus the optional recompute of [13]; core::Solver supplies the
+// rest of the epoch.  threaded_scd.hpp provides real std::thread execution,
+// and the replicated solver, whose deterministic lanes need no engine.
 #pragma once
 
 #include "core/cost_model.hpp"
 #include "core/round_engine.hpp"
 #include "core/solver.hpp"
-#include "util/permutation.hpp"
 
 namespace tpa::core {
 
@@ -24,16 +24,6 @@ class AsyncScdSolver : public Solver {
   AsyncScdSolver(const RidgeProblem& problem, Formulation f, int threads,
                  CommitPolicy policy, std::uint64_t seed,
                  CpuCostModel cost_model = {});
-
-  const std::string& name() const override { return name_; }
-  Formulation formulation() const override { return formulation_; }
-  const ModelState& state() const override { return state_; }
-  ModelState& mutable_state() override { return state_; }
-
-  EpochReport run_epoch() override;
-  void skip_epoch_randomness(int epochs) override {
-    permutation_.skip(epochs);
-  }
 
   /// Cumulative shared-vector adds lost to races (zero for atomic commits).
   std::uint64_t total_lost_updates() const noexcept { return lost_updates_; }
@@ -46,13 +36,10 @@ class AsyncScdSolver : public Solver {
   int recompute_interval() const noexcept { return recompute_interval_; }
 
  private:
-  const RidgeProblem* problem_;
-  Formulation formulation_;
+  double sweep(std::span<const std::uint32_t> order) override;
+
   int threads_;
   CommitPolicy policy_;
-  std::string name_;
-  ModelState state_;
-  util::EpochPermutation permutation_;
   AsyncEngine engine_;
   CpuCostModel cost_model_;
   TimingWorkload workload_;

@@ -112,11 +112,6 @@ struct RunOptions {
   /// lacks the cores), the evaluation runs serially — requesting threads is
   /// a ceiling, not a command.
   int gap_threads = 1;
-  /// Replica-merge interval for solvers with a replicated shared vector
-  /// (updates per worker between merges): 0 keeps the solver's automatic
-  /// choice; forwarded via Solver::set_merge_every otherwise (no-op for
-  /// non-replicated solvers).  Negative values throw.  DESIGN.md §11.
-  int merge_every = 0;
   /// Include the solver's one-time setup (GPU upload) in cumulative time.
   bool include_setup_time = true;
 };
@@ -124,7 +119,9 @@ struct RunOptions {
 /// The epoch stride between gap evaluations implied by `options`.
 int effective_gap_interval(const RunOptions& options);
 
-/// Drives `solver` for up to max_epochs, recording the duality gap.
+/// Drives `solver` for up to max_epochs, recording the duality gap.  The
+/// options shape the run, not the solver: a replica-merge interval is fixed
+/// when the solver is built (SolverConfig::merge_every, DESIGN.md §11).
 ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
                             const RunOptions& options);
 

@@ -126,7 +126,7 @@ int replica_safe_interval(std::uint64_t num_coordinates, int threads) noexcept;
 /// std::invalid_argument naming `who` and merge_every.
 int checked_merge_every(int merge_every, const char* who);
 
-/// Updates per worker between merges when RunOptions::merge_every is 0
+/// Updates per worker between merges when the solver's merge_every is 0
 /// (auto): the cost-optimal interval, capped at the convergence-safe one.
 /// Callers additionally clamp to their slice length.
 int replica_auto_interval(std::uint64_t nnz, std::uint64_t num_coordinates,

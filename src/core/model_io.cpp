@@ -1,6 +1,5 @@
 #include "core/model_io.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -20,19 +19,11 @@ struct Header {
   double lambda = 0.0;
 };
 
-void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               std::uint64_t& checksum) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  if (!out) throw std::runtime_error("model write failed");
-  checksum = sparse::fnv1a(data, bytes, checksum);
-}
-
 }  // namespace
 
 void write_model(std::ostream& out, const SavedModel& model) {
   out.write(kMagic, sizeof(kMagic));
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  sparse::CheckedWriter writer(out, "model");
   Header header;
   header.formulation =
       model.formulation == Formulation::kPrimal ? 0u : 1u;
@@ -40,36 +31,17 @@ void write_model(std::ostream& out, const SavedModel& model) {
   header.weights = model.weights.size();
   header.shared = model.shared.size();
   header.lambda = model.lambda;
-  write_raw(out, &header, sizeof(header), checksum);
-  write_raw(out, model.weights.data(),
-            model.weights.size() * sizeof(float), checksum);
-  write_raw(out, model.shared.data(), model.shared.size() * sizeof(float),
-            checksum);
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!out) throw std::runtime_error("model write failed");
+  writer.write(&header, sizeof(header));
+  writer.write(model.weights.data(), model.weights.size() * sizeof(float));
+  writer.write(model.shared.data(), model.shared.size() * sizeof(float));
+  writer.write_digest();
 }
 
 void write_model_file(const std::string& path, const SavedModel& model) {
-  // Write-to-temp + rename so a crash mid-write never exposes a torn file:
-  // rename(2) is atomic within a filesystem, and serve::Server::reload only
-  // ever opens `path`, which always names a complete model.
-  const std::string tmp = path + ".tmp";
-  try {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open " + tmp + " for writing");
-    }
-    write_model(out, model);
-    out.flush();
-    if (!out) throw std::runtime_error("model write failed: " + tmp);
-    out.close();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw std::runtime_error("cannot rename " + tmp + " to " + path);
-    }
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+  // serve::Server::reload only ever opens `path`, which commit_file keeps
+  // naming a complete model.
+  sparse::commit_file(path, "model",
+                      [&](std::ostream& out) { write_model(out, model); });
 }
 
 SavedModel read_model(std::istream& in) {

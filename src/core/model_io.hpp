@@ -28,10 +28,10 @@ struct SavedModel {
 /// Writes the model; throws std::runtime_error on IO failure.
 void write_model(std::ostream& out, const SavedModel& model);
 
-/// Atomic file save: writes to `<path>.tmp`, then rename(2)s over `path`,
-/// so a crash mid-save (or mid-checkpoint) never leaves a torn file at
-/// `path` — readers see either the old complete model or the new one.
-/// Throws std::runtime_error on IO failure (the .tmp is removed).
+/// Atomic file save through sparse::commit_file: a crash or a refused
+/// write mid-save (or mid-checkpoint) never leaves a torn file at `path` —
+/// readers see either the old complete model or the new one.  Throws
+/// std::runtime_error on IO failure (the .tmp is removed).
 void write_model_file(const std::string& path, const SavedModel& model);
 
 /// Reads a model; throws std::runtime_error on bad magic, truncation or

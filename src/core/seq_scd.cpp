@@ -1,8 +1,6 @@
 #include "core/seq_scd.hpp"
 
 #include "linalg/vector_ops.hpp"
-#include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace tpa::core {
 
@@ -18,29 +16,15 @@ void scd_sweep(const RidgeProblem& problem, Formulation f,
 
 SeqScdSolver::SeqScdSolver(const RidgeProblem& problem, Formulation f,
                            std::uint64_t seed, CpuCostModel cost_model)
-    : problem_(&problem),
-      formulation_(f),
-      name_("SCD (1 thread)"),
-      state_(ModelState::zeros(problem, f)),
-      permutation_(problem.num_coordinates(f), util::Rng(seed)),
+    : Solver(problem, f, seed, "SCD (1 thread)", "seq_scd/shuffle",
+             "seq_scd/sweep"),
       cost_model_(cost_model),
       workload_(TimingWorkload::for_dataset(problem.dataset(), f)) {}
 
-EpochReport SeqScdSolver::run_epoch() {
-  const util::WallTimer timer;
-  const auto order = [this] {
-    obs::TraceSpan shuffle("seq_scd/shuffle");
-    return permutation_.next();
-  }();
-  {
-    obs::TraceSpan sweep("seq_scd/sweep");
-    scd_sweep(*problem_, formulation_, order, state_.weights, state_.shared);
-  }
-  EpochReport report;
-  report.coordinate_updates = order.size();
-  report.sim_seconds = cost_model_.epoch_seconds_sequential(workload_);
-  report.wall_seconds = timer.seconds();
-  return report;
+double SeqScdSolver::sweep(std::span<const std::uint32_t> order) {
+  auto& state = mutable_state();
+  scd_sweep(problem(), formulation(), order, state.weights, state.shared);
+  return cost_model_.epoch_seconds_sequential(workload_);
 }
 
 }  // namespace tpa::core

@@ -1,8 +1,8 @@
 // Sequential stochastic coordinate descent (paper Algorithm 1).
 //
-// One epoch draws a fresh random permutation of the coordinates and, for each
-// coordinate, applies the exact closed-form update (eq. 2 primal / eq. 4
-// dual) followed by the sparse shared-vector update.  This is the reference
+// Its sweep applies, for each coordinate of core::Solver's fresh random
+// permutation, the exact closed-form update (eq. 2 primal / eq. 4 dual)
+// followed by the sparse shared-vector update.  This is the reference
 // implementation every other solver is measured against.
 #pragma once
 
@@ -11,7 +11,6 @@
 
 #include "core/cost_model.hpp"
 #include "core/solver.hpp"
-#include "util/permutation.hpp"
 
 namespace tpa::core {
 
@@ -30,22 +29,9 @@ class SeqScdSolver final : public Solver {
   SeqScdSolver(const RidgeProblem& problem, Formulation f,
                std::uint64_t seed, CpuCostModel cost_model = {});
 
-  const std::string& name() const override { return name_; }
-  Formulation formulation() const override { return formulation_; }
-  const ModelState& state() const override { return state_; }
-  ModelState& mutable_state() override { return state_; }
-
-  EpochReport run_epoch() override;
-  void skip_epoch_randomness(int epochs) override {
-    permutation_.skip(epochs);
-  }
-
  private:
-  const RidgeProblem* problem_;
-  Formulation formulation_;
-  std::string name_;
-  ModelState state_;
-  util::EpochPermutation permutation_;
+  double sweep(std::span<const std::uint32_t> order) override;
+
   CpuCostModel cost_model_;
   TimingWorkload workload_;
 };

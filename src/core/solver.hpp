@@ -1,16 +1,21 @@
-// Solver interface: every local solver (sequential SCD, the asynchronous CPU
-// variants, TPA-SCD on a simulated GPU) exposes epoch-at-a-time execution on
-// a ModelState.  The distributed engine drives solvers through this
-// interface, overwriting the shared vector between epochs.
+// Solver: the one epoch of paper Algorithm 1, shared by every local solver
+// (sequential SCD, the asynchronous CPU variants, TPA-SCD on a simulated
+// GPU).  The base owns the problem, formulation, name, ModelState and the
+// coordinate permutation stream, and run_epoch() is the same for all of
+// them: draw a fresh permutation, sweep it, report.  A solver supplies only
+// its sweep — how the updates' writes reach the shared vector — and the
+// sweep's simulated clock.  The distributed engine drives solvers through
+// this interface, overwriting the shared vector between epochs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 
 #include "core/cost_model.hpp"
 #include "core/model.hpp"
 #include "core/ridge_problem.hpp"
+#include "util/permutation.hpp"
 
 namespace tpa::core {
 
@@ -23,27 +28,24 @@ struct EpochReport {
 class Solver {
  public:
   virtual ~Solver() = default;
+  Solver(const Solver&) = delete;
+  Solver& operator=(const Solver&) = delete;
 
-  virtual const std::string& name() const = 0;
-  virtual Formulation formulation() const = 0;
+  const std::string& name() const noexcept { return name_; }
+  Formulation formulation() const noexcept { return formulation_; }
 
-  virtual const ModelState& state() const = 0;
-  virtual ModelState& mutable_state() = 0;
+  const ModelState& state() const noexcept { return state_; }
+  ModelState& mutable_state() noexcept { return state_; }
 
-  /// One pass over all coordinates in a fresh random order.
-  virtual EpochReport run_epoch() = 0;
+  /// One pass over all coordinates in a fresh random order: the shuffle
+  /// and the sweep each run under their solver's trace span, and the
+  /// report carries the sweep's simulated seconds and the measured wall
+  /// time of both.
+  EpochReport run_epoch();
 
   /// One-time simulated setup cost (e.g. copying the dataset into GPU
   /// memory); zero for CPU solvers.
   virtual double setup_sim_seconds() const { return 0.0; }
-
-  /// Replica-merge interval for solvers with a replicated shared vector:
-  /// updates per lane between merges; 0 restores the solver's automatic
-  /// choice (core::replica_auto_interval).  No-op for solvers without a
-  /// replicated path; every solver rejects a negative value.
-  virtual void set_merge_every(int merge_every) {
-    checked_merge_every(merge_every, "Solver");
-  }
 
   /// Advances the solver's per-epoch randomness (the coordinate
   /// permutation stream) past `epochs` epochs without doing any work.  The
@@ -51,7 +53,7 @@ class Solver {
   /// (backoff, eviction, in-flight straggler) and when resuming from a
   /// checkpoint, so that every worker's stream position is always exactly
   /// `epochs_elapsed x passes` — the precondition for bit-exact resume.
-  virtual void skip_epoch_randomness(int epochs) { (void)epochs; }
+  void skip_epoch_randomness(int epochs) { permutation_.skip(epochs); }
 
   /// Convenience: duality gap of the current state.  A non-null pool
   /// parallelises the evaluation (see RidgeProblem::duality_gap).
@@ -60,6 +62,28 @@ class Solver {
     return problem.duality_gap(formulation(), state().weights,
                                state().shared, pool);
   }
+
+ protected:
+  /// Binds the solver to `problem` under `f` (ModelState::zeros throws for
+  /// a loss without `f`) and seeds the permutation stream.  The span names
+  /// must outlive the solver (string literals).
+  Solver(const RidgeProblem& problem, Formulation f, std::uint64_t seed,
+         std::string name, const char* shuffle_span, const char* sweep_span);
+
+  /// Applies one update per coordinate of `order` to mutable_state() and
+  /// returns the epoch's simulated seconds.
+  virtual double sweep(std::span<const std::uint32_t> order) = 0;
+
+  const RidgeProblem& problem() const noexcept { return *problem_; }
+
+ private:
+  const RidgeProblem* problem_;
+  Formulation formulation_;
+  std::string name_;
+  ModelState state_;
+  util::EpochPermutation permutation_;
+  const char* shuffle_span_;
+  const char* sweep_span_;
 };
 
 }  // namespace tpa::core

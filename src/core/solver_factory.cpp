@@ -1,6 +1,7 @@
 #include "core/solver_factory.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/async_scd.hpp"
 #include "core/seq_scd.hpp"
@@ -12,9 +13,18 @@ namespace tpa::core {
 std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
                                     const SolverConfig& config) {
   checked_merge_every(config.merge_every, "SolverConfig");
-  auto with_merge = [&config](std::unique_ptr<Solver> solver) {
-    if (config.merge_every != 0) solver->set_merge_every(config.merge_every);
-    return solver;
+  const auto threaded = [&](CommitPolicy policy) {
+    return std::make_unique<ThreadedScdSolver>(
+        problem, config.formulation, config.threads, policy, config.seed,
+        config.cpu_cost, config.merge_every);
+  };
+  const auto tpa = [&](gpusim::DeviceSpec device) {
+    TpaScdOptions options;
+    options.device = std::move(device);
+    options.charge_paper_scale_memory = config.charge_paper_scale_memory;
+    options.merge_every = config.merge_every;
+    return std::make_unique<TpaScdSolver>(problem, config.formulation,
+                                          config.seed, options);
   };
   switch (config.kind) {
     case SolverKind::kSequential:
@@ -29,31 +39,15 @@ std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
           problem, config.formulation, config.threads, config.seed,
           config.cpu_cost);
     case SolverKind::kThreadedAtomic:
-      return std::make_unique<ThreadedScdSolver>(
-          problem, config.formulation, config.threads,
-          CommitPolicy::kAtomicAdd, config.seed, config.cpu_cost);
+      return threaded(CommitPolicy::kAtomicAdd);
     case SolverKind::kThreadedWild:
-      return std::make_unique<ThreadedScdSolver>(
-          problem, config.formulation, config.threads,
-          CommitPolicy::kLastWriterWins, config.seed, config.cpu_cost);
+      return threaded(CommitPolicy::kLastWriterWins);
     case SolverKind::kThreadedReplicated:
-      return with_merge(std::make_unique<ThreadedScdSolver>(
-          problem, config.formulation, config.threads,
-          CommitPolicy::kReplicated, config.seed, config.cpu_cost));
-    case SolverKind::kTpaM4000: {
-      TpaScdOptions options;
-      options.device = gpusim::DeviceSpec::quadro_m4000();
-      options.charge_paper_scale_memory = config.charge_paper_scale_memory;
-      return with_merge(std::make_unique<TpaScdSolver>(
-          problem, config.formulation, config.seed, options));
-    }
-    case SolverKind::kTpaTitanX: {
-      TpaScdOptions options;
-      options.device = gpusim::DeviceSpec::titan_x();
-      options.charge_paper_scale_memory = config.charge_paper_scale_memory;
-      return with_merge(std::make_unique<TpaScdSolver>(
-          problem, config.formulation, config.seed, options));
-    }
+      return threaded(CommitPolicy::kReplicated);
+    case SolverKind::kTpaM4000:
+      return tpa(gpusim::DeviceSpec::quadro_m4000());
+    case SolverKind::kTpaTitanX:
+      return tpa(gpusim::DeviceSpec::titan_x());
   }
   throw std::invalid_argument("make_solver: unknown solver kind");
 }

@@ -1,7 +1,9 @@
 // Construction of local solvers by kind — the single switch point used by
-// the distributed engine, the benches and the examples.  The one replicated
-// kind, rep-threads, runs core::replicated_sweep; TPA-SCD does too when
-// merge_every > 0.
+// the distributed engine, the benches and the examples.  Every kind is a
+// core::Solver, the one epoch, around its own sweep.  The one replicated
+// kind, rep-threads, sweeps with core::replicated_sweep; TPA-SCD does too
+// when merge_every > 0.  The merge interval is fixed here, at construction:
+// no solver can change it afterwards.
 #pragma once
 
 #include <memory>
@@ -31,8 +33,9 @@ struct SolverConfig {
   CpuCostModel cpu_cost{};
   bool charge_paper_scale_memory = false;  // TPA variants
   /// Replicated variants: updates per worker between merges (0 = automatic,
-  /// core::replica_auto_interval); forwarded via Solver::set_merge_every.
-  /// Must not be negative.
+  /// core::replica_auto_interval), passed to the ThreadedScdSolver
+  /// constructor and to TpaScdOptions; the other kinds ignore it.  Must not
+  /// be negative: make_solver refuses it for every kind.
   int merge_every = 0;
 };
 

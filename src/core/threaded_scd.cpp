@@ -2,22 +2,32 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace tpa::core {
+namespace {
+
+std::string threaded_name(CommitPolicy policy, int threads) {
+  const char* base = policy == CommitPolicy::kAtomicAdd ? "A-SCD/threads"
+                     : policy == CommitPolicy::kLastWriterWins
+                         ? "PASSCoDe-Wild/threads"
+                         : "Replicated-SCD/threads";
+  return std::string(base) + " (" + std::to_string(threads) + ")";
+}
+
+}  // namespace
 
 ThreadedScdSolver::ThreadedScdSolver(const RidgeProblem& problem,
                                      Formulation f, int threads,
                                      CommitPolicy policy, std::uint64_t seed,
-                                     CpuCostModel cost_model)
-    : problem_(&problem),
-      formulation_(f),
+                                     CpuCostModel cost_model, int merge_every)
+    : Solver(problem, f, seed, threaded_name(policy, threads),
+             "threaded_scd/shuffle", "threaded_scd/sweep"),
       threads_(threads),
       policy_(policy),
-      state_(ModelState::zeros(problem, f)),
-      permutation_(problem.num_coordinates(f), util::Rng(seed)),
+      merge_every_(checked_merge_every(merge_every, "ThreadedScdSolver")),
       cost_model_(cost_model),
       workload_(TimingWorkload::for_dataset(problem.dataset(), f)),
       // The replicated lanes are schedule-independent, so they share as
@@ -30,22 +40,18 @@ ThreadedScdSolver::ThreadedScdSolver(const RidgeProblem& problem,
   if (threads <= 0) {
     throw std::invalid_argument("ThreadedScdSolver: threads must be positive");
   }
-  const char* base = policy == CommitPolicy::kAtomicAdd ? "A-SCD/threads"
-                     : policy == CommitPolicy::kLastWriterWins
-                         ? "PASSCoDe-Wild/threads"
-                         : "Replicated-SCD/threads";
-  name_ = std::string(base) + " (" + std::to_string(threads) + ")";
 }
 
 void ThreadedScdSolver::worker_pass(std::span<const std::uint32_t> coords) {
-  auto shared = std::span<float>(state_.shared);
+  auto& state = mutable_state();
+  auto shared = std::span<float>(state.shared);
   for (const auto j : coords) {
     // The read phase sees whatever mixture of committed updates is currently
     // in memory — genuine asynchrony.
-    const double delta = problem_->coordinate_delta(formulation_, j, shared,
-                                                    state_.weights[j]);
-    state_.weights[j] = static_cast<float>(state_.weights[j] + delta);
-    const auto vec = problem_->coordinate_vector(formulation_, j);
+    const double delta = problem().coordinate_delta(formulation(), j, shared,
+                                                    state.weights[j]);
+    state.weights[j] = static_cast<float>(state.weights[j] + delta);
+    const auto vec = problem().coordinate_vector(formulation(), j);
     if (policy_ == CommitPolicy::kAtomicAdd) {
       for (std::size_t k = 0; k < vec.nnz(); ++k) {
         std::atomic_ref<float> cell(shared[vec.indices[k]]);
@@ -62,18 +68,12 @@ void ThreadedScdSolver::worker_pass(std::span<const std::uint32_t> coords) {
   }
 }
 
-EpochReport ThreadedScdSolver::run_epoch() {
-  const util::WallTimer timer;
-  const auto order = [this] {
-    obs::TraceSpan shuffle("threaded_scd/shuffle");
-    return permutation_.next();
-  }();
-
-  obs::TraceSpan sweep("threaded_scd/sweep");
+double ThreadedScdSolver::sweep(std::span<const std::uint32_t> order) {
   double speedup = 0.0;
   if (policy_ == CommitPolicy::kReplicated) {
-    replicated_sweep(*problem_, formulation_, order, state_.weights,
-                     state_.shared, replicas_, threads_, merge_every_, &pool_);
+    auto& state = mutable_state();
+    replicated_sweep(problem(), formulation(), order, state.weights,
+                     state.shared, replicas_, threads_, merge_every_, &pool_);
     speedup = cost_model_.replicated_speedup(threads_);
   } else {
     // Static partition of the shuffled coordinates across the persistent
@@ -92,13 +92,7 @@ EpochReport ThreadedScdSolver::run_epoch() {
                   ? cost_model_.atomic_speedup(threads_)
                   : cost_model_.wild_speedup(threads_);
   }
-
-  EpochReport report;
-  report.coordinate_updates = order.size();
-  report.sim_seconds =
-      cost_model_.epoch_seconds_sequential(workload_) / speedup;
-  report.wall_seconds = timer.seconds();
-  return report;
+  return cost_model_.epoch_seconds_sequential(workload_) / speedup;
 }
 
 }  // namespace tpa::core

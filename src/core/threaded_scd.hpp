@@ -4,12 +4,12 @@
 // fetch_add for the atomic variant and plain unsynchronised read-modify-
 // write for the wild variant.
 //
-// The kReplicated policy removes the shared-vector contention entirely: it
-// runs replicated_sweep, SySCD's per-worker replicas (replica_set.hpp),
-// merged every merge_every updates per lane.  Lanes own disjoint coordinates
-// and read only their replica, so the result is independent of the physical
-// schedule: pooled and inline execution are bit-identical, and small
-// problems skip the pool entirely (DESIGN.md §11).
+// The kReplicated policy removes the shared-vector contention entirely: its
+// sweep is replicated_sweep, SySCD's per-worker replicas (replica_set.hpp),
+// merged every merge_every updates per lane (fixed at construction).  Lanes
+// own disjoint coordinates and read only their replica, so the result is
+// independent of the physical schedule: pooled and inline execution are
+// bit-identical, and small problems skip the pool entirely (DESIGN.md §11).
 //
 // On genuinely parallel hardware the atomic/wild policies exhibit the
 // paper's staleness and lost-update behaviour natively; on the single-core
@@ -29,7 +29,6 @@
 #include "core/solver.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
-#include "util/permutation.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tpa::core {
@@ -141,45 +140,28 @@ inline void replicated_sweep(const RidgeProblem& problem, Formulation f,
 class ThreadedScdSolver final : public Solver {
  public:
   /// The replicated policy runs `threads` lanes on a pool of
-  /// pool_dispatch().effective_threads(threads) workers; atomic and wild
-  /// start `threads` workers.
+  /// pool_dispatch().effective_threads(threads) workers, merging every
+  /// `merge_every` updates per lane (0 = automatic,
+  /// core::replica_auto_interval; intervals beyond the safe staleness
+  /// budget run under-relaxed by core::replica_damping rather than
+  /// diverging).  Atomic and wild start `threads` workers and ignore the
+  /// interval.  Throws std::invalid_argument on non-positive `threads` or
+  /// negative `merge_every`.
   ThreadedScdSolver(const RidgeProblem& problem, Formulation f, int threads,
                     CommitPolicy policy, std::uint64_t seed,
-                    CpuCostModel cost_model = {});
-
-  const std::string& name() const override { return name_; }
-  Formulation formulation() const override { return formulation_; }
-  const ModelState& state() const override { return state_; }
-  ModelState& mutable_state() override { return state_; }
-
-  EpochReport run_epoch() override;
-  void skip_epoch_randomness(int epochs) override {
-    permutation_.skip(epochs);
-  }
-
-  /// Replicated policy only: updates per thread between merges (0 =
-  /// automatic, core::replica_auto_interval).  Intervals beyond the safe
-  /// staleness budget run under-relaxed (core::replica_damping) rather than
-  /// diverging.  Ignored by atomic/wild; negative values throw.
-  void set_merge_every(int merge_every) override {
-    merge_every_ = checked_merge_every(merge_every, "ThreadedScdSolver");
-  }
+                    CpuCostModel cost_model = {}, int merge_every = 0);
 
  private:
+  double sweep(std::span<const std::uint32_t> order) override;
   void worker_pass(std::span<const std::uint32_t> coords);
 
-  const RidgeProblem* problem_;
-  Formulation formulation_;
   int threads_;
   CommitPolicy policy_;
-  std::string name_;
-  ModelState state_;
-  util::EpochPermutation permutation_;
+  int merge_every_;
   CpuCostModel cost_model_;
   TimingWorkload workload_;
   ReplicaSet replicas_;  // storage persists across epochs (kReplicated only)
-  int merge_every_ = 0;  // 0 = automatic interval
-  // Persistent workers reused across epochs: run_epoch schedules the same
+  // Persistent workers reused across epochs: each sweep schedules the same
   // static coordinate partition onto this pool instead of spawning (and
   // joining) `threads_` fresh std::threads every epoch.
   util::ThreadPool pool_;

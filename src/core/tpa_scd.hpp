@@ -13,6 +13,8 @@
 // update — gpusim::BlockContext reproduces that execution, including its
 // 32-bit float summation order.
 //
+// The sweep is the block step on the engine (or, with merge_every > 0, on
+// core::replicated_sweep); core::Solver supplies the rest of the epoch.
 // Runtime comes from gpusim::GpuTimingModel; the one-time dataset upload is
 // charged through the PCIe model and device memory capacity is enforced
 // (loading a matrix larger than device memory throws OutOfDeviceMemory,
@@ -26,7 +28,6 @@
 #include "gpusim/device.hpp"
 #include "gpusim/device_memory.hpp"
 #include "gpusim/timing_model.hpp"
-#include "util/permutation.hpp"
 
 namespace tpa::core {
 
@@ -46,8 +47,8 @@ struct TpaScdOptions {
   /// with hardware float atomics — the paper's write-back.  > 0: the
   /// resident blocks are the lanes of core::replicated_sweep, the CPU
   /// replicated solver's body, and batch their write-backs into per-lane
-  /// replicas folded every merge_every updates per lane.  Must not be
-  /// negative.
+  /// replicas folded every merge_every updates per lane.  Fixed for the
+  /// solver's lifetime; must not be negative.
   int merge_every = 0;
 };
 
@@ -59,23 +60,7 @@ class TpaScdSolver final : public Solver {
   TpaScdSolver(const RidgeProblem& problem, Formulation f,
                std::uint64_t seed, TpaScdOptions options = {});
 
-  const std::string& name() const override { return name_; }
-  Formulation formulation() const override { return formulation_; }
-  const ModelState& state() const override { return state_; }
-  ModelState& mutable_state() override { return state_; }
-
-  EpochReport run_epoch() override;
   double setup_sim_seconds() const override { return setup_sim_seconds_; }
-  void skip_epoch_randomness(int epochs) override {
-    permutation_.skip(epochs);
-  }
-
-  /// Switches between per-update atomic write-back (0, the default) and
-  /// batched write-back through the replica merge (> 0); see
-  /// TpaScdOptions::merge_every.  Negative values throw.
-  void set_merge_every(int merge_every) override {
-    options_.merge_every = checked_merge_every(merge_every, "TpaScdSolver");
-  }
 
   const gpusim::DeviceSpec& device() const noexcept { return options_.device; }
   const gpusim::DeviceMemory& device_memory() const noexcept {
@@ -83,12 +68,9 @@ class TpaScdSolver final : public Solver {
   }
 
  private:
-  const RidgeProblem* problem_;
-  Formulation formulation_;
+  double sweep(std::span<const std::uint32_t> order) override;
+
   TpaScdOptions options_;
-  std::string name_;
-  ModelState state_;
-  util::EpochPermutation permutation_;
   AsyncEngine engine_;
   ReplicaSet replicas_;  // batched write-back only (merge_every > 0)
   gpusim::BlockContext block_;

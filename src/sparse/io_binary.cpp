@@ -1,5 +1,6 @@
 #include "sparse/io_binary.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -9,14 +10,6 @@ namespace tpa::sparse {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'P', 'A', '1'};
-
-void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               Fnv1a& checksum) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  if (!out) throw std::runtime_error("binary write failed");
-  checksum.update(data, bytes);
-}
 
 LabeledMatrix assemble(const BinaryHeader& header, std::vector<Offset> offsets,
                        std::vector<Index> indices, std::vector<Value> values,
@@ -83,6 +76,44 @@ bool CheckedReader::fits(std::uint64_t count, std::size_t element_bytes) {
   return true;
 }
 
+void CheckedWriter::put(const void* data, std::size_t bytes) {
+  out_.write(static_cast<const char*>(data),
+             static_cast<std::streamsize>(bytes));
+  if (!out_) throw std::runtime_error(context_ + " write failed");
+}
+
+void CheckedWriter::write(const void* data, std::size_t bytes) {
+  put(data, bytes);
+  checksum_.update(data, bytes);
+}
+
+void CheckedWriter::write_digest() {
+  const std::uint64_t digest = checksum_.digest();
+  put(&digest, sizeof(digest));
+}
+
+void commit_file(const std::string& path, const std::string& context,
+                 const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot open " + tmp + " for writing");
+    write(out);
+    // The last buffered bytes reach the file only here, so a full disk or
+    // a file-size limit shows up at the flush or the close, not earlier.
+    out.flush();
+    if (!out) throw std::runtime_error(context + " write failed: " + tmp);
+    out.close();
+    if (!out) throw std::runtime_error(context + " write failed: " + tmp);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw std::runtime_error("cannot rename " + tmp + " to " + path);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+}
+
 std::uint64_t BinaryHeader::payload_bytes() const noexcept {
   return (rows + 1) * sizeof(Offset) + nnz * (sizeof(Index) + sizeof(Value)) +
          labels * sizeof(float);
@@ -95,27 +126,23 @@ std::uint64_t BinaryHeader::file_bytes() const noexcept {
 
 void write_binary(std::ostream& out, const LabeledMatrix& data) {
   out.write(kMagic, sizeof(kMagic));
-  Fnv1a checksum;
+  CheckedWriter writer(out, "binary");
   const BinaryHeader header{data.matrix.rows(), data.matrix.cols(),
                             data.matrix.nnz(), data.labels.size()};
-  write_raw(out, &header, sizeof(header), checksum);
-  write_raw(out, data.matrix.row_offsets().data(),
-            data.matrix.row_offsets().size() * sizeof(Offset), checksum);
-  write_raw(out, data.matrix.col_indices().data(),
-            data.matrix.col_indices().size() * sizeof(Index), checksum);
-  write_raw(out, data.matrix.values().data(),
-            data.matrix.values().size() * sizeof(Value), checksum);
-  write_raw(out, data.labels.data(), data.labels.size() * sizeof(float),
-            checksum);
-  const std::uint64_t digest = checksum.digest();
-  out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  if (!out) throw std::runtime_error("binary write failed");
+  writer.write(&header, sizeof(header));
+  writer.write(data.matrix.row_offsets().data(),
+               data.matrix.row_offsets().size() * sizeof(Offset));
+  writer.write(data.matrix.col_indices().data(),
+               data.matrix.col_indices().size() * sizeof(Index));
+  writer.write(data.matrix.values().data(),
+               data.matrix.values().size() * sizeof(Value));
+  writer.write(data.labels.data(), data.labels.size() * sizeof(float));
+  writer.write_digest();
 }
 
 void write_binary_file(const std::string& path, const LabeledMatrix& data) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_binary(out, data);
+  commit_file(path, "binary",
+              [&](std::ostream& out) { write_binary(out, data); });
 }
 
 BinaryHeader read_binary_header(std::istream& in) {

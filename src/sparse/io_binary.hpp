@@ -12,10 +12,16 @@
 // the caller's arrays), and the reader checksums as it fills the destination
 // vectors.  read_binary_header() peeks at the shape without touching the
 // payload — the store manifest validates shard files this way.
+//
+// CheckedReader, CheckedWriter and commit_file are shared by every
+// checksummed format (TPA1, .tpam models, TPSC and .async checkpoints), and
+// commit_file also writes the store manifest: one reader, one writer and
+// one commit rule for every file whose loss or tear would cost a run.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -91,6 +97,41 @@ class CheckedReader {
   Fnv1a checksum_;
 };
 
+/// CheckedReader's mirror, the one stream writer of the checksummed binary
+/// formats: every write is checked and folded into a running Fnv1a, and
+/// write_digest() appends the digest itself, unfolded.  A stream that
+/// buffers can still fail after the last write; commit_file's flush and
+/// close checks catch that.  Error messages start with `context`.
+class CheckedWriter {
+ public:
+  CheckedWriter(std::ostream& out, std::string context)
+      : out_(out), context_(std::move(context)) {}
+
+  /// Writes `bytes` from `data` and folds them into the checksum; throws
+  /// "<context> write failed" once the stream has failed.
+  void write(const void* data, std::size_t bytes);
+
+  /// Appends the digest of everything written so far.
+  void write_digest();
+
+ private:
+  void put(const void* data, std::size_t bytes);
+
+  std::ostream& out_;
+  std::string context_;
+  Fnv1a checksum_;
+};
+
+/// The one commit path of every checksummed or manifest file: `write`
+/// fills a stream on the sibling `path + ".tmp"`, which is then flushed,
+/// checked, closed, checked again and renamed over `path`.  `path`
+/// therefore only ever names a complete file: rename(2) is atomic within a
+/// filesystem, and on any failure the .tmp is removed, the previous `path`
+/// is left as it was, and std::runtime_error (starting with `context`) is
+/// thrown.
+void commit_file(const std::string& path, const std::string& context,
+                 const std::function<void(std::ostream&)>& write);
+
 /// The fixed-size header following the 4-byte magic.  Field order matches
 /// the on-disk layout exactly.
 struct BinaryHeader {
@@ -108,7 +149,8 @@ struct BinaryHeader {
 
 /// Serializes `data` to a binary stream; throws std::runtime_error on IO
 /// failure.  Arrays stream directly to `out` with the checksum accumulated
-/// incrementally — nothing beyond the header is buffered.
+/// incrementally — nothing beyond the header is buffered.  The file form
+/// writes through commit_file.
 void write_binary(std::ostream& out, const LabeledMatrix& data);
 void write_binary_file(const std::string& path, const LabeledMatrix& data);
 

@@ -1,7 +1,10 @@
 #include "sparse/io_svmlight.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,6 +21,48 @@ namespace {
 
 }  // namespace
 
+bool parse_svmlight_line(const std::string& line, std::size_t line_no,
+                         float& label, std::vector<Index>& cols,
+                         std::vector<Value>& vals) {
+  cols.clear();
+  vals.clear();
+  if (line.empty() || line[0] == '#') return false;
+  std::istringstream tokens(line);
+  if (!(tokens >> label)) fail(line_no, "missing label");
+  std::string pair;
+  while (tokens >> pair) {
+    if (pair[0] == '#') break;  // trailing comment
+    const auto colon = pair.find(':');
+    if (colon == std::string::npos) fail(line_no, "expected index:value");
+    // Parsed wide, so an index past Index is refused rather than wrapped.
+    std::uint64_t index = 0;
+    float value = 0.0F;
+    const char* mid = pair.data() + colon;
+    const char* end = pair.data() + pair.size();
+    const auto index_read = std::from_chars(pair.data(), mid, index);
+    const auto value_read = std::from_chars(mid + 1, end, value);
+    if (index_read.ec != std::errc() || index_read.ptr != mid ||
+        value_read.ec != std::errc() || value_read.ptr != end) {
+      fail(line_no, "bad index:value token '" + pair + "'");
+    }
+    if (index < 1) fail(line_no, "indices are 1-based and positive");
+    if (index > std::numeric_limits<Index>::max()) {
+      fail(line_no, "feature index " + std::to_string(index) +
+                        " does not fit in 32 bits");
+    }
+    if (!std::isfinite(value)) {
+      fail(line_no, "non-finite value in '" + pair + "'");
+    }
+    const auto col = static_cast<Index>(index - 1);
+    if (!cols.empty() && col <= cols.back()) {
+      fail(line_no, "feature indices must strictly increase");
+    }
+    cols.push_back(col);
+    vals.push_back(value);
+  }
+  return true;
+}
+
 LabeledMatrix read_svmlight(std::istream& in, Index num_features) {
   struct RawRow {
     std::vector<Index> cols;
@@ -29,35 +74,13 @@ LabeledMatrix read_svmlight(std::istream& in, Index num_features) {
 
   std::string line;
   std::size_t line_no = 0;
+  float label = 0.0F;
+  RawRow row;
   while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream tokens(line);
-    float label = 0.0F;
-    if (!(tokens >> label)) fail(line_no, "missing label");
-    RawRow row;
-    std::string pair;
-    while (tokens >> pair) {
-      if (pair[0] == '#') break;  // trailing comment
-      const auto colon = pair.find(':');
-      if (colon == std::string::npos) fail(line_no, "expected index:value");
-      long index = 0;
-      float value = 0.0F;
-      try {
-        index = std::stol(pair.substr(0, colon));
-        value = std::stof(pair.substr(colon + 1));
-      } catch (const std::exception&) {
-        fail(line_no, "bad index:value token '" + pair + "'");
-      }
-      if (index < 1) fail(line_no, "indices are 1-based and positive");
-      const auto col = static_cast<Index>(index - 1);
-      if (!row.cols.empty() && col <= row.cols.back()) {
-        fail(line_no, "feature indices must strictly increase");
-      }
-      row.cols.push_back(col);
-      row.vals.push_back(value);
-      max_col = std::max(max_col, col);
+    if (!parse_svmlight_line(line, ++line_no, label, row.cols, row.vals)) {
+      continue;
     }
+    if (!row.cols.empty()) max_col = std::max(max_col, row.cols.back());
     labels.push_back(label);
     raw_rows.push_back(std::move(row));
   }

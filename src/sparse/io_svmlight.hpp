@@ -18,10 +18,21 @@ struct LabeledMatrix {
   std::vector<float> labels;
 };
 
-/// Parses svmlight text from a stream.  `num_features` forces the column
-/// count (0 = infer as max index seen).  Lines that are empty or start with
-/// '#' are skipped.  Malformed entries throw std::runtime_error with the
-/// line number.
+/// The one svmlight line parser, shared by read_svmlight and the streaming
+/// store converter (store/svmlight_stream.hpp).  Parses `line` into its
+/// `label` and 0-based `cols` with their `vals` (both cleared first);
+/// returns false for a blank or '#' comment line, whose outputs are then
+/// meaningless.  A token is `<index>:<value>` with a decimal index in
+/// [1, 2^32) and a finite float value, both spanning their whole text;
+/// indices strictly increase and a '#' token ends the line.  Anything else
+/// throws std::runtime_error "svmlight parse error at line <line_no>: ...".
+bool parse_svmlight_line(const std::string& line, std::size_t line_no,
+                         float& label, std::vector<Index>& cols,
+                         std::vector<Value>& vals);
+
+/// Parses svmlight text from a stream, one parse_svmlight_line per line.
+/// `num_features` forces the column count (0 = infer as max index seen).
+/// Malformed entries throw std::runtime_error with the line number.
 LabeledMatrix read_svmlight(std::istream& in, Index num_features = 0);
 
 /// Convenience file wrapper; throws std::runtime_error if unreadable.

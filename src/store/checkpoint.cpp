@@ -1,6 +1,5 @@
 #include "store/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -23,42 +22,24 @@ struct Header {
   double lambda = 0.0;
 };
 
-void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               sparse::Fnv1a& checksum) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  if (!out) throw std::runtime_error("checkpoint write failed");
-  checksum.update(data, bytes);
-}
-
 }  // namespace
 
 void write_checkpoint_file(const std::string& path,
                            const StreamingCheckpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) {
-      throw std::runtime_error("cannot open " + tmp + " for writing");
-    }
+  sparse::commit_file(path, "checkpoint", [&](std::ostream& out) {
     out.write(kMagic, sizeof(kMagic));
-    sparse::Fnv1a checksum;
+    sparse::CheckedWriter writer(out, "checkpoint");
     const Header header{checkpoint.epoch, checkpoint.shards_done,
                         checkpoint.seed,  checkpoint.threads,
                         checkpoint.rows,  checkpoint.cols,
                         checkpoint.shards, checkpoint.lambda};
-    write_raw(out, &header, sizeof(header), checksum);
-    write_raw(out, checkpoint.alpha.data(),
-              checkpoint.alpha.size() * sizeof(float), checksum);
-    write_raw(out, checkpoint.shared.data(),
-              checkpoint.shared.size() * sizeof(float), checksum);
-    const std::uint64_t digest = checksum.digest();
-    out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    if (!out) throw std::runtime_error("checkpoint write failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("cannot rename " + tmp + " to " + path);
-  }
+    writer.write(&header, sizeof(header));
+    writer.write(checkpoint.alpha.data(),
+                 checkpoint.alpha.size() * sizeof(float));
+    writer.write(checkpoint.shared.data(),
+                 checkpoint.shared.size() * sizeof(float));
+    writer.write_digest();
+  });
 }
 
 StreamingCheckpoint read_checkpoint_file(const std::string& path) {

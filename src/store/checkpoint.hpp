@@ -31,8 +31,9 @@ struct StreamingCheckpoint {
   std::vector<float> shared;  // size cols
 };
 
-/// Atomic write (temp file + rename), like the model saver: a crash never
-/// leaves a half-written checkpoint under the final name.
+/// Atomic write through sparse::commit_file, like the model saver: a crash
+/// or a refused write never leaves a half-written checkpoint under the
+/// final name; it throws and keeps the previous one.
 void write_checkpoint_file(const std::string& path,
                            const StreamingCheckpoint& checkpoint);
 

@@ -51,9 +51,9 @@ void write_manifest(std::ostream& out, const Manifest& manifest) {
 }
 
 void write_manifest_file(const std::string& path, const Manifest& manifest) {
-  std::ofstream out(path);
-  if (!out) fail("cannot open " + path + " for writing");
-  write_manifest(out, manifest);
+  sparse::commit_file(path, "store manifest", [&](std::ostream& out) {
+    write_manifest(out, manifest);
+  });
 }
 
 Manifest read_manifest(std::istream& in) {

@@ -57,9 +57,10 @@ struct Manifest {
 /// quotient, never from the requested k.
 std::uint64_t rows_per_shard(std::uint64_t rows, std::uint64_t shards);
 
-/// Serialises / parses the manifest text format above.  Readers throw
-/// std::runtime_error on version/field mismatches or shard lines that do
-/// not sum to the global shape.
+/// Serialises / parses the manifest text format above.  The file writer
+/// commits through sparse::commit_file, as every shard file does.  Readers
+/// throw std::runtime_error on version/field mismatches or shard lines that
+/// do not sum to the global shape.
 void write_manifest(std::ostream& out, const Manifest& manifest);
 void write_manifest_file(const std::string& path, const Manifest& manifest);
 Manifest read_manifest(std::istream& in);

@@ -8,10 +8,9 @@
 // Checkpointing: with a non-empty CheckpointOptions::path the driver
 // writes a TPSC checkpoint every `every_shards` shards — shard, not
 // epoch, granularity, because at Criteo scale a single epoch is hours and
-// the whole point of the store is surviving that.  `gap_threads` and
-// `merge_every` from RunOptions are ignored here (the streamed gap is the
-// serial-order evaluation by design; merge_every rides in
-// StreamingConfig).
+// the whole point of the store is surviving that.  `gap_threads` from
+// RunOptions is ignored here (the streamed gap is the serial-order
+// evaluation by design); the merge interval rides in StreamingConfig.
 #pragma once
 
 #include <string>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -12,40 +11,6 @@ namespace {
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw std::runtime_error("svmlight parse error at line " +
                            std::to_string(line_no) + ": " + what);
-}
-
-// Parses one svmlight line into (label, cols, vals); returns false for
-// blank/comment lines.  Grammar identical to sparse::read_svmlight.
-bool parse_line(const std::string& line, std::size_t line_no, float& label,
-                std::vector<sparse::Index>& cols,
-                std::vector<sparse::Value>& vals) {
-  cols.clear();
-  vals.clear();
-  if (line.empty() || line[0] == '#') return false;
-  std::istringstream tokens(line);
-  if (!(tokens >> label)) fail(line_no, "missing label");
-  std::string pair;
-  while (tokens >> pair) {
-    if (pair[0] == '#') break;  // trailing comment
-    const auto colon = pair.find(':');
-    if (colon == std::string::npos) fail(line_no, "expected index:value");
-    long index = 0;
-    float value = 0.0F;
-    try {
-      index = std::stol(pair.substr(0, colon));
-      value = std::stof(pair.substr(colon + 1));
-    } catch (const std::exception&) {
-      fail(line_no, "bad index:value token '" + pair + "'");
-    }
-    if (index < 1) fail(line_no, "indices are 1-based and positive");
-    const auto col = static_cast<sparse::Index>(index - 1);
-    if (!cols.empty() && col <= cols.back()) {
-      fail(line_no, "feature indices must strictly increase");
-    }
-    cols.push_back(col);
-    vals.push_back(value);
-  }
-  return true;
 }
 
 }  // namespace
@@ -68,7 +33,9 @@ Manifest convert_svmlight_to_store(std::istream& in,
   std::vector<sparse::Value> vals;
   while (std::getline(in, line)) {
     ++line_no;
-    if (!parse_line(line, line_no, label, cols, vals)) continue;
+    if (!sparse::parse_svmlight_line(line, line_no, label, cols, vals)) {
+      continue;
+    }
     if (!cols.empty() && cols.back() >= num_features) {
       fail(line_no, "feature index exceeds num_features");
     }
@@ -95,7 +62,9 @@ Manifest convert_svmlight_file_to_store(const std::string& svm_path,
     bool any = false;
     while (std::getline(scan, line)) {
       ++line_no;
-      if (!parse_line(line, line_no, label, cols, vals)) continue;
+      if (!sparse::parse_svmlight_line(line, line_no, label, cols, vals)) {
+        continue;
+      }
       any = true;
       if (!cols.empty()) max_col = std::max(max_col, cols.back());
     }

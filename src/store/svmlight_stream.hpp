@@ -2,10 +2,10 @@
 // into ShardWriter::append, so a 40 GB text file converts with one shard's
 // arrays of peak memory — the constraint the whole store exists for.
 //
-// The svmlight grammar matched here is exactly sparse/io_svmlight's
-// (1-based strictly increasing indices, '#' comments, blank lines
-// skipped), so a store converted from a file decodes to the same
-// LabeledMatrix that read_svmlight_file would build in memory.
+// Every line goes through sparse::parse_svmlight_line, the parser
+// read_svmlight uses, so a store converted from a file decodes to the same
+// LabeledMatrix that read_svmlight_file would build in memory, and both
+// refuse the same lines.
 #pragma once
 
 #include <iosfwd>

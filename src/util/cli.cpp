@@ -1,10 +1,28 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace tpa::util {
+namespace {
+
+// True when all of `text` is one T that fits.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+[[noreturn]] void reject(const std::string& name, const std::string& value,
+                         const char* expected) {
+  throw std::invalid_argument("option --" + name + ": '" + value +
+                              "' is not " + expected);
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -89,33 +107,30 @@ std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto value = raw(name);
   if (!value.has_value()) return fallback;
-  try {
-    return std::stoll(*value);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "option --%s: '%s' is not an integer; using %lld\n",
-                 name.c_str(), value->c_str(),
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
+  std::int64_t parsed = 0;
+  if (!parse_whole(*value, parsed)) reject(name, *value, "an integer");
+  return parsed;
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto value = raw(name);
   if (!value.has_value()) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "option --%s: '%s' is not a number; using %g\n",
-                 name.c_str(), value->c_str(), fallback);
-    return fallback;
-  }
+  // "nan" and "inf" parse; the tools refuse them by option name downstream.
+  double parsed = 0.0;
+  if (!parse_whole(*value, parsed)) reject(name, *value, "a number");
+  return parsed;
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto value = raw(name);
   if (!value.has_value()) return fallback;
-  return *value == "true" || *value == "1" || *value == "yes" ||
-         *value == "on" || value->empty();
+  for (const char* yes : {"true", "1", "yes", "on", ""}) {
+    if (*value == yes) return true;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    if (*value == no) return false;
+  }
+  reject(name, *value, "a boolean");
 }
 
 std::string ArgParser::usage() const {

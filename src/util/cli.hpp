@@ -1,7 +1,9 @@
-// Small command-line argument parser for benches and examples.
+// Small command-line argument parser for the tools, benches and examples.
 //
 // Supports `--name value`, `--name=value` and boolean `--flag` forms, typed
 // accessors with defaults, required options, and generated --help text.
+// Typed accessors are strict: a value that does not parse whole is an
+// error naming the option, never a silent prefix or a fallback.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,13 @@ class ArgParser {
 
   bool has(const std::string& name) const;
 
+  /// Typed accessors return `fallback` when the option is absent.  A
+  /// present value must parse whole: get_int takes a decimal int64,
+  /// get_double anything strtod reads that does not overflow (including
+  /// nan and inf, for the caller to judge), get_bool one of
+  /// true/false/1/0/yes/no/on/off or empty (true).  Anything else throws
+  /// std::invalid_argument "option --<name>: '<value>' is not ..." rather
+  /// than running a configuration the user did not ask for.
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace tpa::util {
 namespace {
 
@@ -85,12 +89,41 @@ TEST(ArgParser, LastOccurrenceWins) {
   EXPECT_EQ(parser.get_int("count", 0), 9);
 }
 
-TEST(ArgParser, MalformedNumbersFallBack) {
-  auto parser = make_parser();
-  const char* argv[] = {"tool", "--count", "abc", "--rate", "xyz"};
-  ASSERT_TRUE(parser.parse(5, argv));
-  EXPECT_EQ(parser.get_int("count", 5), 5);
-  EXPECT_DOUBLE_EQ(parser.get_double("rate", 0.25), 0.25);
+// A value must parse whole: a readable prefix ("1e3" as 1, "0.1abc" as 0.1)
+// or a silent fallback would run a configuration nobody asked for.
+TEST(ArgParser, MalformedValuesAreRejected) {
+  const auto parse_one = [](const char* option, const char* value) {
+    auto parser = make_parser();
+    const std::string arg = std::string(option) + "=" + value;
+    const char* argv[] = {"tool", arg.c_str()};
+    EXPECT_TRUE(parser.parse(2, argv));
+    return parser;
+  };
+  for (const char* value :
+       {"abc", "1e3", "4x", "", " 7", "7 ", "99999999999999999999"}) {
+    const auto parser = parse_one("--count", value);
+    EXPECT_THROW(parser.get_int("count", 5), std::invalid_argument) << value;
+  }
+  for (const char* value : {"xyz", "0.1abc", "", "1e999"}) {
+    const auto parser = parse_one("--rate", value);
+    EXPECT_THROW(parser.get_double("rate", 0.25), std::invalid_argument)
+        << value;
+  }
+  for (const char* value : {"maybe", "2", "TRUE "}) {
+    const auto parser = parse_one("--verbose", value);
+    EXPECT_THROW(parser.get_bool("verbose"), std::invalid_argument) << value;
+  }
+  try {
+    parse_one("--count", "1e3").get_int("count", 5);
+    ADD_FAILURE() << "accepted 1e3";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "option --count: '1e3' is not an integer");
+  }
+  EXPECT_EQ(parse_one("--count", "-12").get_int("count", 5), -12);
+  EXPECT_DOUBLE_EQ(parse_one("--rate", "1e-3").get_double("rate", 0.0), 1e-3);
+  // Non-finite numbers parse; callers refuse them by option name.
+  EXPECT_TRUE(std::isnan(parse_one("--rate", "nan").get_double("rate", 0.0)));
+  EXPECT_FALSE(parse_one("--verbose", "off").get_bool("verbose", true));
 }
 
 TEST(ArgParser, HasReportsPresence) {

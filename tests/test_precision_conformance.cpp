@@ -176,8 +176,8 @@ std::uint64_t run_arm(const Arm& arm) {
     }
     case Kind::kRep1: {
       ThreadedScdSolver solver(problem, arm.formulation, 1,
-                               CommitPolicy::kReplicated, kSeed);
-      solver.set_merge_every(1);
+                               CommitPolicy::kReplicated, kSeed,
+                               /*cost_model=*/{}, /*merge_every=*/1);
       run_solver(solver, digest);
       break;
     }

@@ -272,8 +272,9 @@ TEST(ReplicatedSweep, RejectsNegativeMergeEveryAndNonPositiveLanes) {
 }
 
 // merge_every counts updates per worker between merges (0 = automatic); a
-// negative count means nothing and is refused by name wherever it enters,
-// including by the solvers that ignore the interval.
+// negative count means nothing and is refused by name wherever it enters —
+// the solver config, including for kinds that ignore the interval, and the
+// two solver constructors that take one.
 TEST(ReplicatedSweep, NegativeMergeEveryIsRejectedWhereverItEnters) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   for (const auto kind :
@@ -284,21 +285,17 @@ TEST(ReplicatedSweep, NegativeMergeEveryIsRejectedWhereverItEnters) {
     config.merge_every = -4;
     expect_rejects_merge_every([&] { (void)make_solver(problem, config); });
   }
-  SeqScdSolver seq(problem, Formulation::kDual, 7);
-  RunOptions options;
-  options.max_epochs = 1;
-  options.merge_every = -4;
-  expect_rejects_merge_every([&] { (void)run_solver(seq, problem, options); });
-  expect_rejects_merge_every([&] { seq.set_merge_every(-1); });
-  ThreadedScdSolver threaded(problem, Formulation::kDual, 2,
-                             CommitPolicy::kReplicated, 7);
-  expect_rejects_merge_every([&] { threaded.set_merge_every(-1); });
+  for (const auto policy :
+       {CommitPolicy::kReplicated, CommitPolicy::kAtomicAdd}) {
+    expect_rejects_merge_every([&] {
+      ThreadedScdSolver(problem, Formulation::kDual, 2, policy, 7,
+                        /*cost_model=*/{}, /*merge_every=*/-1);
+    });
+  }
   TpaScdOptions tpa_options;
   tpa_options.merge_every = -1;
   expect_rejects_merge_every(
       [&] { TpaScdSolver(problem, Formulation::kDual, 7, tpa_options); });
-  TpaScdSolver tpa(problem, Formulation::kDual, 7);
-  expect_rejects_merge_every([&] { tpa.set_merge_every(-1); });
 }
 
 // The lane contract every replicated path shares: lane t owns order[t],
@@ -412,8 +409,8 @@ TEST(ReplicatedScd, SingleThreadMergeEveryOneIsBitExactVsSequential) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   SeqScdSolver seq(problem, Formulation::kDual, 7);
   ThreadedScdSolver threaded(problem, Formulation::kDual, 1,
-                             CommitPolicy::kReplicated, 7);
-  threaded.set_merge_every(1);
+                             CommitPolicy::kReplicated, 7, /*cost_model=*/{},
+                             /*merge_every=*/1);
   for (int epoch = 0; epoch < 3; ++epoch) {
     seq.run_epoch();
     threaded.run_epoch();

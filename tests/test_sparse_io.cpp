@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sparse/io_binary.hpp"
 #include "sparse/io_svmlight.hpp"
@@ -82,6 +84,54 @@ TEST(SvmlightIo, RejectsMalformedPair) {
 TEST(SvmlightIo, RejectsIndexBeyondForcedFeatureCount) {
   std::istringstream in("1 9:1.0\n");
   EXPECT_THROW(read_svmlight(in, 4), std::runtime_error);
+}
+
+// Throws from read_svmlight(text) and returns the message.
+std::string svmlight_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read_svmlight(in);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "accepted: " << text;
+  return "";
+}
+
+// A 1-based index must fit the 32-bit Index after the shift: 2^32 + 1 used
+// to wrap to feature 1 and train silently.
+TEST(SvmlightIo, RejectsIndexBeyond32BitsInsteadOfWrapping) {
+  for (const char* index :
+       {"4294967296", "4294967297", "18446744073709551617"}) {
+    const auto what =
+        svmlight_error("1 1:1\n1 " + std::string(index) + ":1.0 5:2\n");
+    EXPECT_NE(what.find("svmlight parse error at line 2"), std::string::npos)
+        << what;
+  }
+  float label = 0.0F;
+  std::vector<Index> cols;
+  std::vector<Value> vals;
+  ASSERT_TRUE(parse_svmlight_line("-1 4294967295:0.5", 1, label, cols, vals));
+  EXPECT_EQ(cols, std::vector<Index>{4294967294U});
+  EXPECT_EQ(vals, std::vector<Value>{0.5F});
+  EXPECT_EQ(label, -1.0F);
+}
+
+TEST(SvmlightIo, RejectsNonFiniteValues) {
+  for (const char* value : {"nan", "inf", "-inf", "infinity", "1e39"}) {
+    const auto what = svmlight_error("1 1:0.5 3:" + std::string(value));
+    EXPECT_NE(what.find("svmlight parse error at line 1"), std::string::npos)
+        << value << ": " << what;
+  }
+}
+
+// Index and value each span their whole text.
+TEST(SvmlightIo, RejectsTokensWithTrailingText) {
+  for (const char* token : {"3abc:1", "3:0.5x", "3:", ":1", "-3:1"}) {
+    const auto what = svmlight_error("1 " + std::string(token));
+    EXPECT_NE(what.find("svmlight parse error at line 1"), std::string::npos)
+        << token << ": " << what;
+  }
 }
 
 TEST(SvmlightIo, WriteRejectsLabelMismatch) {

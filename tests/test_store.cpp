@@ -338,6 +338,22 @@ TEST_F(StoreTest, SvmlightStreamingConversionMatchesStoreFromMemory) {
   EXPECT_EQ(row, data.matrix.rows());
 }
 
+// The streaming converter parses with read_svmlight's line parser, so it
+// refuses the same wrapped indices and non-finite values by line number.
+TEST_F(StoreTest, SvmlightStreamingConversionRejectsWhatTheReaderRejects) {
+  for (const char* line : {"1 4294967297:1.0 5:2", "1 1:0.5 3:nan"}) {
+    std::stringstream svm(std::string("1 1:1\n") + line + "\n");
+    try {
+      (void)convert_svmlight_to_store(svm, dir_.string(), "bad", 4, 8);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("svmlight parse error at line 2"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(ReadModeParse, NamesRoundTripAndRejectsUnknown) {
   EXPECT_EQ(parse_read_mode("buffered"), ReadMode::kBuffered);
   EXPECT_EQ(parse_read_mode("mmap"), ReadMode::kMmap);

@@ -7,7 +7,7 @@
 #   3. train --store (disk, mmap)            -> store.tpam
 #   4. train --stream-shards (memory, sync)  -> memory.tpam  == store.tpam
 #   5. train --store with mid-epoch checkpoints, then --resume
-#                                            -> resumed.tpam == store.tpam
+#                                            -> store_resumed.tpam == store.tpam
 set(common --generate criteo --examples 1536 --seed 7)
 set(train_common ${common} --lambda 1e-3 --epochs 6 --target-gap 0)
 execute_process(
@@ -60,14 +60,14 @@ endif()
 execute_process(
   COMMAND ${TRAIN_BIN} ${train_common}
           --store ${WORK_DIR}/store_rt/criteo.manifest
-          --resume ${WORK_DIR}/stream.tpsc --save ${WORK_DIR}/resumed.tpam
+          --resume ${WORK_DIR}/stream.tpsc --save ${WORK_DIR}/store_resumed.tpam
   RESULT_VARIABLE resume_result)
 if(NOT resume_result EQUAL 0)
   message(FATAL_ERROR "resumed streamed run failed: ${resume_result}")
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/store.tpam ${WORK_DIR}/resumed.tpam
+          ${WORK_DIR}/store.tpam ${WORK_DIR}/store_resumed.tpam
   RESULT_VARIABLE resume_diff)
 if(NOT resume_diff EQUAL 0)
   message(FATAL_ERROR

@@ -482,6 +482,8 @@ int main(int argc, char** argv) {
     solver_config.threads =
         static_cast<int>(parser.get_int("threads", 16));
     solver_config.seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
+    solver_config.merge_every =
+        static_cast<int>(parser.get_int("merge-every", 0));
 
     core::RunOptions run_options;
     run_options.max_epochs = static_cast<int>(parser.get_int("epochs", 100));
@@ -490,9 +492,6 @@ int main(int argc, char** argv) {
     run_options.gap_every = static_cast<int>(parser.get_int("gap-every", 1));
     run_options.gap_threads =
         static_cast<int>(parser.get_int("gap-threads", 1));
-    run_options.merge_every =
-        static_cast<int>(parser.get_int("merge-every", 0));
-    solver_config.merge_every = run_options.merge_every;
 
     const auto precision_name = parser.get_string("precision", "fp32");
     if (precision_name == "fp16" || precision_name == "half") {
