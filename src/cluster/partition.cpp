@@ -165,9 +165,9 @@ data::Dataset make_feature_shard(const data::Dataset& global,
                                  std::span<const Index> cols) {
   sparse::CooBuilder coo(global.num_examples(),
                          static_cast<Index>(cols.size()));
-  const auto& by_col = global.by_col();
+  const auto& columns = global.bucketed_cols();
   for (std::size_t local = 0; local < cols.size(); ++local) {
-    const auto view = by_col.col(cols[local]);
+    const auto view = columns.unpadded(cols[local]);
     for (std::size_t k = 0; k < view.nnz(); ++k) {
       coo.add(view.indices[k], static_cast<Index>(local), view.values[k]);
     }

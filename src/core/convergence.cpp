@@ -1,7 +1,6 @@
 #include "core/convergence.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "sparse/io_binary.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tpa::core {
@@ -107,27 +107,14 @@ void ConvergenceTrace::write_jsonl(std::ostream& out) const {
   }
 }
 
-namespace {
-
-std::ofstream open_for_write(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("ConvergenceTrace: cannot open " + path +
-                             " for writing");
-  }
-  return out;
-}
-
-}  // namespace
-
 void ConvergenceTrace::write_csv_file(const std::string& path) const {
-  auto out = open_for_write(path);
-  write_csv(out);
+  sparse::commit_file(path, "convergence trace",
+                      [&](std::ostream& out) { write_csv(out); });
 }
 
 void ConvergenceTrace::write_jsonl_file(const std::string& path) const {
-  auto out = open_for_write(path);
-  write_jsonl(out);
+  sparse::commit_file(path, "convergence trace",
+                      [&](std::ostream& out) { write_jsonl(out); });
 }
 
 int effective_gap_interval(const RunOptions& options) {

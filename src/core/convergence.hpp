@@ -79,8 +79,9 @@ class ConvergenceTrace {
   /// JSONL export: one {"type":"point",...} object per trace point followed
   /// by one {"type":"event",...} object per cluster event.
   void write_jsonl(std::ostream& out) const;
-  /// File-opening wrappers; throw std::runtime_error when `path` cannot be
-  /// opened for writing.
+  /// File wrappers that commit through sparse::commit_file: `path` only
+  /// ever names a complete table, and a write the filesystem refuses
+  /// throws std::runtime_error and keeps the previous file.
   void write_csv_file(const std::string& path) const;
   void write_jsonl_file(const std::string& path) const;
 
@@ -104,13 +105,13 @@ struct RunOptions {
   /// early stopping can trigger only at evaluated epochs — a run may
   /// therefore overshoot by up to gap_every − 1 epochs.
   int gap_every = 0;
-  /// Workers used for each gap evaluation (1 = serial).  The parallel value
-  /// is deterministic for any thread count but may differ from the serial
-  /// one by reduction reassociation (DESIGN.md §9).  run_solver consults
+  /// Workers used for each gap evaluation (1 = serial).  The workers only
+  /// schedule the gap's fixed chunks, so every recorded gap equals the
+  /// serial one bit for bit (DESIGN.md §9).  run_solver consults
   /// core::pool_dispatch() before building the pool: when the problem is too
   /// small for the requested workers to beat the serial pass (or the host
   /// lacks the cores), the evaluation runs serially — requesting threads is
-  /// a ceiling, not a command.
+  /// a ceiling, not a command, and the host never moves a gap.
   int gap_threads = 1;
   /// Include the solver's one-time setup (GPU upload) in cumulative time.
   bool include_setup_time = true;

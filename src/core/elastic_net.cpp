@@ -16,10 +16,10 @@ double elastic_net_lambda_max(const data::Dataset& dataset,
   }
   const auto n = static_cast<double>(dataset.num_examples());
   const auto labels = dataset.labels();
+  const auto& cols = dataset.bucketed_cols();
   double worst = 0.0;
   for (Index m = 0; m < dataset.num_features(); ++m) {
-    const double correlation =
-        linalg::sparse_dot(dataset.by_col().col(m), labels);
+    const double correlation = linalg::sparse_dot(cols.unpadded(m), labels);
     worst = std::max(worst, std::abs(correlation));
   }
   return worst / (n * l1_ratio);

@@ -12,31 +12,6 @@
 namespace tpa::core {
 namespace {
 
-// Fixed reduction grain for the pool-parallel objectives.  Partial sums are
-// computed per grain-sized chunk and combined in chunk order, so the result
-// is a pure function of the data and this constant — independent of how many
-// workers the pool has (DESIGN.md §9).
-constexpr std::size_t kGapGrain = 1u << 13;
-
-// Sums fn(begin, end) over grain-sized chunks of [0, count), scheduling the
-// chunks across `pool` and combining the partials in ascending chunk order.
-template <typename ChunkFn>
-double chunked_sum(util::ThreadPool& pool, std::size_t count,
-                   const ChunkFn& fn) {
-  const std::size_t chunks = (count + kGapGrain - 1) / kGapGrain;
-  std::vector<double> partial(chunks, 0.0);
-  pool.parallel_for_chunks(chunks, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const std::size_t begin = c * kGapGrain;
-      const std::size_t end = std::min(count, begin + kGapGrain);
-      partial[c] = fn(begin, end);
-    }
-  });
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
-}
-
 // A pool with a single worker would add scheduling cost without splitting
 // any work, and so would any pool the dispatch model predicts to lose on
 // `work_entries` entries (too little work, or fewer hardware cores than
@@ -48,6 +23,16 @@ util::ThreadPool* effective_pool(util::ThreadPool* pool,
                                   static_cast<int>(pool->size()))
              ? pool
              : nullptr;
+}
+
+// Σᵢ term(i) over [0, count) in linalg::chunked_sum's one order.
+template <typename Term>
+double sum_of(std::size_t count, util::ThreadPool* pool, const Term& term) {
+  return linalg::chunked_sum(count, pool, [&](std::size_t b, std::size_t e) {
+    double acc = 0.0;
+    for (std::size_t i = b; i < e; ++i) acc += term(i);
+    return acc;
+  });
 }
 
 // The inner product the closed form needs, at either storage type of the
@@ -204,89 +189,47 @@ double RidgeProblem::closed_form_delta(Formulation f, Index j, double dot,
 double RidgeProblem::primal_objective(std::span<const float> beta,
                                       std::span<const float> w,
                                       util::ThreadPool* pool) const {
+  util::ThreadPool* p = effective_pool(pool, w.size() + beta.size());
   const auto n = static_cast<double>(effective_examples());
   const auto labels = dataset_->labels();
+  const double beta_sq = linalg::chunked_squared_norm(beta, p);
   if (loss_.kind == LossKind::kHinge) {
-    double hinge_sum = 0.0;
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      hinge_sum += std::max(0.0, 1.0 - labels[i] * static_cast<double>(w[i]));
-    }
-    return 0.5 * lambda_ * linalg::squared_norm(beta) + hinge_sum / n;
+    const double hinge_sum = sum_of(w.size(), p, [&](std::size_t i) {
+      return std::max(0.0, 1.0 - labels[i] * static_cast<double>(w[i]));
+    });
+    return 0.5 * lambda_ * beta_sq + hinge_sum / n;
   }
-  if (util::ThreadPool* p = effective_pool(pool, w.size() + beta.size());
-      p != nullptr && loss_.kind == LossKind::kSquared) {
-    const double residual_sq =
-        chunked_sum(*p, w.size(), [&](std::size_t b, std::size_t e) {
-          double acc = 0.0;
-          for (std::size_t i = b; i < e; ++i) {
-            const double r = static_cast<double>(w[i]) - labels[i];
-            acc += r * r;
-          }
-          return acc;
-        });
-    const double beta_sq =
-        chunked_sum(*p, beta.size(), [&](std::size_t b, std::size_t e) {
-          return linalg::dot(beta.subspan(b, e - b), beta.subspan(b, e - b));
-        });
-    return residual_sq / (2.0 * n) + 0.5 * lambda_ * beta_sq;
-  }
-  double residual_sq = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i) {
+  const double residual_sq = sum_of(w.size(), p, [&](std::size_t i) {
     const double r = static_cast<double>(w[i]) - labels[i];
-    residual_sq += r * r;
-  }
+    return r * r;
+  });
   if (loss_.kind == LossKind::kElasticNet) {
     const double eta = loss_.l1_ratio;
-    double l1 = 0.0;
-    for (const auto b : beta) l1 += std::abs(static_cast<double>(b));
+    const double l1 = sum_of(beta.size(), p, [&](std::size_t i) {
+      return std::abs(static_cast<double>(beta[i]));
+    });
     return residual_sq / (2.0 * n) +
-           lambda_ * ((1.0 - eta) / 2.0 * linalg::squared_norm(beta) +
-                      eta * l1);
+           lambda_ * ((1.0 - eta) / 2.0 * beta_sq + eta * l1);
   }
-  return residual_sq / (2.0 * n) +
-         0.5 * lambda_ * linalg::squared_norm(beta);
+  return residual_sq / (2.0 * n) + 0.5 * lambda_ * beta_sq;
 }
 
 double RidgeProblem::dual_objective(std::span<const float> alpha,
                                     std::span<const float> wbar,
                                     util::ThreadPool* pool) const {
+  util::ThreadPool* p = effective_pool(pool, 2 * alpha.size() + wbar.size());
   const auto n = static_cast<double>(effective_examples());
   const auto labels = dataset_->labels();
+  const double wbar_sq = linalg::chunked_squared_norm(wbar, p);
+  // Σ αₙyₙ; for the hinge loss, Σ αₙ of the unsigned dual αₙ = yₙβₙ.
+  const double alpha_y = sum_of(alpha.size(), p, [&](std::size_t i) {
+    return static_cast<double>(alpha[i]) * labels[i];
+  });
   if (loss_.kind == LossKind::kHinge) {
-    // αₙ = yₙβₙ, and λ/2·||v||² = ||w̄||² / (2λN²).
-    double alpha_sum = 0.0;
-    for (std::size_t i = 0; i < alpha.size(); ++i) {
-      alpha_sum += labels[i] * static_cast<double>(alpha[i]);
-    }
-    return alpha_sum / n -
-           linalg::squared_norm(wbar) / (2.0 * lambda_ * n * n);
+    // λ/2·||v||² = ||w̄||² / (2λN²).
+    return alpha_y / n - wbar_sq / (2.0 * lambda_ * n * n);
   }
-  if (util::ThreadPool* p =
-          effective_pool(pool, 2 * alpha.size() + wbar.size())) {
-    const double alpha_sq =
-        chunked_sum(*p, alpha.size(), [&](std::size_t b, std::size_t e) {
-          return linalg::dot(alpha.subspan(b, e - b), alpha.subspan(b, e - b));
-        });
-    const double wbar_sq =
-        chunked_sum(*p, wbar.size(), [&](std::size_t b, std::size_t e) {
-          return linalg::dot(wbar.subspan(b, e - b), wbar.subspan(b, e - b));
-        });
-    const double alpha_y =
-        chunked_sum(*p, alpha.size(), [&](std::size_t b, std::size_t e) {
-          double acc = 0.0;
-          for (std::size_t i = b; i < e; ++i) {
-            acc += static_cast<double>(alpha[i]) * labels[i];
-          }
-          return acc;
-        });
-    return -0.5 * n * alpha_sq - wbar_sq / (2.0 * lambda_) + alpha_y;
-  }
-  const double alpha_sq = linalg::squared_norm(alpha);
-  const double wbar_sq = linalg::squared_norm(wbar);
-  double alpha_y = 0.0;
-  for (std::size_t i = 0; i < alpha.size(); ++i) {
-    alpha_y += static_cast<double>(alpha[i]) * labels[i];
-  }
+  const double alpha_sq = linalg::chunked_squared_norm(alpha, p);
   return -0.5 * n * alpha_sq - wbar_sq / (2.0 * lambda_) + alpha_y;
 }
 
@@ -298,12 +241,19 @@ double RidgeProblem::primal_duality_gap(std::span<const float> beta,
   util::ThreadPool* p = effective_pool(pool, dataset_->nnz());
   const auto alpha = dual_from_primal_shared(w);
   std::vector<float> wbar(static_cast<std::size_t>(num_features()));
+  // Aᵀα as one dot per column over the bucketed columns: the columns are
+  // independent, so a pool only schedules them.
+  const auto& cols = dataset_->bucketed_cols();
+  const auto run_cols = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      wbar[c] = static_cast<float>(
+          linalg::sparse_dot(cols.unpadded(static_cast<Index>(c)), alpha));
+    }
+  };
   if (p != nullptr) {
-    // Aᵀα as per-column dots over the CSC orientation: race-free rows of
-    // independent work, unlike the serial CSR scatter.
-    linalg::csc_matvec_transposed(dataset_->by_col(), alpha, wbar, p);
+    p->parallel_for_chunks(wbar.size(), run_cols);
   } else {
-    linalg::csr_matvec_transposed(dataset_->by_row(), alpha, wbar);
+    run_cols(0, wbar.size());
   }
   return std::abs(primal_objective(beta, w, p) -
                   dual_objective(alpha, wbar, p));
@@ -329,7 +279,6 @@ double RidgeProblem::duality_gap(Formulation f,
   if (loss_.kind == LossKind::kElasticNet) {
     return elastic_net_kkt(*this, weights);
   }
-  if (loss_.kind == LossKind::kHinge) pool = nullptr;
   return f == Formulation::kPrimal ? primal_duality_gap(weights, shared, pool)
                                    : dual_duality_gap(weights, shared, pool);
 }

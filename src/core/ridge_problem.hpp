@@ -28,8 +28,8 @@
 //     w̄ = Aᵀβ — the ridge dual's layout, which recompute_shared, asynchronous
 //     drift and fp16 replicas all assume — and v = w̄/(λN).  duality_gap
 //     returns |P(v) − D(α)|: drift can make the signed difference negative.
-// The convergence measures of these two losses are evaluated serially (a
-// pool is ignored).  ModelState::zeros rejects a formulation the loss lacks.
+// The elastic net's KKT measure is evaluated serially (a pool is ignored).
+// ModelState::zeros rejects a formulation the loss lacks.
 #pragma once
 
 #include <span>
@@ -95,7 +95,8 @@ class RidgeProblem {
   Index shared_dim(Formulation f) const noexcept;
 
   /// The sparse vector of coordinate j: column a_m (primal) or row ā_n
-  /// (dual).  Served from the dataset's bucketed layout: the view is padded
+  /// (dual).  Served from the dataset's bucketed layout (the columns are
+  /// built on the first primal call, see data::Dataset): the view is padded
   /// to a multiple of 8 entries (padding repeats the last index with value
   /// 0, contributing exactly zero to every kernel) so the unrolled kernels
   /// never run a remainder loop.
@@ -129,10 +130,9 @@ class RidgeProblem {
                            double weight_j) const;
 
   /// P(β) with w = Aβ supplied by the caller (for the hinge loss, P(v) with
-  /// w = Av).  A non-null `pool` evaluates the squared loss's partial sums
-  /// in fixed-size chunks across the pool; the chunked combine order is
-  /// deterministic (independent of thread count), within
-  /// reduction-reassociation tolerance of the serial value (DESIGN.md §9).
+  /// w = Av).  Each sum runs in linalg::chunked_sum's one order; a non-null
+  /// `pool` spreads the chunks over its workers (when the dispatch model
+  /// predicts a win) without changing one bit of the value (DESIGN.md §9).
   double primal_objective(std::span<const float> beta,
                           std::span<const float> w,
                           util::ThreadPool* pool = nullptr) const;
@@ -142,15 +142,14 @@ class RidgeProblem {
                         std::span<const float> wbar,
                         util::ThreadPool* pool = nullptr) const;
 
-  /// GP(β) = |P(β) − D((y − Aβ)/N)|; costs one pass over the matrix.  With a
-  /// pool, the Aᵀα pass runs race-free over the column orientation and the
-  /// objectives evaluate chunk-parallel, so the convergence check no longer
-  /// gates training epochs on a serial matrix pass.
+  /// GP(β) = |P(β) − D((y − Aβ)/N)|; costs one pass over the matrix: Aᵀα as
+  /// per-column dots over the bucketed columns.  A pool schedules the
+  /// columns and the objectives' chunks; the value is the serial one.
   double primal_duality_gap(std::span<const float> beta,
                             std::span<const float> w,
                             util::ThreadPool* pool = nullptr) const;
-  /// GD(α) = |P(Aᵀα/λ) − D(α)|; costs one pass over the matrix.  Pool
-  /// semantics as above (the Aβ pass parallelises over rows).
+  /// GD(α) = |P(Aᵀα/λ) − D(α)|; costs one pass over the matrix: Aβ as
+  /// per-row dots over the CSR.  Pool semantics as above.
   double dual_duality_gap(std::span<const float> alpha,
                           std::span<const float> wbar,
                           util::ThreadPool* pool = nullptr) const;

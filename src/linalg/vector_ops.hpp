@@ -11,11 +11,12 @@
 // scalar reference under TPA_KERNELS=scalar / set_kernel_backend().
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "linalg/kernels.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 
 namespace tpa::util {
@@ -93,16 +94,26 @@ std::vector<float> csr_matvec_transposed(const sparse::CsrMatrix& a,
 void csr_matvec(const sparse::CsrMatrix& a, std::span<const float> x,
                 std::span<float> y, util::ThreadPool* pool = nullptr);
 
-/// In-place y = Aᵀ·x (y.size() == a.cols()).  The scatter form is inherently
-/// serial; prefer csc_matvec_transposed when a column-oriented copy exists.
+/// In-place y = Aᵀ·x (y.size() == a.cols()) by a serial scatter over the
+/// rows.  The duality gap takes Aᵀα as per-column dots instead
+/// (RidgeProblem::primal_duality_gap).
 void csr_matvec_transposed(const sparse::CsrMatrix& a,
                            std::span<const float> x, std::span<float> y);
 
-/// In-place y = Aᵀ·x using the CSC orientation: y[c] = ⟨col_c, x⟩.  Columns
-/// are independent, so a non-null `pool` parallelises race-free with results
-/// identical to the serial path.
-void csc_matvec_transposed(const sparse::CscMatrix& a,
-                           std::span<const float> x, std::span<float> y,
-                           util::ThreadPool* pool = nullptr);
+/// Entries per chunk of chunked_sum.
+inline constexpr std::size_t kSumChunk = std::size_t{1} << 13;
+
+/// The one summation order of every objective and duality gap: `chunk`
+/// sums one kSumChunk-entry chunk [begin, end) of [0, count) from zero, and
+/// the chunk partials are added in ascending chunk order.  The value is a
+/// function of the data and kSumChunk alone; a non-null `pool` only
+/// schedules the chunks, so serial and pooled sums agree bit for bit.
+double chunked_sum(std::size_t count, util::ThreadPool* pool,
+                   const std::function<double(std::size_t, std::size_t)>&
+                       chunk);
+
+/// ||x||² as a chunked_sum of per-chunk squared_norm.
+double chunked_squared_norm(std::span<const float> x,
+                            util::ThreadPool* pool = nullptr);
 
 }  // namespace tpa::linalg

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace tpa::sparse {
 namespace {
 
@@ -66,22 +64,15 @@ SparseVectorView CscMatrix::col(Index c) const {
       std::span<const Value>(values_).subspan(begin, count)};
 }
 
-std::vector<double> CscMatrix::col_squared_norms(util::ThreadPool* pool) const {
+std::vector<double> CscMatrix::col_squared_norms() const {
   std::vector<double> norms(cols_, 0.0);
-  const auto run_cols = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      double acc = 0.0;
-      for (Offset k = col_offsets_[c]; k < col_offsets_[c + 1]; ++k) {
-        const double v = values_[k];
-        acc += v * v;
-      }
-      norms[c] = acc;
+  for (std::size_t c = 0; c < norms.size(); ++c) {
+    double acc = 0.0;
+    for (Offset k = col_offsets_[c]; k < col_offsets_[c + 1]; ++k) {
+      const double v = values_[k];
+      acc += v * v;
     }
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(norms.size(), run_cols);
-  } else {
-    run_cols(0, norms.size());
+    norms[c] = acc;
   }
   return norms;
 }

@@ -11,10 +11,6 @@
 #include "sparse/csr.hpp"
 #include "sparse/types.hpp"
 
-namespace tpa::util {
-class ThreadPool;
-}
-
 namespace tpa::sparse {
 
 class CscMatrix {
@@ -42,9 +38,7 @@ class CscMatrix {
   SparseVectorView col(Index c) const;
 
   /// Squared L2 norm of every column, accumulated in double:  ||a_m||².
-  /// Columns are independent; a non-null `pool` computes them in chunks
-  /// with identical results.
-  std::vector<double> col_squared_norms(util::ThreadPool* pool = nullptr) const;
+  std::vector<double> col_squared_norms() const;
 
   /// Dense value lookup (binary search within the column); 0 if absent.
   Value at(Index r, Index c) const;

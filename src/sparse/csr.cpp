@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace tpa::sparse {
 namespace {
 
@@ -66,22 +64,15 @@ SparseVectorView CsrMatrix::row(Index r) const {
       std::span<const Value>(values_).subspan(begin, count)};
 }
 
-std::vector<double> CsrMatrix::row_squared_norms(util::ThreadPool* pool) const {
+std::vector<double> CsrMatrix::row_squared_norms() const {
   std::vector<double> norms(rows_, 0.0);
-  const auto run_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      double acc = 0.0;
-      for (Offset k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        acc += v * v;
-      }
-      norms[r] = acc;
+  for (std::size_t r = 0; r < norms.size(); ++r) {
+    double acc = 0.0;
+    for (Offset k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const double v = values_[k];
+      acc += v * v;
     }
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(norms.size(), run_rows);
-  } else {
-    run_rows(0, norms.size());
+    norms[r] = acc;
   }
   return norms;
 }

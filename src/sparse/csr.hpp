@@ -10,10 +10,6 @@
 
 #include "sparse/types.hpp"
 
-namespace tpa::util {
-class ThreadPool;
-}
-
 namespace tpa::sparse {
 
 /// Immutable view of one sparse vector: parallel index / value spans.
@@ -51,10 +47,7 @@ class CsrMatrix {
   SparseVectorView row(Index r) const;
 
   /// Squared L2 norm of every row, accumulated in double:  ||ā_n||².
-  /// Rows are independent, so a non-null `pool` computes them in contiguous
-  /// chunks — identical results, and the one-time precompute stops
-  /// dominating small-epoch runs on wide datasets.
-  std::vector<double> row_squared_norms(util::ThreadPool* pool = nullptr) const;
+  std::vector<double> row_squared_norms() const;
 
   /// Dense value lookup (binary search within the row); 0 if absent.
   Value at(Index r, Index c) const;

@@ -2,10 +2,10 @@
 //
 // The pipeline keeps a sliding window of up to `resident_shards` decoded
 // shards over one pass's shard order.  A dedicated single-worker ThreadPool
-// loads and decodes upcoming shards (ShardReader I/O + rows-only Dataset
-// build) while the solver sweeps the current one; with resident_shards = 2
-// this is classic double buffering — shard k+1 streams in behind the sweep
-// of shard k.
+// loads and decodes upcoming shards (ShardReader I/O + Dataset build) while
+// the solver sweeps the current one; with resident_shards = 2 this is
+// classic double buffering — shard k+1 streams in behind the sweep of
+// shard k.
 //
 // Protocol per pass:
 //   begin_pass(order)   — order is this epoch's shard visit sequence;

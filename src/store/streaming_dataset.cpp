@@ -16,11 +16,11 @@ ResidentShard decode_shard(const StreamingDataset& source, std::size_t i) {
   ResidentShard shard;
   shard.shard = i;
   shard.row_begin = source.shard_row_begin(i);
-  // Rows-only: dual-formulation sweeps and the streamed gap never touch the
-  // column orientation, and skipping it roughly halves the resident bytes.
+  // Dual sweeps and the streamed gap read rows only, so a resident shard
+  // never builds its columns.
   shard.dataset = data::Dataset(
       source.name() + "/shard" + std::to_string(i), std::move(slice.matrix),
-      std::move(slice.labels), data::DatasetLayout::kRowsOnly);
+      std::move(slice.labels));
   return shard;
 }
 

@@ -13,9 +13,9 @@
 //     and its in-memory twin differ only in where the bytes come from.
 //
 // decode_shard turns a loaded slice into the solver-ready form: a
-// rows-only data::Dataset (CSR + bucketed rows + row norms; no column
-// orientation — dual-formulation streaming never needs one, and the
-// column copy would double the resident budget per shard).  Decode cost
+// data::Dataset, which holds only the rows (CSR + bucketed rows + row
+// norms) until a primal path asks for columns — dual-formulation streaming
+// never does, so the columns never join the resident budget.  Decode cost
 // is recorded under a "store/decode" span; it is the work the prefetch
 // pipeline hides behind the sweep of the previous shard.
 #pragma once
@@ -28,8 +28,8 @@
 
 namespace tpa::store {
 
-/// A shard resident in memory, ready to sweep: the decoded rows-only
-/// Dataset plus its global row range.
+/// A shard resident in memory, ready to sweep: the decoded Dataset plus
+/// its global row range.
 struct ResidentShard {
   std::size_t shard = 0;        // shard index in the source
   std::uint64_t row_begin = 0;  // global row of the shard's first example
@@ -53,7 +53,7 @@ class StreamingDataset {
   virtual sparse::LabeledMatrix load_shard(std::size_t i) const = 0;
 };
 
-/// Loads and decodes shard `i` into sweep-ready form (rows-only Dataset).
+/// Loads and decodes shard `i` into sweep-ready form (a Dataset).
 ResidentShard decode_shard(const StreamingDataset& source, std::size_t i);
 
 /// Disk-backed source: one shard per manifest entry via ShardReader.

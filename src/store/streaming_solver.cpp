@@ -1,6 +1,7 @@
 #include "store/streaming_solver.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -146,11 +147,14 @@ double StreamingScdSolver::duality_gap() {
     beta[i] = static_cast<float>(shared_[i] * inv_lambda);
   }
 
-  // One identity-order pass: residual_sq and α·y accumulate in global row
-  // order — the serial in-memory accumulation sequence, merely split at
-  // shard boundaries.
-  double residual_sq = 0.0;
-  double alpha_y = 0.0;
+  // One identity-order pass: residual² and α·y accumulate into the
+  // linalg::kSumChunk-row chunks of the global row range in global row
+  // order, and the chunks combine in chunk order — linalg::chunked_sum's
+  // sequence, merely split at shard boundaries.
+  const std::size_t chunks =
+      (alpha_.size() + linalg::kSumChunk - 1) / linalg::kSumChunk;
+  std::vector<double> residual_sq(chunks, 0.0);
+  std::vector<double> alpha_y(chunks, 0.0);
   std::vector<std::size_t> identity(source_->num_shards());
   for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
   pipeline_.begin_pass(std::move(identity));
@@ -161,23 +165,23 @@ double StreamingScdSolver::duality_gap() {
     std::vector<float> w(static_cast<std::size_t>(matrix.rows()));
     linalg::csr_matvec(matrix, beta, w, nullptr);
     for (std::size_t i = 0; i < w.size(); ++i) {
+      const auto row = static_cast<std::size_t>(shard.row_begin) + i;
       const double r = static_cast<double>(w[i]) - labels[i];
-      residual_sq += r * r;
-    }
-    const auto alpha_slice = std::span<const float>(alpha_).subspan(
-        static_cast<std::size_t>(shard.row_begin), w.size());
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      alpha_y += static_cast<double>(alpha_slice[i]) * labels[i];
+      residual_sq[row / linalg::kSumChunk] += r * r;
+      alpha_y[row / linalg::kSumChunk] +=
+          static_cast<double>(alpha_[row]) * labels[i];
     }
   }
   pipeline_.end_pass();
-
-  const double primal = residual_sq / (2.0 * n) +
-                        0.5 * config_.lambda * linalg::squared_norm(beta);
-  const double alpha_sq = linalg::squared_norm(std::span<const float>(alpha_));
-  const double wbar_sq = linalg::squared_norm(std::span<const float>(shared_));
-  const double dual =
-      -0.5 * n * alpha_sq - wbar_sq / (2.0 * config_.lambda) + alpha_y;
+  const double primal =
+      std::accumulate(residual_sq.begin(), residual_sq.end(), 0.0) /
+          (2.0 * n) +
+      0.5 * config_.lambda * linalg::chunked_squared_norm(beta);
+  const double alpha_sq = linalg::chunked_squared_norm(alpha_);
+  const double wbar_sq = linalg::chunked_squared_norm(shared_);
+  const double dual = -0.5 * n * alpha_sq -
+                      wbar_sq / (2.0 * config_.lambda) +
+                      std::accumulate(alpha_y.begin(), alpha_y.end(), 0.0);
   return std::abs(primal - dual);
 }
 

@@ -30,10 +30,11 @@
 // the mid-epoch stopping point the checkpoint format records.
 //
 // duality_gap() streams the shards once in index order and reproduces the
-// *serial* accumulation order of RidgeProblem::dual_duality_gap exactly
-// (per-row dots in global row order, then the same objective algebra), so
-// the streamed gap is bit-equal to what the in-memory problem would
-// report for the same (α, w̄).
+// one accumulation order of RidgeProblem::dual_duality_gap exactly
+// (per-row dots, each sum accumulated into the same linalg::kSumChunk-row
+// chunks and combined in chunk order, then the same objective algebra), so
+// the streamed gap is bit-equal to what the in-memory problem would report
+// for the same (α, w̄), serial or pooled.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +91,7 @@ class StreamingScdSolver {
   std::size_t shards_done() const noexcept { return pass_active_ ? pos_ : 0; }
   bool mid_epoch() const noexcept { return pass_active_; }
 
-  /// Streamed duality gap, bit-equal to the serial in-memory evaluation.
+  /// Streamed duality gap, bit-equal to the in-memory evaluation.
   /// Only callable at an epoch boundary (throws std::logic_error
   /// mid-epoch — the gap needs a full pass of its own).
   double duality_gap();

@@ -17,9 +17,9 @@ bool parse_whole(const std::string& text, T& out) {
 }
 
 [[noreturn]] void reject(const std::string& name, const std::string& value,
-                         const char* expected) {
-  throw std::invalid_argument("option --" + name + ": '" + value +
-                              "' is not " + expected);
+                         const char* problem) {
+  throw std::invalid_argument("option --" + name + ": '" + value + "' " +
+                              problem);
 }
 
 }  // namespace
@@ -103,12 +103,19 @@ std::string ArgParser::get_string(const std::string& name,
   return value.has_value() ? *value : fallback;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name,
-                                std::int64_t fallback) const {
+std::optional<std::int64_t> ArgParser::get_int_if(
+    const std::string& name, bool (*fits)(std::int64_t)) const {
   const auto value = raw(name);
-  if (!value.has_value()) return fallback;
+  if (!value.has_value()) return std::nullopt;
+  const char* end = value->data() + value->size();
   std::int64_t parsed = 0;
-  if (!parse_whole(*value, parsed)) reject(name, *value, "an integer");
+  const auto [ptr, ec] = std::from_chars(value->data(), end, parsed);
+  if (ptr != end || ec == std::errc::invalid_argument) {
+    reject(name, *value, "is not an integer");
+  }
+  if (ec != std::errc() || !fits(parsed)) {
+    reject(name, *value, "is out of range");
+  }
   return parsed;
 }
 
@@ -117,7 +124,7 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
   if (!value.has_value()) return fallback;
   // "nan" and "inf" parse; the tools refuse them by option name downstream.
   double parsed = 0.0;
-  if (!parse_whole(*value, parsed)) reject(name, *value, "a number");
+  if (!parse_whole(*value, parsed)) reject(name, *value, "is not a number");
   return parsed;
 }
 
@@ -130,7 +137,7 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   for (const char* no : {"false", "0", "no", "off"}) {
     if (*value == no) return false;
   }
-  reject(name, *value, "a boolean");
+  reject(name, *value, "is not a boolean");
 }
 
 std::string ArgParser::usage() const {

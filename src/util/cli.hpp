@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tpa::util {
@@ -30,15 +31,21 @@ class ArgParser {
   bool has(const std::string& name) const;
 
   /// Typed accessors return `fallback` when the option is absent.  A
-  /// present value must parse whole: get_int takes a decimal int64,
-  /// get_double anything strtod reads that does not overflow (including
-  /// nan and inf, for the caller to judge), get_bool one of
-  /// true/false/1/0/yes/no/on/off or empty (true).  Anything else throws
-  /// std::invalid_argument "option --<name>: '<value>' is not ..." rather
-  /// than running a configuration the user did not ask for.
+  /// present value must parse whole: get_int<T> takes a decimal integer
+  /// that T holds (and an int64 does), get_double anything strtod reads
+  /// that does not overflow (including nan and inf, for the caller to
+  /// judge), get_bool one of true/false/1/0/yes/no/on/off or empty (true).
+  /// Anything else throws std::invalid_argument "option --<name>: '<value>'
+  /// is not ..." (or "... is out of range" for an integer T cannot hold)
+  /// rather than running a configuration the user did not ask for.
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  template <typename T>
+  T get_int(const std::string& name, T fallback) const {
+    const auto value =
+        get_int_if(name, [](std::int64_t v) { return std::in_range<T>(v); });
+    return value.has_value() ? static_cast<T>(*value) : fallback;
+  }
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
@@ -58,6 +65,9 @@ class ArgParser {
 
   const Spec* find_spec(const std::string& name) const;
   std::optional<std::string> raw(const std::string& name) const;
+  /// The value of `name` as an int64 that `fits`; nullopt if absent.
+  std::optional<std::int64_t> get_int_if(const std::string& name,
+                                         bool (*fits)(std::int64_t)) const;
 
   std::string program_;
   std::string description_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -113,12 +114,37 @@ TEST(ArgParser, MalformedValuesAreRejected) {
     const auto parser = parse_one("--verbose", value);
     EXPECT_THROW(parser.get_bool("verbose"), std::invalid_argument) << value;
   }
+  // Integers the requested type cannot hold are refused, never narrowed.
+  for (const char* value : {"4294967297", "2147483648", "-2147483649"}) {
+    const auto parser = parse_one("--count", value);
+    EXPECT_THROW(parser.get_int<int>("count", 5), std::invalid_argument)
+        << value;
+  }
+  for (const char* value : {"-1", "4294967296"}) {
+    const auto parser = parse_one("--count", value);
+    EXPECT_THROW(parser.get_int<std::uint32_t>("count", 5),
+                 std::invalid_argument)
+        << value;
+  }
+  EXPECT_THROW(parse_one("--count", "-1").get_int<std::uint64_t>("count", 5),
+               std::invalid_argument);
   try {
     parse_one("--count", "1e3").get_int("count", 5);
     ADD_FAILURE() << "accepted 1e3";
   } catch (const std::invalid_argument& error) {
     EXPECT_STREQ(error.what(), "option --count: '1e3' is not an integer");
   }
+  try {
+    parse_one("--count", "4294967297").get_int<int>("count", 5);
+    ADD_FAILURE() << "accepted 4294967297 as an int";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "option --count: '4294967297' is out of range");
+  }
+  EXPECT_EQ(parse_one("--count", "2147483647").get_int<int>("count", 5),
+            2147483647);
+  EXPECT_EQ(parse_one("--count", "4294967295")
+                .get_int<std::uint32_t>("count", 5),
+            4294967295U);
   EXPECT_EQ(parse_one("--count", "-12").get_int("count", 5), -12);
   EXPECT_DOUBLE_EQ(parse_one("--rate", "1e-3").get_double("rate", 0.0), 1e-3);
   // Non-finite numbers parse; callers refuse them by option name.

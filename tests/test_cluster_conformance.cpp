@@ -302,26 +302,29 @@ std::vector<Arm> arms() {
 }
 
 // Recorded from the two standalone drivers (scalar kernels, fp32 shared).
+// The 36 primal arms were re-recorded when the serial primal gap moved from
+// a CSR scatter to per-column dots (one gap order, serial or pooled); each
+// equals the value the drivers gave before with their pooled column-dot gap.
 const std::map<std::string, std::uint64_t>& golden() {
   static const std::map<std::string, std::uint64_t> digests = {
-      {"sync_primal_averaging_raw_clean", 0xbcc1b7fbe9e75424ULL},
-      {"sync_primal_averaging_raw_faults", 0x474be6bfbc60d2caULL},
-      {"sync_primal_averaging_quantized_clean", 0xc06bdd232324d262ULL},
-      {"sync_primal_averaging_quantized_faults", 0x7bed506457e3c759ULL},
-      {"sync_primal_averaging_sparse_clean", 0x30b3d3a70a2ea33dULL},
-      {"sync_primal_averaging_sparse_faults", 0x96b2770c5d50edadULL},
-      {"sync_primal_adaptive_raw_clean", 0xea52353fe087d3c5ULL},
-      {"sync_primal_adaptive_raw_faults", 0x26a12978e02539ccULL},
-      {"sync_primal_adaptive_quantized_clean", 0x721ccca26f01a88cULL},
-      {"sync_primal_adaptive_quantized_faults", 0x061f1c232a80e5d0ULL},
-      {"sync_primal_adaptive_sparse_clean", 0x3ca22d678df88008ULL},
-      {"sync_primal_adaptive_sparse_faults", 0x20814fe82ce4511fULL},
-      {"sync_primal_fixed_raw_clean", 0x63e23f5773b13075ULL},
-      {"sync_primal_fixed_raw_faults", 0xd6d1c6da16ed49fbULL},
-      {"sync_primal_fixed_quantized_clean", 0x8a9bcf2afba90edcULL},
-      {"sync_primal_fixed_quantized_faults", 0x404e063377c10d9dULL},
-      {"sync_primal_fixed_sparse_clean", 0xa39ec20a825fe427ULL},
-      {"sync_primal_fixed_sparse_faults", 0xc9bac1541b51e9e1ULL},
+      {"sync_primal_averaging_raw_clean", 0x00b00da6d4e6d9dcULL},
+      {"sync_primal_averaging_raw_faults", 0x7e5e8e672405e3d0ULL},
+      {"sync_primal_averaging_quantized_clean", 0xb15097790b75dc88ULL},
+      {"sync_primal_averaging_quantized_faults", 0xc8c8f6f752cfa69aULL},
+      {"sync_primal_averaging_sparse_clean", 0xe2f4654eb033a6ddULL},
+      {"sync_primal_averaging_sparse_faults", 0x75145ed6d88bfc22ULL},
+      {"sync_primal_adaptive_raw_clean", 0xc5beb75fbe5dd402ULL},
+      {"sync_primal_adaptive_raw_faults", 0x54a32379b227f31eULL},
+      {"sync_primal_adaptive_quantized_clean", 0x59693f6ae4683e1bULL},
+      {"sync_primal_adaptive_quantized_faults", 0x99ad54ce1ff5a9f7ULL},
+      {"sync_primal_adaptive_sparse_clean", 0xc84976d82fcabaa3ULL},
+      {"sync_primal_adaptive_sparse_faults", 0xc5750c4b9e3d9f7bULL},
+      {"sync_primal_fixed_raw_clean", 0x26722299f7c8bd03ULL},
+      {"sync_primal_fixed_raw_faults", 0xc2e3d23da09621e6ULL},
+      {"sync_primal_fixed_quantized_clean", 0x7757f584d9701c09ULL},
+      {"sync_primal_fixed_quantized_faults", 0x4aa9a86daae58848ULL},
+      {"sync_primal_fixed_sparse_clean", 0xe504c4953d715ea7ULL},
+      {"sync_primal_fixed_sparse_faults", 0xbca8e459f1d78416ULL},
       {"sync_dual_averaging_raw_clean", 0x5d4119b1959cb671ULL},
       {"sync_dual_averaging_raw_faults", 0x83e02b42a30c758aULL},
       {"sync_dual_averaging_quantized_clean", 0xb9625f4bd205ecfcULL},
@@ -342,24 +345,24 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"sync_dual_fixed_sparse_faults", 0xfffc118107d37eabULL},
       {"sync_fleet_optimize", 0xa043b20eec8105f9ULL},
       {"sync_checkpoint_resume", 0x6051f199f6ea49f7ULL},
-      {"async_primal_averaging_raw_clean", 0x7f0bfc3d48d10a43ULL},
-      {"async_primal_averaging_raw_faults", 0xb5ffc4a891a11a95ULL},
-      {"async_primal_averaging_quantized_clean", 0x355c3b109219f791ULL},
-      {"async_primal_averaging_quantized_faults", 0x330ea1c78b208b75ULL},
-      {"async_primal_averaging_sparse_clean", 0x871d8288abef6f66ULL},
-      {"async_primal_averaging_sparse_faults", 0x01db3710afa9db1aULL},
-      {"async_primal_adaptive_raw_clean", 0xedf0a5d5169c1621ULL},
-      {"async_primal_adaptive_raw_faults", 0x86f839470d501e91ULL},
-      {"async_primal_adaptive_quantized_clean", 0x228bc5c03a5f97d1ULL},
-      {"async_primal_adaptive_quantized_faults", 0x23f7cc588f56d803ULL},
-      {"async_primal_adaptive_sparse_clean", 0x28048b40c3ec9db5ULL},
-      {"async_primal_adaptive_sparse_faults", 0xcbb109a5febce2faULL},
-      {"async_primal_fixed_raw_clean", 0xb78ab75cd3dda91cULL},
-      {"async_primal_fixed_raw_faults", 0x2b6d1ae7551eddc3ULL},
-      {"async_primal_fixed_quantized_clean", 0x71fca3b35bb2181fULL},
-      {"async_primal_fixed_quantized_faults", 0x7dc58236d656b35cULL},
-      {"async_primal_fixed_sparse_clean", 0xc67fcb3a4867500eULL},
-      {"async_primal_fixed_sparse_faults", 0xdc2066b048f7a9a1ULL},
+      {"async_primal_averaging_raw_clean", 0x932f4004cde79442ULL},
+      {"async_primal_averaging_raw_faults", 0x8e8c09c7a9d22332ULL},
+      {"async_primal_averaging_quantized_clean", 0xe9019a8cf0268ad4ULL},
+      {"async_primal_averaging_quantized_faults", 0x7d28ed76474e563eULL},
+      {"async_primal_averaging_sparse_clean", 0xc7954b3da82f5857ULL},
+      {"async_primal_averaging_sparse_faults", 0xb37301c61107aeceULL},
+      {"async_primal_adaptive_raw_clean", 0x8e98ff2c05e667a6ULL},
+      {"async_primal_adaptive_raw_faults", 0x6a59813fc8f04f24ULL},
+      {"async_primal_adaptive_quantized_clean", 0x4e5a7b826a7475e3ULL},
+      {"async_primal_adaptive_quantized_faults", 0x3b4d8481d8afdcd2ULL},
+      {"async_primal_adaptive_sparse_clean", 0x8e528be818479e76ULL},
+      {"async_primal_adaptive_sparse_faults", 0x73017bc1b6e2ac4eULL},
+      {"async_primal_fixed_raw_clean", 0x8bfee0700bf2c88cULL},
+      {"async_primal_fixed_raw_faults", 0x70da45d728c79e61ULL},
+      {"async_primal_fixed_quantized_clean", 0xef24972f6e995cc7ULL},
+      {"async_primal_fixed_quantized_faults", 0x6d5b07bfd24a759bULL},
+      {"async_primal_fixed_sparse_clean", 0x495005614506ac5cULL},
+      {"async_primal_fixed_sparse_faults", 0x361e280a6050c8ebULL},
       {"async_dual_averaging_raw_clean", 0x4f192f2d26f1e5b6ULL},
       {"async_dual_averaging_raw_faults", 0x632f2ed9d349c3b6ULL},
       {"async_dual_averaging_quantized_clean", 0x8310d95c7c11c3b0ULL},

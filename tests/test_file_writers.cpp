@@ -1,9 +1,9 @@
 // The five checksummed or manifest file formats — .tpam models, TPSC
 // streaming checkpoints, .async sidecars, TPA1 shards and store manifests —
-// share one commit rule: `path` only ever names a complete file.  These
-// tests pin each format's on-disk bytes and check that a write the
-// filesystem refuses part-way throws, keeps the previous file and leaves no
-// `.tmp` behind.
+// and the CSV and JSONL convergence tables share one commit rule: `path`
+// only ever names a complete file.  These tests pin each format's on-disk
+// bytes and check that a write the filesystem refuses part-way throws,
+// keeps the previous file and leaves no `.tmp` behind.
 #include <signal.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "cluster/async_solver.hpp"
+#include "core/convergence.hpp"
 #include "core/model_io.hpp"
 #include "sparse/io_binary.hpp"
 #include "store/checkpoint.hpp"
@@ -88,6 +89,36 @@ void write_manifest(const std::string& path, int variant) {
   store::write_manifest_file(path, manifest);
 }
 
+// The convergence tables of --trace-out: a gap-vs-time CSV and its JSONL
+// twin with the cluster events.
+core::ConvergenceTrace make_trace(int variant) {
+  core::ConvergenceTrace trace;
+  for (int epoch = 1; epoch <= 4; ++epoch) {
+    core::TracePoint point;
+    point.epoch = epoch;
+    point.gap = 1.0 / (1 << epoch) + variant;
+    point.sim_seconds = 0.25 * epoch;
+    point.wall_seconds = 0.125 * epoch;
+    point.gamma = 0.75;
+    point.contributors = 3 + variant;
+    trace.add(point);
+  }
+  core::ClusterEvent event;
+  event.epoch = 2;
+  event.worker = 1 + variant;
+  event.kind = core::ClusterEventKind::kCrash;
+  trace.add_event(event);
+  return trace;
+}
+
+void write_trace_csv(const std::string& path, int variant) {
+  make_trace(variant).write_csv_file(path);
+}
+
+void write_trace_jsonl(const std::string& path, int variant) {
+  make_trace(variant).write_jsonl_file(path);
+}
+
 struct Format {
   const char* name;
   std::function<void(const std::string&, int)> write;
@@ -98,14 +129,17 @@ struct Format {
 
 void PrintTo(const Format& format, std::ostream* os) { *os << format.name; }
 
-// Recorded from the writers before they shared one commit path; a change
-// here is a file-format change.
+// Recorded from the writers before they shared one commit path (the trace
+// tables before they committed through it); a change here is a
+// file-format change.
 const Format kFormats[] = {
     {"tpam", write_tpam, 100, 12431858290343367251ULL},
     {"tpsc", write_tpsc, 116, 13536714870112595336ULL},
     {"async", write_async, 92, 2831085044625721577ULL},
     {"tpa1", write_tpa1, 128, 8962030479145149674ULL},
     {"manifest", write_manifest, 129, 16387029628002612992ULL},
+    {"trace_csv", write_trace_csv, 149, 12931981015139769937ULL},
+    {"trace_jsonl", write_trace_jsonl, 539, 832442840153600711ULL},
 };
 
 std::string read_bytes(const std::filesystem::path& path) {

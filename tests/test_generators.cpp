@@ -58,8 +58,8 @@ TEST(WebspamLike, PopularFeaturesFollowZipfHead) {
   const auto dataset = make_webspam_like(small_webspam_config());
   // Feature 0 (most popular under the Zipf law) should appear in far more
   // rows than a mid-tail feature.
-  EXPECT_GT(dataset.by_col().col_nnz(0),
-            4 * std::max<std::size_t>(1, dataset.by_col().col_nnz(200)));
+  EXPECT_GT(dataset.bucketed_cols().nnz_of(0),
+            4 * std::max<std::size_t>(1, dataset.bucketed_cols().nnz_of(200)));
 }
 
 TEST(WebspamLike, DeterministicForSameSeedDifferentOtherwise) {

@@ -152,8 +152,9 @@ TEST(FeatureShard, KeepsAllRowsAndSelectedColumns) {
   EXPECT_EQ(shard.num_features(), 3u);
   // Local column j must equal global column cols[j].
   for (std::size_t j = 0; j < cols.size(); ++j) {
-    const auto local = shard.by_col().col(static_cast<data::Index>(j));
-    const auto original = global.by_col().col(cols[j]);
+    const auto local =
+        shard.bucketed_cols().unpadded(static_cast<data::Index>(j));
+    const auto original = global.bucketed_cols().unpadded(cols[j]);
     ASSERT_EQ(local.nnz(), original.nnz());
     for (std::size_t k = 0; k < local.nnz(); ++k) {
       EXPECT_EQ(local.indices[k], original.indices[k]);

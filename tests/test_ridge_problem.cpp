@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "core/cost_model.hpp"
 #include "core/ridge_problem.hpp"
 #include "core/seq_scd.hpp"
 #include "data/generators.hpp"
@@ -233,10 +235,9 @@ TEST(RidgeProblem, EffectiveExamplesOverridesN) {
   EXPECT_LT(std::abs(d_local), std::abs(d_plain));
 }
 
-// Pool-parallel objectives and gaps: the pooled evaluation chunks the same
-// sums (and, for the primal gap, walks the column orientation), so values
-// agree with the serial evaluation to reduction tolerance — and the chunked
-// combine order is fixed, so results are thread-count independent.
+// Pool-parallel objectives and gaps: the pooled evaluation schedules the
+// same chunks and the same per-coordinate dots as the serial one, so the
+// values are bit-identical at any pool size.
 TEST(RidgeProblemPooled, ObjectivesAndGapsMatchSerial) {
   data::WebspamLikeConfig config;
   config.num_examples = 1024;
@@ -254,21 +255,17 @@ TEST(RidgeProblemPooled, ObjectivesAndGapsMatchSerial) {
 
   util::ThreadPool pool2(2);
   util::ThreadPool pool4(4);
-  const auto tol = [](double x) { return 1e-9 * (1.0 + std::abs(x)); };
 
   const double primal = problem.primal_objective(beta, w);
   const double dual = problem.dual_objective(alpha, wbar);
   const double gp = problem.primal_duality_gap(beta, w);
   const double gd = problem.dual_duality_gap(alpha, wbar);
-  // A gap is a cancelling difference of two objectives, so its absolute
-  // error scales with the objectives' magnitude, not its own.
-  const double gap_tol = 1e-7 * (1.0 + std::abs(primal) + std::abs(dual));
 
   for (util::ThreadPool* pool : {&pool2, &pool4}) {
-    EXPECT_NEAR(problem.primal_objective(beta, w, pool), primal, tol(primal));
-    EXPECT_NEAR(problem.dual_objective(alpha, wbar, pool), dual, tol(dual));
-    EXPECT_NEAR(problem.primal_duality_gap(beta, w, pool), gp, gap_tol);
-    EXPECT_NEAR(problem.dual_duality_gap(alpha, wbar, pool), gd, gap_tol);
+    EXPECT_EQ(problem.primal_objective(beta, w, pool), primal);
+    EXPECT_EQ(problem.dual_objective(alpha, wbar, pool), dual);
+    EXPECT_EQ(problem.primal_duality_gap(beta, w, pool), gp);
+    EXPECT_EQ(problem.dual_duality_gap(alpha, wbar, pool), gd);
   }
 
   // Thread-count independence: 2- and 4-worker pools chunk identically, so
@@ -281,6 +278,81 @@ TEST(RidgeProblemPooled, ObjectivesAndGapsMatchSerial) {
   // The formulation dispatcher forwards the pool.
   EXPECT_EQ(problem.duality_gap(Formulation::kDual, alpha, wbar, &pool4),
             problem.dual_duality_gap(alpha, wbar, &pool4));
+}
+
+/// Forces every pooled pass onto its pool; restores the model on exit.
+struct ForcePooledDispatch {
+  PoolDispatchModel saved = pool_dispatch();
+  ForcePooledDispatch() {
+    PoolDispatchModel always;
+    always.hardware_threads = 8;
+    always.dispatch_seconds = 0.0;
+    always.per_chunk_seconds = 0.0;
+    set_pool_dispatch(always);
+  }
+  ~ForcePooledDispatch() { set_pool_dispatch(saved); }
+};
+
+// One gap order: every loss and formulation gives the serial gap's bits
+// under pools of 1-8 workers.  Both dimensions span several 8192-entry
+// chunks, so a pooled sum that combined its chunks in any other order, or
+// a primal Aᵀα taken by a different route than per-column dots, would
+// show here.
+TEST(GapOrder, SerialEqualsPooledBitForBit) {
+  data::WebspamLikeConfig config;
+  config.num_examples = 16384;
+  config.num_features = 32768;
+  config.avg_nnz_per_row = 16.0;
+  config.seed = 5;
+  const auto dataset = data::make_webspam_like(config);
+  std::vector<float> signs(dataset.labels().begin(), dataset.labels().end());
+  for (auto& y : signs) y = y >= 0.0F ? 1.0F : -1.0F;
+  const data::Dataset hinge_data("signs", dataset.by_row(), std::move(signs));
+
+  util::Rng rng(17);
+  const auto draw = [&](std::size_t n, double scale) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-scale, scale));
+    return v;
+  };
+  const auto beta = draw(dataset.num_features(), 1e-2);
+  const auto w = linalg::csr_matvec(dataset.by_row(), beta);
+  // A hinge dual iterate lies in the box: βₙ = yₙαₙ with αₙ in [0, 1].
+  auto alpha = draw(dataset.num_examples(), 1.0);
+  for (std::size_t n = 0; n < alpha.size(); ++n) {
+    alpha[n] = std::abs(alpha[n]) * hinge_data.labels()[n];
+  }
+  const auto wbar = linalg::csr_matvec_transposed(dataset.by_row(), alpha);
+
+  struct Case {
+    const char* name;
+    const data::Dataset* data;
+    Loss loss;
+    Formulation formulation;
+    std::span<const float> weights;
+    std::span<const float> shared;
+  };
+  const Case cases[] = {
+      {"ridge primal", &dataset, Loss{}, Formulation::kPrimal, beta, w},
+      {"ridge dual", &dataset, Loss{}, Formulation::kDual, alpha, wbar},
+      {"elastic net primal", &dataset, Loss::elastic_net(0.5),
+       Formulation::kPrimal, beta, w},
+      {"hinge dual", &hinge_data, Loss::hinge(), Formulation::kDual, alpha,
+       wbar},
+  };
+  const ForcePooledDispatch forced;
+  for (const Case& c : cases) {
+    const RidgeProblem problem(*c.data, 1e-4, c.loss);
+    const double serial =
+        problem.duality_gap(c.formulation, c.weights, c.shared);
+    ASSERT_TRUE(std::isfinite(serial)) << c.name;
+    for (std::size_t workers = 1; workers <= 8; ++workers) {
+      util::ThreadPool pool(workers);
+      EXPECT_EQ(problem.duality_gap(c.formulation, c.weights, c.shared, &pool),
+                serial)
+          << c.name << ", " << workers << " workers";
+    }
+  }
 }
 
 // Padded and unpadded coordinate views describe the same coordinate: the

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cost_model.hpp"
 #include "core/ridge_problem.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
@@ -22,6 +23,7 @@
 #include "store/shard_reader.hpp"
 #include "store/streaming_dataset.hpp"
 #include "store/streaming_solver.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpa::store {
 namespace {
@@ -144,6 +146,37 @@ TEST_F(StreamingTest, StreamedGapEqualsSerialInMemoryEvaluation) {
   // accumulation order exactly, so the values are identical bits.
   EXPECT_EQ(solver.duality_gap(),
             problem.dual_duality_gap(solver.alpha(), solver.shared()));
+}
+
+// Above one 8192-row chunk, with shard boundaries inside the chunks: the
+// streamed pass accumulates into the in-memory gap's chunks, so it equals
+// the in-memory gap, serial or on a pool.
+TEST_F(StreamingTest, StreamedGapEqualsInMemoryAcrossChunks) {
+  const auto data = make_data(20000);
+  MemoryShardedDataset source("ds", data, 5);
+  ASSERT_GE(source.num_shards(), 3u);
+  StreamingScdSolver solver(source, base_config());
+  solver.run_epoch();
+
+  sparse::LabeledMatrix copy = data;
+  const data::Dataset dataset("ds", std::move(copy.matrix),
+                              std::move(copy.labels));
+  const core::RidgeProblem problem(dataset, base_config().lambda);
+  const double streamed = solver.duality_gap();
+  EXPECT_EQ(streamed,
+            problem.dual_duality_gap(solver.alpha(), solver.shared()));
+
+  const core::PoolDispatchModel saved = core::pool_dispatch();
+  core::PoolDispatchModel always;
+  always.hardware_threads = 8;
+  always.dispatch_seconds = 0.0;
+  always.per_chunk_seconds = 0.0;
+  core::set_pool_dispatch(always);
+  util::ThreadPool pool(4);
+  const double pooled =
+      problem.dual_duality_gap(solver.alpha(), solver.shared(), &pool);
+  core::set_pool_dispatch(saved);
+  EXPECT_EQ(streamed, pooled);
 }
 
 TEST_F(StreamingTest, ThreadedSweepsAreDeterministicAndSourceInvariant) {

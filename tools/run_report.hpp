@@ -1,14 +1,14 @@
 // Shared --metrics-out support for the CLI tools: a JSONL "run report" that
 // makes one run self-describing — a meta line (build provenance + kernel
 // backend + tracer totals) followed by whatever the tool appends (trace
-// points, cluster events, the metric snapshot).  bench/perf_smoke embeds the
+// points, cluster events, the metric snapshot).  The tools commit the
+// report through sparse::commit_file, so a refused write fails the run and
+// keeps the previous report.  bench/perf_smoke embeds the
 // same metadata in its BENCH_*.json "meta" object.
 #pragma once
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 
 #include "linalg/kernels.hpp"
@@ -60,14 +60,6 @@ inline std::uint64_t warn_if_trace_dropped(const std::string& tool) {
                "(trace fewer rounds or raise the per-thread ring capacity)\n",
                tool.c_str(), static_cast<unsigned long long>(dropped));
   return dropped;
-}
-
-inline std::ofstream open_report(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
-  return out;
 }
 
 }  // namespace tpa::tools

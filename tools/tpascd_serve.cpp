@@ -12,6 +12,7 @@
 //   tpascd_serve --model v1.tpam --reload v2.tpam --data traffic.svm
 #include <cstdio>
 #include <future>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "serve/scorer.hpp"
 #include "serve/server.hpp"
+#include "sparse/io_binary.hpp"
 #include "sparse/load.hpp"
 #include "run_report.hpp"
 #include "util/cli.hpp"
@@ -35,15 +37,13 @@ using namespace tpa;
 data::Dataset load_traffic(const util::ArgParser& parser) {
   const auto path = parser.get_string("data", "");
   if (!path.empty()) {
-    const auto features =
-        static_cast<data::Index>(parser.get_int("num-features", 0));
+    const auto features = parser.get_int<data::Index>("num-features", 0);
     sparse::LabeledMatrix loaded = sparse::load_labeled_file(path, features);
     return data::Dataset(path, std::move(loaded.matrix),
                          std::move(loaded.labels));
   }
-  const auto examples =
-      static_cast<data::Index>(parser.get_int("examples", 4096));
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
+  const auto examples = parser.get_int<data::Index>("examples", 4096);
+  const auto seed = parser.get_int<std::uint64_t>("seed", 42);
   if (parser.get_string("generate", "webspam") == "criteo") {
     data::CriteoLikeConfig config;
     config.num_examples = examples;
@@ -52,8 +52,7 @@ data::Dataset load_traffic(const util::ArgParser& parser) {
   }
   data::WebspamLikeConfig config;
   config.num_examples = examples;
-  config.num_features =
-      static_cast<data::Index>(parser.get_int("features", 2 * examples));
+  config.num_features = parser.get_int<data::Index>("features", 2 * examples);
   config.seed = seed;
   return data::make_webspam_like(config);
 }
@@ -103,15 +102,12 @@ int main(int argc, char** argv) {
     const auto& matrix = dataset.by_row();
 
     serve::ServerConfig config;
-    config.threads = static_cast<std::size_t>(parser.get_int("threads", 4));
-    config.batcher.max_batch_size =
-        static_cast<std::size_t>(parser.get_int("batch", 64));
+    config.threads = parser.get_int<std::size_t>("threads", 4);
+    config.batcher.max_batch_size = parser.get_int<std::size_t>("batch", 64);
     config.batcher.max_wait =
-        std::chrono::microseconds(parser.get_int("wait-us", 200));
-    config.batcher.queue_capacity =
-        static_cast<std::size_t>(parser.get_int("queue", 1024));
-    config.log_every_batches =
-        static_cast<std::uint64_t>(parser.get_int("log-every", 0));
+        std::chrono::microseconds(parser.get_int<std::int64_t>("wait-us", 200));
+    config.batcher.queue_capacity = parser.get_int<std::size_t>("queue", 1024);
+    config.log_every_batches = parser.get_int<std::uint64_t>("log-every", 0);
     serve::Server server(config);
 
     const auto version = server.reload(parser.get_string("model", ""));
@@ -129,8 +125,7 @@ int main(int argc, char** argv) {
                 matrix.rows(), 1e3 * bulk_timer.seconds(),
                 static_cast<double>(matrix.rows()) / bulk_timer.seconds());
 
-    const auto total =
-        static_cast<std::size_t>(parser.get_int("requests", 10000));
+    const auto total = parser.get_int<std::size_t>("requests", 10000);
     const std::size_t reload_at =
         parser.has("reload") ? total / 2 : total + 1;
     std::vector<std::future<float>> predictions;
@@ -201,25 +196,26 @@ int main(int argc, char** argv) {
     }
     if (parser.has("metrics-out")) {
       const auto path = parser.get_string("metrics-out", "");
-      auto out = tools::open_report(path);
-      out << tools::run_meta_json("tpascd_serve") << '\n';
-      out << obs::JsonObject()
-                 .field_str("type", "serve_stats")
-                 .field_uint("accepted", stats.accepted)
-                 .field_uint("rejected", stats.rejected)
-                 .field_uint("completed", stats.completed)
-                 .field_uint("batches", stats.batches)
-                 .field_uint("reloads", stats.reloads)
-                 .field_num("wall_seconds", stats.wall_seconds)
-                 .field_num("throughput_rps", stats.throughput_rps)
-                 .field_num("mean_batch_size", stats.mean_batch_size)
-                 .field_num("p50_us", stats.p50_us)
-                 .field_num("p95_us", stats.p95_us)
-                 .field_num("p99_us", stats.p99_us)
-                 .field_uint("trace_events_dropped", trace_dropped)
-                 .str()
-          << '\n';
-      obs::metrics().write_jsonl(out);
+      sparse::commit_file(path, "run report", [&](std::ostream& out) {
+        out << tools::run_meta_json("tpascd_serve") << '\n';
+        out << obs::JsonObject()
+                   .field_str("type", "serve_stats")
+                   .field_uint("accepted", stats.accepted)
+                   .field_uint("rejected", stats.rejected)
+                   .field_uint("completed", stats.completed)
+                   .field_uint("batches", stats.batches)
+                   .field_uint("reloads", stats.reloads)
+                   .field_num("wall_seconds", stats.wall_seconds)
+                   .field_num("throughput_rps", stats.throughput_rps)
+                   .field_num("mean_batch_size", stats.mean_batch_size)
+                   .field_num("p50_us", stats.p50_us)
+                   .field_num("p95_us", stats.p95_us)
+                   .field_num("p99_us", stats.p99_us)
+                   .field_uint("trace_events_dropped", trace_dropped)
+                   .str()
+            << '\n';
+        obs::metrics().write_jsonl(out);
+      });
       std::printf("run report written to %s\n", path.c_str());
     }
   } catch (const std::exception& error) {

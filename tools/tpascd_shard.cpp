@@ -32,9 +32,8 @@ using namespace tpa;
 // bytes — the precondition for the bit-exact streamed-vs-resident check.
 sparse::LabeledMatrix generate_matrix(const util::ArgParser& parser) {
   const auto kind = parser.get_string("generate", "webspam");
-  const auto examples =
-      static_cast<data::Index>(parser.get_int("examples", 8192));
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
+  const auto examples = parser.get_int<data::Index>("examples", 8192);
+  const auto seed = parser.get_int<std::uint64_t>("seed", 42);
   data::Dataset dataset = [&] {
     if (kind == "criteo") {
       data::CriteoLikeConfig config;
@@ -44,8 +43,7 @@ sparse::LabeledMatrix generate_matrix(const util::ArgParser& parser) {
     }
     data::WebspamLikeConfig config;
     config.num_examples = examples;
-    config.num_features =
-        static_cast<data::Index>(parser.get_int("features", 2 * examples));
+    config.num_features = parser.get_int<data::Index>("features", 2 * examples);
     config.seed = seed;
     return data::make_webspam_like(config);
   }();
@@ -114,10 +112,9 @@ int main(int argc, char** argv) {
 
     const auto out = parser.get_string("out", "store");
     const auto name = parser.get_string("name", "dataset");
-    const auto shards =
-        static_cast<std::uint64_t>(parser.get_int("shards", 4));
+    const auto shards = parser.get_int<std::uint64_t>("shards", 4);
     const auto rows_per_shard =
-        static_cast<std::uint64_t>(parser.get_int("rows-per-shard", 0));
+        parser.get_int<std::uint64_t>("rows-per-shard", 0);
 
     store::Manifest manifest;
     if (parser.get_bool("stream")) {
@@ -127,14 +124,13 @@ int main(int argc, char** argv) {
       }
       manifest = store::convert_svmlight_file_to_store(
           parser.get_string("data", ""), out, name, rows_per_shard,
-          static_cast<sparse::Index>(parser.get_int("num-features", 0)));
+          parser.get_int<sparse::Index>("num-features", 0));
     } else {
       const sparse::LabeledMatrix data =
           parser.has("data")
               ? sparse::load_labeled_file(
                     parser.get_string("data", ""),
-                    static_cast<sparse::Index>(
-                        parser.get_int("num-features", 0)))
+                    parser.get_int<sparse::Index>("num-features", 0))
               : generate_matrix(parser);
       const std::uint64_t rps =
           rows_per_shard > 0

@@ -314,8 +314,7 @@ int main(int argc, char** argv) {
                    parser.usage().c_str());
       return 1;
     }
-    const int top_n =
-        std::max(1, static_cast<int>(parser.get_int("top", 10)));
+    const int top_n = std::max(1, parser.get_int<int>("top", 10));
     const auto trace = load_trace(parser.get_string("trace", ""));
     const auto report =
         obs::analyze_attribution(trace.records, trace.track_names, top_n);

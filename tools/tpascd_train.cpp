@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "obs/attribution.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "sparse/io_binary.hpp"
 #include "sparse/load.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "run_report.hpp"
@@ -54,16 +56,14 @@ using namespace tpa;
 data::Dataset load_dataset(const util::ArgParser& parser) {
   const auto path = parser.get_string("data", "");
   if (!path.empty()) {
-    const auto features =
-        static_cast<data::Index>(parser.get_int("num-features", 0));
+    const auto features = parser.get_int<data::Index>("num-features", 0);
     sparse::LabeledMatrix loaded = sparse::load_labeled_file(path, features);
     return data::Dataset(path, std::move(loaded.matrix),
                          std::move(loaded.labels));
   }
   const auto kind = parser.get_string("generate", "webspam");
-  const auto examples =
-      static_cast<data::Index>(parser.get_int("examples", 8192));
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
+  const auto examples = parser.get_int<data::Index>("examples", 8192);
+  const auto seed = parser.get_int<std::uint64_t>("seed", 42);
   if (kind == "criteo") {
     data::CriteoLikeConfig config;
     config.num_examples = examples;
@@ -72,8 +72,7 @@ data::Dataset load_dataset(const util::ArgParser& parser) {
   }
   data::WebspamLikeConfig config;
   config.num_examples = examples;
-  config.num_features =
-      static_cast<data::Index>(parser.get_int("features", 2 * examples));
+  config.num_features = parser.get_int<data::Index>("features", 2 * examples);
   config.seed = seed;
   return data::make_webspam_like(config);
 }
@@ -175,12 +174,13 @@ void write_trace_outputs(const util::ArgParser& parser,
   }
   if (parser.has("metrics-out")) {
     const auto path = parser.get_string("metrics-out", "");
-    auto out = tools::open_report(path);
-    out << tools::run_meta_json("tpascd_train") << '\n';
-    if (!placement_json.empty()) out << placement_json << '\n';
-    if (!drift_json.empty()) out << drift_json << '\n';
-    trace.write_jsonl(out);
-    obs::metrics().write_jsonl(out);
+    sparse::commit_file(path, "run report", [&](std::ostream& out) {
+      out << tools::run_meta_json("tpascd_train") << '\n';
+      if (!placement_json.empty()) out << placement_json << '\n';
+      if (!drift_json.empty()) out << drift_json << '\n';
+      trace.write_jsonl(out);
+      obs::metrics().write_jsonl(out);
+    });
     std::printf("run report written to %s\n", path.c_str());
   }
 }
@@ -196,12 +196,11 @@ int run_streaming_mode(const util::ArgParser& parser,
 
   store::StreamingConfig config;
   config.lambda = parser.get_double("lambda", 1e-3);
-  config.seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
-  config.threads = static_cast<int>(parser.get_int("stream-threads", 1));
-  config.resident_shards =
-      static_cast<std::size_t>(parser.get_int("resident-shards", 2));
+  config.seed = parser.get_int<std::uint64_t>("seed", 42);
+  config.threads = parser.get_int<int>("stream-threads", 1);
+  config.resident_shards = parser.get_int<std::size_t>("resident-shards", 2);
   config.async_prefetch = !parser.get_bool("sync-prefetch");
-  config.merge_every = static_cast<int>(parser.get_int("merge-every", 0));
+  config.merge_every = parser.get_int<int>("merge-every", 0);
 
   // A resumed run takes the run identity (lambda, seed, threads) from the
   // checkpoint; the solver rejects shape mismatches below.
@@ -234,7 +233,7 @@ int run_streaming_mode(const util::ArgParser& parser,
                               dataset.labels().end());
     source = std::make_unique<store::MemoryShardedDataset>(
         dataset.name(), memory_data,
-        static_cast<std::uint64_t>(parser.get_int("stream-shards", 4)));
+        parser.get_int<std::uint64_t>("stream-shards", 4));
   }
   std::printf("store: %s — %llu rows x %llu cols, %llu nnz, %zu shards\n",
               source->name().c_str(),
@@ -256,14 +255,14 @@ int run_streaming_mode(const util::ArgParser& parser,
   }
 
   core::RunOptions run_options;
-  run_options.max_epochs = static_cast<int>(parser.get_int("epochs", 100));
+  run_options.max_epochs = parser.get_int<int>("epochs", 100);
   run_options.target_gap = parser.get_double("target-gap", 1e-6);
   run_options.record_interval = 1;
-  run_options.gap_every = static_cast<int>(parser.get_int("gap-every", 1));
+  run_options.gap_every = parser.get_int<int>("gap-every", 1);
 
   store::CheckpointOptions checkpoint;
-  checkpoint.every_shards = static_cast<std::size_t>(
-      parser.get_int("checkpoint-every-shards", 0));
+  checkpoint.every_shards =
+      parser.get_int<std::size_t>("checkpoint-every-shards", 0);
   if (checkpoint.every_shards > 0 || parser.has("checkpoint")) {
     checkpoint.path = parser.get_string("checkpoint", "tpascd.ckpt");
   }
@@ -437,7 +436,8 @@ int main(int argc, char** argv) {
   if (chrome_trace) obs::set_trace_enabled(true);
 
   try {
-    if (parser.has("store") || parser.get_int("stream-shards", 0) > 0) {
+    if (parser.has("store") ||
+        parser.get_int<std::uint64_t>("stream-shards", 0) > 0) {
       return run_streaming_mode(parser, trace_out, chrome_trace);
     }
     const auto dataset = load_dataset(parser);
@@ -479,19 +479,16 @@ int main(int argc, char** argv) {
     solver_config.kind =
         core::parse_solver_kind(parser.get_string("solver", "tpa-titanx"));
     solver_config.formulation = formulation;
-    solver_config.threads =
-        static_cast<int>(parser.get_int("threads", 16));
-    solver_config.seed = static_cast<std::uint64_t>(parser.get_int("seed", 42));
-    solver_config.merge_every =
-        static_cast<int>(parser.get_int("merge-every", 0));
+    solver_config.threads = parser.get_int<int>("threads", 16);
+    solver_config.seed = parser.get_int<std::uint64_t>("seed", 42);
+    solver_config.merge_every = parser.get_int<int>("merge-every", 0);
 
     core::RunOptions run_options;
-    run_options.max_epochs = static_cast<int>(parser.get_int("epochs", 100));
+    run_options.max_epochs = parser.get_int<int>("epochs", 100);
     run_options.target_gap = parser.get_double("target-gap", 1e-6);
     run_options.record_interval = 1;
-    run_options.gap_every = static_cast<int>(parser.get_int("gap-every", 1));
-    run_options.gap_threads =
-        static_cast<int>(parser.get_int("gap-threads", 1));
+    run_options.gap_every = parser.get_int<int>("gap-every", 1);
+    run_options.gap_threads = parser.get_int<int>("gap-threads", 1);
 
     const auto precision_name = parser.get_string("precision", "fp32");
     if (precision_name == "fp16" || precision_name == "half") {
@@ -511,12 +508,12 @@ int main(int argc, char** argv) {
     const auto placement_mode = cluster::placement::parse_placement_mode(
         parser.get_string("placement", "optimize"));
     const auto placement_seed =
-        static_cast<std::uint64_t>(parser.get_int("placement-seed", 7));
+        parser.get_int<std::uint64_t>("placement-seed", 7);
     const auto network =
         parse_network_preset(parser.get_string("network", "10gbe"));
     // --fleet names one device per worker slot, so it pins the worker count.
     const int workers =
-        fleet.empty() ? static_cast<int>(parser.get_int("workers", 1))
+        fleet.empty() ? parser.get_int<int>("workers", 1)
                       : static_cast<int>(fleet.size());
     core::SavedModel model;
     model.formulation = formulation;
@@ -569,17 +566,15 @@ int main(int argc, char** argv) {
         };
 
     const auto build_faults = [&](cluster::FaultConfig& faults) {
-      const int crash_worker =
-          static_cast<int>(parser.get_int("crash-worker", -1));
+      const int crash_worker = parser.get_int<int>("crash-worker", -1);
       if (crash_worker >= 0) {
         cluster::FaultEvent crash;
         crash.kind = cluster::FaultKind::kCrash;
         crash.worker = crash_worker;
-        crash.epoch = static_cast<int>(parser.get_int("crash-epoch", 3));
+        crash.epoch = parser.get_int<int>("crash-epoch", 3);
         faults.scripted.push_back(crash);
       }
-      const int stall_worker =
-          static_cast<int>(parser.get_int("stall-worker", -1));
+      const int stall_worker = parser.get_int<int>("stall-worker", -1);
       if (stall_worker >= 0) {
         cluster::FaultEvent stall;
         stall.kind = cluster::FaultKind::kStall;
@@ -591,8 +586,7 @@ int main(int argc, char** argv) {
       }
     };
     cluster::CheckpointConfig ckpt;
-    ckpt.every_epochs =
-        static_cast<int>(parser.get_int("checkpoint-every", 0));
+    ckpt.every_epochs = parser.get_int<int>("checkpoint-every", 0);
     ckpt.path = parser.get_string("checkpoint", "tpascd.ckpt");
 
     // The fields both cluster drivers share; each driver adds its own knobs.
@@ -604,8 +598,7 @@ int main(int argc, char** argv) {
                                      : cluster::AggregationMode::kAveraging;
     cluster_config.local_solver = solver_config;
     cluster_config.lambda = lambda;
-    cluster_config.max_restarts =
-        static_cast<int>(parser.get_int("max-restarts", 3));
+    cluster_config.max_restarts = parser.get_int<int>("max-restarts", 3);
     cluster_config.network = network;
     cluster_config.fleet = fleet;
     cluster_config.placement = placement_mode;
@@ -616,23 +609,20 @@ int main(int argc, char** argv) {
 
     if (workers > 1 && parser.get_bool("async")) {
       cluster::AsyncConfig async(cluster_config);
-      async.staleness_window =
-          static_cast<int>(parser.get_int("staleness-window", 0));
+      async.staleness_window = parser.get_int<int>("staleness-window", 0);
       async.staleness_policy = cluster::parse_staleness_policy(
           parser.get_string("staleness-policy", "damp"));
       if (parser.get_bool("elastic")) {
-        const int leave_worker =
-            static_cast<int>(parser.get_int("leave-worker", -1));
+        const int leave_worker = parser.get_int<int>("leave-worker", -1);
         if (leave_worker >= 0) {
           async.membership.push_back(
-              {static_cast<int>(parser.get_int("leave-round", 3)),
+              {parser.get_int<int>("leave-round", 3),
                leave_worker, cluster::MembershipEvent::Kind::kLeave});
         }
-        const int join_worker =
-            static_cast<int>(parser.get_int("join-worker", -1));
+        const int join_worker = parser.get_int<int>("join-worker", -1);
         if (join_worker >= 0) {
           async.membership.push_back(
-              {static_cast<int>(parser.get_int("join-round", 6)),
+              {parser.get_int<int>("join-round", 6),
                join_worker, cluster::MembershipEvent::Kind::kJoin});
         }
       }
