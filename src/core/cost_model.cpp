@@ -4,7 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <thread>
+
+#include "util/thread_pool.hpp"
 
 namespace tpa::core {
 namespace {
@@ -67,8 +68,7 @@ double CpuCostModel::replicated_speedup(int threads) const noexcept {
 int PoolDispatchModel::effective_threads(int requested) const noexcept {
   const int hw = hardware_threads > 0
                      ? hardware_threads
-                     : static_cast<int>(std::max(
-                           1u, std::thread::hardware_concurrency()));
+                     : static_cast<int>(util::usable_cpus());
   return std::max(1, std::min(requested, hw));
 }
 

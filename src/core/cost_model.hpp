@@ -72,8 +72,8 @@ struct CpuCostModel {
 /// calling thread.  Unlike CpuCostModel — which prices the paper's hardware
 /// for the simulated time axis — this model prices this machine: the
 /// measured wake/join overhead of a pool round trip against the pass's
-/// entry count, and the host's real core count.  Requesting N pool workers
-/// buys at most hardware_concurrency-way progress, so on a single-core host
+/// entry count, and the CPUs the process may use.  Requesting N pool workers
+/// buys at most util::usable_cpus()-way progress, so with one usable CPU
 /// the crossover is infinite and every pass runs serially — the structural
 /// fix for pooled paths losing to serial on small problems.
 struct PoolDispatchModel {
@@ -83,7 +83,7 @@ struct PoolDispatchModel {
   double per_chunk_seconds = 2e-6;
   /// Serial streaming throughput of the sparse passes on the host.
   double seconds_per_entry = 2.0e-9;
-  /// Hardware threads to assume; 0 = std::thread::hardware_concurrency().
+  /// Hardware threads to assume; 0 = util::usable_cpus().
   /// Tests and benches override this to force either path.
   int hardware_threads = 0;
 

@@ -1,9 +1,36 @@
 #include "serve/request_batcher.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
+#include "obs/trace.hpp"
+
 namespace tpa::serve {
+namespace {
+
+// One "serve/queue" span per this many requests: a traced pass of 16384
+// requests must fit the tracer's per-thread ring next to its batch spans.
+constexpr std::uint64_t kQueueTraceEvery = 64;
+
+/// Records a "serve/queue" span, enqueue to now, for each request of `batch`
+/// whose index among all requests taken into batches is a multiple of
+/// kQueueTraceEvery; `first` is the index of batch[0].
+void trace_queue_waits(const std::vector<Request>& batch,
+                       std::uint64_t first) {
+  if (!obs::trace_enabled()) return;
+  const auto now = std::chrono::steady_clock::now();
+  const double now_us = obs::trace_now_us();
+  for (std::size_t i = (kQueueTraceEvery - first % kQueueTraceEvery) %
+                       kQueueTraceEvery;
+       i < batch.size(); i += kQueueTraceEvery) {
+    const double waited_us =
+        std::chrono::duration<double, std::micro>(now - batch[i].enqueued)
+            .count();
+    obs::trace_complete("serve/queue", now_us - waited_us, waited_us);
+  }
+}
+
+}  // namespace
 
 const char* admission_name(Admission a) noexcept {
   switch (a) {
@@ -24,26 +51,19 @@ RequestBatcher::RequestBatcher(BatcherConfig config, util::ThreadPool& pool,
     : config_(config), pool_(pool), on_batch_(std::move(on_batch)) {
   if (config_.max_batch_size == 0) config_.max_batch_size = 1;
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.max_inflight_batches == 0) {
-    config_.max_inflight_batches = 2 * pool_.size();
-  }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 RequestBatcher::~RequestBatcher() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  queue_event_.notify_all();
-  dispatcher_.join();
-  // The dispatcher flushed the queue before exiting; wait for the last
-  // batches to finish executing so on_batch_ never outlives this object.
-  drain();
+  std::unique_lock<std::mutex> lock(mutex_);
+  stopping_ = true;
+  // A non-empty queue always has a drain task running, so no drain task
+  // left means every accepted request has executed.
+  idle_.wait(lock, [this] { return draining_ == 0; });
 }
 
 SubmitResult RequestBatcher::submit(sparse::SparseVectorView row) {
   SubmitResult result;
+  bool start_drain = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -60,15 +80,19 @@ SubmitResult RequestBatcher::submit(sparse::SparseVectorView row) {
     result.prediction = request.result.get_future();
     result.status = Admission::kAccepted;
     queue_.push_back(std::move(request));
+    // Start a drain task when none runs, or when a full batch waits for
+    // every one already running.
+    start_drain = draining_ < pool_.size() &&
+                  queue_.size() >= draining_ * config_.max_batch_size;
+    if (start_drain) ++draining_;
   }
-  queue_event_.notify_one();
+  if (start_drain) pool_.submit([this] { drain_loop(); });
   return result;
 }
 
 void RequestBatcher::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  inflight_event_.wait(
-      lock, [this] { return queue_.empty() && inflight_batches_ == 0; });
+  idle_.wait(lock, [this] { return draining_ == 0; });
 }
 
 std::size_t RequestBatcher::queued() const {
@@ -76,47 +100,30 @@ std::size_t RequestBatcher::queued() const {
   return queue_.size();
 }
 
-void RequestBatcher::dispatcher_loop() {
+void RequestBatcher::drain_loop() {
+  std::vector<Request> batch;  // reused: grows to the largest batch once
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_event_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    // Wait out the coalescing window: until the batch fills or the oldest
-    // request's deadline passes.  Shutdown flushes immediately.
-    const auto deadline = queue_.front().enqueued + config_.max_wait;
-    while (!stopping_ && queue_.size() < config_.max_batch_size) {
-      if (queue_event_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    // Backpressure: hold the batch until an execution slot frees up, letting
-    // the queue fill and admission control start shedding.
-    inflight_event_.wait(lock, [this] {
-      return inflight_batches_ < config_.max_inflight_batches;
-    });
-    auto batch = std::make_shared<std::vector<Request>>();
-    const std::size_t take =
-        std::min(queue_.size(), config_.max_batch_size);
-    batch->reserve(take);
+  // The last drain task empties the queue; any other stops once less than
+  // a full batch waits, which the tasks still running will take.
+  while (!queue_.empty() &&
+         (draining_ == 1 || queue_.size() >= config_.max_batch_size)) {
+    const std::size_t take = std::min(queue_.size(), config_.max_batch_size);
     for (std::size_t i = 0; i < take; ++i) {
-      batch->push_back(std::move(queue_.front()));
+      batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    ++inflight_batches_;
+    const std::uint64_t first = taken_;
+    taken_ += take;
     lock.unlock();
-    pool_.submit([this, batch] {
-      on_batch_(*batch);
-      // Notify under the lock: drain() may destroy this batcher the moment
-      // the predicate holds, so the cv must not be touched after unlock.
-      const std::lock_guard<std::mutex> inner(mutex_);
-      --inflight_batches_;
-      inflight_event_.notify_all();
-    });
+    trace_queue_waits(batch, first);
+    on_batch_(batch);
+    batch.clear();
     lock.lock();
   }
+  // Notify under the lock: drain() or the destructor may destroy this
+  // batcher the moment the predicate holds, so the cv must not be touched
+  // after unlock.
+  if (--draining_ == 0) idle_.notify_all();
 }
 
 }  // namespace tpa::serve

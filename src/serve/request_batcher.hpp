@@ -1,28 +1,40 @@
 // Request batcher: a bounded MPSC queue that coalesces single-row scoring
 // requests into batches and executes them on ThreadPool workers.
 //
-// Any number of producer threads call submit(); one dispatcher thread pops
-// requests, forms a batch when either max_batch_size requests are waiting or
-// the oldest request has waited max_wait, and hands the batch to the pool.
-// Backpressure is two-staged:
-//   - admission control: submit() sheds load with a typed Admission verdict
-//     (no blocking) once queue_capacity requests are waiting;
-//   - in-flight cap: the dispatcher stalls — letting the queue fill and
-//     admissions start rejecting — when max_inflight_batches batches are
-//     already executing, so a slow scorer cannot build an unbounded backlog
-//     inside the pool.
-// Shutdown drains: every accepted request is executed before the dispatcher
-// exits, so a caller that holds a future always sees it resolve.
+// Any number of producer threads call submit().  Batches are formed by drain
+// tasks on the pool, not by a timer: a drain task takes up to
+// max_batch_size queued requests, executes them as one batch and loops.  One
+// rule, applied under the queue mutex, starts and stops them:
+//   - submit() starts a drain task when none is running, or when a full
+//     batch waits for every drain task already running, up to pool.size()
+//     drain tasks at once;
+//   - the last drain task running continues until the queue is empty; any
+//     other stops once less than a full batch waits.
+// A queued request therefore always has a drain task coming for it and
+// waits only while the scorer is busy, and batches fill exactly when the
+// scorer falls behind.  The trade-off is head-of-line: while one drain task
+// scores a slow batch and fewer than max_batch_size requests wait, an idle
+// worker stays idle, so those requests wait up to one batch service time.
+//
+// Backpressure: submit() sheds load with a typed Admission verdict (no
+// blocking) once queue_capacity requests are waiting.  With every drain task
+// busy the queue fills and admissions start rejecting, so a slow scorer
+// cannot build an unbounded backlog.
+// Shutdown drains: every accepted request is executed before the destructor
+// returns, so a caller that holds a future always sees it resolve.
+//
+// When tracing is on, every 64th request taken into a batch records a
+// "serve/queue" span from its enqueue to the start of its batch.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -57,23 +69,21 @@ struct SubmitResult {
 
 struct BatcherConfig {
   std::size_t max_batch_size = 64;
-  std::chrono::microseconds max_wait{200};
   std::size_t queue_capacity = 1024;
-  std::size_t max_inflight_batches = 0;  // 0 = 2 × pool workers
 };
 
 class RequestBatcher {
  public:
   /// `on_batch` runs on a pool worker with exclusive ownership of the batch;
   /// it must fulfil every request's promise.  It must not submit work back
-  /// to `pool` (the pool is shared with other in-flight batches).
+  /// to `pool` (the pool's workers may all be running drain tasks).
   using BatchFn = std::function<void(std::vector<Request>&)>;
 
   RequestBatcher(BatcherConfig config, util::ThreadPool& pool,
                  BatchFn on_batch);
   RequestBatcher(const RequestBatcher&) = delete;
   RequestBatcher& operator=(const RequestBatcher&) = delete;
-  /// Stops admissions, drains every accepted request, joins the dispatcher.
+  /// Stops admissions and waits until every accepted request has executed.
   ~RequestBatcher();
 
   /// Non-blocking admission: rejects with kQueueFull / kShutdown instead of
@@ -87,19 +97,20 @@ class RequestBatcher {
   std::size_t queued() const;
 
  private:
-  void dispatcher_loop();
+  void drain_loop();
 
   BatcherConfig config_;
   util::ThreadPool& pool_;
   BatchFn on_batch_;
 
   mutable std::mutex mutex_;
-  std::condition_variable queue_event_;     // dispatcher wake-ups
-  std::condition_variable inflight_event_;  // batch completions / drain
+  std::condition_variable idle_;  // the last drain task stopped
   std::deque<Request> queue_;
-  std::size_t inflight_batches_ = 0;
+  // Drain tasks started and not yet stopped.  Never 0 while queue_ holds a
+  // request: the last one stops only on an empty queue.
+  std::size_t draining_ = 0;
+  std::uint64_t taken_ = 0;  // requests taken into batches (trace sampling)
   bool stopping_ = false;
-  std::thread dispatcher_;
 };
 
 }  // namespace tpa::serve

@@ -12,8 +12,11 @@
 
 namespace tpa::serve {
 
+// The pool parks idle workers at once (spin budget 0): a drain task is
+// long-lived, so an idle worker's spin would only take a CPU from the
+// producers.
 Server::Server(ServerConfig config)
-    : config_(config), pool_(config.threads) {
+    : config_(config), pool_(config.threads, 0) {
   batcher_ = std::make_unique<RequestBatcher>(
       config_.batcher, pool_,
       [this](std::vector<Request>& batch) { execute_batch(batch); });

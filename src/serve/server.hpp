@@ -2,12 +2,14 @@
 // object.
 //
 // Lifecycle: construct, publish at least one model, then submit single-row
-// requests from any number of threads.  The batcher coalesces them, a pool
-// worker snapshots the live model once per batch and scores every row
-// against it, and each request's future resolves with ŷ.  A trainer can
-// publish() / reload() at any time: in-flight batches finish on the version
-// they snapshotted, later batches see the new weights — accepted requests
-// are never dropped by a reload.
+// requests from any number of threads.  The batcher's drain tasks, at most
+// one per pool worker, take the queued requests in batches of up to
+// max_batch_size; each batch snapshots the live model once and scores every
+// row against it, and each request's future resolves with ŷ.  A request
+// waits only while the scorer is busy: no timer holds a batch open.  A
+// trainer can publish() / reload() at any time: in-flight batches finish on
+// the version they snapshotted, later batches see the new weights —
+// accepted requests are never dropped by a reload.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,7 @@
 namespace tpa::serve {
 
 struct ServerConfig {
-  std::size_t threads = 4;  // pool workers executing batches
+  std::size_t threads = 4;  // pool workers, and the most drain tasks at once
   BatcherConfig batcher;
   std::uint64_t log_every_batches = 0;  // 0 = no periodic stats logging
   /// reload() retries a failed file read this many extra times, sleeping

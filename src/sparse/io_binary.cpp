@@ -95,16 +95,17 @@ void CheckedWriter::write_digest() {
 void commit_file(const std::string& path, const std::string& context,
                  const std::function<void(std::ostream&)>& write) {
   const std::string tmp = path + ".tmp";
+  // The errors name `path`, the file the caller asked for, not the .tmp.
   try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + tmp + " for writing");
+    if (!out) throw std::runtime_error("cannot open " + path + " for writing");
     write(out);
     // The last buffered bytes reach the file only here, so a full disk or
     // a file-size limit shows up at the flush or the close, not earlier.
     out.flush();
-    if (!out) throw std::runtime_error(context + " write failed: " + tmp);
+    if (!out) throw std::runtime_error(context + " write failed: " + path);
     out.close();
-    if (!out) throw std::runtime_error(context + " write failed: " + tmp);
+    if (!out) throw std::runtime_error(context + " write failed: " + path);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
       throw std::runtime_error("cannot rename " + tmp + " to " + path);
     }

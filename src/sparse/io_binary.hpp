@@ -127,8 +127,7 @@ class CheckedWriter {
 /// checked, closed, checked again and renamed over `path`.  `path`
 /// therefore only ever names a complete file: rename(2) is atomic within a
 /// filesystem, and on any failure the .tmp is removed, the previous `path`
-/// is left as it was, and std::runtime_error (starting with `context`) is
-/// thrown.
+/// is left as it was, and a std::runtime_error naming `path` is thrown.
 void commit_file(const std::string& path, const std::string& context,
                  const std::function<void(std::ostream&)>& write);
 

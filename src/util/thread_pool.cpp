@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace tpa::util {
@@ -17,11 +19,21 @@ inline void cpu_pause() noexcept {
 
 }  // namespace
 
+std::size_t usable_cpus() noexcept {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::size_t ThreadPool::default_spin_iterations() noexcept {
   // A futex sleep + wake costs a few microseconds; ~2048 pause iterations
-  // covers that window.  With one hardware thread the spinner and the
-  // thread it waits for share the core, so any spin is pure loss.
-  return std::thread::hardware_concurrency() > 1 ? 2048 : 0;
+  // covers that window.  With one usable CPU the spinner and the thread it
+  // waits for share the core, so any spin is pure loss.
+  return usable_cpus() > 1 ? 2048 : 0;
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::size_t spin_iterations)

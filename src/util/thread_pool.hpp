@@ -13,7 +13,8 @@
 // while still hot, and parks (so the pool never burns CPU while idle) when
 // no work arrives within the budget.  wait_idle has the matching caller
 // side: a bounded spin on the in-flight counter, then the condition
-// variable.  On a single-core host the spin budget defaults to zero —
+// variable.  When the process may use one CPU only (a single-core host, or
+// a CPU mask such as `taskset -c 3`) the spin budget defaults to zero —
 // spinning there only steals cycles from the one core that could be doing
 // the work.
 #pragma once
@@ -29,6 +30,11 @@
 
 namespace tpa::util {
 
+/// CPUs the calling thread may run on: the count of its affinity mask
+/// (sched_getaffinity), or std::thread::hardware_concurrency() where the
+/// mask cannot be read.  At least 1.
+std::size_t usable_cpus() noexcept;
+
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).  `spin_iterations` bounds
@@ -43,10 +49,9 @@ class ThreadPool {
   std::size_t size() const noexcept { return workers_.size(); }
   std::size_t spin_iterations() const noexcept { return spin_iterations_; }
 
-  /// Spin budget picked for this host: zero when there is a single hardware
-  /// thread (a spinner would preempt the worker it waits for), a few
-  /// thousand pause iterations (~ the cost of one futex round trip)
-  /// otherwise.
+  /// Spin budget picked for this process: zero when usable_cpus() is 1 (a
+  /// spinner would preempt the worker it waits for), a few thousand pause
+  /// iterations (~ the cost of one futex round trip) otherwise.
   static std::size_t default_spin_iterations() noexcept;
 
   /// Enqueues a task.  Tasks must not throw; exceptions terminate.

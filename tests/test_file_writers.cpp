@@ -151,9 +151,10 @@ std::string read_bytes(const std::filesystem::path& path) {
 // Runs `write` with the process's file-size limit lowered to `limit` bytes
 // and SIGXFSZ ignored, so an oversized write fails with EFBIG instead of
 // killing the test; both are restored before it returns.  Returns whether
-// `write` threw.
+// `write` threw, and stores the error's message in `message` if given.
 bool throws_under_file_size_limit(rlim_t limit,
-                                  const std::function<void()>& write) {
+                                  const std::function<void()>& write,
+                                  std::string* message = nullptr) {
   rlimit saved_limit{};
   EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
   struct sigaction ignore {};
@@ -166,8 +167,9 @@ bool throws_under_file_size_limit(rlim_t limit,
   bool threw = false;
   try {
     write();
-  } catch (const std::runtime_error&) {
+  } catch (const std::runtime_error& error) {
     threw = true;
+    if (message != nullptr) *message = error.what();
   }
   EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
   EXPECT_EQ(sigaction(SIGXFSZ, &saved_action, nullptr), 0);
@@ -209,6 +211,28 @@ TEST_P(FileWriters, RefusedWriteThrowsAndKeepsThePreviousFile) {
       40, [&] { GetParam().write(path(), 1); }));
   EXPECT_EQ(read_bytes(path()), previous);
   EXPECT_FALSE(std::filesystem::exists(path() + ".tmp"));
+}
+
+// The error names the file the caller asked for, not its .tmp sibling.
+TEST_P(FileWriters, RefusedWriteNamesTheGivenPath) {
+  std::string message;
+  ASSERT_TRUE(throws_under_file_size_limit(
+      40, [&] { GetParam().write(path(), 1); }, &message));
+  EXPECT_TRUE(message.ends_with("write failed: " + path())) << message;
+}
+
+TEST(CommitFile, UnopenablePathIsNamedAsGiven) {
+  const std::string path = (std::filesystem::path(::testing::TempDir()) /
+                            ("tpa_no_such_dir_" + std::to_string(getpid())) /
+                            "x.jsonl")
+                               .string();
+  try {
+    sparse::commit_file(path, "run report", [](std::ostream&) {});
+    FAIL() << "commit_file into a missing directory did not throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "cannot open " + path + " for writing");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, FileWriters, ::testing::ValuesIn(kFormats),

@@ -1,6 +1,7 @@
 // Serving subsystem: model normalisation, the sparse scoring kernels, the
 // hot-reload registry, serving metrics, and the batcher's concurrency edges
-// (coalescing, queue-full shedding, reload during an in-flight batch).
+// (coalescing, drain-task fan-out, racing producers, queue-full shedding,
+// reload during an in-flight batch).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -368,41 +370,203 @@ TEST(RequestBatcherTest, DrainWithNoRequestsReturnsImmediately) {
   EXPECT_EQ(batcher.queued(), 0u);
 }
 
-TEST(RequestBatcherTest, SingleRequestFlushesOnTimeout) {
+TEST(RequestBatcherTest, SingleRequestResolvesWithoutCompany) {
   util::ThreadPool pool(2);
   BatcherConfig config;
   config.max_batch_size = 64;
-  config.max_wait = std::chrono::microseconds(100);
   RequestBatcher batcher(config, pool, count_executor(nullptr));
   const auto matrix = two_row_matrix();
   auto result = batcher.submit(matrix.row(0));
   ASSERT_TRUE(result.accepted());
-  // The batch must flush after max_wait even though it never fills.
+  // A lone request runs as a batch of one: nothing waits for the batch to
+  // fill.
   EXPECT_EQ(result.prediction.get(), 1.0F);
 }
 
+/// Executor that holds every batch until open(), recording each batch's
+/// size (in start order) and how many batches have started.
+struct GatedExecutor {
+  std::promise<void> gate;
+  std::shared_future<void> gate_opened = gate.get_future().share();
+  std::once_flag opened;
+  std::atomic<int> started{0};
+  std::mutex sizes_mutex;
+  std::vector<std::size_t> sizes;
+
+  void open() {
+    std::call_once(opened, [this] { gate.set_value(); });
+  }
+
+  RequestBatcher::BatchFn fn() {
+    return [this](std::vector<Request>& batch) {
+      {
+        const std::lock_guard<std::mutex> lock(sizes_mutex);
+        sizes.push_back(batch.size());
+      }
+      started.fetch_add(1);
+      gate_opened.wait();
+      for (auto& request : batch) {
+        request.result.set_value(static_cast<float>(batch.size()));
+      }
+    };
+  }
+
+  /// Waits up to 10 s for `count` batches to have started.
+  bool wait_started(int count) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < count) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+};
+
+/// Opens the gate when it goes out of scope; declared after the batcher, it
+/// lets the batcher's destructor drain even when an assertion returns early.
+struct OpenOnExit {
+  GatedExecutor& executor;
+  ~OpenOnExit() { executor.open(); }
+};
+
 TEST(RequestBatcherTest, CoalescesBackloggedRequestsIntoBatches) {
-  util::ThreadPool pool(2);
+  // One worker, so one drain task: while it holds a batch of one, 256
+  // requests back up behind it, and released it takes them as exactly 16
+  // full batches.
+  util::ThreadPool pool(1);
   BatcherConfig config;
   config.max_batch_size = 16;
-  config.max_wait = std::chrono::milliseconds(5);
-  std::atomic<int> batches{0};
-  RequestBatcher batcher(config, pool, count_executor(&batches));
+  GatedExecutor executor;
+  RequestBatcher batcher(config, pool, executor.fn());
+  const OpenOnExit open_on_exit{executor};
   const auto matrix = two_row_matrix();
+  auto first = batcher.submit(matrix.row(0));
+  ASSERT_TRUE(first.accepted());
+  ASSERT_TRUE(executor.wait_started(1));
+
   std::vector<std::future<float>> results;
   for (int i = 0; i < 256; ++i) {
     auto result = batcher.submit(matrix.row(i % 2));
     ASSERT_TRUE(result.accepted());
     results.push_back(std::move(result.prediction));
   }
-  double mean_batch = 0.0;
-  for (auto& r : results) mean_batch += r.get();
-  mean_batch /= 256.0;
-  // 256 requests submitted faster than the 5 ms window must coalesce: far
-  // fewer batches than requests, batches no larger than the cap.
-  EXPECT_LE(batches.load(), 64);
-  EXPECT_GT(mean_batch, 1.0);
-  EXPECT_LE(mean_batch, 16.0);
+  EXPECT_EQ(batcher.queued(), 256u);
+  executor.open();
+  EXPECT_EQ(first.prediction.get(), 1.0F);
+  for (auto& r : results) EXPECT_EQ(r.get(), 16.0F);
+  batcher.drain();
+  const std::vector<std::size_t> expected_sizes = {
+      1, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16};
+  EXPECT_EQ(executor.sizes, expected_sizes);
+}
+
+TEST(RequestBatcherTest, SecondBatchStartsOnlyOnceAFullBatchWaits) {
+  // Two workers.  While one batch runs, requests short of a full batch wait
+  // for it rather than wake the idle worker; a full batch waiting starts a
+  // second drain task, which runs alongside the first.
+  util::ThreadPool pool(2);
+  BatcherConfig config;
+  config.max_batch_size = 4;
+  GatedExecutor executor;
+  RequestBatcher batcher(config, pool, executor.fn());
+  const OpenOnExit open_on_exit{executor};
+  const auto matrix = two_row_matrix();
+  std::vector<std::future<float>> results;
+  const auto submit = [&] {
+    auto result = batcher.submit(matrix.row(0));
+    ASSERT_TRUE(result.accepted());
+    results.push_back(std::move(result.prediction));
+  };
+
+  submit();
+  ASSERT_TRUE(executor.wait_started(1));
+  for (int i = 0; i < 3; ++i) submit();
+  // Give a wrongly started second drain task time to show itself.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(executor.started.load(), 1);
+  EXPECT_EQ(batcher.queued(), 3u);
+
+  submit();  // the fourth waiting request completes a full batch
+  ASSERT_TRUE(executor.wait_started(2));
+  EXPECT_EQ(batcher.queued(), 0u);
+  {
+    const std::lock_guard<std::mutex> lock(executor.sizes_mutex);
+    EXPECT_EQ(executor.sizes, (std::vector<std::size_t>{1, 4}));
+  }
+
+  executor.open();
+  EXPECT_EQ(results[0].get(), 1.0F);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].get(), 4.0F);
+  }
+  batcher.drain();
+  EXPECT_EQ(executor.started.load(), 2);
+}
+
+TEST(RequestBatcherTest, ConcurrentProducersResolveEveryAcceptedRequestOnce) {
+  // Four producers race each other, a drain() loop and, at the end, the
+  // destructor, which meets whatever backlog is left.  Row r holds the
+  // single value r, so each future names the request it belongs to.
+  constexpr int kRows = 64;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 4000;
+  std::vector<sparse::Offset> offsets(kRows + 1);
+  std::vector<Index> indices(kRows);
+  std::vector<float> values(kRows);
+  for (int r = 0; r < kRows; ++r) {
+    offsets[r + 1] = static_cast<sparse::Offset>(r + 1);
+    indices[r] = static_cast<Index>(r);
+    values[r] = static_cast<float>(r);
+  }
+  const CsrMatrix matrix(kRows, kRows, std::move(offsets), std::move(indices),
+                         std::move(values));
+
+  std::atomic<std::uint64_t> executed{0};
+  std::vector<std::vector<std::future<float>>> accepted(kProducers);
+  std::vector<std::vector<int>> accepted_rows(kProducers);
+  util::ThreadPool pool(3);
+  {
+    BatcherConfig config;
+    config.max_batch_size = 8;
+    config.queue_capacity = 64;
+    RequestBatcher batcher(config, pool, [&](std::vector<Request>& batch) {
+      for (auto& request : batch) {
+        executed.fetch_add(1);
+        request.result.set_value(request.row.values[0]);
+      }
+    });
+    std::atomic<int> finished{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          const int row = (7 * p + i) % kRows;
+          auto result = batcher.submit(matrix.row(row));
+          if (result.accepted()) {
+            accepted[p].push_back(std::move(result.prediction));
+            accepted_rows[p].push_back(row);
+          } else {
+            EXPECT_EQ(result.status, Admission::kQueueFull);
+            std::this_thread::yield();
+          }
+        }
+        finished.fetch_add(1);
+      });
+    }
+    while (finished.load() < kProducers) batcher.drain();
+    for (auto& producer : producers) producer.join();
+  }
+  std::uint64_t total = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    total += accepted[p].size();
+    for (std::size_t i = 0; i < accepted[p].size(); ++i) {
+      ASSERT_EQ(accepted[p][i].get(),
+                static_cast<float>(accepted_rows[p][i]));
+    }
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(executed.load(), total);
 }
 
 TEST(RequestBatcherTest, ShedsLoadWhenQueueFull) {
@@ -410,8 +574,6 @@ TEST(RequestBatcherTest, ShedsLoadWhenQueueFull) {
   BatcherConfig config;
   config.max_batch_size = 1;
   config.queue_capacity = 2;
-  config.max_inflight_batches = 1;
-  config.max_wait = std::chrono::microseconds(1);
 
   std::atomic<bool> started{false};
   std::promise<void> gate;
@@ -428,7 +590,7 @@ TEST(RequestBatcherTest, ShedsLoadWhenQueueFull) {
   ASSERT_TRUE(first.accepted());
   while (!started.load()) std::this_thread::yield();
 
-  // The in-flight batch blocks the dispatcher, so the queue backs up to
+  // The in-flight batch holds the only drain task, so the queue backs up to
   // capacity and admission control starts shedding with a typed verdict.
   std::vector<std::future<float>> accepted;
   std::size_t rejected = 0;
@@ -457,7 +619,6 @@ TEST(RequestBatcherTest, DestructorDrainsAcceptedRequests) {
   {
     BatcherConfig config;
     config.max_batch_size = 8;
-    config.max_wait = std::chrono::seconds(10);  // force the shutdown flush
     RequestBatcher batcher(config, pool, count_executor(nullptr));
     for (int i = 0; i < 5; ++i) {
       auto result = batcher.submit(matrix.row(0));
@@ -487,7 +648,6 @@ TEST(RequestBatcherTest, ReloadDuringInFlightBatchKeepsSnapshot) {
   auto gate_opened = gate.get_future().share();
   BatcherConfig config;
   config.max_batch_size = 4;
-  config.max_wait = std::chrono::microseconds(50);
   RequestBatcher batcher(config, pool, [&](std::vector<Request>& batch) {
     const auto model = registry.current();  // snapshot at execution start
     started.store(true);
@@ -537,7 +697,6 @@ TEST(ServerTest, ServesPredictionsMatchingDirectScoring) {
   ServerConfig server_config;
   server_config.threads = 2;
   server_config.batcher.max_batch_size = 16;
-  server_config.batcher.max_wait = std::chrono::microseconds(100);
   Server server(server_config);
   EXPECT_EQ(server.publish(primal_model(beta)), 1u);
 
@@ -566,7 +725,6 @@ TEST(ServerTest, HotReloadMidStreamSwapsPredictionsWithoutDrops) {
   ServerConfig config;
   config.threads = 2;
   config.batcher.max_batch_size = 8;
-  config.batcher.max_wait = std::chrono::microseconds(50);
   Server server(config);
   server.publish(primal_model(std::vector<float>(8, 0.0F)));  // v1: ŷ = 0
 

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,8 @@
 #include <numeric>
 #include <utility>
 #include <vector>
+
+#include "core/cost_model.hpp"
 
 namespace tpa::util {
 namespace {
@@ -120,10 +124,10 @@ TEST(ThreadPool, SurvivesManyWaves) {
 }
 
 TEST(ThreadPool, DefaultSpinBudgetMatchesHost) {
-  // Zero on a single-core host (a spinner would preempt the one worker),
+  // Zero with one usable CPU (a spinner would preempt the one worker),
   // a bounded nonzero budget everywhere else.
   const std::size_t budget = ThreadPool::default_spin_iterations();
-  if (std::thread::hardware_concurrency() > 1) {
+  if (usable_cpus() > 1) {
     EXPECT_GT(budget, 0u);
     EXPECT_LE(budget, 1u << 20);
   } else {
@@ -131,6 +135,30 @@ TEST(ThreadPool, DefaultSpinBudgetMatchesHost) {
   }
   ThreadPool pool(2);
   EXPECT_EQ(pool.spin_iterations(), budget);
+}
+
+// The spin budget and the pool-dispatch cap count the CPUs this thread may
+// run on, not the host's: under a one-CPU mask (as `taskset -c 3` sets) a
+// pool must not spin and a pooled pass must plan one worker.
+TEST(ThreadPool, OneCpuMaskMeansNoSpinAndOneEffectiveThread) {
+  cpu_set_t saved{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t cpus = usable_cpus();
+  const std::size_t spin = ThreadPool::default_spin_iterations();
+  const int effective = core::PoolDispatchModel{}.effective_threads(4);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+  EXPECT_EQ(cpus, 1u);
+  EXPECT_EQ(spin, 0u);
+  EXPECT_EQ(effective, 1);
+  EXPECT_EQ(usable_cpus(), static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 // The spin budget is a latency knob, never a correctness knob: every task

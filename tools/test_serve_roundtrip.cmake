@@ -19,7 +19,7 @@ execute_process(
   COMMAND ${SERVE_BIN} --model ${WORK_DIR}/serve_v1.tpam
           --reload ${WORK_DIR}/serve_v2.tpam
           --generate webspam --examples 512 --features 1024
-          --requests 10000 --batch 32 --wait-us 100 --threads 4
+          --requests 10000 --batch 32 --threads 4
   RESULT_VARIABLE serve_result
   OUTPUT_VARIABLE serve_output
   ERROR_VARIABLE serve_stderr)

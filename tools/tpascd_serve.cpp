@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   parser.add_option("requests", "requests to replay", "10000");
   parser.add_option("threads", "scoring worker threads", "4");
   parser.add_option("batch", "max batch size", "64");
-  parser.add_option("wait-us", "max batching wait (microseconds)", "200");
   parser.add_option("queue", "admission queue capacity", "1024");
   parser.add_option("log-every", "log stats every N batches (0 = off)", "0");
   parser.add_option("trace-out",
@@ -104,8 +103,6 @@ int main(int argc, char** argv) {
     serve::ServerConfig config;
     config.threads = parser.get_int<std::size_t>("threads", 4);
     config.batcher.max_batch_size = parser.get_int<std::size_t>("batch", 64);
-    config.batcher.max_wait =
-        std::chrono::microseconds(parser.get_int<std::int64_t>("wait-us", 200));
     config.batcher.queue_capacity = parser.get_int<std::size_t>("queue", 1024);
     config.log_every_batches = parser.get_int<std::uint64_t>("log-every", 0);
     serve::Server server(config);
