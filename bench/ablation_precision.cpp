@@ -37,8 +37,6 @@
 #include "cluster/placement/drift.hpp"
 #include "cluster/placement/fleet.hpp"
 #include "linalg/half.hpp"
-#include "linalg/kernels.hpp"
-#include "obs/build_info.hpp"
 
 namespace {
 
@@ -214,14 +212,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const auto info = obs::build_info();
     const bench::BenchMeta meta = {
-        {"git_sha", info.git_sha},
-        {"compiler", info.compiler},
-        {"build_type", info.build_type},
-        {"kernel_backend",
-         linalg::kernel_backend_name(linalg::kernel_backend())},
-        {"kernel_native", linalg::kernel_native_build() ? "true" : "false"},
         {"half_hardware", linalg::half_hardware_build() ? "true" : "false"},
         {"network", "10GbE"},
         {"fleet", cluster::placement::fleet_summary(fleet)},

@@ -3,6 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
+
+#include "linalg/kernels.hpp"
+#include "obs/build_info.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpa::bench {
 namespace {
@@ -20,6 +25,21 @@ void append_escaped(std::string& out, const std::string& s) {
     out.push_back(c);
   }
   out.push_back('"');
+}
+
+BenchMeta provenance_meta() {
+  const auto info = obs::build_info();
+  return {
+      {"git_sha", info.git_sha},
+      {"compiler", info.compiler},
+      {"build_type", info.build_type},
+      {"kernel_backend",
+       linalg::kernel_backend_name(linalg::kernel_backend())},
+      {"kernel_native", linalg::kernel_native_build() ? "true" : "false"},
+      {"hardware_concurrency",
+       std::to_string(std::thread::hardware_concurrency())},
+      {"usable_cpus", std::to_string(util::usable_cpus())},
+  };
 }
 
 }  // namespace
@@ -66,7 +86,9 @@ void write_json_file(const std::string& path, const std::string& suite,
   if (!file) {
     throw std::runtime_error("bench_json: cannot open " + path);
   }
-  file << to_json(suite, results, meta);
+  auto stamped = provenance_meta();
+  stamped.insert(stamped.end(), meta.begin(), meta.end());
+  file << to_json(suite, results, stamped);
   if (!file) {
     throw std::runtime_error("bench_json: write failed for " + path);
   }

@@ -20,9 +20,7 @@ struct BenchResult {
   std::vector<std::pair<std::string, double>> extra;
 };
 
-/// String-valued metadata emitted alongside the results (build provenance:
-/// git SHA, compiler, kernel backend, ...), so a committed artefact is
-/// attributable to the configuration that produced it.
+/// String-valued metadata emitted alongside the results.
 using BenchMeta = std::vector<std::pair<std::string, std::string>>;
 
 /// Serialises `results` as {"suite": ..., "meta": {...}, "results": [...]}.
@@ -33,6 +31,12 @@ std::string to_json(const std::string& suite,
                     const BenchMeta& meta = {});
 
 /// Writes to_json(...) to `path`; throws std::runtime_error on I/O failure.
+/// The meta object starts with the provenance every BENCH_*.json carries,
+/// so a committed number is attributable to the build and host that
+/// produced it: git SHA (with a "-dirty" suffix when tracked files
+/// differed from HEAD at configure time), compiler, build type, kernel
+/// backend and -march=native flag, std::thread::hardware_concurrency() and
+/// util::usable_cpus().  The bench's own `meta` fields follow.
 void write_json_file(const std::string& path, const std::string& suite,
                      std::span<const BenchResult> results,
                      const BenchMeta& meta = {});

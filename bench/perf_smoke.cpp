@@ -20,7 +20,6 @@
 #include "bench_json.hpp"
 #include "cluster/delta_codec.hpp"
 #include "core/convergence.hpp"
-#include "obs/build_info.hpp"
 #include "core/ridge_problem.hpp"
 #include "core/seq_scd.hpp"
 #include "core/threaded_scd.hpp"
@@ -107,17 +106,6 @@ int run(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 1;
 
   const auto out_dir = parser.get_string("out-dir", ".");
-  // Build provenance for the committed artefacts: a BENCH_*.json number is
-  // only comparable to another taken on the same backend/ISA configuration.
-  const auto info = obs::build_info();
-  const bench::BenchMeta meta = {
-      {"git_sha", info.git_sha},
-      {"compiler", info.compiler},
-      {"build_type", info.build_type},
-      {"kernel_backend",
-       linalg::kernel_backend_name(linalg::kernel_backend())},
-      {"kernel_native", linalg::kernel_native_build() ? "true" : "false"},
-  };
   const int trials = static_cast<int>(parser.get_int("trials", 5));
   const int threads = static_cast<int>(parser.get_int("threads", 4));
   const double slack = parser.get_double("slack", 1.15);
@@ -205,8 +193,7 @@ int run(int argc, char** argv) {
     add_kernel_result(kernels, "delta_codec/decode", decode_times, "entry");
   }
 
-  bench::write_json_file(out_dir + "/BENCH_kernels.json", "kernels", kernels,
-                         meta);
+  bench::write_json_file(out_dir + "/BENCH_kernels.json", "kernels", kernels);
 
   // ---- epoch suite --------------------------------------------------------
   std::vector<bench::BenchResult> epochs;
@@ -295,8 +282,7 @@ int run(int argc, char** argv) {
                 every_s / amortised_s);
   }
 
-  bench::write_json_file(out_dir + "/BENCH_epoch.json", "epoch", epochs,
-                         meta);
+  bench::write_json_file(out_dir + "/BENCH_epoch.json", "epoch", epochs);
   std::printf("wrote %s/BENCH_kernels.json and %s/BENCH_epoch.json\n",
               out_dir.c_str(), out_dir.c_str());
 

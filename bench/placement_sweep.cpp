@@ -11,10 +11,10 @@
 //
 // Each arm also runs the cost-model drift auditor: the plan's predicted
 // per-term round decomposition vs the engine's measured round attribution
-// (DESIGN.md §15).  Emits BENCH_placement.json (same meta block as
-// perf_smoke) and with --check asserts (a) the optimized round is never
-// slower than uniform, (b) the simulated time-to-gap speedup clears
-// --min-speedup, and (c) per-term drift stays under --max-drift (CI gate).
+// (DESIGN.md §15).  Emits BENCH_placement.json and with --check asserts
+// (a) the optimized round is never slower than uniform, (b) the simulated
+// time-to-gap speedup clears --min-speedup, and (c) per-term drift stays
+// under --max-drift (CI gate).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -26,8 +26,6 @@
 #include "cluster/dist_solver.hpp"
 #include "cluster/placement/drift.hpp"
 #include "cluster/placement/fleet.hpp"
-#include "linalg/kernels.hpp"
-#include "obs/build_info.hpp"
 
 namespace {
 
@@ -174,14 +172,7 @@ int main(int argc, char** argv) {
     bench::shape_check("optimized placement time-to-gap speedup over uniform",
                        gap_speedup, ">=1.3x");
 
-    const auto info = obs::build_info();
     const bench::BenchMeta meta = {
-        {"git_sha", info.git_sha},
-        {"compiler", info.compiler},
-        {"build_type", info.build_type},
-        {"kernel_backend",
-         linalg::kernel_backend_name(linalg::kernel_backend())},
-        {"kernel_native", linalg::kernel_native_build() ? "true" : "false"},
         {"fleet", cluster::placement::fleet_summary(fleet)},
         {"network", network.name},
     };

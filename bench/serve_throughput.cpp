@@ -20,18 +20,15 @@
 #include <future>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "data/generators.hpp"
-#include "obs/build_info.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -203,14 +200,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "sink %.3f\n", benchmark_sink);
 
   if (parser.has("json-out")) {
-    const auto info = obs::build_info();
     const bench::BenchMeta meta = {
-        {"git_sha", info.git_sha},
-        {"compiler", info.compiler},
-        {"build_type", info.build_type},
-        {"hardware_concurrency",
-         std::to_string(std::thread::hardware_concurrency())},
-        {"usable_cpus", std::to_string(util::usable_cpus())},
         {"examples", std::to_string(config.num_examples)},
         {"features", std::to_string(config.num_features)},
         {"requests", std::to_string(requests)},

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -35,8 +34,6 @@
 #include "core/seq_scd.hpp"
 #include "core/threaded_scd.hpp"
 #include "data/generators.hpp"
-#include "linalg/kernels.hpp"
-#include "obs/build_info.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -168,18 +165,6 @@ int run(int argc, char** argv) {
       static_cast<int>(parser.get_int("check-threads", 4));
   const double slack = parser.get_double("slack", 1.05);
 
-  const auto info = obs::build_info();
-  const bench::BenchMeta meta = {
-      {"git_sha", info.git_sha},
-      {"compiler", info.compiler},
-      {"build_type", info.build_type},
-      {"kernel_backend",
-       linalg::kernel_backend_name(linalg::kernel_backend())},
-      {"kernel_native", linalg::kernel_native_build() ? "true" : "false"},
-      {"hardware_concurrency",
-       std::to_string(std::thread::hardware_concurrency())},
-  };
-
   std::vector<bench::BenchResult> results;
 
   data::WebspamLikeConfig small;
@@ -205,8 +190,7 @@ int run(int argc, char** argv) {
   const auto large_times =
       bench_problem("large", large_dataset, trials, check_threads, results);
 
-  bench::write_json_file(out_dir + "/BENCH_threads.json", "threads", results,
-                         meta);
+  bench::write_json_file(out_dir + "/BENCH_threads.json", "threads", results);
   std::printf("wrote %s/BENCH_threads.json\n", out_dir.c_str());
 
   if (parser.get_bool("check")) {

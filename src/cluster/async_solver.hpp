@@ -248,8 +248,8 @@ class AsyncSolver : public ClusterSolver {
   std::uint64_t flow_seq_ = 0;  // pull/push flow-arrow ids
 };
 
-/// Drives an AsyncSolver through the shared cluster run loop (gap cadence,
-/// checkpoint cadence + sidecar, fault events on the trace).
+/// Runs an AsyncSolver through ClusterSolver::run (core::run_loop), from
+/// its current round (nonzero after a restore).
 core::ConvergenceTrace run_async(AsyncSolver& solver,
                                  const core::RunOptions& options,
                                  const CheckpointConfig& ckpt = {});

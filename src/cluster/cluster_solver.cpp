@@ -10,7 +10,6 @@
 #include "core/cost_model.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tpa::cluster {
 namespace {
@@ -393,59 +392,39 @@ void ClusterSolver::scatter_checkpoint(const core::SavedModel& saved) {
 
 core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,
                                           const CheckpointConfig& ckpt) {
-  core::ConvergenceTrace trace;
-  double sim_total =
-      options.include_setup_time ? setup_sim_seconds() : 0.0;
-  double wall_total = 0.0;
-  const int start_epoch = current_epoch();
   std::size_t seen_events = events_.size();
-  int last_checkpointed = start_epoch;
-  const int interval = core::effective_gap_interval(options);
-  const auto write_checkpoint = [&](int epoch) {
+  int last_checkpointed = current_epoch();
+  const auto write_checkpoint = [&](core::ConvergenceTrace& trace, int epoch) {
     obs::TraceSpan span("train/checkpoint", master_track_, epoch);
     write_checkpoint_file(ckpt.path);
     trace.add_event({epoch, -1, core::ClusterEventKind::kCheckpoint});
     obs::metrics().counter("cluster.event.checkpoint").add();
     obs::trace_instant("checkpoint", master_track_, epoch);
   };
-  // Same crossover as run_solver: only pay for a pool when the global gap
-  // evaluation is predicted to beat the serial pass on this host.
-  const int gap_threads = core::pool_dispatch().dispatch_threads(
-      global_problem().dataset().nnz(), options.gap_threads);
-  std::unique_ptr<util::ThreadPool> gap_pool;
-  if (gap_threads > 1) {
-    gap_pool = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(gap_threads));
-  }
-  for (int epoch = start_epoch + 1; epoch <= options.max_epochs; ++epoch) {
+  const auto one_round = [&](int epoch, core::ConvergenceTrace& trace) {
     const auto report = run_epoch();
-    sim_total += report.sim_seconds;
-    wall_total += report.wall_seconds;
     for (; seen_events < events_.size(); ++seen_events) {
       trace.add_event(events_[seen_events]);
     }
     if (ckpt.enabled() && epoch % ckpt.every_epochs == 0) {
-      write_checkpoint(epoch);
+      write_checkpoint(trace, epoch);
       last_checkpointed = epoch;
     }
-    if (epoch % interval == 0 || epoch == options.max_epochs) {
-      core::TracePoint point;
-      point.epoch = epoch;
-      {
-        obs::TraceSpan span("train/gap_eval", master_track_, epoch);
-        point.gap = duality_gap(gap_pool.get());
-      }
-      obs::metrics().counter("train.gap_evals").add();
-      point.sim_seconds = sim_total;
-      point.wall_seconds = wall_total;
-      point.gamma = last_gamma();
-      point.contributors = last_contributors();
-      trace.add(point);
-      if (options.target_gap > 0.0 && point.gap <= options.target_gap) break;
-    }
-  }
+    return report;
+  };
+  auto trace = core::run_loop(
+      options,
+      {.epochs_done = current_epoch(),
+       .setup_sim_seconds = setup_sim_seconds(),
+       .gap_nnz = global_problem().dataset().nnz(),
+       .track = master_track_},
+      one_round, [&](util::ThreadPool* pool) { return duality_gap(pool); },
+      [&](core::TracePoint& point) {
+        point.gamma = last_gamma();
+        point.contributors = last_contributors();
+      });
   if (ckpt.enabled() && current_epoch() > last_checkpointed) {
-    write_checkpoint(current_epoch());
+    write_checkpoint(trace, current_epoch());
   }
   return trace;
 }

@@ -14,8 +14,8 @@
 //   - γ (averaging, fixed, or Algorithm 4's line search from
 //     cluster/aggregation) and the invariant-preserving apply;
 //   - crash counting, the event log, round attribution, the queries, the
-//     checkpoint snapshot, validation and weight scatter, and the run loop
-//     (gap cadence, checkpoint cadence, event forwarding).
+//     checkpoint snapshot, validation and weight scatter, and the round
+//     core::run_loop runs (event forwarding, checkpoint cadence).
 // The drivers keep only their schedulers: the barrier round with its grace
 // deadline, late-delta buffering and epoch-counted backoff
 // (dist_solver.hpp), and the event loop with its staleness window,
@@ -87,7 +87,7 @@ constexpr std::uint64_t model_flow_id(std::int32_t master_track, int epoch,
          (std::uint64_t{1} << 39);
 }
 
-/// Periodic checkpointing for the cluster run loops: every `every_epochs`
+/// Periodic checkpointing for ClusterSolver::run: every `every_epochs`
 /// outer epochs (and after the final one) the solver's checkpoint is written
 /// atomically to `path`.
 struct CheckpointConfig {
@@ -183,13 +183,11 @@ class ClusterSolver {
   /// Writes the driver's checkpoint to `path` (plus the async sidecar).
   virtual void write_checkpoint_file(const std::string& path) = 0;
 
-  /// The run loop behind run_distributed and run_async: drives the solver
-  /// like core::run_solver, recording γ, the contributor count and all fault
-  /// events per round, checkpointing on the configured cadence (plus a
-  /// final checkpoint so a later --resume continues from exactly where the
-  /// run stopped), and evaluating the duality gap on the gap_every stride
-  /// with a cost-model-dispatched pool.  Resumes from current_epoch()
-  /// (nonzero after restore()).
+  /// Runs the solver through core::run_loop from current_epoch() (nonzero
+  /// after a restore), adding γ, the contributor count and every fault
+  /// event to the trace and checkpointing on the configured cadence, plus
+  /// a final checkpoint so a later --resume continues where the run
+  /// stopped.  Behind run_distributed and run_async.
   core::ConvergenceTrace run(const core::RunOptions& options,
                              const CheckpointConfig& ckpt = {});
 

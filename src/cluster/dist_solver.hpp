@@ -137,10 +137,8 @@ class DistributedSolver : public ClusterSolver {
   double last_deadline_seconds_ = 0.0;
 };
 
-/// Drives a DistributedSolver like core::run_solver, recording γ, the
-/// contributor count and all fault events per epoch (ClusterSolver::run,
-/// shared with run_async).  Resumes from the solver's current epoch
-/// (nonzero after restore()).
+/// Runs a DistributedSolver through ClusterSolver::run (core::run_loop),
+/// from its current epoch (nonzero after restore()).
 core::ConvergenceTrace run_distributed(DistributedSolver& solver,
                                        const core::RunOptions& options,
                                        const CheckpointConfig& ckpt = {});

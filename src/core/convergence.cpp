@@ -123,19 +123,21 @@ int effective_gap_interval(const RunOptions& options) {
   return std::max(1, interval);
 }
 
-ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
-                            const RunOptions& options) {
+ConvergenceTrace run_loop(
+    const RunOptions& options, const RunStart& start,
+    const std::function<EpochReport(int, ConvergenceTrace&)>& epoch,
+    const std::function<double(util::ThreadPool*)>& gap,
+    const std::function<void(TracePoint&)>& annotate) {
   ConvergenceTrace trace;
-  double sim_total =
-      options.include_setup_time ? solver.setup_sim_seconds() : 0.0;
+  double sim_total = start.setup_sim_seconds;
   double wall_total = 0.0;
   const int interval = effective_gap_interval(options);
   // A gap evaluation streams the matrix once (one entry-visit per stored
   // nonzero) plus the dense vector terms; only build a pool when the cost
   // model predicts the requested workers actually beat the serial pass on
   // this host — otherwise the pooled gap regresses on small problems.
-  const int gap_threads = pool_dispatch().dispatch_threads(
-      problem.dataset().nnz(), options.gap_threads);
+  const int gap_threads =
+      pool_dispatch().dispatch_threads(start.gap_nnz, options.gap_threads);
   std::unique_ptr<util::ThreadPool> gap_pool;
   if (gap_threads > 1) {
     gap_pool = std::make_unique<util::ThreadPool>(
@@ -143,29 +145,42 @@ ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
   }
   auto& epoch_counter = obs::metrics().counter("train.epochs");
   auto& gap_counter = obs::metrics().counter("train.gap_evals");
-  for (int epoch = 1; epoch <= options.max_epochs; ++epoch) {
+  for (int e = start.epochs_done + 1; e <= options.max_epochs; ++e) {
     const auto report = [&] {
-      obs::TraceSpan span("train/epoch", obs::kCurrentThread, epoch);
-      return solver.run_epoch();
+      obs::TraceSpan span("train/epoch", start.track, e);
+      return epoch(e, trace);
     }();
     epoch_counter.add();
     sim_total += report.sim_seconds;
     wall_total += report.wall_seconds;
-    if (epoch % interval == 0 || epoch == options.max_epochs) {
+    if (e % interval == 0 || e == options.max_epochs) {
       TracePoint point;
-      point.epoch = epoch;
+      point.epoch = e;
       {
-        obs::TraceSpan span("train/gap_eval", obs::kCurrentThread, epoch);
-        point.gap = solver.duality_gap(problem, gap_pool.get());
+        obs::TraceSpan span("train/gap_eval", start.track, e);
+        point.gap = gap(gap_pool.get());
       }
       gap_counter.add();
       point.sim_seconds = sim_total;
       point.wall_seconds = wall_total;
+      if (annotate) annotate(point);
       trace.add(point);
       if (options.target_gap > 0.0 && point.gap <= options.target_gap) break;
     }
   }
   return trace;
+}
+
+ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
+                            const RunOptions& options) {
+  return run_loop(
+      options,
+      {.setup_sim_seconds = solver.setup_sim_seconds(),
+       .gap_nnz = problem.dataset().nnz()},
+      [&](int, ConvergenceTrace&) { return solver.run_epoch(); },
+      [&](util::ThreadPool* pool) {
+        return solver.duality_gap(problem, pool);
+      });
 }
 
 }  // namespace tpa::core

@@ -1,14 +1,17 @@
 // Convergence tracing: the (epoch, duality gap, time) series behind every
 // figure of the paper, with time-to-target queries for the scaling plots
-// (Figs. 6 and 8).
+// (Figs. 6 and 8), and run_loop, the one loop every driver records it with.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/solver.hpp"
+#include "obs/trace.hpp"
 
 namespace tpa::core {
 
@@ -107,22 +110,45 @@ struct RunOptions {
   int gap_every = 0;
   /// Workers used for each gap evaluation (1 = serial).  The workers only
   /// schedule the gap's fixed chunks, so every recorded gap equals the
-  /// serial one bit for bit (DESIGN.md §9).  run_solver consults
+  /// serial one bit for bit (DESIGN.md §9).  run_loop consults
   /// core::pool_dispatch() before building the pool: when the problem is too
   /// small for the requested workers to beat the serial pass (or the host
   /// lacks the cores), the evaluation runs serially — requesting threads is
   /// a ceiling, not a command, and the host never moves a gap.
   int gap_threads = 1;
-  /// Include the solver's one-time setup (GPU upload) in cumulative time.
-  bool include_setup_time = true;
 };
 
 /// The epoch stride between gap evaluations implied by `options`.
 int effective_gap_interval(const RunOptions& options);
 
-/// Drives `solver` for up to max_epochs, recording the duality gap.  The
-/// options shape the run, not the solver: a replica-merge interval is fixed
-/// when the solver is built (SolverConfig::merge_every, DESIGN.md §11).
+/// A driver's place in run_loop: the epochs it has already done (nonzero
+/// on resume), its one-time setup (GPU upload), the nonzeros one gap pass
+/// streams (sizes the gap pool; 0 is serial) and its train/* span track.
+struct RunStart {
+  int epochs_done = 0;
+  double setup_sim_seconds = 0.0;
+  std::uint64_t gap_nnz = 0;
+  std::int32_t track = obs::kCurrentThread;
+};
+
+/// The one loop that runs epochs and records the gap, from epoch
+/// start.epochs_done + 1 to max_epochs: `epoch(e, trace)` runs epoch e (it
+/// may add events to `trace` and write checkpoints), `gap(pool)` runs on
+/// the gap_every stride and always at max_epochs, and `annotate` adds the
+/// driver's fields (γ, contributors) to each point.  Stops once a gap
+/// reaches target_gap.  Simulated time starts at the setup time; the gap's
+/// time is left out of both clocks, as in the paper.  Each epoch and gap
+/// runs in a "train/epoch" / "train/gap_eval" span, counted in
+/// "train.epochs" / "train.gap_evals".
+ConvergenceTrace run_loop(
+    const RunOptions& options, const RunStart& start,
+    const std::function<EpochReport(int, ConvergenceTrace&)>& epoch,
+    const std::function<double(util::ThreadPool*)>& gap,
+    const std::function<void(TracePoint&)>& annotate = {});
+
+/// Drives `solver` for up to max_epochs through run_loop.  The options
+/// shape the run, not the solver: a replica-merge interval is fixed when
+/// the solver is built (SolverConfig::merge_every, DESIGN.md §11).
 ConvergenceTrace run_solver(Solver& solver, const RidgeProblem& problem,
                             const RunOptions& options);
 

@@ -2,8 +2,9 @@
 // BENCH_*.json and --metrics-out reports must be attributable to a specific
 // source revision, compiler and configuration.
 //
-// The git SHA is captured at CMake configure time (src/obs/CMakeLists.txt)
-// — re-run CMake after committing if you need the exported SHA exact.
+// The git SHA is captured at CMake configure time (src/obs/CMakeLists.txt),
+// with a "-dirty" suffix when tracked files differed from HEAD then —
+// re-run CMake after committing if you need the exported SHA exact.
 // Kernel-layer facts (backend, -march=native) live in linalg, which sits
 // below obs; report writers combine both.
 #pragma once
@@ -11,7 +12,7 @@
 namespace tpa::obs {
 
 struct BuildInfo {
-  const char* git_sha;     // short commit hash, "unknown" outside a checkout
+  const char* git_sha;     // short commit hash (+"-dirty"), or "unknown"
   const char* compiler;    // compiler id + version string
   const char* build_type;  // CMAKE_BUILD_TYPE, e.g. "Release"
 };

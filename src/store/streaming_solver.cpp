@@ -214,4 +214,45 @@ void StreamingScdSolver::resume(int epochs, std::size_t shards_done,
   }
 }
 
+StreamingCheckpoint make_checkpoint(const StreamingScdSolver& solver) {
+  StreamingCheckpoint checkpoint;
+  checkpoint.epoch = static_cast<std::uint64_t>(solver.epochs_completed());
+  checkpoint.shards_done = solver.shards_done();
+  checkpoint.seed = solver.config().seed;
+  checkpoint.threads = static_cast<std::uint64_t>(solver.config().threads);
+  checkpoint.rows = solver.source().rows();
+  checkpoint.cols = solver.source().cols();
+  checkpoint.shards = solver.source().num_shards();
+  checkpoint.lambda = solver.config().lambda;
+  checkpoint.alpha.assign(solver.alpha().begin(), solver.alpha().end());
+  checkpoint.shared.assign(solver.shared().begin(), solver.shared().end());
+  return checkpoint;
+}
+
+core::ConvergenceTrace run_streaming(StreamingScdSolver& solver,
+                                     const core::RunOptions& options,
+                                     const CheckpointOptions& checkpoint) {
+  const bool shard_checkpoints =
+      !checkpoint.path.empty() && checkpoint.every_shards > 0;
+  const auto epoch = [&](int, core::ConvergenceTrace&) {
+    if (!shard_checkpoints) return solver.run_epoch();
+    const util::WallTimer timer;
+    core::EpochReport chunked;
+    do {
+      solver.run_shards(checkpoint.every_shards);
+      write_checkpoint_file(checkpoint.path, make_checkpoint(solver));
+    } while (solver.mid_epoch());
+    chunked.coordinate_updates = solver.source().rows();
+    chunked.wall_seconds = timer.seconds();
+    return chunked;
+  };
+  auto trace = core::run_loop(
+      options, {.epochs_done = solver.epochs_completed()}, epoch,
+      [&](util::ThreadPool*) { return solver.duality_gap(); });
+  if (!checkpoint.path.empty() && !shard_checkpoints) {
+    write_checkpoint_file(checkpoint.path, make_checkpoint(solver));
+  }
+  return trace;
+}
+
 }  // namespace tpa::store

@@ -35,6 +35,9 @@
 // chunks and combined in chunk order, then the same objective algebra), so
 // the streamed gap is bit-equal to what the in-memory problem would report
 // for the same (α, w̄), serial or pooled.
+//
+// run_streaming drives the solver through core::run_loop and can write a
+// TPSC checkpoint every few shards: at Criteo scale one epoch is hours.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,10 @@
 #include <string>
 #include <vector>
 
+#include "core/convergence.hpp"
 #include "core/replica_set.hpp"
 #include "core/solver.hpp"
+#include "store/checkpoint.hpp"
 #include "store/prefetch.hpp"
 #include "store/streaming_dataset.hpp"
 #include "util/permutation.hpp"
@@ -130,5 +135,20 @@ class StreamingScdSolver {
   int epochs_completed_ = 0;
   bool swept_anything_ = false;
 };
+
+struct CheckpointOptions {
+  std::string path;              // empty = no checkpoints
+  std::size_t every_shards = 0;  // 0 = only when path set and run ends
+};
+
+/// Runs `solver` from its resume point (a resumed solver finishes its
+/// interrupted epoch first; trace epochs stay the global ones).  The gap
+/// is the serial streamed pass, so RunOptions::gap_threads is ignored.
+core::ConvergenceTrace run_streaming(StreamingScdSolver& solver,
+                                     const core::RunOptions& options,
+                                     const CheckpointOptions& checkpoint = {});
+
+/// Snapshot of `solver`'s current position and state as a checkpoint.
+StreamingCheckpoint make_checkpoint(const StreamingScdSolver& solver);
 
 }  // namespace tpa::store

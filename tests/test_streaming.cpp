@@ -19,7 +19,6 @@
 #include "store/checkpoint.hpp"
 #include "store/format.hpp"
 #include "store/prefetch.hpp"
-#include "store/run.hpp"
 #include "store/shard_reader.hpp"
 #include "store/streaming_dataset.hpp"
 #include "store/streaming_solver.hpp"
@@ -311,29 +310,6 @@ TEST_F(StreamingTest, PrefetchStatsAccountForEveryLoad) {
   EXPECT_LE(stats.stalls, stats.loads);
   EXPECT_GE(stats.overlap_fraction(), 0.0);
   EXPECT_LE(stats.overlap_fraction(), 1.0);
-}
-
-TEST_F(StreamingTest, RunStreamingMatchesRunSolverSemantics) {
-  const auto data = make_data(256);
-  MemoryShardedDataset source("ds", data, 4);
-  StreamingScdSolver solver(source, base_config());
-
-  core::RunOptions options;
-  options.max_epochs = 5;
-  options.target_gap = 0.0;
-  options.gap_every = 2;
-  const auto trace = run_streaming(solver, options);
-  ASSERT_EQ(trace.points().size(), 3u);  // epochs 2, 4 and the final 5
-  EXPECT_EQ(trace.points().back().epoch, 5);
-  EXPECT_EQ(trace.final_gap(), solver.duality_gap());
-
-  // Target-gap early stop: a loose target stops after the first check.
-  StreamingScdSolver early(source, base_config());
-  core::RunOptions loose = options;
-  loose.gap_every = 1;
-  loose.target_gap = 1e6;
-  const auto early_trace = run_streaming(early, loose);
-  EXPECT_EQ(early_trace.points().back().epoch, 1);
 }
 
 TEST_F(StreamingTest, RunStreamingShardCheckpointsResumeAcrossProcesses) {

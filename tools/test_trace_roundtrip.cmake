@@ -33,7 +33,7 @@ foreach(needle "\"traceEvents\"" "dist/local_solve" "dist/reduce"
         "\"ph\": \"s\"" "\"ph\": \"f\"" "\"bp\": \"e\""
         "flow/delta" "flow/model"
         "dist/attribution (sim)" "attr/round" "attr/compute"
-        "attr/straggler_wait")
+        "attr/straggler_wait" "train/epoch" "train/gap_eval")
   string(FIND "${trace_json}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "Chrome trace missing ${needle}")
@@ -92,8 +92,12 @@ if(self_diff_found EQUAL -1)
 endif()
 # The drill injects exactly one crash and sees exactly one restart; the
 # counters must agree with the ConvergenceTrace event counts printed above.
+# A cluster run shares the one run loop: with --target-gap 0 it counts
+# every one of its 8 rounds and gaps.
 foreach(needle "\"name\": \"cluster.event.crash\", \"value\": 1"
-        "\"name\": \"cluster.event.restart\", \"value\": 1")
+        "\"name\": \"cluster.event.restart\", \"value\": 1"
+        "\"name\": \"train.epochs\", \"value\": 8"
+        "\"name\": \"train.gap_evals\", \"value\": 8")
   string(FIND "${metrics_jsonl}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "counter mismatch, expected ${needle}:\n${metrics_jsonl}")

@@ -43,9 +43,9 @@
 #include "sparse/matrix_stats.hpp"
 #include "run_report.hpp"
 #include "store/checkpoint.hpp"
-#include "store/run.hpp"
 #include "store/shard_reader.hpp"
 #include "store/streaming_dataset.hpp"
+#include "store/streaming_solver.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 
@@ -185,14 +185,29 @@ void write_trace_outputs(const util::ArgParser& parser,
   }
 }
 
+/// The run options of both modes.  A streamed run ignores gap_threads: its
+/// gap is the serial streamed pass.
+core::RunOptions read_run_options(const util::ArgParser& parser) {
+  core::RunOptions options;
+  options.max_epochs = parser.get_int<int>("epochs", 100);
+  options.target_gap = parser.get_double("target-gap", 1e-6);
+  options.gap_every = parser.get_int<int>("gap-every", 1);
+  options.gap_threads = parser.get_int<int>("gap-threads", 1);
+  return options;
+}
+
 // The out-of-core path: shards stream through a fixed resident window
 // instead of a fully materialised Dataset.  `--store <manifest>` trains
 // off disk; `--stream-shards K` shards an in-memory matrix with the same
 // split rule — the bit-exact comparison arm (identical solver code,
 // different byte source).
 int run_streaming_mode(const util::ArgParser& parser,
+                       const core::RunOptions& run_options,
                        const std::string& trace_out, bool chrome_trace) {
   const auto manifest_path = parser.get_string("store", "");
+  const auto read_mode =
+      store::parse_read_mode(parser.get_string("store-mode", "buffered"));
+  const auto stream_shards = parser.get_int<std::uint64_t>("stream-shards", 4);
 
   store::StreamingConfig config;
   config.lambda = parser.get_double("lambda", 1e-3);
@@ -201,6 +216,13 @@ int run_streaming_mode(const util::ArgParser& parser,
   config.resident_shards = parser.get_int<std::size_t>("resident-shards", 2);
   config.async_prefetch = !parser.get_bool("sync-prefetch");
   config.merge_every = parser.get_int<int>("merge-every", 0);
+
+  store::CheckpointOptions checkpoint;
+  checkpoint.every_shards =
+      parser.get_int<std::size_t>("checkpoint-every-shards", 0);
+  if (checkpoint.every_shards > 0 || parser.has("checkpoint")) {
+    checkpoint.path = parser.get_string("checkpoint", "tpascd.ckpt");
+  }
 
   // A resumed run takes the run identity (lambda, seed, threads) from the
   // checkpoint; the solver rejects shape mismatches below.
@@ -222,18 +244,14 @@ int run_streaming_mode(const util::ArgParser& parser,
   std::unique_ptr<store::StreamingDataset> source;
   if (!manifest_path.empty()) {
     source = std::make_unique<store::StoreStreamingDataset>(
-        store::ShardReader::open(
-            manifest_path,
-            store::parse_read_mode(
-                parser.get_string("store-mode", "buffered"))));
+        store::ShardReader::open(manifest_path, read_mode));
   } else {
     data::Dataset dataset = load_dataset(parser);
     memory_data.matrix = dataset.by_row();
     memory_data.labels.assign(dataset.labels().begin(),
                               dataset.labels().end());
     source = std::make_unique<store::MemoryShardedDataset>(
-        dataset.name(), memory_data,
-        parser.get_int<std::uint64_t>("stream-shards", 4));
+        dataset.name(), memory_data, stream_shards);
   }
   std::printf("store: %s — %llu rows x %llu cols, %llu nnz, %zu shards\n",
               source->name().c_str(),
@@ -252,19 +270,6 @@ int run_streaming_mode(const util::ArgParser& parser,
     }
     solver.resume(static_cast<int>(restored.epoch), restored.shards_done,
                   std::move(restored.alpha), std::move(restored.shared));
-  }
-
-  core::RunOptions run_options;
-  run_options.max_epochs = parser.get_int<int>("epochs", 100);
-  run_options.target_gap = parser.get_double("target-gap", 1e-6);
-  run_options.record_interval = 1;
-  run_options.gap_every = parser.get_int<int>("gap-every", 1);
-
-  store::CheckpointOptions checkpoint;
-  checkpoint.every_shards =
-      parser.get_int<std::size_t>("checkpoint-every-shards", 0);
-  if (checkpoint.every_shards > 0 || parser.has("checkpoint")) {
-    checkpoint.path = parser.get_string("checkpoint", "tpascd.ckpt");
   }
 
   const auto trace = store::run_streaming(solver, run_options, checkpoint);
@@ -436,13 +441,13 @@ int main(int argc, char** argv) {
   if (chrome_trace) obs::set_trace_enabled(true);
 
   try {
+    // Every option is read before any data: a malformed one is refused
+    // before a whole file has loaded.
+    const auto run_options = read_run_options(parser);
     if (parser.has("store") ||
         parser.get_int<std::uint64_t>("stream-shards", 0) > 0) {
-      return run_streaming_mode(parser, trace_out, chrome_trace);
+      return run_streaming_mode(parser, run_options, trace_out, chrome_trace);
     }
-    const auto dataset = load_dataset(parser);
-    std::printf("dataset: %s\n",
-                sparse::compute_stats(dataset.by_row()).summary().c_str());
     // A resumed run takes formulation and lambda from the checkpoint so the
     // objective is guaranteed to match the interrupted run.
     const bool resuming = parser.has("resume");
@@ -455,21 +460,6 @@ int main(int argc, char** argv) {
     }
     const double lambda =
         resuming ? resume_model.lambda : parser.get_double("lambda", 1e-3);
-    const core::RidgeProblem problem(dataset, lambda);
-
-    // Predict-only path.
-    if (parser.has("load")) {
-      const auto model =
-          core::read_model_file(parser.get_string("load", ""));
-      std::printf("loaded %s model (lambda %.3g)\n",
-                  formulation_name(model.formulation), model.lambda);
-      const auto beta = model.formulation == core::Formulation::kPrimal
-                            ? model.weights
-                            : problem.primal_from_dual_shared(model.shared);
-      report_metrics(dataset, beta);
-      return 0;
-    }
-
     const auto formulation =
         resuming ? resume_model.formulation
         : parser.get_string("form", "dual") == "primal"
@@ -482,13 +472,6 @@ int main(int argc, char** argv) {
     solver_config.threads = parser.get_int<int>("threads", 16);
     solver_config.seed = parser.get_int<std::uint64_t>("seed", 42);
     solver_config.merge_every = parser.get_int<int>("merge-every", 0);
-
-    core::RunOptions run_options;
-    run_options.max_epochs = parser.get_int<int>("epochs", 100);
-    run_options.target_gap = parser.get_double("target-gap", 1e-6);
-    run_options.record_interval = 1;
-    run_options.gap_every = parser.get_int<int>("gap-every", 1);
-    run_options.gap_threads = parser.get_int<int>("gap-threads", 1);
 
     const auto precision_name = parser.get_string("precision", "fp32");
     if (precision_name == "fp16" || precision_name == "half") {
@@ -515,11 +498,6 @@ int main(int argc, char** argv) {
     const int workers =
         fleet.empty() ? parser.get_int<int>("workers", 1)
                       : static_cast<int>(fleet.size());
-    core::SavedModel model;
-    model.formulation = formulation;
-    model.lambda = lambda;
-    core::ConvergenceTrace trace;
-
     if (resuming && workers <= 1) {
       throw std::invalid_argument(
           "--resume needs a distributed run (--workers > 1)");
@@ -528,42 +506,6 @@ int main(int argc, char** argv) {
       throw std::invalid_argument(
           "--fleet needs at least two devices (one per worker slot)");
     }
-
-    std::string placement_json;
-    std::string drift_json;
-    // "Where did the round go?" — the per-round mean of the attribution the
-    // solver records as round.attr.* (components sum to the round wall-time).
-    const auto print_attribution = [](const obs::RoundAttribution& totals,
-                                      std::uint64_t rounds) {
-      if (rounds == 0) return;
-      const double inv = 1.0 / static_cast<double>(rounds);
-      std::printf(
-          "attribution (per-round mean over %llu rounds): compute %.3f ms, "
-          "host %.3f ms, pcie %.3f ms, network %.3f ms, straggler wait "
-          "%.3f ms, stale overhead %.3f ms\n",
-          static_cast<unsigned long long>(rounds),
-          1e3 * totals.compute_seconds * inv, 1e3 * totals.host_seconds * inv,
-          1e3 * totals.pcie_seconds * inv, 1e3 * totals.network_seconds * inv,
-          1e3 * totals.straggler_wait_seconds * inv,
-          1e3 * totals.stale_overhead_seconds * inv);
-    };
-    const auto report_placement =
-        [&](const cluster::placement::PlacementResult* plan,
-            double simulated_round_seconds) {
-          if (plan == nullptr) return;
-          cluster::placement::record_placement_obs(*plan);
-          std::printf(
-              "placement: %s (seed %llu, %s) — predicted round %.3f ms vs "
-              "uniform %.3f ms (%.2fx), simulated round %.3f ms\n",
-              cluster::placement::placement_mode_name(plan->mode),
-              static_cast<unsigned long long>(plan->seed),
-              plan->optimized ? "non-uniform sizes" : "uniform sizes",
-              1e3 * plan->predicted.total(),
-              1e3 * plan->uniform_predicted.total(),
-              plan->predicted_speedup(), 1e3 * simulated_round_seconds);
-          placement_json =
-              placement_report_json(*plan, simulated_round_seconds);
-        };
 
     const auto build_faults = [&](cluster::FaultConfig& faults) {
       const int crash_worker = parser.get_int<int>("crash-worker", -1);
@@ -607,26 +549,87 @@ int main(int argc, char** argv) {
     cluster_config.delta_threshold = parser.get_double("delta-threshold", 0.0);
     build_faults(cluster_config.faults);
 
-    if (workers > 1 && parser.get_bool("async")) {
-      cluster::AsyncConfig async(cluster_config);
-      async.staleness_window = parser.get_int<int>("staleness-window", 0);
-      async.staleness_policy = cluster::parse_staleness_policy(
-          parser.get_string("staleness-policy", "damp"));
-      if (parser.get_bool("elastic")) {
-        const int leave_worker = parser.get_int<int>("leave-worker", -1);
-        if (leave_worker >= 0) {
-          async.membership.push_back(
-              {parser.get_int<int>("leave-round", 3),
-               leave_worker, cluster::MembershipEvent::Kind::kLeave});
-        }
-        const int join_worker = parser.get_int<int>("join-worker", -1);
-        if (join_worker >= 0) {
-          async.membership.push_back(
-              {parser.get_int<int>("join-round", 6),
-               join_worker, cluster::MembershipEvent::Kind::kJoin});
-        }
+    cluster::AsyncConfig async(cluster_config);
+    async.staleness_window = parser.get_int<int>("staleness-window", 0);
+    async.staleness_policy = cluster::parse_staleness_policy(
+        parser.get_string("staleness-policy", "damp"));
+    if (parser.get_bool("elastic")) {
+      const int leave_worker = parser.get_int<int>("leave-worker", -1);
+      if (leave_worker >= 0) {
+        async.membership.push_back(
+            {parser.get_int<int>("leave-round", 3),
+             leave_worker, cluster::MembershipEvent::Kind::kLeave});
       }
+      const int join_worker = parser.get_int<int>("join-worker", -1);
+      if (join_worker >= 0) {
+        async.membership.push_back(
+            {parser.get_int<int>("join-round", 6),
+             join_worker, cluster::MembershipEvent::Kind::kJoin});
+      }
+    }
+    cluster::DistConfig dist(cluster_config);
+    dist.straggler_grace = parser.get_double("straggler-grace", 1.5);
+    dist.comm_overlap = !fleet.empty() && !parser.get_bool("no-overlap");
 
+    const auto dataset = load_dataset(parser);
+    std::printf("dataset: %s\n",
+                sparse::compute_stats(dataset.by_row()).summary().c_str());
+    const core::RidgeProblem problem(dataset, lambda);
+
+    // Predict-only path.
+    if (parser.has("load")) {
+      const auto model =
+          core::read_model_file(parser.get_string("load", ""));
+      std::printf("loaded %s model (lambda %.3g)\n",
+                  formulation_name(model.formulation), model.lambda);
+      const auto beta = model.formulation == core::Formulation::kPrimal
+                            ? model.weights
+                            : problem.primal_from_dual_shared(model.shared);
+      report_metrics(dataset, beta);
+      return 0;
+    }
+
+    core::SavedModel model;
+    model.formulation = formulation;
+    model.lambda = lambda;
+    core::ConvergenceTrace trace;
+    std::string placement_json;
+    std::string drift_json;
+    // "Where did the round go?" — the per-round mean of the attribution the
+    // solver records as round.attr.* (components sum to the round wall-time).
+    const auto print_attribution = [](const obs::RoundAttribution& totals,
+                                      std::uint64_t rounds) {
+      if (rounds == 0) return;
+      const double inv = 1.0 / static_cast<double>(rounds);
+      std::printf(
+          "attribution (per-round mean over %llu rounds): compute %.3f ms, "
+          "host %.3f ms, pcie %.3f ms, network %.3f ms, straggler wait "
+          "%.3f ms, stale overhead %.3f ms\n",
+          static_cast<unsigned long long>(rounds),
+          1e3 * totals.compute_seconds * inv, 1e3 * totals.host_seconds * inv,
+          1e3 * totals.pcie_seconds * inv, 1e3 * totals.network_seconds * inv,
+          1e3 * totals.straggler_wait_seconds * inv,
+          1e3 * totals.stale_overhead_seconds * inv);
+    };
+    const auto report_placement =
+        [&](const cluster::placement::PlacementResult* plan,
+            double simulated_round_seconds) {
+          if (plan == nullptr) return;
+          cluster::placement::record_placement_obs(*plan);
+          std::printf(
+              "placement: %s (seed %llu, %s) — predicted round %.3f ms vs "
+              "uniform %.3f ms (%.2fx), simulated round %.3f ms\n",
+              cluster::placement::placement_mode_name(plan->mode),
+              static_cast<unsigned long long>(plan->seed),
+              plan->optimized ? "non-uniform sizes" : "uniform sizes",
+              1e3 * plan->predicted.total(),
+              1e3 * plan->uniform_predicted.total(),
+              plan->predicted_speedup(), 1e3 * simulated_round_seconds);
+          placement_json =
+              placement_report_json(*plan, simulated_round_seconds);
+        };
+
+    if (workers > 1 && parser.get_bool("async")) {
       cluster::AsyncSolver solver(dataset, async);
       if (resuming) solver.restore_files(parser.get_string("resume", ""));
       trace = cluster::run_async(solver, run_options, ckpt);
@@ -672,10 +675,6 @@ int main(int argc, char** argv) {
       model.weights = solver.global_weights();
       model.shared = solver.global_shared();
     } else if (workers > 1) {
-      cluster::DistConfig dist(cluster_config);
-      dist.straggler_grace = parser.get_double("straggler-grace", 1.5);
-      dist.comm_overlap = !fleet.empty() && !parser.get_bool("no-overlap");
-
       cluster::DistributedSolver solver(dataset, dist);
       if (resuming) solver.restore(resume_model);
       trace = cluster::run_distributed(solver, run_options, ckpt);
