@@ -1,31 +1,16 @@
 #include "bench_json.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
 
 #include "linalg/kernels.hpp"
 #include "obs/build_info.hpp"
+#include "obs/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tpa::bench {
 namespace {
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-}
 
 BenchMeta provenance_meta() {
   const auto info = obs::build_info();
@@ -47,15 +32,13 @@ BenchMeta provenance_meta() {
 std::string to_json(const std::string& suite,
                     std::span<const BenchResult> results,
                     const BenchMeta& meta) {
-  std::string out = "{\n  \"suite\": ";
-  append_escaped(out, suite);
+  std::string out = "{\n  \"suite\": " + obs::json_quote(suite);
   if (!meta.empty()) {
     out += ",\n  \"meta\": {";
     for (std::size_t i = 0; i < meta.size(); ++i) {
       out += i == 0 ? "" : ", ";
-      append_escaped(out, meta[i].first);
-      out += ": ";
-      append_escaped(out, meta[i].second);
+      out += obs::json_quote(meta[i].first) + ": " +
+             obs::json_quote(meta[i].second);
     }
     out += "}";
   }
@@ -63,15 +46,11 @@ std::string to_json(const std::string& suite,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": ";
-    append_escaped(out, r.name);
-    out += ", \"value\": " + number(r.value);
-    out += ", \"unit\": ";
-    append_escaped(out, r.unit);
+    out += "    {\"name\": " + obs::json_quote(r.name);
+    out += ", \"value\": " + obs::json_number(r.value);
+    out += ", \"unit\": " + obs::json_quote(r.unit);
     for (const auto& [key, value] : r.extra) {
-      out += ", ";
-      append_escaped(out, key);
-      out += ": " + number(value);
+      out += ", " + obs::json_quote(key) + ": " + obs::json_number(value);
     }
     out += "}";
   }

@@ -23,9 +23,10 @@ struct BenchResult {
 /// String-valued metadata emitted alongside the results.
 using BenchMeta = std::vector<std::pair<std::string, std::string>>;
 
-/// Serialises `results` as {"suite": ..., "meta": {...}, "results": [...]}.
-/// Doubles are printed with enough digits to round-trip; the "meta" object
-/// is omitted when `meta` is empty.
+/// Serialises `results` as {"suite": ..., "meta": {...}, "results": [...]},
+/// one result per line.  Strings and numbers render through obs/json.hpp:
+/// doubles with enough digits to round-trip, NaN and inf as null, control
+/// characters escaped.  The "meta" object is omitted when `meta` is empty.
 std::string to_json(const std::string& suite,
                     std::span<const BenchResult> results,
                     const BenchMeta& meta = {});

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sparse/coo.hpp"
 #include "sparse/convert.hpp"
 #include "util/permutation.hpp"
 
@@ -59,6 +58,31 @@ void validate_sizes(Index num_coordinates, std::span<const Index> sizes) {
         "Partition: sizes sum to " + std::to_string(total) + " but " +
         std::to_string(num_coordinates) + " coordinates were requested");
   }
+}
+
+/// A CSR over `width` columns whose row i is `slice(ids[i])`.
+template <typename SliceFn>
+sparse::CsrMatrix pack_rows(std::span<const Index> ids, Index width,
+                            const SliceFn& slice) {
+  std::vector<sparse::Offset> offsets{0};
+  offsets.reserve(ids.size() + 1);
+  sparse::Offset nnz = 0;
+  for (const auto id : ids) {
+    nnz += slice(id).nnz();
+    offsets.push_back(nnz);
+  }
+  std::vector<Index> indices;
+  std::vector<sparse::Value> values;
+  indices.reserve(nnz);
+  values.reserve(nnz);
+  for (const auto id : ids) {
+    const auto view = slice(id);
+    indices.insert(indices.end(), view.indices.begin(), view.indices.end());
+    values.insert(values.end(), view.values.begin(), view.values.end());
+  }
+  return sparse::CsrMatrix(static_cast<Index>(ids.size()), width,
+                           std::move(offsets), std::move(indices),
+                           std::move(values));
 }
 
 }  // namespace
@@ -163,17 +187,14 @@ bool Partition::covers(Index num_coordinates) const {
 
 data::Dataset make_feature_shard(const data::Dataset& global,
                                  std::span<const Index> cols) {
-  sparse::CooBuilder coo(global.num_examples(),
-                         static_cast<Index>(cols.size()));
+  // The owned columns are rows of Aᵀ: pack them, then transpose back to the
+  // shard's rows.  Every stored entry, explicit zeros too, is kept.
   const auto& columns = global.bucketed_cols();
-  for (std::size_t local = 0; local < cols.size(); ++local) {
-    const auto view = columns.unpadded(cols[local]);
-    for (std::size_t k = 0; k < view.nnz(); ++k) {
-      coo.add(view.indices[k], static_cast<Index>(local), view.values[k]);
-    }
-  }
+  const auto owned = pack_rows(cols, global.num_examples(), [&](Index c) {
+    return columns.unpadded(c);
+  });
   std::vector<float> labels(global.labels().begin(), global.labels().end());
-  data::Dataset shard(global.name() + "_fshard", sparse::coo_to_csr(coo),
+  data::Dataset shard(global.name() + "_fshard", sparse::transpose(owned),
                       std::move(labels));
   inherit_paper_scale(global, shard, /*by_feature=*/true);
   return shard;
@@ -182,28 +203,11 @@ data::Dataset make_feature_shard(const data::Dataset& global,
 data::Dataset make_example_shard(const data::Dataset& global,
                                  std::span<const Index> rows) {
   const auto& by_row = global.by_row();
-  std::vector<sparse::Offset> offsets{0};
-  offsets.reserve(rows.size() + 1);
-  sparse::Offset nnz = 0;
-  for (const auto r : rows) {
-    nnz += by_row.row_nnz(r);
-    offsets.push_back(nnz);
-  }
-  std::vector<Index> indices;
-  std::vector<sparse::Value> values;
+  auto matrix = pack_rows(rows, by_row.cols(),
+                          [&](Index r) { return by_row.row(r); });
   std::vector<float> labels;
-  indices.reserve(nnz);
-  values.reserve(nnz);
   labels.reserve(rows.size());
-  for (const auto r : rows) {
-    const auto view = by_row.row(r);
-    indices.insert(indices.end(), view.indices.begin(), view.indices.end());
-    values.insert(values.end(), view.values.begin(), view.values.end());
-    labels.push_back(global.labels()[r]);
-  }
-  sparse::CsrMatrix matrix(static_cast<Index>(rows.size()), by_row.cols(),
-                           std::move(offsets), std::move(indices),
-                           std::move(values));
+  for (const auto r : rows) labels.push_back(global.labels()[r]);
   data::Dataset shard(global.name() + "_eshard", std::move(matrix),
                       std::move(labels));
   inherit_paper_scale(global, shard, /*by_feature=*/false);

@@ -5,7 +5,10 @@
 // coordinate to exactly one worker; shard builders then materialise each
 // worker's local matrix.  A shard keeps the *full* complementary dimension
 // (a feature shard holds all N rows; an example shard keeps global column
-// ids), because the shared vector is global.
+// ids), because the shared vector is global.  Both builders copy slices
+// into a CSR: an example shard packs its rows of A, a feature shard packs
+// its columns as rows of Aᵀ and transposes them back, so each keeps every
+// stored entry of the global matrix, explicit zeros included.
 //
 // Shards inherit a proportionally scaled PaperScale so that the timing
 // models charge each worker 1/K of the full-size dataset's work.

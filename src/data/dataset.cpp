@@ -20,10 +20,11 @@ Dataset::Dataset(std::string name, sparse::CsrMatrix by_row,
 
 const Dataset::Columns& Dataset::build_columns() const {
   std::call_once(columns_->once, [&] {
-    // The CSC copy only feeds the bucketed layout and the norms.
-    const auto by_col = sparse::csr_to_csc(by_row_);
-    columns_->layout = sparse::BucketedLayout::from_cols(by_col);
-    columns_->norms = by_col.col_squared_norms();
+    // The columns are the rows of Aᵀ; the transpose only feeds the
+    // bucketed layout and the norms.
+    const auto transposed = sparse::transpose(by_row_);
+    columns_->layout = sparse::BucketedLayout::from_rows(transposed);
+    columns_->norms = transposed.row_squared_norms();
     columns_->ready.store(true, std::memory_order_release);
   });
   return *columns_;

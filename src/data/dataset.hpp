@@ -6,8 +6,9 @@
 //   * Columns, on first use: the first primal access — bucketed_cols() or
 //     col_squared_norms(), which a primal solver's constructor makes —
 //     builds the bucketed columns and the column norms once, under a
-//     std::once_flag, from a CSC copy that is dropped straight after.  A
-//     dual run never pays for them.  Copies of a Dataset share that build.
+//     std::once_flag, from the rows of Aᵀ (sparse::transpose of the CSR),
+//     which are dropped straight after.  A dual run never pays for them.
+//     Copies of a Dataset share that build.
 //
 // A Dataset also carries optional *paper-scale* statistics: the N, M and nnz
 // of the real dataset a generator stands in for (webspam, criteo).  The

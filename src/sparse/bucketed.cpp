@@ -21,11 +21,10 @@ std::size_t round_up(std::size_t n, std::size_t multiple) {
 
 }  // namespace
 
-template <typename SliceFn>
-BucketedLayout BucketedLayout::build(Index count, Index dim,
-                                     const SliceFn& slice) {
+BucketedLayout BucketedLayout::from_rows(const CsrMatrix& m) {
+  const Index count = m.rows();
   BucketedLayout layout;
-  layout.dim_ = dim;
+  layout.dim_ = m.cols();
   layout.slots_.resize(count);
 
   // Bucket-major order: ascending nnz class, ties by coordinate id (a stable
@@ -34,8 +33,8 @@ BucketedLayout BucketedLayout::build(Index count, Index dim,
   for (Index j = 0; j < count; ++j) layout.order_[j] = j;
   std::stable_sort(layout.order_.begin(), layout.order_.end(),
                    [&](Index a, Index b) {
-                     return nnz_class_of(slice(a).nnz()) <
-                            nnz_class_of(slice(b).nnz());
+                     return nnz_class_of(m.row_nnz(a)) <
+                            nnz_class_of(m.row_nnz(b));
                    });
 
   // Lay out slots bucket by bucket: each bucket starts on a cache line, each
@@ -44,15 +43,15 @@ BucketedLayout BucketedLayout::build(Index count, Index dim,
   std::size_t offset = 0;
   std::size_t at = 0;
   while (at < layout.order_.size()) {
-    const std::size_t cls = nnz_class_of(slice(layout.order_[at]).nnz());
+    const std::size_t cls = nnz_class_of(m.row_nnz(layout.order_[at]));
     offset = round_up(offset, kAlignEntries);
     Bucket bucket;
     bucket.nnz_class = cls;
     bucket.begin = at;
     while (at < layout.order_.size() &&
-           nnz_class_of(slice(layout.order_[at]).nnz()) == cls) {
+           nnz_class_of(m.row_nnz(layout.order_[at])) == cls) {
       const Index j = layout.order_[at];
-      const std::size_t nnz = slice(j).nnz();
+      const std::size_t nnz = m.row_nnz(j);
       Slot& slot = layout.slots_[j];
       slot.offset = offset;
       slot.nnz = static_cast<std::uint32_t>(nnz);
@@ -68,7 +67,7 @@ BucketedLayout BucketedLayout::build(Index count, Index dim,
   layout.indices_.assign(offset, 0);
   layout.values_.assign(offset, 0.0F);
   for (Index j = 0; j < count; ++j) {
-    const SparseVectorView view = slice(j);
+    const SparseVectorView view = m.row(j);
     const Slot& slot = layout.slots_[j];
     std::copy(view.indices.begin(), view.indices.end(),
               layout.indices_.begin() + static_cast<std::ptrdiff_t>(slot.offset));
@@ -85,14 +84,6 @@ BucketedLayout BucketedLayout::build(Index count, Index dim,
     }
   }
   return layout;
-}
-
-BucketedLayout BucketedLayout::from_rows(const CsrMatrix& m) {
-  return build(m.rows(), m.cols(), [&](Index j) { return m.row(j); });
-}
-
-BucketedLayout BucketedLayout::from_cols(const CscMatrix& m) {
-  return build(m.cols(), m.rows(), [&](Index j) { return m.col(j); });
 }
 
 }  // namespace tpa::sparse

@@ -1,6 +1,7 @@
 // Bucketed coordinate layout (the SySCD bucket idea, Ioannou et al. 2019).
 //
-// CSR/CSC give each coordinate a tightly-packed slice, but the slices of
+// A CSR gives each of its rows a tightly-packed slice — the rows of A are
+// the dual coordinates, the rows of Aᵀ the primal ones — but the slices of
 // consecutive coordinates start at arbitrary byte offsets and arbitrary
 // lengths, so the unrolled kernels spend a remainder loop on almost every
 // coordinate and short coordinates thrash the strided reduce of the TPA-SCD
@@ -17,14 +18,13 @@
 //     cache lines.
 //
 // `padded(j)` is what the solvers feed the kernels; `unpadded(j)` recovers
-// the exact CSR/CSC view for code that must see true nnz.
+// the exact source row for code that must see true nnz.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "util/aligned.hpp"
 
@@ -34,12 +34,11 @@ class BucketedLayout {
  public:
   BucketedLayout() = default;
 
-  /// Buckets the rows of a CSR matrix (dual-formulation coordinates).
+  /// Buckets the rows of a CSR matrix: the rows of A are the dual
+  /// coordinates, the rows of Aᵀ (its columns) the primal ones.
   static BucketedLayout from_rows(const CsrMatrix& m);
-  /// Buckets the columns of a CSC matrix (primal-formulation coordinates).
-  static BucketedLayout from_cols(const CscMatrix& m);
 
-  /// Number of coordinates (rows resp. columns of the source matrix).
+  /// Number of coordinates (rows of the source matrix).
   Index count() const noexcept { return static_cast<Index>(slots_.size()); }
   /// Dimension of the dense vector the coordinates index into.
   Index dim() const noexcept { return dim_; }
@@ -96,10 +95,6 @@ class BucketedLayout {
     std::size_t begin = 0;      // into order_
     std::size_t count = 0;
   };
-
-  /// Shared builder: `slice(j)` yields coordinate j's source view.
-  template <typename SliceFn>
-  static BucketedLayout build(Index count, Index dim, const SliceFn& slice);
 
   std::vector<Slot> slots_;
   std::vector<Bucket> buckets_;

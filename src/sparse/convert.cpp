@@ -52,47 +52,6 @@ CsrMatrix coo_to_csr(const CooBuilder& coo) {
                    std::move(arrays.indices), std::move(arrays.values));
 }
 
-CscMatrix coo_to_csc(const CooBuilder& coo) {
-  CooBuilder sorted = coo;
-  sorted.coalesce();
-  // Coalesce orders by (row, col); scattering by column preserves row order
-  // within each column, so indices come out strictly increasing.
-  auto arrays = compress(
-      sorted.cols(), sorted.nnz(), [&](const auto& visit) {
-        for (const auto& t : sorted.entries()) visit(t.col, t.row, t.value);
-      });
-  return CscMatrix(sorted.rows(), sorted.cols(), std::move(arrays.offsets),
-                   std::move(arrays.indices), std::move(arrays.values));
-}
-
-CscMatrix csr_to_csc(const CsrMatrix& csr) {
-  auto arrays = compress(
-      csr.cols(), csr.nnz(), [&](const auto& visit) {
-        for (Index r = 0; r < csr.rows(); ++r) {
-          const auto view = csr.row(r);
-          for (std::size_t k = 0; k < view.nnz(); ++k) {
-            visit(view.indices[k], r, view.values[k]);
-          }
-        }
-      });
-  return CscMatrix(csr.rows(), csr.cols(), std::move(arrays.offsets),
-                   std::move(arrays.indices), std::move(arrays.values));
-}
-
-CsrMatrix csc_to_csr(const CscMatrix& csc) {
-  auto arrays = compress(
-      csc.rows(), csc.nnz(), [&](const auto& visit) {
-        for (Index c = 0; c < csc.cols(); ++c) {
-          const auto view = csc.col(c);
-          for (std::size_t k = 0; k < view.nnz(); ++k) {
-            visit(view.indices[k], c, view.values[k]);
-          }
-        }
-      });
-  return CsrMatrix(csc.rows(), csc.cols(), std::move(arrays.offsets),
-                   std::move(arrays.indices), std::move(arrays.values));
-}
-
 CsrMatrix transpose(const CsrMatrix& csr) {
   auto arrays = compress(
       csr.cols(), csr.nnz(), [&](const auto& visit) {

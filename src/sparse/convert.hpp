@@ -1,12 +1,11 @@
-// Format conversions between COO, CSR and CSC.
+// Format conversions: COO to CSR, transpose, densify.
 //
-// The solvers need the same matrix in both compressed orientations (columns
-// for the primal updates, rows for the dual updates); these converters are
-// single-pass counting-sort implementations, O(nnz + rows + cols).
+// CSR is the one compressed format.  A column view of A is a row of Aᵀ, so
+// the primal coordinates' slices come from transpose(); both builders are
+// single-pass counting sorts, O(nnz + rows + cols).
 #pragma once
 
 #include "sparse/coo.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 
 namespace tpa::sparse {
@@ -14,16 +13,8 @@ namespace tpa::sparse {
 /// Builds a CSR matrix from coordinate entries.  Duplicates are summed.
 CsrMatrix coo_to_csr(const CooBuilder& coo);
 
-/// Builds a CSC matrix from coordinate entries.  Duplicates are summed.
-CscMatrix coo_to_csc(const CooBuilder& coo);
-
-/// Re-orients a CSR matrix into CSC (same logical matrix).
-CscMatrix csr_to_csc(const CsrMatrix& csr);
-
-/// Re-orients a CSC matrix into CSR (same logical matrix).
-CsrMatrix csc_to_csr(const CscMatrix& csc);
-
-/// Transpose: returns B = Aᵀ in CSR form (rows of B are columns of A).
+/// Transpose: returns B = Aᵀ in CSR form.  Row m of B is column m of A,
+/// its row indices strictly increasing; every stored entry is kept.
 CsrMatrix transpose(const CsrMatrix& csr);
 
 /// Materialises the matrix as a dense row-major buffer (tests / tiny data

@@ -1,5 +1,6 @@
 // Coordinate-format builder: the mutable staging area from which the
-// compressed formats (CSR for row access, CSC for column access) are built.
+// generators build their CSR (sparse::coo_to_csr).  Column access is the
+// CSR of Aᵀ (sparse::transpose), never a second format.
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,9 @@
 //
 // CSR gives O(1) access to a training example's feature vector (a row ā_n of
 // A) and is the layout the paper uses on the GPU when solving the dual
-// formulation of ridge regression.
+// formulation of ridge regression.  It is the only compressed format here:
+// the paper's CSC for the primal form is the CSR of Aᵀ (sparse::transpose),
+// whose row m is the feature column a_m and whose row norms are ||a_m||².
 #pragma once
 
 #include <span>

@@ -18,7 +18,6 @@
 #include "core/seq_scd.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
-#include "sparse/convert.hpp"
 #include "store/format.hpp"
 #include "store/shard_reader.hpp"
 #include "store/streaming_dataset.hpp"
@@ -59,11 +58,38 @@ TEST(Dataset, RowAndColumnViewsAgree) {
   }
 }
 
+// The columns of a CSR scanned straight from its rows, without
+// sparse::transpose (which the Dataset builds its columns with): per
+// column, its (row, value) entries in row order and its squared norm
+// summed in double in that order.
+struct ScannedColumns {
+  std::vector<std::vector<Index>> rows;
+  std::vector<std::vector<sparse::Value>> values;
+  std::vector<double> norms;
+};
+
+ScannedColumns scan_columns(const sparse::CsrMatrix& by_row) {
+  ScannedColumns cols;
+  cols.rows.resize(by_row.cols());
+  cols.values.resize(by_row.cols());
+  cols.norms.assign(by_row.cols(), 0.0);
+  for (Index r = 0; r < by_row.rows(); ++r) {
+    const auto row = by_row.row(r);
+    for (std::size_t k = 0; k < row.nnz(); ++k) {
+      const Index c = row.indices[k];
+      const double v = row.values[k];
+      cols.rows[c].push_back(r);
+      cols.values[c].push_back(row.values[k]);
+      cols.norms[c] += v * v;
+    }
+  }
+  return cols;
+}
+
 TEST(Dataset, CachedNormsMatchMatrices) {
   const auto dataset = small_dataset();
   const auto row_norms = dataset.by_row().row_squared_norms();
-  const auto col_norms =
-      sparse::csr_to_csc(dataset.by_row()).col_squared_norms();
+  const auto col_norms = scan_columns(dataset.by_row()).norms;
   for (Index r = 0; r < dataset.num_examples(); ++r) {
     EXPECT_DOUBLE_EQ(dataset.row_squared_norms()[r], row_norms[r]);
   }
@@ -108,33 +134,33 @@ std::size_t rows_only_bytes(const Dataset& dataset) {
   return Dataset("rows", dataset.by_row(), labels).resident_bytes();
 }
 
-// The bucketed columns of `dataset` are the columns of csr_to_csc of its
-// CSR: same entries unpadded, zero-valued repeats of the last index as
+// The bucketed columns of `dataset` are the columns of its CSR: the
+// scanned entries unpadded, zero-valued repeats of the last index as
 // padding, and bit-equal norms.
-void expect_columns_match_csc(const Dataset& dataset) {
-  const auto csc = sparse::csr_to_csc(dataset.by_row());
-  const auto norms = csc.col_squared_norms();
+void expect_columns_match_rows(const Dataset& dataset) {
+  const auto expected = scan_columns(dataset.by_row());
   const auto& cols = dataset.bucketed_cols();
   ASSERT_EQ(cols.count(), dataset.num_features());
   ASSERT_EQ(cols.dim(), dataset.num_examples());
   for (Index c = 0; c < dataset.num_features(); ++c) {
-    const auto expected = csc.col(c);
+    const auto& rows = expected.rows[c];
+    const auto& values = expected.values[c];
     const auto exact = cols.unpadded(c);
     const auto padded = cols.padded(c);
-    ASSERT_EQ(exact.nnz(), expected.nnz()) << "column " << c;
+    ASSERT_EQ(exact.nnz(), rows.size()) << "column " << c;
     ASSERT_EQ(padded.nnz() % 8, 0u) << "column " << c;
     ASSERT_GE(padded.nnz(), exact.nnz()) << "column " << c;
     for (std::size_t k = 0; k < exact.nnz(); ++k) {
-      EXPECT_EQ(exact.indices[k], expected.indices[k]);
-      EXPECT_EQ(exact.values[k], expected.values[k]);
+      EXPECT_EQ(exact.indices[k], rows[k]);
+      EXPECT_EQ(exact.values[k], values[k]);
     }
     for (std::size_t k = 0; k < padded.nnz(); ++k) {
-      const bool real = k < expected.nnz();
-      EXPECT_EQ(padded.indices[k],
-                real ? expected.indices[k] : expected.indices.back());
-      EXPECT_EQ(padded.values[k], real ? expected.values[k] : 0.0F);
+      const bool real = k < rows.size();
+      EXPECT_EQ(padded.indices[k], real ? rows[k] : rows.back());
+      EXPECT_EQ(padded.values[k], real ? values[k] : 0.0F);
     }
-    EXPECT_EQ(dataset.col_squared_norms()[c], norms[c]) << "column " << c;
+    EXPECT_EQ(dataset.col_squared_norms()[c], expected.norms[c])
+        << "column " << c;
   }
 }
 
@@ -163,7 +189,7 @@ TEST(Dataset, StoreShardServesAPrimalProblem) {
   const double before = solver.duality_gap(problem);
   for (int epoch = 0; epoch < 5; ++epoch) solver.run_epoch();
   EXPECT_LT(solver.duality_gap(problem), before);
-  expect_columns_match_csc(dataset);
+  expect_columns_match_rows(dataset);
 }
 
 // Eight threads reach for the columns together: one build, and every
@@ -192,7 +218,7 @@ TEST(Dataset, ConcurrentFirstUseBuildsTheColumnsOnce) {
   }
   EXPECT_EQ(copy.resident_bytes(), dataset.resident_bytes());
   EXPECT_GT(dataset.resident_bytes(), rows_only_bytes(dataset));
-  expect_columns_match_csc(dataset);
+  expect_columns_match_rows(dataset);
 }
 
 // Exposes the workers' shards of a sync cluster run.

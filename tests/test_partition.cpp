@@ -211,18 +211,31 @@ TEST(Shards, PaperScaleIsProportionallyInherited) {
   EXPECT_GT(shard_scale.nnz, global_scale.nnz / 6);
 }
 
+// A 3x3 matrix with one stored zero, as an svmlight `i:0` token gives:
+//   [ 1 0* 2 ]
+//   [ 0 0  3 ]
+//   [ 4 0  0 ]
+data::Dataset stored_zero() {
+  sparse::CsrMatrix matrix(3, 3, {0, 3, 4, 5}, {0, 1, 2, 2, 0},
+                           {1.0F, 0.0F, 2.0F, 3.0F, 4.0F});
+  return data::Dataset("stored_zero", std::move(matrix), {1.0F, -1.0F, 1.0F});
+}
+
 TEST(Shards, ShardNnzSumsToGlobal) {
-  const auto global = corpus();
-  util::Rng rng(6);
-  for (const auto f : {core::Formulation::kPrimal, core::Formulation::kDual}) {
-    const auto n = f == core::Formulation::kPrimal ? global.num_features()
-                                                   : global.num_examples();
-    const auto partition = Partition::random(n, 3, rng);
-    sparse::Offset total = 0;
-    for (const auto& owned : partition.owned) {
-      total += make_shard(global, f, owned).nnz();
+  for (const auto& global : {corpus(), stored_zero()}) {
+    util::Rng rng(6);
+    for (const auto f :
+         {core::Formulation::kPrimal, core::Formulation::kDual}) {
+      const auto n = f == core::Formulation::kPrimal ? global.num_features()
+                                                     : global.num_examples();
+      const auto partition = Partition::random(n, 3, rng);
+      sparse::Offset total = 0;
+      for (const auto& owned : partition.owned) {
+        total += make_shard(global, f, owned).nnz();
+      }
+      EXPECT_EQ(total, global.nnz())
+          << global.name() << " " << core::formulation_name(f);
     }
-    EXPECT_EQ(total, global.nnz());
   }
 }
 

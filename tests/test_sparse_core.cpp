@@ -1,4 +1,5 @@
-// COO builder, CSR and CSC construction/validation/access.
+// COO builder, CSR construction/validation/access, the transpose's rows
+// as columns, and the bucketed layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +9,6 @@
 #include "sparse/bucketed.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "util/rng.hpp"
 
@@ -145,48 +145,37 @@ TEST(CsrMatrix, MemoryBytesCountsAllArrays) {
             4 * sizeof(Offset) + 4 * sizeof(Index) + 4 * sizeof(Value));
 }
 
-CscMatrix small_csc() {
-  // Same logical matrix as small_csr().
-  return csr_to_csc(small_csr());
-}
+// The columns of small_csr() are the rows of its transpose.
+CsrMatrix small_transpose() { return transpose(small_csr()); }
 
-TEST(CscMatrix, BasicAccessors) {
-  const auto m = small_csc();
+TEST(TransposeRows, BasicAccessors) {
+  const auto m = small_transpose();
   EXPECT_EQ(m.rows(), 3u);
   EXPECT_EQ(m.cols(), 3u);
   EXPECT_EQ(m.nnz(), 4u);
-  EXPECT_EQ(m.col_nnz(0), 1u);
-  EXPECT_EQ(m.col_nnz(1), 1u);
-  EXPECT_EQ(m.col_nnz(2), 2u);
+  EXPECT_EQ(m.row_nnz(0), 1u);
+  EXPECT_EQ(m.row_nnz(1), 1u);
+  EXPECT_EQ(m.row_nnz(2), 2u);
 }
 
-TEST(CscMatrix, ColumnViewsAndLookup) {
-  const auto m = small_csc();
-  const auto col2 = m.col(2);
+TEST(TransposeRows, ColumnViewsAndLookup) {
+  const auto m = small_transpose();
+  const auto col2 = m.row(2);
   ASSERT_EQ(col2.nnz(), 2u);
   EXPECT_EQ(col2.indices[0], 0u);
   EXPECT_EQ(col2.indices[1], 2u);
   EXPECT_EQ(col2.values[0], 2.0F);
   EXPECT_EQ(col2.values[1], 4.0F);
-  EXPECT_EQ(m.at(2, 1), 3.0F);
+  EXPECT_EQ(m.at(1, 2), 3.0F);
   EXPECT_EQ(m.at(1, 1), 0.0F);
 }
 
-TEST(CscMatrix, ColSquaredNorms) {
-  const auto norms = small_csc().col_squared_norms();
+TEST(TransposeRows, ColSquaredNorms) {
+  const auto norms = small_transpose().row_squared_norms();
   ASSERT_EQ(norms.size(), 3u);
   EXPECT_DOUBLE_EQ(norms[0], 1.0);
   EXPECT_DOUBLE_EQ(norms[1], 9.0);
   EXPECT_DOUBLE_EQ(norms[2], 20.0);
-}
-
-TEST(CscMatrix, RejectsUnsortedRowsWithinColumn) {
-  EXPECT_THROW(CscMatrix(3, 1, {0, 2}, {2, 0}, {1.0F, 2.0F}),
-               std::invalid_argument);
-}
-
-TEST(CscMatrix, RejectsRowOutOfRange) {
-  EXPECT_THROW(CscMatrix(2, 1, {0, 1}, {5}, {1.0F}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,19 +286,28 @@ TEST(BucketedLayout, BucketStartsAre64ByteAligned) {
   }
 }
 
-TEST(BucketedLayout, FromColsMatchesCscColumns) {
+TEST(BucketedLayout, FromRowsOfTransposeMatchesColumns) {
   const auto csr = ragged_csr();
-  const auto csc = csr_to_csc(csr);
-  const auto layout = BucketedLayout::from_cols(csc);
-  ASSERT_EQ(layout.count(), csc.cols());
-  EXPECT_EQ(layout.dim(), csc.rows());
-  for (Index c = 0; c < csc.cols(); ++c) {
-    const auto source = csc.col(c);
+  const auto layout = BucketedLayout::from_rows(transpose(csr));
+  ASSERT_EQ(layout.count(), csr.cols());
+  EXPECT_EQ(layout.dim(), csr.rows());
+  // Column c, scanned straight from the rows: (row, value) in row order.
+  for (Index c = 0; c < csr.cols(); ++c) {
+    std::vector<Index> rows;
+    std::vector<Value> values;
+    for (Index r = 0; r < csr.rows(); ++r) {
+      const auto row = csr.row(r);
+      for (std::size_t k = 0; k < row.nnz(); ++k) {
+        if (row.indices[k] != c) continue;
+        rows.push_back(r);
+        values.push_back(row.values[k]);
+      }
+    }
     const auto view = layout.unpadded(c);
-    ASSERT_EQ(view.nnz(), source.nnz()) << "col " << c;
-    for (std::size_t k = 0; k < source.nnz(); ++k) {
-      EXPECT_EQ(view.indices[k], source.indices[k]);
-      EXPECT_EQ(view.values[k], source.values[k]);
+    ASSERT_EQ(view.nnz(), rows.size()) << "col " << c;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      EXPECT_EQ(view.indices[k], rows[k]);
+      EXPECT_EQ(view.values[k], values[k]);
     }
   }
 }

@@ -444,6 +444,14 @@ int main(int argc, char** argv) {
     // Every option is read before any data: a malformed one is refused
     // before a whole file has loaded.
     const auto run_options = read_run_options(parser);
+    // Every mode, the streamed one too, runs at the chosen precision.
+    const auto precision_name = parser.get_string("precision", "fp32");
+    if (precision_name == "fp16" || precision_name == "half") {
+      linalg::set_shared_precision(linalg::SharedPrecision::kFp16);
+    } else if (precision_name != "fp32") {
+      throw std::invalid_argument("unknown --precision '" + precision_name +
+                                  "' (fp32 | fp16)");
+    }
     if (parser.has("store") ||
         parser.get_int<std::uint64_t>("stream-shards", 0) > 0) {
       return run_streaming_mode(parser, run_options, trace_out, chrome_trace);
@@ -472,14 +480,6 @@ int main(int argc, char** argv) {
     solver_config.threads = parser.get_int<int>("threads", 16);
     solver_config.seed = parser.get_int<std::uint64_t>("seed", 42);
     solver_config.merge_every = parser.get_int<int>("merge-every", 0);
-
-    const auto precision_name = parser.get_string("precision", "fp32");
-    if (precision_name == "fp16" || precision_name == "half") {
-      linalg::set_shared_precision(linalg::SharedPrecision::kFp16);
-    } else if (precision_name != "fp32") {
-      throw std::invalid_argument("unknown --precision '" + precision_name +
-                                  "' (fp32 | fp16)");
-    }
 
     cluster::placement::FleetSpec fleet;
     if (parser.has("fleet")) {
