@@ -79,22 +79,28 @@ void BM_SparseDotBucketed(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseDotBucketed);
 
-// The fp32 scatter has only the scalar body (both backends dispatch to it).
 void BM_SparseAxpy(benchmark::State& state) {
   const auto& dataset = bench_dataset();
+  const auto backend = backend_arg(state);
   std::vector<float> dense(dataset.num_features(), 0.0F);
   sparse::Index row = 0;
   std::uint64_t entries = 0;
   for (auto _ : state) {
     const auto view = dataset.by_row().row(row);
-    linalg::scalar::sparse_axpy<float>(0.001, view, dense);
+    if (backend == linalg::KernelBackend::kScalar) {
+      linalg::scalar::sparse_axpy<float>(0.001, view, dense);
+    } else {
+      linalg::vec::sparse_axpy(0.001, view, dense);
+    }
+    benchmark::DoNotOptimize(dense.data());
+    benchmark::ClobberMemory();
     entries += view.nnz();
     row = (row + 1) % dataset.num_examples();
   }
   state.counters["nnz/s"] = benchmark::Counter(
       static_cast<double>(entries), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SparseAxpy);
+BENCHMARK(BM_SparseAxpy)->Arg(0)->Arg(1)->ArgName("vec");
 
 void BM_CoordinateDelta(benchmark::State& state) {
   const auto& dataset = bench_dataset();
@@ -299,7 +305,9 @@ void BM_AsyncEngineEpoch(benchmark::State& state) {
         [&](sparse::Index j, std::span<const float> s) {
           return problem.coordinate_delta(f, j, s, weights[j]);
         },
-        [&](sparse::Index j) { return problem.coordinate_vector(f, j); },
+        [&](sparse::Index j) {
+          return problem.coordinate_vector_unpadded(f, j);
+        },
         [&](sparse::Index j, double delta) {
           weights[j] = static_cast<float>(weights[j] + delta);
         },

@@ -61,20 +61,29 @@ struct KernelTimes {
   double speedup() const { return scalar_ns / vec_ns; }
 };
 
+/// The views of the bucketed rows a kernel pair runs over: the padded ones
+/// the reductions read, or the unpadded slices every scatter reads.
+enum class Views { kPadded, kUnpadded };
+
 /// Times one full sweep of `fn(view)` over every bucketed row view with both
-/// backends.  Both backends see identical (aligned, padded) views, so the
-/// comparison isolates the kernel body.
+/// backends, per entry of those views.  Both backends see identical views,
+/// so the comparison isolates the kernel body.
 template <typename ScalarFn, typename VecFn>
-KernelTimes time_kernel(const data::Dataset& dataset, int trials,
+KernelTimes time_kernel(const data::Dataset& dataset, Views views, int trials,
                         const ScalarFn& scalar_fn, const VecFn& vec_fn) {
   const auto& rows = dataset.bucketed_rows();
-  const double padded_nnz = static_cast<double>(rows.padded_nnz());
+  const bool padded = views == Views::kPadded;
+  const auto view = [&](sparse::Index r) {
+    return padded ? rows.padded(r) : rows.unpadded(r);
+  };
+  const double entries =
+      static_cast<double>(padded ? rows.padded_nnz() : dataset.nnz());
   KernelTimes times;
-  times.scalar_ns = 1e9 / padded_nnz * best_of(trials, [&] {
-    for (sparse::Index r = 0; r < rows.count(); ++r) scalar_fn(rows.padded(r));
+  times.scalar_ns = 1e9 / entries * best_of(trials, [&] {
+    for (sparse::Index r = 0; r < rows.count(); ++r) scalar_fn(view(r));
   });
-  times.vec_ns = 1e9 / padded_nnz * best_of(trials, [&] {
-    for (sparse::Index r = 0; r < rows.count(); ++r) vec_fn(rows.padded(r));
+  times.vec_ns = 1e9 / entries * best_of(trials, [&] {
+    for (sparse::Index r = 0; r < rows.count(); ++r) vec_fn(view(r));
   });
   return times;
 }
@@ -127,7 +136,7 @@ int run(int argc, char** argv) {
   std::vector<float> target(dataset.num_features(), 0.5F);
 
   const auto dot_times = time_kernel(
-      dataset, trials,
+      dataset, Views::kPadded, trials,
       [&](const sparse::SparseVectorView& v) {
         g_sink = linalg::scalar::sparse_dot<float>(v, dense);
       },
@@ -137,7 +146,7 @@ int run(int argc, char** argv) {
   add_kernel_result(kernels, "sparse_dot", dot_times);
 
   const auto residual_times = time_kernel(
-      dataset, trials,
+      dataset, Views::kPadded, trials,
       [&](const sparse::SparseVectorView& v) {
         g_sink = linalg::scalar::sparse_residual_dot<float>(v, target, dense);
       },
@@ -146,8 +155,19 @@ int run(int argc, char** argv) {
       });
   add_kernel_result(kernels, "sparse_residual_dot", residual_times);
 
-  // Dense reduction over the feature dimension.  (The fp32 axpy and
-  // sparse_axpy have only the scalar body, so there is no pair to time.)
+  std::vector<float> scattered = dense;
+  const auto axpy_times = time_kernel(
+      dataset, Views::kUnpadded, trials,
+      [&](const sparse::SparseVectorView& v) {
+        linalg::scalar::sparse_axpy<float>(1e-9, v, scattered);
+      },
+      [&](const sparse::SparseVectorView& v) {
+        linalg::vec::sparse_axpy(1e-9, v, scattered);
+      });
+  g_sink = scattered[0];
+  add_kernel_result(kernels, "sparse_axpy", axpy_times);
+
+  // Dense reduction over the feature dimension.
   {
     const double n = static_cast<double>(dense.size());
     const int reps = 512;
@@ -288,7 +308,7 @@ int run(int argc, char** argv) {
 
   if (parser.get_bool("check")) {
     // The vectorized backend must not lose to the reference beyond `slack`
-    // on any reduction kernel, nor on either leg of the delta codec.
+    // on any sparse kernel, nor on either leg of the delta codec.
     struct Check {
       const char* name;
       KernelTimes times;
@@ -296,6 +316,7 @@ int run(int argc, char** argv) {
     const std::vector<Check> checks = {
         {"sparse_dot", dot_times},
         {"sparse_residual_dot", residual_times},
+        {"sparse_axpy", axpy_times},
         {"delta_codec/encode", encode_times},
         {"delta_codec/decode", decode_times},
     };

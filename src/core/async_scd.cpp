@@ -36,8 +36,11 @@ double AsyncScdSolver::sweep(std::span<const std::uint32_t> order) {
     return problem().coordinate_delta(formulation(), j, shared,
                                       state.weights[j]);
   };
+  // The scatter pattern is the unpadded slice: a padded one would make each
+  // last-writer-wins commit store a pad entry's stale snapshot + 0 over the
+  // update its real entry just wrote (and the atomic commit is a scatter).
   const auto vec_of = [this](sparse::Index j) {
-    return problem().coordinate_vector(formulation(), j);
+    return problem().coordinate_vector_unpadded(formulation(), j);
   };
   const auto apply_weight = [&](sparse::Index j, double delta) {
     state.weights[j] = static_cast<float>(state.weights[j] + delta);

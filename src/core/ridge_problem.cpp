@@ -35,6 +35,29 @@ double sum_of(std::size_t count, util::ThreadPool* pool, const Term& term) {
   });
 }
 
+// out[c] = ⟨layout's coordinate c, x⟩ for every coordinate: Aᵀα over the
+// bucketed columns, Aβ over the bucketed rows.  Each unpadded slice holds
+// its CSR row's entries in the same order, so each value is that row's dot.
+// The coordinates are independent, so the visiting order changes no value;
+// the one order is storage order, which streams the slices, and a pool
+// gives each worker a contiguous range of it.
+void coordinate_dots(const sparse::BucketedLayout& layout,
+                     std::span<const float> x, std::span<float> out,
+                     util::ThreadPool* pool) {
+  const auto order = layout.storage_order();
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      const Index c = order[p];
+      out[c] = static_cast<float>(linalg::sparse_dot(layout.unpadded(c), x));
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for_chunks(order.size(), run);
+  } else {
+    run(0, order.size());
+  }
+}
+
 // The inner product the closed form needs, at either storage type of the
 // shared vector: ⟨y − w, a_m⟩ for the primal, ⟨w̄, āₙ⟩ for the dual.
 template <typename T>
@@ -241,20 +264,7 @@ double RidgeProblem::primal_duality_gap(std::span<const float> beta,
   util::ThreadPool* p = effective_pool(pool, dataset_->nnz());
   const auto alpha = dual_from_primal_shared(w);
   std::vector<float> wbar(static_cast<std::size_t>(num_features()));
-  // Aᵀα as one dot per column over the bucketed columns: the columns are
-  // independent, so a pool only schedules them.
-  const auto& cols = dataset_->bucketed_cols();
-  const auto run_cols = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      wbar[c] = static_cast<float>(
-          linalg::sparse_dot(cols.unpadded(static_cast<Index>(c)), alpha));
-    }
-  };
-  if (p != nullptr) {
-    p->parallel_for_chunks(wbar.size(), run_cols);
-  } else {
-    run_cols(0, wbar.size());
-  }
+  coordinate_dots(dataset_->bucketed_cols(), alpha, wbar, p);
   return std::abs(primal_objective(beta, w, p) -
                   dual_objective(alpha, wbar, p));
 }
@@ -266,8 +276,7 @@ double RidgeProblem::dual_duality_gap(std::span<const float> alpha,
   util::ThreadPool* p = effective_pool(pool, dataset_->nnz());
   const auto beta = primal_from_dual_shared(wbar);
   std::vector<float> w(static_cast<std::size_t>(num_examples()));
-  // Per-row dots: serial and pooled schedules produce identical values.
-  linalg::csr_matvec(dataset_->by_row(), beta, w, p);
+  coordinate_dots(dataset_->bucketed_rows(), beta, w, p);
   return std::abs(primal_objective(beta, w, p) -
                   dual_objective(alpha, wbar, p));
 }

@@ -98,11 +98,13 @@ class RidgeProblem {
   /// (dual).  Served from the dataset's bucketed layout (the columns are
   /// built on the first primal call, see data::Dataset): the view is padded
   /// to a multiple of 8 entries (padding repeats the last index with value
-  /// 0, contributing exactly zero to every kernel) so the unrolled kernels
-  /// never run a remainder loop.
+  /// 0, contributing exactly zero to every reduction) so the unrolled
+  /// reductions never run a remainder loop.  It is for reductions only: a
+  /// scatter needs distinct indices (linalg::sparse_axpy).
   SparseVectorView coordinate_vector(Formulation f, Index j) const;
 
-  /// The exact unpadded slice (true nnz) of coordinate j.
+  /// The exact unpadded slice (true nnz, strictly increasing indices) of
+  /// coordinate j: what every shared-vector scatter reads.
   SparseVectorView coordinate_vector_unpadded(Formulation f, Index j) const;
   /// ||a_m||² or ||ā_n||² (precomputed, double precision).
   double coordinate_squared_norm(Formulation f, Index j) const;
@@ -149,7 +151,7 @@ class RidgeProblem {
                             std::span<const float> w,
                             util::ThreadPool* pool = nullptr) const;
   /// GD(α) = |P(Aᵀα/λ) − D(α)|; costs one pass over the matrix: Aβ as
-  /// per-row dots over the CSR.  Pool semantics as above.
+  /// per-row dots over the bucketed rows.  Pool semantics as above.
   double dual_duality_gap(std::span<const float> alpha,
                           std::span<const float> wbar,
                           util::ThreadPool* pool = nullptr) const;

@@ -66,7 +66,8 @@ class AsyncEngine {
   using ComputeFn =
       std::function<double(sparse::Index j, std::span<const float> shared)>;
   /// Returns coordinate j's sparse vector (the scatter pattern of its
-  /// shared-vector update).
+  /// shared-vector update).  Its indices must be distinct, as every
+  /// scatter's are: an unpadded slice, never a padded view.
   using VectorFn = std::function<sparse::SparseVectorView(sparse::Index j)>;
   /// Applies the (always-correct) private weight update for coordinate j.
   using WeightFn = std::function<void(sparse::Index j, double delta)>;

@@ -10,7 +10,8 @@ void scd_sweep(const RidgeProblem& problem, Formulation f,
   for (const auto j : order) {
     const double delta = problem.coordinate_delta(f, j, shared, weights[j]);
     weights[j] = static_cast<float>(weights[j] + delta);
-    linalg::sparse_axpy(delta, problem.coordinate_vector(f, j), shared);
+    linalg::sparse_axpy(delta, problem.coordinate_vector_unpadded(f, j),
+                        shared);
   }
 }
 

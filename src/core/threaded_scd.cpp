@@ -51,7 +51,9 @@ void ThreadedScdSolver::worker_pass(std::span<const std::uint32_t> coords) {
     const double delta = problem().coordinate_delta(formulation(), j, shared,
                                                     state.weights[j]);
     state.weights[j] = static_cast<float>(state.weights[j] + delta);
-    const auto vec = problem().coordinate_vector(formulation(), j);
+    // The unpadded slice: a pad entry would be one more atomic, or one
+    // more racing read-modify-write, for a zero contribution.
+    const auto vec = problem().coordinate_vector_unpadded(formulation(), j);
     if (policy_ == CommitPolicy::kAtomicAdd) {
       for (std::size_t k = 0; k < vec.nnz(); ++k) {
         std::atomic_ref<float> cell(shared[vec.indices[k]]);

@@ -95,7 +95,8 @@ void replicated_sweep(const RidgeProblem& problem, Formulation f,
           damping * step(j, std::span<const T>(replica),
                          static_cast<double>(weights[j]));
       weights[j] = static_cast<float>(weights[j] + delta);
-      linalg::sparse_axpy(delta, problem.coordinate_vector(f, j), replica);
+      linalg::sparse_axpy(delta, problem.coordinate_vector_unpadded(f, j),
+                          replica);
     }
   };
   for (std::size_t first = 0; first < per_lane; first += interval) {

@@ -85,7 +85,7 @@ double TpaScdSolver::sweep(std::span<const std::uint32_t> order) {
           return block_step(j, shared, state.weights[j]);
         },
         [this](sparse::Index j) {
-          return problem().coordinate_vector(formulation(), j);
+          return problem().coordinate_vector_unpadded(formulation(), j);
         },
         [&](sparse::Index j, double delta) {
           state.weights[j] = static_cast<float>(state.weights[j] + delta);

@@ -25,6 +25,14 @@
 #define TPA_KERNELS_GATHER 0
 #endif
 
+// The fp32 scatter needs a hardware scatter, which only AVX-512 has; with
+// VL it is a ymm instruction, so the scatter keeps to 256-bit registers too.
+#if TPA_KERNELS_GATHER && defined(__AVX512F__) && defined(__AVX512VL__)
+#define TPA_KERNELS_SCATTER 1
+#else
+#define TPA_KERNELS_SCATTER 0
+#endif
+
 namespace tpa::linalg {
 namespace {
 
@@ -55,6 +63,22 @@ double reduce_lanes(__m256d acc) {
   alignas(32) double lane[4];
   _mm256_store_pd(lane, acc);
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+#endif
+
+#if TPA_KERNELS_SCATTER
+// float(old + alpha·v) in eight lanes: the scalar scatter's expression,
+// widened to two 4-lane doubles, a multiply then an add, narrowed with the
+// default round-to-nearest.  No FMA: alpha is not float-derived, so its
+// product with v is inexact and a fused rounding would change bits.
+__m256 axpy_lanes(__m256d alpha, __m256 old, __m256 v) {
+  const __m256d lo = _mm256_add_pd(
+      _mm256_cvtps_pd(_mm256_castps256_ps128(old)),
+      _mm256_mul_pd(alpha, _mm256_cvtps_pd(_mm256_castps256_ps128(v))));
+  const __m256d hi = _mm256_add_pd(
+      _mm256_cvtps_pd(_mm256_extractf128_ps(old, 1)),
+      _mm256_mul_pd(alpha, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1))));
+  return _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
 }
 #endif
 
@@ -155,9 +179,9 @@ double sparse_residual_dot(const SparseVectorView& a,
 
 template <typename T>
 void sparse_axpy(double alpha, const SparseVectorView& a, std::span<T> dense) {
-  // Read, add in double, store.  This must stay an in-order RMW per
-  // element: padded views repeat their last index, so batching would
-  // scatter a stale read over the real update.
+  // Read, add in double, store, one element after the next.  Being an
+  // in-order RMW, this body alone also tolerates a repeated index (a padded
+  // view's pad entries add ±0.0); vec::sparse_axpy does not.
   for (std::size_t k = 0; k < a.nnz(); ++k) {
     const auto i = a.indices[k];
     store(dense[i],
@@ -370,6 +394,42 @@ double sparse_residual_dot(const SparseVectorView& a,
            static_cast<double>(to_float(dense[i])));
   }
   return (a0 + a1) + (a2 + a3);
+}
+
+void sparse_axpy(double alpha, const SparseVectorView& a,
+                 std::span<float> dense) {
+#if TPA_KERNELS_SCATTER
+  // Per 8-entry chunk: gather the old values, evaluate the scalar body's
+  // expression in lanes, scatter the results.  The indices are distinct
+  // (the vector_ops.hpp contract), so no lane's store lands on another's
+  // element and the batch needs no conflict detection.  A repeated index
+  // would be stored in lane order, its last lane's stale read winning.
+  // The tail is the same chunk under an 8-bit mask.
+  const std::size_t n = a.nnz();
+  const sparse::Index* idx = a.indices.data();
+  const sparse::Value* val = a.values.data();
+  float* out = dense.data();
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  std::size_t k = 0;
+  for (const std::size_t n8 = n & ~std::size_t{7}; k < n8; k += 8) {
+    const __m256i vidx =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
+    const __m256 old = _mm256_i32gather_ps(out, vidx, 4);
+    _mm256_i32scatter_ps(out, vidx,
+                         axpy_lanes(valpha, old, _mm256_loadu_ps(val + k)), 4);
+  }
+  if (k < n) {
+    const auto live = static_cast<__mmask8>((1U << (n - k)) - 1U);
+    const __m256i vidx = _mm256_maskz_loadu_epi32(live, idx + k);
+    const __m256 old =
+        _mm256_mmask_i32gather_ps(_mm256_setzero_ps(), live, vidx, out, 4);
+    _mm256_mask_i32scatter_ps(
+        out, live, vidx,
+        axpy_lanes(valpha, old, _mm256_maskz_loadu_ps(live, val + k)), 4);
+  }
+#else
+  scalar::sparse_axpy(alpha, a, dense);
+#endif
 }
 
 void add_diff(std::span<float> w, std::span<const Half> replica,

@@ -16,9 +16,12 @@
 //     as the scalar reference — only reductions reassociate, so only
 //     reductions may differ, and then only in the last ULPs of the double
 //     accumulator (see DESIGN.md §9 for the tolerance contract).  The fp32
-//     axpy, the sparse_axpy scatter and the fp32 add_diff have no vec body:
-//     unrolled, they measured no faster than the plain loop, so both
-//     backends run the scalar one.
+//     sparse_axpy scatter is a gather → compute → scatter over 8 lanes on
+//     AVX-512VL builds, legal only because a scatter's indices are distinct
+//     (vector_ops.hpp); elsewhere, and for fp16 storage, it is the scalar
+//     body.  The fp32 axpy and the fp32 add_diff have no vec body: unrolled,
+//     they measured no faster than the plain loop, so both backends run the
+//     scalar one.
 //
 // The shared-vector kernels are templates over the storage type T of the
 // shared vector: float, or Half for fp16 storage (DESIGN.md §16).  Each body
@@ -94,6 +97,10 @@ template <typename T>
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
                            std::span<const T> dense);
+// Conflict-free ymm gather/scatter on AVX-512VL builds, bit-identical to
+// scalar::sparse_axpy on distinct indices; the scalar body elsewhere.
+void sparse_axpy(double alpha, const SparseVectorView& a,
+                 std::span<float> dense);
 // F16C conversion lanes over fp16 replicas; the remainder is the scalar body.
 void add_diff(std::span<float> w, std::span<const Half> replica,
               std::span<const Half> base);

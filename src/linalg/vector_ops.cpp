@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,6 +14,13 @@ namespace {
 
 inline bool use_scalar() noexcept {
   return kernel_backend() == KernelBackend::kScalar;
+}
+
+// The scatter contract (vector_ops.hpp): distinct indices, checked as the
+// CSR invariant, strictly increasing.
+[[maybe_unused]] bool strictly_increasing(std::span<const sparse::Index> idx) {
+  return std::adjacent_find(idx.begin(), idx.end(),
+                            std::greater_equal<>()) == idx.end();
 }
 
 }  // namespace
@@ -61,11 +69,12 @@ double sparse_residual_dot(const SparseVectorView& a,
 
 void sparse_axpy(double alpha, const SparseVectorView& a,
                  std::span<float> dense) {
-  // The scalar reference in both backends: the scatter must stay an
-  // in-order RMW (no batching is legal under padded duplicate indices), so
-  // unrolling only amortises loop control; it measured within noise of
-  // scalar (≤1.03x).
-  scalar::sparse_axpy(alpha, a, dense);
+  assert(strictly_increasing(a.indices));
+  if (use_scalar()) {
+    scalar::sparse_axpy(alpha, a, dense);
+  } else {
+    vec::sparse_axpy(alpha, a, dense);
+  }
 }
 
 void add_diff(std::span<float> w, std::span<const float> replica,
@@ -89,7 +98,8 @@ double sparse_residual_dot(const SparseVectorView& a,
 
 void sparse_axpy(double alpha, const SparseVectorView& a,
                  std::span<Half> dense) {
-  // The scalar scatter in both backends, as for the float overload.
+  // The scalar scatter in both backends: no 16-bit gather or scatter exists.
+  assert(strictly_increasing(a.indices));
   scalar::sparse_axpy(alpha, a, dense);
 }
 
@@ -136,21 +146,13 @@ std::vector<float> csr_matvec_transposed(const sparse::CsrMatrix& a,
 }
 
 void csr_matvec(const sparse::CsrMatrix& a, std::span<const float> x,
-                std::span<float> y, util::ThreadPool* pool) {
+                std::span<float> y) {
   assert(x.size() == a.cols());
   if (y.size() != a.rows()) {
     throw std::invalid_argument("csr_matvec: output span size != rows");
   }
-  const auto run_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      y[r] = static_cast<float>(
-          sparse_dot(a.row(static_cast<sparse::Index>(r)), x));
-    }
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(y.size(), run_rows);
-  } else {
-    run_rows(0, y.size());
+  for (sparse::Index r = 0; r < a.rows(); ++r) {
+    y[r] = static_cast<float>(sparse_dot(a.row(r), x));
   }
 }
 

@@ -4,7 +4,9 @@
 // vector against the dense shared vector: the partial inner product
 // ⟨y − w, a⟩ and the scatter w += a·Δ (the paper's "update shared vector"
 // step).  Storage is float, accumulation is double, matching the paper's
-// 32-bit data with numerically-safe objective evaluation.
+// 32-bit data with numerically-safe objective evaluation.  The inner
+// products may read a bucketed coordinate's padded view; the scatter needs
+// distinct indices and reads its unpadded slice.
 //
 // Every entry point below dispatches to the kernel layer (kernels.hpp):
 // the multi-accumulator vectorized implementation by default, the original
@@ -52,6 +54,10 @@ double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> dense);
 
 /// dense[a.indices[k]] += alpha * a.values[k] — sparse scatter-add.
+/// The indices must be distinct: a CSR row or a BucketedLayout::unpadded
+/// slice, never a padded view.  The vectorized body stores repeated lanes
+/// in lane order, so a pad entry's stale `old + 0` would overwrite the real
+/// update of its index.  Debug builds assert strictly increasing indices.
 void sparse_axpy(double alpha, const SparseVectorView& a,
                  std::span<float> dense);
 
@@ -65,6 +71,7 @@ void add_diff(std::span<float> w, std::span<const float> replica,
 /// They dispatch to the Half instantiation of the same kernel bodies as the
 /// float overloads above: elements widen to fp32 exactly before arithmetic,
 /// accumulation stays fp64, and stores narrow with round-to-nearest-even.
+/// The fp16 scatter takes distinct indices too (asserted in Debug builds).
 double sparse_dot(const SparseVectorView& a, std::span<const Half> dense);
 double sparse_residual_dot(const SparseVectorView& a,
                            std::span<const float> target,
@@ -89,10 +96,10 @@ std::vector<float> csr_matvec_transposed(const sparse::CsrMatrix& a,
                                          std::span<const float> x);
 
 /// In-place y = A·x into a caller-provided span (y.size() == a.rows()); no
-/// allocation.  Rows are independent, so a non-null `pool` splits them into
-/// contiguous chunks — results are identical to the serial path.
+/// allocation.  The dual duality gap takes Aβ as per-row dots over the
+/// bucketed rows instead (RidgeProblem::dual_duality_gap).
 void csr_matvec(const sparse::CsrMatrix& a, std::span<const float> x,
-                std::span<float> y, util::ThreadPool* pool = nullptr);
+                std::span<float> y);
 
 /// In-place y = Aᵀ·x (y.size() == a.cols()) by a serial scatter over the
 /// rows.  The duality gap takes Aᵀα as per-column dots instead

@@ -74,8 +74,9 @@ BucketedLayout BucketedLayout::from_rows(const CsrMatrix& m) {
     std::copy(view.values.begin(), view.values.end(),
               layout.values_.begin() + static_cast<std::ptrdiff_t>(slot.offset));
     // Padding: repeat the last real index with value 0 so padded entries stay
-    // within the coordinate's own touched set (no cross-coordinate aliasing
-    // in scatter) and contribute exactly zero to reductions.
+    // within the coordinate's own index set and contribute exactly zero to
+    // reductions.  (A scatter reads the unpadded slice: it needs distinct
+    // indices.)
     if (slot.nnz > 0) {
       const Index last = view.indices.back();
       for (std::size_t k = slot.nnz; k < slot.width; ++k) {

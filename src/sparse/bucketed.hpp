@@ -11,14 +11,15 @@
 //     two of their nnz, minimum 8), so same-shaped work is contiguous;
 //   - each coordinate's slice is padded to a multiple of 8 entries — padding
 //     repeats the coordinate's last index with value 0, which contributes
-//     exactly 0.0 to every dot/residual kernel and adds ±0.0 in scatter —
-//     so the 4/8-way unrolled kernels never execute a remainder iteration;
+//     exactly 0.0 to every dot/residual kernel — so the 4/8-way unrolled
+//     reductions never execute a remainder iteration;
 //   - bucket starts are rounded to 64-byte boundaries in both the index and
 //     value arrays (AlignedVector backing), keeping packed loads inside
 //     cache lines.
 //
-// `padded(j)` is what the solvers feed the kernels; `unpadded(j)` recovers
-// the exact source row for code that must see true nnz.
+// `padded(j)` is what the solvers feed the reductions.  A scatter needs
+// distinct indices, so it reads `unpadded(j)`, the exact source row, as
+// does code that must see true nnz.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,8 @@ class BucketedLayout {
   bool empty() const noexcept { return slots_.empty(); }
 
   /// Zero-padded view of coordinate j: width_of(j) entries, the first
-  /// nnz_of(j) of which are the source slice.  Safe for every kernel.
+  /// nnz_of(j) of which are the source slice.  Safe for every reduction;
+  /// not for a scatter (its last index repeats).
   SparseVectorView padded(Index j) const {
     const Slot& s = slots_[j];
     return SparseVectorView{
@@ -53,7 +55,8 @@ class BucketedLayout {
         std::span<const Value>(values_).subspan(s.offset, s.width)};
   }
 
-  /// Exact source slice of coordinate j (no padding).
+  /// Exact source slice of coordinate j (no padding, strictly increasing
+  /// indices).
   SparseVectorView unpadded(Index j) const {
     const Slot& s = slots_[j];
     return SparseVectorView{
@@ -75,6 +78,9 @@ class BucketedLayout {
     return std::span<const Index>(order_).subspan(bucket.begin,
                                                   bucket.count);
   }
+  /// Every coordinate id in storage order: each bucket's bucket_coords in
+  /// turn.
+  std::span<const Index> storage_order() const noexcept { return order_; }
 
   /// Total padded entries (>= source nnz; the padding overhead).
   std::size_t padded_nnz() const noexcept { return indices_.size(); }

@@ -163,7 +163,7 @@ double StreamingScdSolver::duality_gap() {
     const auto& matrix = shard.dataset.by_row();
     const auto labels = shard.dataset.labels();
     std::vector<float> w(static_cast<std::size_t>(matrix.rows()));
-    linalg::csr_matvec(matrix, beta, w, nullptr);
+    linalg::csr_matvec(matrix, beta, w);
     for (std::size_t i = 0; i < w.size(); ++i) {
       const auto row = static_cast<std::size_t>(shard.row_begin) + i;
       const double r = static_cast<double>(w[i]) - labels[i];

@@ -2,6 +2,8 @@
 // last-writer-wins commits, staleness, and loss accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "core/round_engine.hpp"
@@ -39,6 +41,8 @@ TEST(AsyncEngine, RejectsZeroWindow) {
                std::invalid_argument);
 }
 
+// With one lane in flight nothing races, under either commit policy: the
+// engine is the hand-rolled sequential pass, scatter for scatter.
 TEST(AsyncEngine, WindowOneIsExactlySequential) {
   data::WebspamLikeConfig config;
   config.num_examples = 128;
@@ -46,39 +50,45 @@ TEST(AsyncEngine, WindowOneIsExactlySequential) {
   const auto dataset = data::make_webspam_like(config);
   const RidgeProblem problem(dataset, 0.01);
   const auto f = Formulation::kDual;
-
-  // Engine path with window 1.
-  AsyncEngine engine(1, CommitPolicy::kAtomicAdd);
-  std::vector<float> weights(problem.num_coordinates(f), 0.0F);
-  std::vector<float> shared(problem.shared_dim(f), 0.0F);
   util::Rng rng(9);
   const auto order = util::random_permutation(problem.num_coordinates(f),
                                               rng);
-  engine.run_epoch(
-      order,
-      [&](Index j, std::span<const float> s) {
-        return problem.coordinate_delta(f, j, s, weights[j]);
-      },
-      [&](Index j) { return problem.coordinate_vector(f, j); },
-      [&](Index j, double delta) {
-        weights[j] = static_cast<float>(weights[j] + delta);
-      },
-      shared);
 
-  // Hand-rolled sequential pass over the same order.
+  // Hand-rolled sequential pass over the order.
   std::vector<float> ref_weights(problem.num_coordinates(f), 0.0F);
   std::vector<float> ref_shared(problem.shared_dim(f), 0.0F);
   for (const auto j : order) {
     const double delta =
         problem.coordinate_delta(f, j, ref_shared, ref_weights[j]);
     ref_weights[j] = static_cast<float>(ref_weights[j] + delta);
-    linalg::sparse_axpy(delta, problem.coordinate_vector(f, j), ref_shared);
+    linalg::sparse_axpy(delta, problem.coordinate_vector_unpadded(f, j),
+                        ref_shared);
   }
-  for (std::size_t i = 0; i < shared.size(); ++i) {
-    EXPECT_EQ(shared[i], ref_shared[i]) << "entry " << i;
-  }
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    EXPECT_EQ(weights[j], ref_weights[j]) << "weight " << j;
+
+  for (const auto policy :
+       {CommitPolicy::kAtomicAdd, CommitPolicy::kLastWriterWins}) {
+    AsyncEngine engine(1, policy);
+    std::vector<float> weights(problem.num_coordinates(f), 0.0F);
+    std::vector<float> shared(problem.shared_dim(f), 0.0F);
+    const auto stats = engine.run_epoch(
+        order,
+        [&](Index j, std::span<const float> s) {
+          return problem.coordinate_delta(f, j, s, weights[j]);
+        },
+        [&](Index j) { return problem.coordinate_vector_unpadded(f, j); },
+        [&](Index j, double delta) {
+          weights[j] = static_cast<float>(weights[j] + delta);
+        },
+        shared);
+    EXPECT_EQ(stats.lost_entries, 0u);
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(shared[i]),
+                std::bit_cast<std::uint32_t>(ref_shared[i]))
+          << "entry " << i;
+    }
+    for (std::size_t j = 0; j < weights.size(); ++j) {
+      EXPECT_EQ(weights[j], ref_weights[j]) << "weight " << j;
+    }
   }
 }
 

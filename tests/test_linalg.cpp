@@ -1,6 +1,7 @@
 // Dense / sparse-dense vector kernels against straightforward references.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -62,6 +63,12 @@ TEST(VectorOps, Scale) {
 sparse::SparseVectorView make_view(const std::vector<sparse::Index>& idx,
                                    const std::vector<float>& val) {
   return sparse::SparseVectorView{idx, val};
+}
+
+std::vector<std::uint32_t> float_bits(std::span<const float> x) {
+  std::vector<std::uint32_t> out;
+  for (const float v : x) out.push_back(std::bit_cast<std::uint32_t>(v));
+  return out;
 }
 
 TEST(SparseOps, SparseDot) {
@@ -171,9 +178,17 @@ INSTANTIATE_TEST_SUITE_P(Sizes, KernelEquivalence,
                          ::testing::Values(0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u,
                                            17u, 31u, 64u, 100u, 515u));
 
+/// Restores the process-wide kernel backend on scope exit.
+struct BackendGuard {
+  KernelBackend saved = kernel_backend();
+  ~BackendGuard() { set_kernel_backend(saved); }
+};
+
 // Bucketed padding repeats a coordinate's last index with value zero.  The
-// kernels must treat those entries as exact no-ops: zero contribution to the
-// reductions, a +-0.0 scatter into an already-touched slot.
+// reductions must treat those entries as exact no-ops.  A scatter reads the
+// unpadded slice (its indices must be distinct), and its result must be the
+// scalar body's over the padded view, which adds +-0.0 into an
+// already-touched slot.
 TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOps) {
   const std::vector<sparse::Index> real_idx{1, 4, 9};
   const std::vector<float> real_val{0.5F, -2.0F, 3.25F};
@@ -206,21 +221,54 @@ TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOps) {
     EXPECT_EQ(dot_fn(padded, dense), dot_fn(real, dense));
     EXPECT_EQ(res_fn(padded, target, dense), res_fn(real, target, dense));
   }
-  // The fp32 scatter has only the scalar body.
-  std::vector<float> from_real = dense;
   std::vector<float> from_padded = dense;
-  scalar::sparse_axpy<float>(-0.75, real, from_real);
   scalar::sparse_axpy<float>(-0.75, padded, from_padded);
-  EXPECT_EQ(from_real, from_padded);
+  const BackendGuard guard;
+  for (const auto backend :
+       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
+    set_kernel_backend(backend);
+    std::vector<float> from_real = dense;
+    sparse_axpy(-0.75, real, from_real);
+    EXPECT_EQ(float_bits(from_real), float_bits(from_padded));
+  }
+}
+
+// The scatter must round like the scalar body: a multiply, then an add, in
+// double.  alpha is not float-derived, so a fused multiply-add can narrow
+// to a different float, and this case is built so that it does: 1 + α·5 is
+// just above a float tie, and rounding α·5 first lands it on the tie.  The
+// 11 entries fill one 8-lane chunk and a masked 3-lane tail.
+TEST(KernelBackends, ScatterMultipliesThenAddsUnfused) {
+  const double alpha = 0x1.999999a666667p-27;
+  std::vector<sparse::Index> idx;
+  std::vector<float> val;
+  std::vector<float> dense(40, 0.0F);
+  for (sparse::Index k = 0; k < 11; ++k) {
+    const float sign = k % 2 == 0 ? 1.0F : -1.0F;
+    idx.push_back(3 * k + 2);
+    val.push_back(5.0F * sign);
+    dense[idx.back()] = sign;
+  }
+  const auto view = make_view(idx, val);
+  std::vector<float> unfused = dense;
+  scalar::sparse_axpy<float>(alpha, view, unfused);
+  std::vector<float> fused = dense;
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    fused[idx[k]] = static_cast<float>(
+        std::fma(alpha, double{val[k]}, double{dense[idx[k]]}));
+  }
+  ASSERT_NE(float_bits(fused), float_bits(unfused));
+  const BackendGuard guard;
+  for (const auto backend :
+       {KernelBackend::kScalar, KernelBackend::kVectorized}) {
+    set_kernel_backend(backend);
+    std::vector<float> out = dense;
+    sparse_axpy(alpha, view, out);
+    EXPECT_EQ(float_bits(out), float_bits(unfused));
+  }
 }
 
 // --- fp16 storage: the Half instantiations of the shared-vector kernels ---
-
-/// Restores the process-wide kernel backend on scope exit.
-struct BackendGuard {
-  KernelBackend saved = kernel_backend();
-  ~BackendGuard() { set_kernel_backend(saved); }
-};
 
 std::vector<Half> to_halves(std::span<const float> x) {
   std::vector<Half> out(x.size());
@@ -284,7 +332,7 @@ TEST_P(KernelEquivalence, SharedVectorKernelsMatchAcrossBackends) {
 
   struct Outputs {
     double dot = 0.0, residual = 0.0, dot_h = 0.0, residual_h = 0.0;
-    std::vector<float> scatter, diff, diff_h;
+    std::vector<float> scatter, scatter_inexact, diff, diff_h;
     std::vector<Half> scatter_h;
   };
   const BackendGuard guard;
@@ -297,6 +345,9 @@ TEST_P(KernelEquivalence, SharedVectorKernelsMatchAcrossBackends) {
     out.residual_h = sparse_residual_dot(view, c.target, dense_h);
     out.scatter = c.dense;
     sparse_axpy(-0.75, view, out.scatter);
+    // 0.1 is no float, so alpha·v is inexact in double.
+    out.scatter_inexact = c.dense;
+    sparse_axpy(0.1, view, out.scatter_inexact);
     out.scatter_h = dense_h;
     sparse_axpy(-0.75, view, out.scatter_h);
     out.diff = c.w;
@@ -314,7 +365,9 @@ TEST_P(KernelEquivalence, SharedVectorKernelsMatchAcrossBackends) {
   EXPECT_NEAR(vec_out.residual, scalar_out.residual, residual_tol);
   EXPECT_NEAR(vec_out.dot_h, scalar_out.dot_h, dot_tol);
   EXPECT_NEAR(vec_out.residual_h, scalar_out.residual_h, residual_tol);
-  EXPECT_EQ(vec_out.scatter, scalar_out.scatter);
+  EXPECT_EQ(float_bits(vec_out.scatter), float_bits(scalar_out.scatter));
+  EXPECT_EQ(float_bits(vec_out.scatter_inexact),
+            float_bits(scalar_out.scatter_inexact));
   EXPECT_EQ(bits_of(vec_out.scatter_h), bits_of(scalar_out.scatter_h));
   EXPECT_EQ(vec_out.diff, scalar_out.diff);
   EXPECT_EQ(vec_out.diff_h, scalar_out.diff_h);
@@ -352,8 +405,8 @@ TEST_P(KernelEquivalence, HalfKernelsEqualFloatKernelsOnHalfValues) {
   EXPECT_EQ(bits_of(scatter_h), bits_of(to_halves(scatter)));
 }
 
-// The padded no-op contract of PaddedDuplicateIndicesAreExactNoOps, for
-// fp16 storage in both backends.
+// The padded contract of PaddedDuplicateIndicesAreExactNoOps, for fp16
+// storage in both backends.
 TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOpsForHalf) {
   const std::vector<sparse::Index> real_idx{1, 4, 9};
   const std::vector<float> real_val{0.5F, -2.0F, 3.25F};
@@ -383,7 +436,7 @@ TEST(KernelBackends, PaddedDuplicateIndicesAreExactNoOpsForHalf) {
     std::vector<Half> from_real = dense;
     std::vector<Half> from_padded = dense;
     sparse_axpy(-0.75, real, from_real);
-    sparse_axpy(-0.75, padded, from_padded);
+    scalar::sparse_axpy<Half>(-0.75, padded, from_padded);
     EXPECT_EQ(bits_of(from_real), bits_of(from_padded));
   }
 }

@@ -181,9 +181,9 @@ TEST(RidgeProblem, CoordinateUpdateNeverIncreasesPrimalObjective) {
     const double delta =
         problem.coordinate_delta(Formulation::kPrimal, m, w, beta[m]);
     beta[m] = static_cast<float>(beta[m] + delta);
-    linalg::sparse_axpy(delta,
-                        problem.coordinate_vector(Formulation::kPrimal, m),
-                        w);
+    linalg::sparse_axpy(
+        delta, problem.coordinate_vector_unpadded(Formulation::kPrimal, m),
+        w);
     const double next = problem.primal_objective(beta, w);
     EXPECT_LE(next, objective + 1e-7);
     objective = next;

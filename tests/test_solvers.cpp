@@ -3,7 +3,11 @@
 // factory, and parameterized convergence sweeps across formulations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/async_scd.hpp"
 #include "core/convergence.hpp"
@@ -23,6 +27,12 @@ const data::Dataset& webspam_small() {
     return data::make_webspam_like(config);
   }();
   return dataset;
+}
+
+std::vector<std::uint32_t> float_bits(std::span<const float> x) {
+  std::vector<std::uint32_t> out;
+  for (const float v : x) out.push_back(std::bit_cast<std::uint32_t>(v));
+  return out;
 }
 
 TEST(SeqScd, ReportsWorkPerEpoch) {
@@ -97,6 +107,22 @@ TEST(PasscodeWild, LosesUpdatesAndViolatesOptimality) {
   SeqScdSolver seq(problem, Formulation::kDual, 7);
   for (int epoch = 0; epoch < 12; ++epoch) seq.run_epoch();
   EXPECT_GT(wild.duality_gap(problem), 100.0 * seq.duality_gap(problem));
+}
+
+// One lane has nothing to race with: each commit stores exactly what the
+// sequential scatter stores, so no entry is lost and the trajectory is
+// sequential SCD's bit for bit (DESIGN.md §2).
+TEST(PasscodeWild, OneThreadIsSequentialScd) {
+  const RidgeProblem problem(webspam_small(), 1e-3);
+  PasscodeWildSolver wild(problem, Formulation::kDual, 1, 7);
+  SeqScdSolver seq(problem, Formulation::kDual, 7);
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    wild.run_epoch();
+    seq.run_epoch();
+  }
+  EXPECT_EQ(wild.total_lost_updates(), 0u);
+  EXPECT_EQ(float_bits(wild.state().weights), float_bits(seq.state().weights));
+  EXPECT_EQ(float_bits(wild.state().shared), float_bits(seq.state().shared));
 }
 
 TEST(PasscodeWild, IsChargedFasterThanAtomic) {

@@ -251,6 +251,7 @@ TEST(BucketedLayout, BucketsPartitionCoordinatesByNnzClass) {
   const auto layout = BucketedLayout::from_rows(csr);
   ASSERT_GE(layout.num_buckets(), 3);
   std::vector<bool> seen(static_cast<std::size_t>(layout.count()), false);
+  std::vector<Index> concatenated;
   std::size_t prev_class = 0;
   for (int b = 0; b < layout.num_buckets(); ++b) {
     const std::size_t cls = layout.bucket_class(b);
@@ -261,6 +262,7 @@ TEST(BucketedLayout, BucketsPartitionCoordinatesByNnzClass) {
     for (const Index j : layout.bucket_coords(b)) {
       EXPECT_FALSE(seen[j]) << "coordinate in two buckets";
       seen[j] = true;
+      concatenated.push_back(j);
       const std::size_t nnz = layout.nnz_of(j);
       EXPECT_LE(nnz, cls);
       EXPECT_TRUE(cls == 8 || nnz > cls / 2)
@@ -272,6 +274,9 @@ TEST(BucketedLayout, BucketsPartitionCoordinatesByNnzClass) {
   for (Index j = 0; j < layout.count(); ++j) {
     EXPECT_TRUE(seen[j]) << "row " << j;
   }
+  // storage_order() is the buckets' coordinates, one bucket after another.
+  const auto order = layout.storage_order();
+  EXPECT_EQ(std::vector<Index>(order.begin(), order.end()), concatenated);
 }
 
 TEST(BucketedLayout, BucketStartsAre64ByteAligned) {
