@@ -8,6 +8,8 @@
 // statistics; see DESIGN.md §5.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <iostream>
 #include <span>
 #include <string>
@@ -30,6 +32,41 @@ struct BenchOptions {
   std::uint64_t seed = 42;
   bool csv = false;
 };
+
+/// Best-of-`trials` wall time of fn(), in seconds.  Best-of (rather than
+/// mean) rejects scheduler noise, which dominates on shared hosts.
+template <typename Fn>
+double best_of(int trials, const Fn& fn) {
+  using clock = std::chrono::steady_clock;
+  double best = 1e300;
+  for (int t = 0; t < trials; ++t) {
+    const auto start = clock::now();
+    fn();
+    best = std::min(
+        best, std::chrono::duration<double>(clock::now() - start).count());
+  }
+  return best;
+}
+
+/// Best-of-`trials` wall times of a() and b(), timed in alternating trials
+/// (a then b, then b then a, ...), so load that comes and goes during the
+/// measurement reaches both sides of a compared pair alike.  Every gated
+/// ratio of perf_smoke and thread_scaling is timed this way.
+template <typename A, typename B>
+std::pair<double, double> best_of_pair(int trials, const A& a, const B& b) {
+  double best_a = 1e300;
+  double best_b = 1e300;
+  for (int t = 0; t < trials; ++t) {
+    if (t % 2 == 0) {
+      best_a = std::min(best_a, best_of(1, a));
+      best_b = std::min(best_b, best_of(1, b));
+    } else {
+      best_b = std::min(best_b, best_of(1, b));
+      best_a = std::min(best_a, best_of(1, a));
+    }
+  }
+  return {best_a, best_b};
+}
 
 /// Registers the common options on `parser`.
 void add_common_options(util::ArgParser& parser);

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       std::vector<float>(dataset.labels().begin(), dataset.labels().end())};
   store::write_store(store_dir, "criteo", data, 8);
   store::StoreStreamingDataset streamed(store::ShardReader::open(
-      store_dir + "/criteo.manifest", store::ReadMode::kMmap));
+      store_dir + "/criteo.manifest"));
   store::StreamingConfig streaming_config;
   streaming_config.lambda = options.lambda;
   streaming_config.seed = options.seed;

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
             << manifest.nnz << " nnz, converted in "
             << convert_timer.seconds() << " s\n";
   store::StoreStreamingDataset disk(store::ShardReader::open(
-      store_dir + "/fig10.manifest", store::ReadMode::kMmap));
+      store_dir + "/fig10.manifest"));
 
   // --- 2. The hard resident budget. ---
   const std::size_t full_bytes = dataset.resident_bytes();

@@ -7,16 +7,17 @@
 //
 // With --check it also *asserts* that the vectorized backend is not slower
 // than the scalar reference beyond a slack factor, so CI catches a kernel
-// regression without depending on the absolute speed of the runner.
+// regression without depending on the absolute speed of the runner.  Each
+// scalar/vectorized pair is timed in alternating trials
+// (bench::best_of_pair), so host load shifts both sides of a ratio alike.
 //
 //   perf_smoke --out-dir . --check --slack 1.15
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "cluster/delta_codec.hpp"
 #include "core/convergence.hpp"
@@ -34,25 +35,6 @@ namespace {
 using namespace tpa;
 
 volatile double g_sink = 0.0;  // defeats dead-code elimination
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`trials` wall time of fn(), in seconds.  Best-of (rather than
-/// mean) rejects scheduler noise, which dominates on shared CI runners.
-template <typename Fn>
-double best_of(int trials, const Fn& fn) {
-  double best = 1e300;
-  for (int t = 0; t < trials; ++t) {
-    const double start = now_seconds();
-    fn();
-    best = std::min(best, now_seconds() - start);
-  }
-  return best;
-}
 
 /// Nanoseconds per nnz (or per entry, for the codec) on each backend.
 struct KernelTimes {
@@ -78,14 +60,15 @@ KernelTimes time_kernel(const data::Dataset& dataset, Views views, int trials,
   };
   const double entries =
       static_cast<double>(padded ? rows.padded_nnz() : dataset.nnz());
-  KernelTimes times;
-  times.scalar_ns = 1e9 / entries * best_of(trials, [&] {
-    for (sparse::Index r = 0; r < rows.count(); ++r) scalar_fn(view(r));
-  });
-  times.vec_ns = 1e9 / entries * best_of(trials, [&] {
-    for (sparse::Index r = 0; r < rows.count(); ++r) vec_fn(view(r));
-  });
-  return times;
+  const auto [scalar_s, vec_s] = bench::best_of_pair(
+      trials,
+      [&] {
+        for (sparse::Index r = 0; r < rows.count(); ++r) scalar_fn(view(r));
+      },
+      [&] {
+        for (sparse::Index r = 0; r < rows.count(); ++r) vec_fn(view(r));
+      });
+  return {1e9 / entries * scalar_s, 1e9 / entries * vec_s};
 }
 
 void add_kernel_result(std::vector<bench::BenchResult>& results,
@@ -171,14 +154,18 @@ int run(int argc, char** argv) {
   {
     const double n = static_cast<double>(dense.size());
     const int reps = 512;
-    KernelTimes times;
-    times.scalar_ns = 1e9 / (n * reps) * best_of(trials, [&] {
-      for (int i = 0; i < reps; ++i) g_sink = linalg::scalar::dot(dense, target);
-    });
-    times.vec_ns = 1e9 / (n * reps) * best_of(trials, [&] {
-      for (int i = 0; i < reps; ++i) g_sink = linalg::vec::dot(dense, target);
-    });
-    add_kernel_result(kernels, "dense_dot", times);
+    const auto [scalar_s, vec_s] = bench::best_of_pair(
+        trials,
+        [&] {
+          for (int i = 0; i < reps; ++i) {
+            g_sink = linalg::scalar::dot(dense, target);
+          }
+        },
+        [&] {
+          for (int i = 0; i < reps; ++i) g_sink = linalg::vec::dot(dense, target);
+        });
+    add_kernel_result(kernels, "dense_dot",
+                      {1e9 / (n * reps) * scalar_s, 1e9 / (n * reps) * vec_s});
   }
 
   // The delta codec on one shared-vector-sized delta, per entry: encode into
@@ -193,21 +180,27 @@ int run(int argc, char** argv) {
     }
     cluster::CompressedDelta frame;
     std::vector<double> decoded(delta.size());
-    const auto encode = [&] { cluster::encode_delta(delta, {}, frame); };
+    const auto encode = [&] { cluster::encode_delta(delta, frame); };
     const auto decode = [&] { cluster::decode_delta(frame, decoded); };
-    const auto time_leg = [&](linalg::KernelBackend backend, const auto& leg) {
+    // Each leg on both backends, in alternating trials.
+    const auto time_leg = [&](const auto& leg) {
       constexpr int kReps = 64;
-      linalg::set_kernel_backend(backend);
-      return 1e9 / (static_cast<double>(delta.size()) * kReps) *
-             best_of(trials, [&] {
-               for (int i = 0; i < kReps; ++i) leg();
-             });
+      const auto on = [&](linalg::KernelBackend backend) {
+        return [&leg, backend] {
+          linalg::set_kernel_backend(backend);
+          for (int i = 0; i < kReps; ++i) leg();
+        };
+      };
+      const auto [scalar_s, vec_s] =
+          bench::best_of_pair(trials, on(linalg::KernelBackend::kScalar),
+                              on(linalg::KernelBackend::kVectorized));
+      const double per_entry =
+          1e9 / (static_cast<double>(delta.size()) * kReps);
+      return KernelTimes{per_entry * scalar_s, per_entry * vec_s};
     };
     const auto saved_backend = linalg::kernel_backend();
-    encode_times = {time_leg(linalg::KernelBackend::kScalar, encode),
-                    time_leg(linalg::KernelBackend::kVectorized, encode)};
-    decode_times = {time_leg(linalg::KernelBackend::kScalar, decode),
-                    time_leg(linalg::KernelBackend::kVectorized, decode)};
+    encode_times = time_leg(encode);
+    decode_times = time_leg(decode);
     linalg::set_kernel_backend(saved_backend);
     add_kernel_result(kernels, "delta_codec/encode", encode_times, "entry");
     add_kernel_result(kernels, "delta_codec/decode", decode_times, "entry");
@@ -222,10 +215,15 @@ int run(int argc, char** argv) {
 
   {
     core::SeqScdSolver solver(problem, core::Formulation::kDual, 7);
-    linalg::set_kernel_backend(linalg::KernelBackend::kScalar);
-    const double scalar_s = best_of(trials, [&] { solver.run_epoch(); });
-    linalg::set_kernel_backend(linalg::KernelBackend::kVectorized);
-    const double vec_s = best_of(trials, [&] { solver.run_epoch(); });
+    const auto epoch_on = [&](linalg::KernelBackend backend) {
+      return [&solver, backend] {
+        linalg::set_kernel_backend(backend);
+        solver.run_epoch();
+      };
+    };
+    const auto [scalar_s, vec_s] =
+        bench::best_of_pair(trials, epoch_on(linalg::KernelBackend::kScalar),
+                            epoch_on(linalg::KernelBackend::kVectorized));
     linalg::set_kernel_backend(saved_backend);
     epochs.push_back({"seq_epoch/scalar", scalar_s, "seconds", {}});
     epochs.push_back({"seq_epoch/vectorized", vec_s, "seconds",
@@ -237,7 +235,8 @@ int run(int argc, char** argv) {
   {
     core::ThreadedScdSolver solver(problem, core::Formulation::kDual, threads,
                                    core::CommitPolicy::kAtomicAdd, 7);
-    const double pooled_s = best_of(trials, [&] { solver.run_epoch(); });
+    const double pooled_s =
+        bench::best_of(trials, [&] { solver.run_epoch(); });
     epochs.push_back({"threaded_epoch/pooled", pooled_s, "seconds",
                       {{"threads", static_cast<double>(threads)}}});
     std::printf("threaded_epoch (pooled)  %.4fs with %d threads\n", pooled_s,
@@ -248,7 +247,8 @@ int run(int argc, char** argv) {
     core::ThreadedScdSolver replicated(problem, core::Formulation::kDual,
                                        threads, core::CommitPolicy::kReplicated,
                                        7);
-    const double rep_s = best_of(trials, [&] { replicated.run_epoch(); });
+    const double rep_s =
+        bench::best_of(trials, [&] { replicated.run_epoch(); });
     epochs.push_back({"threaded_epoch/replicated", rep_s, "seconds",
                       {{"threads", static_cast<double>(threads)},
                        {"speedup_vs_atomic", pooled_s / rep_s}}});
@@ -262,11 +262,11 @@ int run(int argc, char** argv) {
     std::vector<float> wbar(problem.shared_dim(core::Formulation::kDual),
                             0.0F);
     linalg::csr_matvec_transposed(dataset.by_row(), alpha, wbar);
-    const double serial_s = best_of(trials, [&] {
+    const double serial_s = bench::best_of(trials, [&] {
       g_sink = problem.dual_duality_gap(alpha, wbar);
     });
     util::ThreadPool pool(static_cast<std::size_t>(threads));
-    const double pooled_s = best_of(trials, [&] {
+    const double pooled_s = bench::best_of(trials, [&] {
       g_sink = problem.dual_duality_gap(alpha, wbar, &pool);
     });
     epochs.push_back({"duality_gap/serial", serial_s, "seconds", {}});
@@ -284,11 +284,11 @@ int run(int argc, char** argv) {
     every.target_gap = 0.0;
     core::RunOptions amortised = every;
     amortised.gap_every = 5;
-    const double every_s = best_of(1, [&] {
+    const double every_s = bench::best_of(1, [&] {
       core::SeqScdSolver solver(problem, core::Formulation::kDual, 7);
       core::run_solver(solver, problem, every);
     });
-    const double amortised_s = best_of(1, [&] {
+    const double amortised_s = bench::best_of(1, [&] {
       core::SeqScdSolver solver(problem, core::Formulation::kDual, 7);
       core::run_solver(solver, problem, amortised);
     });

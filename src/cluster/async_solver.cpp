@@ -82,18 +82,20 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
   if (!in) {
     throw std::runtime_error("async state: cannot open " + path);
   }
+  // The magic sits inside the digest, so the sidecar keeps its own reader
+  // rather than the shared frame; it ends the same way, in finish().
   sparse::CheckedReader reader(in, "async state " + path);
   char magic[4];
   reader.read(magic, sizeof(magic));
   if (std::memcmp(magic, kAsyncStateMagic, sizeof(kAsyncStateMagic)) != 0) {
-    throw std::runtime_error("async state: bad magic in " + path);
+    throw sparse::FormatError("async state: bad magic in " + path);
   }
   AsyncStateHeader header;
   reader.read(&header, sizeof(header));
   if (header.format_version != kAsyncStateVersion) {
-    throw std::runtime_error("async state: unsupported format version " +
-                             std::to_string(header.format_version) + " in " +
-                             path);
+    throw sparse::FormatError("async state: unsupported format version " +
+                              std::to_string(header.format_version) + " in " +
+                              path);
   }
   AsyncCheckpointState state;
   state.round = header.round;
@@ -101,13 +103,7 @@ AsyncCheckpointState read_async_state_file(const std::string& path) {
   state.seed = header.seed;
   state.workers =
       reader.read_array<AsyncCheckpointState::WorkerState>(header.num_workers);
-  const std::uint64_t expected = reader.digest();
-  std::uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(stored) ||
-      stored != expected) {
-    throw std::runtime_error("async state: checksum mismatch in " + path);
-  }
+  reader.finish();
   return state;
 }
 

@@ -109,10 +109,11 @@ struct AsyncCheckpointState {
   std::vector<WorkerState> workers;
 };
 
-/// Checksummed binary sidecar IO ("TPAA" magic).  The writer commits
-/// through sparse::commit_file (a failed write throws and keeps the
-/// previous sidecar); readers throw std::runtime_error on truncation, bad
-/// magic or checksum mismatch.
+/// Checksummed binary sidecar IO ("TPAA" magic, folded into the digest).
+/// The writer commits through sparse::commit_file (a failed write throws
+/// and keeps the previous sidecar); the reader throws sparse::FormatError on
+/// truncation, bad magic, an unknown format version, checksum mismatch or
+/// trailing bytes.
 void write_async_state_file(const std::string& path,
                             const AsyncCheckpointState& state);
 AsyncCheckpointState read_async_state_file(const std::string& path);

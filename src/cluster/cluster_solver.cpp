@@ -44,13 +44,6 @@ void validate_config(const std::string& who, const ClusterConfig& config,
   if (config.max_restarts < 0) {
     throw std::invalid_argument(who + ": max_restarts must be non-negative");
   }
-  if (!(config.delta_threshold >= 0.0) ||
-      !std::isfinite(config.delta_threshold)) {
-    throw std::invalid_argument(who +
-                                ": delta_threshold must be finite and >= 0, "
-                                "got " +
-                                std::to_string(config.delta_threshold));
-  }
   if (config.aggregation == AggregationMode::kFixed &&
       !std::isfinite(config.fixed_gamma)) {
     throw std::invalid_argument(who + ": fixed_gamma must be finite, got " +
@@ -240,8 +233,7 @@ ClusterSolver::Transit ClusterSolver::send_delta(
   if (config_.compress_deltas) {
     // A transit flip lands in the quantized payload; the transit hash over
     // the encoded image must still catch it.
-    encode_delta(delta, DeltaCodecConfig{config_.delta_threshold, 256},
-                 frame_);
+    encode_delta(delta, frame_);
     transit.wire_bytes = frame_.wire_bytes();
     if (corrupt) {
       const std::uint64_t sent = frame_.checksum;
@@ -423,7 +415,10 @@ core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,
         point.gamma = last_gamma();
         point.contributors = last_contributors();
       });
-  if (ckpt.enabled() && current_epoch() > last_checkpointed) {
+  // A diverged state is not worth resuming (and write_model refuses its
+  // non-finite entries).
+  if (ckpt.enabled() && current_epoch() > last_checkpointed &&
+      !trace.diverged()) {
     write_checkpoint(trace, current_epoch());
   }
   return trace;

@@ -151,11 +151,6 @@ struct ClusterConfig {
   /// default; the uncompressed path is bit-identical to the historical
   /// exchange.
   bool compress_deltas = false;
-  /// Relative sparsification threshold forwarded to the codec: entries with
-  /// |Δ_i| <= threshold · max|Δ| are dropped from the payload.  0 keeps the
-  /// deterministic dense-quantized layout the placement cost model prices.
-  /// Must be finite and >= 0.
-  double delta_threshold = 0.0;
 };
 
 /// The data-plane share of a simulated worker: its shard, the local view of
@@ -187,7 +182,8 @@ class ClusterSolver {
   /// after a restore), adding γ, the contributor count and every fault
   /// event to the trace and checkpointing on the configured cadence, plus
   /// a final checkpoint so a later --resume continues where the run
-  /// stopped.  Behind run_distributed and run_async.
+  /// stopped (none after a divergence).  Behind run_distributed and
+  /// run_async.
   core::ConvergenceTrace run(const core::RunOptions& options,
                              const CheckpointConfig& ckpt = {});
 

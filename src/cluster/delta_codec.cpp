@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 namespace tpa::cluster {
 namespace {
 
-// dim + block + layout flag as they'd be framed on the wire, plus the
-// trailing 8-byte checksum — matches the sidecar framing elsewhere.
+// The header words dim, block and layout as they'd be framed on the wire,
+// plus the trailing 8-byte checksum.  block is kDeltaBlock and the layout
+// word is 1 (dense, no index list) in every frame; both stay on the wire and
+// in the hash, so the frame keeps its bytes.
+constexpr std::uint32_t kDenseLayout = 1;
 constexpr std::size_t kWireHeaderBytes = 3 * sizeof(std::uint32_t);
 constexpr std::size_t kWireChecksumBytes = sizeof(std::uint64_t);
 
@@ -60,48 +62,20 @@ std::uint64_t hash_field(const void* data, std::size_t bytes) noexcept {
   return digest;
 }
 
-void validate_structure(const CompressedDelta& delta) {
-  if (delta.block == 0) {
-    throw std::invalid_argument("CompressedDelta: block must be positive");
-  }
-  if (!delta.dense && delta.indices.size() != delta.payload.size()) {
-    throw std::invalid_argument(
-        "CompressedDelta: sparse layout needs one index per payload entry");
-  }
-  if (delta.dense && delta.payload.size() != delta.dim) {
-    throw std::invalid_argument(
-        "CompressedDelta: dense layout must cover every coordinate");
-  }
-  if (!delta.dense) {
-    for (std::size_t i = 0; i < delta.indices.size(); ++i) {
-      if (delta.indices[i] >= delta.dim ||
-          (i > 0 && delta.indices[i] <= delta.indices[i - 1])) {
-        throw std::invalid_argument(
-            "CompressedDelta: sparse indices must ascend strictly below dim");
-      }
-    }
-  }
-  const std::size_t blocks =
-      (delta.payload.size() + delta.block - 1) / delta.block;
-  if (delta.scales.size() != blocks) {
-    throw std::invalid_argument(
-        "CompressedDelta: scale count does not match payload blocks");
-  }
+std::size_t block_count(std::size_t entries) noexcept {
+  return (entries + kDeltaBlock - 1) / kDeltaBlock;
 }
 
 }  // namespace
 
 std::size_t CompressedDelta::wire_bytes() const noexcept {
-  return kWireHeaderBytes + indices.size() * sizeof(std::uint32_t) +
-         payload.size() * sizeof(std::uint16_t) +
+  return kWireHeaderBytes + payload.size() * sizeof(std::uint16_t) +
          scales.size() * sizeof(float) + kWireChecksumBytes;
 }
 
-std::size_t quantized_delta_wire_bytes(std::size_t dim,
-                                       std::uint32_t block) noexcept {
-  const std::size_t blocks = block > 0 ? (dim + block - 1) / block : 0;
+std::size_t quantized_delta_wire_bytes(std::size_t dim) noexcept {
   return kWireHeaderBytes + dim * sizeof(std::uint16_t) +
-         blocks * sizeof(float) + kWireChecksumBytes;
+         block_count(dim) * sizeof(float) + kWireChecksumBytes;
 }
 
 std::size_t dense_delta_wire_bytes(std::size_t dim) noexcept {
@@ -109,13 +83,11 @@ std::size_t dense_delta_wire_bytes(std::size_t dim) noexcept {
 }
 
 std::uint64_t compressed_delta_checksum(const CompressedDelta& delta) {
-  const std::uint32_t header[] = {delta.dim, delta.block,
-                                  delta.dense ? 1U : 0U};
+  const std::uint32_t header[] = {delta.dim, kDeltaBlock, kDenseLayout};
   std::uint64_t digest = kHashSeed;
+  // The second field is the (always empty) index list of the wire layout.
   for (const std::uint64_t field :
-       {hash_field(header, sizeof(header)),
-        hash_field(delta.indices.data(),
-                   delta.indices.size() * sizeof(std::uint32_t)),
+       {hash_field(header, sizeof(header)), hash_field(nullptr, 0),
         hash_field(delta.payload.data(),
                    delta.payload.size() * sizeof(linalg::Half)),
         hash_field(delta.scales.data(),
@@ -125,46 +97,18 @@ std::uint64_t compressed_delta_checksum(const CompressedDelta& delta) {
   return digest;
 }
 
-void encode_delta(std::span<const double> delta,
-                  const DeltaCodecConfig& config, CompressedDelta& out) {
-  if (config.block == 0) {
-    throw std::invalid_argument("encode_delta: block must be positive");
-  }
-  if (!(config.threshold >= 0.0) || !std::isfinite(config.threshold)) {
-    throw std::invalid_argument(
-        "encode_delta: threshold must be finite and >= 0");
-  }
+void encode_delta(std::span<const double> delta, CompressedDelta& out) {
   out.dim = static_cast<std::uint32_t>(delta.size());
-  out.block = config.block;
-  out.dense = config.threshold == 0.0;
-  out.indices.clear();
-
-  // Survivor selection.  Dense layout keeps everything (the wire size must
-  // stay a pure function of the dimension) and reads `delta` in place;
-  // sparse layout gathers the entries above the relative threshold.
-  std::span<const double> survivors = delta;
-  std::vector<double> gathered;
-  if (!out.dense) {
-    const double cut = config.threshold * linalg::max_abs(delta);
-    for (std::size_t i = 0; i < delta.size(); ++i) {
-      if (std::abs(delta[i]) > cut) {
-        out.indices.push_back(static_cast<std::uint32_t>(i));
-        gathered.push_back(delta[i]);
-      }
-    }
-    survivors = gathered;
-  }
-
   // Per-block max-abs scaling keeps every stored ratio in [-1, 1]; the scale
   // is rounded to fp32 first so encode and decode agree on the exact factor.
-  out.payload.resize(survivors.size());
-  out.scales.resize((survivors.size() + config.block - 1) / config.block);
+  out.payload.resize(delta.size());
+  out.scales.resize(block_count(delta.size()));
   const std::span<linalg::Half> payload = out.payload;
   for (std::size_t b = 0; b < out.scales.size(); ++b) {
-    const std::size_t begin = b * config.block;
+    const std::size_t begin = b * kDeltaBlock;
     const std::size_t count =
-        std::min<std::size_t>(config.block, survivors.size() - begin);
-    const auto block = survivors.subspan(begin, count);
+        std::min<std::size_t>(kDeltaBlock, delta.size() - begin);
+    const auto block = delta.subspan(begin, count);
     const auto scale = static_cast<float>(linalg::max_abs(block));
     out.scales[b] = scale;
     if (scale > 0.0F) {
@@ -177,37 +121,30 @@ void encode_delta(std::span<const double> delta,
   out.checksum = compressed_delta_checksum(out);
 }
 
-CompressedDelta encode_delta(std::span<const double> delta,
-                             const DeltaCodecConfig& config) {
+CompressedDelta encode_delta(std::span<const double> delta) {
   CompressedDelta out;
-  encode_delta(delta, config, out);
+  encode_delta(delta, out);
   return out;
 }
 
 void decode_delta(const CompressedDelta& delta, std::span<double> out) {
-  validate_structure(delta);
+  if (delta.payload.size() != delta.dim ||
+      delta.scales.size() != block_count(delta.dim)) {
+    throw std::invalid_argument(
+        "decode_delta: payload and scales must cover every coordinate");
+  }
   if (out.size() != delta.dim) {
     throw std::invalid_argument(
         "decode_delta: output size does not match the encoded dimension");
   }
-  if (!delta.dense) {
-    std::fill(out.begin(), out.end(), 0.0);
-  }
   const std::span<const linalg::Half> payload = delta.payload;
   for (std::size_t b = 0; b < delta.scales.size(); ++b) {
-    const std::size_t begin = b * delta.block;
+    const std::size_t begin = b * kDeltaBlock;
     const std::size_t count =
-        std::min<std::size_t>(delta.block, payload.size() - begin);
-    const auto scale = static_cast<double>(delta.scales[b]);
-    if (delta.dense) {
-      linalg::dequantize(payload.subspan(begin, count), scale,
-                         out.subspan(begin, count));
-    } else {
-      for (std::size_t i = begin; i < begin + count; ++i) {
-        out[delta.indices[i]] =
-            static_cast<double>(linalg::half_to_float(payload[i])) * scale;
-      }
-    }
+        std::min<std::size_t>(kDeltaBlock, payload.size() - begin);
+    linalg::dequantize(payload.subspan(begin, count),
+                       static_cast<double>(delta.scales[b]),
+                       out.subspan(begin, count));
   }
 }
 
@@ -223,14 +160,8 @@ void corrupt_compressed_in_transit(CompressedDelta& delta) {
   // still diverges on any single-bit flip.
   if (!delta.payload.empty()) {
     delta.payload.front().bits ^= 1U;
-  } else if (!delta.indices.empty()) {
-    delta.indices.front() ^= 1U;
-  } else if (!delta.scales.empty()) {
-    auto bits = std::bit_cast<std::uint32_t>(delta.scales.front());
-    delta.scales.front() = std::bit_cast<float>(bits ^ 1U);
   } else {
-    // Everything was sparsified away: the only bits left on the wire are the
-    // header, so the flip lands there.
+    // An empty delta: the only bits left on the wire are the header.
     delta.dim ^= 1U;
   }
 }

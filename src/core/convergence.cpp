@@ -1,6 +1,7 @@
 #include "core/convergence.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -57,6 +58,10 @@ std::size_t ConvergenceTrace::count_events(ClusterEventKind kind) const {
 
 double ConvergenceTrace::final_gap() const {
   return points_.empty() ? 0.0 : points_.back().gap;
+}
+
+bool ConvergenceTrace::diverged() const {
+  return !points_.empty() && !std::isfinite(points_.back().gap);
 }
 
 std::optional<double> ConvergenceTrace::sim_time_to_gap(double eps) const {
@@ -165,6 +170,10 @@ ConvergenceTrace run_loop(
       point.wall_seconds = wall_total;
       if (annotate) annotate(point);
       trace.add(point);
+      if (trace.diverged()) {
+        obs::metrics().counter("train.diverged").add();
+        break;
+      }
       if (options.target_gap > 0.0 && point.gap <= options.target_gap) break;
     }
   }

@@ -68,6 +68,9 @@ class ConvergenceTrace {
   std::size_t count_events(ClusterEventKind kind) const;
 
   double final_gap() const;
+  /// True when the last recorded gap is NaN or infinite: run_loop stops at
+  /// the first such gap, so its point is the epoch the run diverged at.
+  bool diverged() const;
 
   /// First cumulative simulated time at which gap <= eps, if reached.
   std::optional<double> sim_time_to_gap(double eps) const;
@@ -136,7 +139,9 @@ struct RunStart {
 /// may add events to `trace` and write checkpoints), `gap(pool)` runs on
 /// the gap_every stride and always at max_epochs, and `annotate` adds the
 /// driver's fields (γ, contributors) to each point.  Stops once a gap
-/// reaches target_gap.  Simulated time starts at the setup time; the gap's
+/// reaches target_gap, or at the first non-finite gap, which it records
+/// (trace.diverged(), counted in "train.diverged").  Simulated time starts
+/// at the setup time; the gap's
 /// time is left out of both clocks, as in the paper.  Each epoch and gap
 /// runs in a "train/epoch" / "train/gap_eval" span, counted in
 /// "train.epochs" / "train.gap_evals".

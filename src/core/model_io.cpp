@@ -1,7 +1,8 @@
 #include "core/model_io.hpp"
 
-#include <cstring>
+#include <cmath>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "sparse/io_binary.hpp"
@@ -19,11 +20,27 @@ struct Header {
   double lambda = 0.0;
 };
 
+void require_finite(std::span<const float> values, const std::string& context,
+                    const char* field) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) {
+      throw NonFiniteModel(context + ": non-finite " + field + " entry " +
+                           std::to_string(i) + " (" +
+                           std::to_string(values[i]) + ")");
+    }
+  }
+}
+
 }  // namespace
 
+void require_finite(const SavedModel& model, const std::string& context) {
+  require_finite(model.weights, context, "weight");
+  require_finite(model.shared, context, "shared");
+}
+
 void write_model(std::ostream& out, const SavedModel& model) {
-  out.write(kMagic, sizeof(kMagic));
-  sparse::CheckedWriter writer(out, "model");
+  require_finite(model, "model write");
+  sparse::FrameWriter writer(out, kMagic, "model");
   Header header;
   header.formulation =
       model.formulation == Formulation::kPrimal ? 0u : 1u;
@@ -45,13 +62,7 @@ void write_model_file(const std::string& path, const SavedModel& model) {
 }
 
 SavedModel read_model(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("model read: bad magic");
-  }
-  sparse::CheckedReader reader(in, "model read");
+  sparse::FrameReader reader(in, kMagic, "model read");
   Header header;
   reader.read(&header, sizeof(header));
   SavedModel model;
@@ -61,12 +72,8 @@ SavedModel read_model(std::istream& in) {
   model.lambda = header.lambda;
   model.weights = reader.read_array<float>(header.weights);
   model.shared = reader.read_array<float>(header.shared);
-  std::uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(stored) ||
-      stored != reader.digest()) {
-    throw std::runtime_error("model read: checksum mismatch");
-  }
+  reader.finish();
+  require_finite(model, "model read");
   return model;
 }
 

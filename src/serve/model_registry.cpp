@@ -3,6 +3,7 @@
 namespace tpa::serve {
 
 std::uint64_t ModelRegistry::publish(const core::SavedModel& saved) {
+  core::require_finite(saved, "publish");
   const std::uint64_t version =
       next_version_.fetch_add(1, std::memory_order_relaxed);
   auto model = std::make_shared<const ServableModel>(

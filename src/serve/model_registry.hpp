@@ -6,7 +6,8 @@
 // across scoring, and the old model is freed when its last batch drops the
 // reference.  publish_file() goes through core::read_model_file, so a
 // truncated or bit-flipped .tpam is rejected by its checksum and the
-// previously published model stays live.
+// previously published model stays live.  publish() refuses a model holding
+// a NaN or an infinity the same way.
 #pragma once
 
 #include <atomic>
@@ -33,8 +34,9 @@ class ModelRegistry {
   }
 
   /// Normalises and atomically swaps in a new model; returns its version.
-  /// Throws std::invalid_argument (and leaves the old model live) when the
-  /// model has no usable weights.
+  /// Throws core::NonFiniteModel when a weight or shared entry is not
+  /// finite, and std::invalid_argument when the model has no usable
+  /// weights; either way the old model stays live.
   std::uint64_t publish(const core::SavedModel& saved);
 
   /// Reads a .tpam file (magic / truncation / checksum validated) and

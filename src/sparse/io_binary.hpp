@@ -10,19 +10,22 @@
 // Both directions stream: the writer pushes each array straight to the
 // output while folding it into a running Fnv1a accumulator (O(1) heap beyond
 // the caller's arrays), and the reader checksums as it fills the destination
-// vectors.  read_binary_header() peeks at the shape without touching the
-// payload — the store manifest validates shard files this way.
+// vectors.  read_binary(std::istream&) is TPA1's one decoder; the store
+// checks a shard's file size against its manifest entry before decoding it,
+// and the decoded shape after.
 //
-// CheckedReader, CheckedWriter and commit_file are shared by every
-// checksummed format (TPA1, .tpam models, TPSC and .async checkpoints), and
-// commit_file also writes the store manifest: one reader, one writer and
-// one commit rule for every file whose loss or tear would cost a run.
+// FrameReader/FrameWriter (the frame of TPA1, .tpam models and TPSC
+// checkpoints), CheckedReader, CheckedWriter and commit_file are shared by
+// every checksummed format, and commit_file also writes the store manifest:
+// one frame, one reader, one writer and one commit rule for every file whose
+// loss or tear would cost a run.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,12 +56,22 @@ class Fnv1a {
 std::uint64_t fnv1a(const void* data, std::size_t bytes,
                     std::uint64_t seed = Fnv1a::kOffsetBasis);
 
+/// The typed error of every checksummed format: bytes that do not decode
+/// (bad magic, truncation, a declared length beyond the bytes left, a
+/// checksum mismatch, trailing bytes or a header field the format refuses).
+/// what() starts with the format's context ("binary read", "model read",
+/// "checkpoint", "async state").
+class FormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The one stream reader of the checksummed binary formats (TPA1 here,
 /// .tpam models, TPSC and .async checkpoints): every read is exact and
 /// folded into a running Fnv1a, and read_array() refuses a header-declared
 /// length larger than the bytes left in the stream *before* allocating, so
-/// a hostile header fails as std::runtime_error instead of a giant
-/// allocation or std::bad_alloc.  Error messages start with `context`.
+/// a hostile header fails as a FormatError instead of a giant allocation or
+/// std::bad_alloc.  Error messages start with `context`.
 class CheckedReader {
  public:
   CheckedReader(std::istream& in, std::string context)
@@ -67,6 +80,12 @@ class CheckedReader {
   /// Reads exactly `bytes` into `data` and folds them into the checksum;
   /// throws "<context> truncated" on a short read.
   void read(void* data, std::size_t bytes);
+
+  /// Ends the checksummed body: reads the stored digest, unfolded, checks it
+  /// against everything read so far, and refuses any byte after it.  Throws
+  /// "<context> truncated", "<context>: checksum mismatch" or
+  /// "<context>: trailing bytes".
+  void finish();
 
   /// Reads `count` elements of T.  A stream that cannot report its length
   /// is read in bounded chunks instead, so the allocation never runs more
@@ -85,7 +104,8 @@ class CheckedReader {
     return out;
   }
 
-  std::uint64_t digest() const noexcept { return checksum_.digest(); }
+ protected:
+  const std::string& context() const noexcept { return context_; }
 
  private:
   /// False when the stream cannot seek; throws when `count` elements of
@@ -95,6 +115,14 @@ class CheckedReader {
   std::istream& in_;
   std::string context_;
   Fnv1a checksum_;
+};
+
+/// The frame of TPA1, .tpam and TPSC: the format's 4-byte magic, outside the
+/// digest, then a body read through CheckedReader and closed by finish().
+/// Throws "<context>: bad magic" on a short or foreign magic.
+class FrameReader : public CheckedReader {
+ public:
+  FrameReader(std::istream& in, const char (&magic)[4], std::string context);
 };
 
 /// CheckedReader's mirror, the one stream writer of the checksummed binary
@@ -114,12 +142,20 @@ class CheckedWriter {
   /// Appends the digest of everything written so far.
   void write_digest();
 
- private:
+ protected:
   void put(const void* data, std::size_t bytes);
 
+ private:
   std::ostream& out_;
   std::string context_;
   Fnv1a checksum_;
+};
+
+/// FrameReader's mirror: writes the magic, unfolded; the body follows
+/// through write() and ends with write_digest().
+class FrameWriter : public CheckedWriter {
+ public:
+  FrameWriter(std::ostream& out, const char (&magic)[4], std::string context);
 };
 
 /// The one commit path of every checksummed or manifest file: `write`
@@ -139,9 +175,6 @@ struct BinaryHeader {
   std::uint64_t nnz = 0;
   std::uint64_t labels = 0;
 
-  /// Bytes of the arrays following the header (offsets/indices/values/
-  /// labels), excluding magic, header and trailing checksum.
-  std::uint64_t payload_bytes() const noexcept;
   /// Total file size implied by the header.
   std::uint64_t file_bytes() const noexcept;
 };
@@ -153,19 +186,9 @@ struct BinaryHeader {
 void write_binary(std::ostream& out, const LabeledMatrix& data);
 void write_binary_file(const std::string& path, const LabeledMatrix& data);
 
-/// Deserializes; throws std::runtime_error on truncation, bad magic, or
-/// checksum mismatch.
+/// Deserializes; throws FormatError on bad magic, truncation, checksum
+/// mismatch or trailing bytes.
 LabeledMatrix read_binary(std::istream& in);
 LabeledMatrix read_binary_file(const std::string& path);
-/// Deserializes from an in-memory image (e.g. a memory-mapped shard file);
-/// same validation as the stream reader.
-LabeledMatrix read_binary(const void* data, std::size_t size);
-
-/// Reads magic + header only, leaving the stream positioned at the payload.
-/// Throws on bad magic or truncation.  Cheap shape peek: the payload is
-/// neither read nor checksummed.
-BinaryHeader read_binary_header(std::istream& in);
-BinaryHeader read_binary_header_file(const std::string& path);
-BinaryHeader read_binary_header(const void* data, std::size_t size);
 
 }  // namespace tpa::sparse

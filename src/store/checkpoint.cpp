@@ -1,6 +1,5 @@
 #include "store/checkpoint.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -27,8 +26,7 @@ struct Header {
 void write_checkpoint_file(const std::string& path,
                            const StreamingCheckpoint& checkpoint) {
   sparse::commit_file(path, "checkpoint", [&](std::ostream& out) {
-    out.write(kMagic, sizeof(kMagic));
-    sparse::CheckedWriter writer(out, "checkpoint");
+    sparse::FrameWriter writer(out, kMagic, "checkpoint");
     const Header header{checkpoint.epoch, checkpoint.shards_done,
                         checkpoint.seed,  checkpoint.threads,
                         checkpoint.rows,  checkpoint.cols,
@@ -45,16 +43,10 @@ void write_checkpoint_file(const std::string& path,
 StreamingCheckpoint read_checkpoint_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic");
-  }
   // The reader sizes the rows/cols arrays against the bytes left in the file
   // before trusting them: a corrupted field fails cleanly, not as a giant
   // allocation.
-  sparse::CheckedReader reader(in, "checkpoint");
+  sparse::FrameReader reader(in, kMagic, "checkpoint");
   Header header;
   reader.read(&header, sizeof(header));
   StreamingCheckpoint checkpoint;
@@ -68,17 +60,7 @@ StreamingCheckpoint read_checkpoint_file(const std::string& path) {
   checkpoint.lambda = header.lambda;
   checkpoint.alpha = reader.read_array<float>(header.rows);
   checkpoint.shared = reader.read_array<float>(header.cols);
-  std::uint64_t stored = 0;
-  in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(stored)) {
-    throw std::runtime_error("checkpoint truncated (checksum)");
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw std::runtime_error("checkpoint: header contradicts file size");
-  }
-  if (stored != reader.digest()) {
-    throw std::runtime_error("checkpoint: checksum mismatch");
-  }
+  reader.finish();
   return checkpoint;
 }
 

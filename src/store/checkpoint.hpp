@@ -1,7 +1,7 @@
 // Streaming-run checkpoints: magic "TPSC", a fixed header (epoch,
 // shards_done, seed, threads, rows, cols, shards, lambda), the α and w̄
 // arrays, and a trailing FNV-1a checksum of everything after the magic —
-// the same self-validation discipline as the TPA1 shard format.
+// the frame TPA1 shards and .tpam models share (sparse::FrameReader).
 //
 // `shards_done` > 0 marks a mid-epoch checkpoint: the run stopped after
 // that many shards of epoch `epoch + 1`.  Restoring hands (epoch,
@@ -37,8 +37,9 @@ struct StreamingCheckpoint {
 void write_checkpoint_file(const std::string& path,
                            const StreamingCheckpoint& checkpoint);
 
-/// Throws std::runtime_error on bad magic, truncation, checksum mismatch
-/// or array sizes that contradict the header.
+/// Throws sparse::FormatError on bad magic, truncation, checksum mismatch
+/// or trailing bytes (array sizes that contradict the file), and
+/// std::runtime_error when the file cannot be opened.
 StreamingCheckpoint read_checkpoint_file(const std::string& path);
 
 }  // namespace tpa::store

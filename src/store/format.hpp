@@ -6,8 +6,8 @@
 // with its label range; `cols` in each shard header is the *global* feature
 // count, so a shard deserialises to a LabeledMatrix that is directly usable
 // as a by-example slice.  The manifest records the global shape and, per
-// shard, the row range, nnz and exact file size — enough to validate a
-// shard's header (read_binary_header) before paying for its payload.
+// shard, the row range, nnz and exact file size: the reader checks the
+// file size before decoding a shard and the decoded shape after.
 //
 //   TPASTORE 1
 //   name <dataset name>

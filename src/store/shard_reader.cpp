@@ -9,16 +9,6 @@
 #include "obs/trace.hpp"
 #include "sparse/io_binary.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TPA_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define TPA_STORE_HAS_MMAP 0
-#endif
-
 namespace tpa::store {
 namespace {
 
@@ -27,63 +17,18 @@ namespace {
                            what);
 }
 
-#if TPA_STORE_HAS_MMAP
-// RAII fd + mapping so validation throws unwind cleanly.
-struct Mapping {
-  int fd = -1;
-  void* data = MAP_FAILED;
-  std::size_t size = 0;
-
-  explicit Mapping(const std::string& path) {
-    fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw std::runtime_error("cannot open " + path);
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      throw std::runtime_error("cannot stat " + path);
-    }
-    size = static_cast<std::size_t>(st.st_size);
-    data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (data == MAP_FAILED) {
-      ::close(fd);
-      throw std::runtime_error("cannot mmap " + path);
-    }
-  }
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-  ~Mapping() {
-    if (data != MAP_FAILED) ::munmap(data, size);
-    if (fd >= 0) ::close(fd);
-  }
-};
-#endif
-
 }  // namespace
 
-ReadMode parse_read_mode(const std::string& name) {
-  if (name == "buffered") return ReadMode::kBuffered;
-  if (name == "mmap") return ReadMode::kMmap;
-  throw std::invalid_argument("unknown store read mode '" + name +
-                              "' (buffered | mmap)");
-}
-
-const char* read_mode_name(ReadMode mode) {
-  return mode == ReadMode::kBuffered ? "buffered" : "mmap";
-}
-
-ShardReader::ShardReader(Manifest manifest, std::string manifest_dir,
-                         ReadMode mode)
-    : manifest_(std::move(manifest)), dir_(std::move(manifest_dir)),
-      mode_(mode) {
+ShardReader::ShardReader(Manifest manifest, std::string manifest_dir)
+    : manifest_(std::move(manifest)), dir_(std::move(manifest_dir)) {
   if (dir_.empty()) dir_ = ".";
 }
 
-ShardReader ShardReader::open(const std::string& manifest_path,
-                              ReadMode mode) {
+ShardReader ShardReader::open(const std::string& manifest_path) {
   Manifest manifest = read_manifest_file(manifest_path);
   std::string dir =
       std::filesystem::path(manifest_path).parent_path().string();
-  return ShardReader(std::move(manifest), std::move(dir), mode);
+  return ShardReader(std::move(manifest), std::move(dir));
 }
 
 std::string ShardReader::shard_path(std::size_t i) const {
@@ -109,26 +54,17 @@ sparse::LabeledMatrix ShardReader::read_shard(std::size_t i) const {
   // re-throw its checksum/truncation errors with enough context to find
   // the damage on disk.  The FNV digest covers bytes [4, size-8) —
   // everything between the magic and the stored digest.
-  const auto decode = [&](auto&& read) -> sparse::LabeledMatrix {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail(i, "cannot open " + path);
+  sparse::LabeledMatrix data = [&] {
     try {
-      return read();
+      return sparse::read_binary(in);
     } catch (const std::runtime_error& error) {
       fail(i, std::string(error.what()) + " in " + path +
                   " (payload bytes [4, " + std::to_string(info.bytes - 8) +
                   "), stored digest at byte " +
                   std::to_string(info.bytes - 8) + ")");
     }
-  };
-  sparse::LabeledMatrix data = [&]() -> sparse::LabeledMatrix {
-#if TPA_STORE_HAS_MMAP
-    if (mode_ == ReadMode::kMmap) {
-      const Mapping map(path);  // open/stat/mmap errors already name the path
-      return decode([&] { return sparse::read_binary(map.data, map.size); });
-    }
-#endif
-    std::ifstream in(path, std::ios::binary);
-    if (!in) fail(i, "cannot open " + path);
-    return decode([&] { return sparse::read_binary(in); });
   }();
 
   if (data.matrix.rows() != info.rows || data.matrix.nnz() != info.nnz ||

@@ -249,7 +249,7 @@ core::ConvergenceTrace run_streaming(StreamingScdSolver& solver,
   auto trace = core::run_loop(
       options, {.epochs_done = solver.epochs_completed()}, epoch,
       [&](util::ThreadPool*) { return solver.duality_gap(); });
-  if (!checkpoint.path.empty() && !shard_checkpoints) {
+  if (!checkpoint.path.empty() && !shard_checkpoints && !trace.diverged()) {
     write_checkpoint_file(checkpoint.path, make_checkpoint(solver));
   }
   return trace;

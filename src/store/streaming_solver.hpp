@@ -15,8 +15,8 @@
 // core::replicated_sweep for threads > 1) to the shard's α sub-span —
 // exactly the code path the in-memory solvers run.  Consequently a
 // streamed run is a pure function of (source bytes, seed, threads,
-// merge_every): prefetch mode, window size and read mode change wall time
-// only, never one bit of α or w̄.
+// merge_every): prefetch mode and window size change wall time only, never
+// one bit of α or w̄.
 //
 // Staleness-freedom: only the resident shard's rows are updated, and every
 // update lands in α and w̄ before the next shard's sweep begins (acquire()
@@ -143,7 +143,8 @@ struct CheckpointOptions {
 
 /// Runs `solver` from its resume point (a resumed solver finishes its
 /// interrupted epoch first; trace epochs stay the global ones).  The gap
-/// is the serial streamed pass, so RunOptions::gap_threads is ignored.
+/// is the serial streamed pass, so RunOptions::gap_threads is ignored.  A
+/// run that diverges writes no final checkpoint.
 core::ConvergenceTrace run_streaming(StreamingScdSolver& solver,
                                      const core::RunOptions& options,
                                      const CheckpointOptions& checkpoint = {});

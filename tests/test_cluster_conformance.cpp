@@ -51,7 +51,7 @@ const data::Dataset& corpus() {
 }
 
 enum class Driver { kSync, kAsync };
-enum class Compression { kOff, kOn, kThreshold };
+enum class Compression { kOff, kOn };
 enum class Scenario {
   kPlain,       // the matrix arm as configured
   kFleet,       // 2xtitanx,2xcpu:4 with the annealer (optimize)
@@ -98,9 +98,7 @@ ConfigT make_config(const Arm& arm) {
   config.local_solver.kind = core::SolverKind::kSequential;
   config.lambda = 1e-3;
   config.seed = 31;
-  config.compress_deltas = arm.compression != Compression::kOff;
-  config.delta_threshold = arm.compression == Compression::kThreshold ? 0.1
-                                                                      : 0.0;
+  config.compress_deltas = arm.compression == Compression::kOn;
   if (arm.faults) config.faults = scripted_faults();
   if (arm.scenario == Scenario::kFleet) {
     config.fleet = placement::parse_fleet_spec("2xtitanx,2xcpu:4");
@@ -248,9 +246,7 @@ std::vector<Arm> arms() {
       {AggregationMode::kAdaptive, "adaptive"},
       {AggregationMode::kFixed, "fixed"}};
   const std::pair<Compression, const char*> codecs[] = {
-      {Compression::kOff, "raw"},
-      {Compression::kOn, "quantized"},
-      {Compression::kThreshold, "sparse"}};
+      {Compression::kOff, "raw"}, {Compression::kOn, "quantized"}};
   for (const auto& [driver, dname] : drivers) {
     for (const auto& [form, fname] : forms) {
       for (const auto& [mode, mname] : modes) {
@@ -302,7 +298,7 @@ std::vector<Arm> arms() {
 }
 
 // Recorded from the two standalone drivers (scalar kernels, fp32 shared).
-// The 36 primal arms were re-recorded when the serial primal gap moved from
+// The primal arms were re-recorded when the serial primal gap moved from
 // a CSR scatter to per-column dots (one gap order, serial or pooled); each
 // equals the value the drivers gave before with their pooled column-dot gap.
 const std::map<std::string, std::uint64_t>& golden() {
@@ -311,76 +307,52 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"sync_primal_averaging_raw_faults", 0x7e5e8e672405e3d0ULL},
       {"sync_primal_averaging_quantized_clean", 0xb15097790b75dc88ULL},
       {"sync_primal_averaging_quantized_faults", 0xc8c8f6f752cfa69aULL},
-      {"sync_primal_averaging_sparse_clean", 0xe2f4654eb033a6ddULL},
-      {"sync_primal_averaging_sparse_faults", 0x75145ed6d88bfc22ULL},
       {"sync_primal_adaptive_raw_clean", 0xc5beb75fbe5dd402ULL},
       {"sync_primal_adaptive_raw_faults", 0x54a32379b227f31eULL},
       {"sync_primal_adaptive_quantized_clean", 0x59693f6ae4683e1bULL},
       {"sync_primal_adaptive_quantized_faults", 0x99ad54ce1ff5a9f7ULL},
-      {"sync_primal_adaptive_sparse_clean", 0xc84976d82fcabaa3ULL},
-      {"sync_primal_adaptive_sparse_faults", 0xc5750c4b9e3d9f7bULL},
       {"sync_primal_fixed_raw_clean", 0x26722299f7c8bd03ULL},
       {"sync_primal_fixed_raw_faults", 0xc2e3d23da09621e6ULL},
       {"sync_primal_fixed_quantized_clean", 0x7757f584d9701c09ULL},
       {"sync_primal_fixed_quantized_faults", 0x4aa9a86daae58848ULL},
-      {"sync_primal_fixed_sparse_clean", 0xe504c4953d715ea7ULL},
-      {"sync_primal_fixed_sparse_faults", 0xbca8e459f1d78416ULL},
       {"sync_dual_averaging_raw_clean", 0x5d4119b1959cb671ULL},
       {"sync_dual_averaging_raw_faults", 0x83e02b42a30c758aULL},
       {"sync_dual_averaging_quantized_clean", 0xb9625f4bd205ecfcULL},
       {"sync_dual_averaging_quantized_faults", 0x24d645f01daeea4dULL},
-      {"sync_dual_averaging_sparse_clean", 0x885d6bd9cdb035b2ULL},
-      {"sync_dual_averaging_sparse_faults", 0xd981697e14d36675ULL},
       {"sync_dual_adaptive_raw_clean", 0xbca85149cbadbd0eULL},
       {"sync_dual_adaptive_raw_faults", 0x0dd1bfa8704d8628ULL},
       {"sync_dual_adaptive_quantized_clean", 0x6bae31bde86fabdcULL},
       {"sync_dual_adaptive_quantized_faults", 0x018e6fe46354c2e2ULL},
-      {"sync_dual_adaptive_sparse_clean", 0x47ba9eb56a6d4a6cULL},
-      {"sync_dual_adaptive_sparse_faults", 0xd417e578b120bfcfULL},
       {"sync_dual_fixed_raw_clean", 0x95996a23e64cfd89ULL},
       {"sync_dual_fixed_raw_faults", 0xd884aa73a412cb3bULL},
       {"sync_dual_fixed_quantized_clean", 0x52668264826324dbULL},
       {"sync_dual_fixed_quantized_faults", 0xa45aa76c2fbf4faaULL},
-      {"sync_dual_fixed_sparse_clean", 0xc36d005f3001e163ULL},
-      {"sync_dual_fixed_sparse_faults", 0xfffc118107d37eabULL},
       {"sync_fleet_optimize", 0xa043b20eec8105f9ULL},
       {"sync_checkpoint_resume", 0x6051f199f6ea49f7ULL},
       {"async_primal_averaging_raw_clean", 0x932f4004cde79442ULL},
       {"async_primal_averaging_raw_faults", 0x8e8c09c7a9d22332ULL},
       {"async_primal_averaging_quantized_clean", 0xe9019a8cf0268ad4ULL},
       {"async_primal_averaging_quantized_faults", 0x7d28ed76474e563eULL},
-      {"async_primal_averaging_sparse_clean", 0xc7954b3da82f5857ULL},
-      {"async_primal_averaging_sparse_faults", 0xb37301c61107aeceULL},
       {"async_primal_adaptive_raw_clean", 0x8e98ff2c05e667a6ULL},
       {"async_primal_adaptive_raw_faults", 0x6a59813fc8f04f24ULL},
       {"async_primal_adaptive_quantized_clean", 0x4e5a7b826a7475e3ULL},
       {"async_primal_adaptive_quantized_faults", 0x3b4d8481d8afdcd2ULL},
-      {"async_primal_adaptive_sparse_clean", 0x8e528be818479e76ULL},
-      {"async_primal_adaptive_sparse_faults", 0x73017bc1b6e2ac4eULL},
       {"async_primal_fixed_raw_clean", 0x8bfee0700bf2c88cULL},
       {"async_primal_fixed_raw_faults", 0x70da45d728c79e61ULL},
       {"async_primal_fixed_quantized_clean", 0xef24972f6e995cc7ULL},
       {"async_primal_fixed_quantized_faults", 0x6d5b07bfd24a759bULL},
-      {"async_primal_fixed_sparse_clean", 0x495005614506ac5cULL},
-      {"async_primal_fixed_sparse_faults", 0x361e280a6050c8ebULL},
       {"async_dual_averaging_raw_clean", 0x4f192f2d26f1e5b6ULL},
       {"async_dual_averaging_raw_faults", 0x632f2ed9d349c3b6ULL},
       {"async_dual_averaging_quantized_clean", 0x8310d95c7c11c3b0ULL},
       {"async_dual_averaging_quantized_faults", 0xd5a6a35423c0afcdULL},
-      {"async_dual_averaging_sparse_clean", 0x3de564d4b28ae74fULL},
-      {"async_dual_averaging_sparse_faults", 0x129b41ac19238809ULL},
       {"async_dual_adaptive_raw_clean", 0x6038d64a0b78c50fULL},
       {"async_dual_adaptive_raw_faults", 0xb3195e57ec1e93d6ULL},
       {"async_dual_adaptive_quantized_clean", 0x553be202543492b6ULL},
       {"async_dual_adaptive_quantized_faults", 0xc5864ff3235df613ULL},
-      {"async_dual_adaptive_sparse_clean", 0xa40ac788fb7a29edULL},
-      {"async_dual_adaptive_sparse_faults", 0x802590d1b1db948cULL},
       {"async_dual_fixed_raw_clean", 0x79b4edf770f47c76ULL},
       {"async_dual_fixed_raw_faults", 0xde4a920871b78bebULL},
       {"async_dual_fixed_quantized_clean", 0x58068b298979d4d0ULL},
       {"async_dual_fixed_quantized_faults", 0x7d46e6253d6fcbc8ULL},
-      {"async_dual_fixed_sparse_clean", 0x6c99d854a75a63e0ULL},
-      {"async_dual_fixed_sparse_faults", 0x7656cb91973b0aafULL},
       {"async_fleet_optimize", 0xff12f2cb348a8707ULL},
       {"async_checkpoint_resume", 0xa54388ea73265412ULL},
       {"async_reject", 0xd541296d0d331173ULL},
@@ -458,13 +430,6 @@ template <typename SolverT, typename ConfigT>
 void expect_shared_validation() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const double threshold : {nan, inf, -0.5}) {
-    ConfigT config;
-    config.compress_deltas = true;
-    config.delta_threshold = threshold;
-    EXPECT_THROW(SolverT(corpus(), config), std::invalid_argument)
-        << "delta_threshold " << threshold;
-  }
   for (const double gamma : {nan, inf, -inf}) {
     ConfigT config;
     config.aggregation = AggregationMode::kFixed;

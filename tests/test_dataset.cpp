@@ -177,7 +177,7 @@ TEST(Dataset, StoreShardServesAPrimalProblem) {
   std::filesystem::create_directories(dir);
   store::write_store(dir.string(), "ds", data, 3);
   const store::StoreStreamingDataset disk(store::ShardReader::open(
-      (dir / "ds.manifest").string(), store::ReadMode::kBuffered));
+      (dir / "ds.manifest").string()));
   const auto shard = store::decode_shard(disk, 1);
   std::filesystem::remove_all(dir);
 

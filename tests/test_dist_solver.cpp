@@ -171,24 +171,6 @@ TEST(DistributedSolver, CompressedDeltasTrackDenseAndHalveWireBytes) {
   }
 }
 
-TEST(DistributedSolver, SparsifiedDeltasStillConverge) {
-  auto config = base_config(Formulation::kDual, 4);
-  config.compress_deltas = true;
-  config.delta_threshold = 1e-3;  // drop the numerically dead tail
-  DistributedSolver solver(corpus(), config);
-  solver.run_epoch();
-  const double early = solver.duality_gap();
-  for (int epoch = 0; epoch < 10; ++epoch) solver.run_epoch();
-  EXPECT_LT(solver.duality_gap(), early);
-}
-
-TEST(DistributedSolver, RejectsNegativeDeltaThreshold) {
-  auto config = base_config(Formulation::kDual, 2);
-  config.compress_deltas = true;
-  config.delta_threshold = -0.5;
-  EXPECT_THROW(DistributedSolver(corpus(), config), std::invalid_argument);
-}
-
 TEST(DistributedSolver, LocalEpochsPerRoundMultiplyWork) {
   auto config = base_config(Formulation::kDual, 2);
   config.local_epochs_per_round = 3;

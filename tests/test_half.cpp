@@ -13,10 +13,10 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "cluster/delta_codec.hpp"
+#include "frame_flips.hpp"
 #include "linalg/half.hpp"
 #include "linalg/kernels.hpp"
 #include "sparse/io_binary.hpp"
@@ -338,13 +338,11 @@ std::vector<double> ramp_delta(std::size_t dim) {
   return delta;
 }
 
-// --- Dense-quantized layout --------------------------------------------------
+// --- Quantized layout --------------------------------------------------------
 
 TEST(DeltaCodec, DenseRoundTripWithinQuantizationError) {
   const auto delta = ramp_delta(1000);
   const auto encoded = encode_delta(delta);
-  EXPECT_TRUE(encoded.dense);
-  EXPECT_TRUE(encoded.indices.empty());
   ASSERT_EQ(encoded.payload.size(), delta.size());
   ASSERT_EQ(encoded.scales.size(), (delta.size() + 255) / 256);
   EXPECT_EQ(encoded.wire_bytes(), quantized_delta_wire_bytes(delta.size()));
@@ -376,33 +374,8 @@ TEST(DeltaCodec, ZeroVectorDecodesExactlyZero) {
   const auto encoded = encode_delta(delta);
   const auto decoded = decode_delta(encoded);
   for (const double v : decoded) EXPECT_EQ(v, 0.0);
-  // Still dense and still the deterministic wire size.
+  // Still the deterministic wire size.
   EXPECT_EQ(encoded.wire_bytes(), quantized_delta_wire_bytes(300));
-}
-
-// --- Sparse layout -----------------------------------------------------------
-
-TEST(DeltaCodec, ThresholdDropsNearZeroEntries) {
-  std::vector<double> delta(600, 1e-6);
-  delta[3] = 10.0;
-  delta[17] = -8.0;
-  delta[599] = 6.0;
-  DeltaCodecConfig config;
-  config.threshold = 0.5;  // keep |Δ| > 5
-  const auto encoded = encode_delta(delta, config);
-  EXPECT_FALSE(encoded.dense);
-  ASSERT_EQ(encoded.indices.size(), 3U);
-  EXPECT_EQ(encoded.indices[0], 3U);
-  EXPECT_EQ(encoded.indices[1], 17U);
-  EXPECT_EQ(encoded.indices[2], 599U);
-  EXPECT_LT(encoded.wire_bytes(), quantized_delta_wire_bytes(600));
-
-  const auto decoded = decode_delta(encoded);
-  EXPECT_EQ(decoded[0], 0.0);    // dropped entries decode as exact zeros
-  EXPECT_EQ(decoded[598], 0.0);
-  EXPECT_NEAR(decoded[3], 10.0, 10.0 * 0x1.0p-11);
-  EXPECT_NEAR(decoded[17], -8.0, 10.0 * 0x1.0p-11);
-  EXPECT_NEAR(decoded[599], 6.0, 10.0 * 0x1.0p-11);
 }
 
 // --- Wire-size formulas ------------------------------------------------------
@@ -411,9 +384,10 @@ TEST(DeltaCodec, WireSizeFormulasAndReductionFloor) {
   EXPECT_EQ(dense_delta_wire_bytes(1024), 1024 * 8 + 8);
   // header(12) + payload(2/coord) + scales(4/block) + checksum(8)
   EXPECT_EQ(quantized_delta_wire_bytes(1024), 12U + 2048U + 16U + 8U);
-  EXPECT_EQ(quantized_delta_wire_bytes(1, 256), 12U + 2U + 4U + 8U);
-  // The precision ablation gates on >= 2x reduction; the dense-quantized
-  // layout delivers ~3.9x at realistic dimensions.
+  EXPECT_EQ(quantized_delta_wire_bytes(1), 12U + 2U + 4U + 8U);
+  EXPECT_EQ(quantized_delta_wire_bytes(0), 12U + 8U);
+  // The precision ablation gates on >= 2x reduction; the quantized layout
+  // delivers ~3.9x at realistic dimensions.
   const auto dim = std::size_t{8192};
   EXPECT_GE(dense_delta_wire_bytes(dim),
             2 * quantized_delta_wire_bytes(dim));
@@ -430,34 +404,26 @@ TEST(DeltaCodec, ChecksumCatchesPayloadBitFlipInTransit) {
 }
 
 TEST(DeltaCodec, ChecksumCoversEveryEncodedField) {
-  const auto reference = encode_delta(ramp_delta(512), {0.5, 256});
-  ASSERT_FALSE(reference.dense);
+  const auto reference = encode_delta(ramp_delta(512));
   const auto sent = reference.checksum;
+
+  auto flipped_dim = reference;
+  flipped_dim.dim ^= 1U;
+  EXPECT_NE(compressed_delta_checksum(flipped_dim), sent);
 
   auto flipped_payload = reference;
   flipped_payload.payload.front().bits ^= 0x0400U;
   EXPECT_NE(compressed_delta_checksum(flipped_payload), sent);
 
-  auto flipped_index = reference;
-  flipped_index.indices.back() ^= 1U;
-  EXPECT_NE(compressed_delta_checksum(flipped_index), sent);
-
   auto flipped_scale = reference;
   flipped_scale.scales.front() += 1.0F;
   EXPECT_NE(compressed_delta_checksum(flipped_scale), sent);
-
-  auto flipped_layout = reference;
-  flipped_layout.dense = true;
-  EXPECT_NE(compressed_delta_checksum(flipped_layout), sent);
 }
 
 TEST(DeltaCodec, CorruptionFallsBackForEmptyPayload) {
-  // An all-dropped sparse delta has no payload bits to flip; corruption must
-  // still dirty the image so the checksum catches it.
-  std::vector<double> delta(64, 0.0);
-  DeltaCodecConfig config;
-  config.threshold = 0.5;
-  auto encoded = encode_delta(delta, config);
+  // An empty delta has no payload bits to flip; corruption must still dirty
+  // the image so the checksum catches it.
+  auto encoded = encode_delta(std::vector<double>{});
   ASSERT_TRUE(encoded.payload.empty());
   const auto sent = encoded.checksum;
   corrupt_compressed_in_transit(encoded);
@@ -528,41 +494,36 @@ std::vector<double> golden_delta(int family, std::size_t dim) {
   return delta;
 }
 
-/// Digest of every frame and every decoded image of `family` over dims 1-17
-/// and 4096, blocks 1, 7 and 256, dense and threshold layouts.
+/// Digest of every frame (its wire header words dim, block 256 and layout 1,
+/// payload and scales) and every decoded image of `family` over dims 1-17
+/// and 4096.
 std::uint64_t golden_digest(int family) {
   std::vector<std::size_t> dims;
   for (std::size_t dim = 1; dim <= 17; ++dim) dims.push_back(dim);
   dims.push_back(4096);
   sparse::Fnv1a digest;
   for (const std::size_t dim : dims) {
-    const auto delta = golden_delta(family, dim);
-    for (const std::uint32_t block : {1U, 7U, 256U}) {
-      for (const double threshold : {0.0, 0.3}) {
-        const auto frame = encode_delta(delta, {threshold, block});
-        const std::uint32_t header[] = {frame.dim, frame.block,
-                                        frame.dense ? 1U : 0U};
-        digest.update(header, sizeof(header));
-        digest.update(frame.indices.data(),
-                      frame.indices.size() * sizeof(std::uint32_t));
-        digest.update(frame.payload.data(),
-                      frame.payload.size() * sizeof(linalg::Half));
-        digest.update(frame.scales.data(), frame.scales.size() * sizeof(float));
-        std::vector<double> decoded(dim, 7.0);  // sparse decode must zero it
-        decode_delta(frame, decoded);
-        digest.update(decoded.data(), decoded.size() * sizeof(double));
-      }
-    }
+    const auto frame = encode_delta(golden_delta(family, dim));
+    const std::uint32_t header[] = {frame.dim, kDeltaBlock, 1U};
+    digest.update(header, sizeof(header));
+    digest.update(frame.payload.data(),
+                  frame.payload.size() * sizeof(linalg::Half));
+    digest.update(frame.scales.data(), frame.scales.size() * sizeof(float));
+    std::vector<double> decoded(dim, 7.0);  // decode must overwrite it all
+    decode_delta(frame, decoded);
+    digest.update(decoded.data(), decoded.size() * sizeof(double));
   }
   return digest.digest();
 }
 
 TEST(DeltaCodec, EncodedImageMatchesGolden) {
-  // Recorded from the original per-entry codec loops (software fp16, scalar
-  // division): the dispatched kernels must reproduce them on both backends.
+  // The block-256 frames of the original per-entry codec loops (software
+  // fp16, scalar division): the dispatched kernels must reproduce them on
+  // both backends.
   constexpr std::uint64_t kGolden[] = {
-      948879711004349876ULL, 13707224387321913017ULL, 3450896978466416916ULL,
-      2227025853931596171ULL, 7297818388442909480ULL};
+      15054768493150456713ULL, 10673920135746986810ULL,
+      13257586223389064798ULL, 16092180798400238056ULL,
+      1429345088501747226ULL};
   const auto saved = linalg::kernel_backend();
   for (const auto backend :
        {linalg::KernelBackend::kScalar, linalg::KernelBackend::kVectorized}) {
@@ -577,22 +538,17 @@ TEST(DeltaCodec, EncodedImageMatchesGolden) {
 }
 
 TEST(DeltaCodec, ReusedFrameMatchesFreshEncode) {
-  // One frame carrying dense, sparse, empty and dense again must end every
-  // encode exactly as a fresh frame would — no index list or stale payload
-  // survives a layout change.
+  // One frame carrying deltas that grow, shrink to nothing and grow again
+  // must end every encode exactly as a fresh frame would — no stale payload
+  // or scale survives a smaller delta.
   CompressedDelta frame;
-  const std::vector<double> empty;
-  const std::pair<std::vector<double>, DeltaCodecConfig> inputs[] = {
-      {ramp_delta(600), {0.0, 256}}, {ramp_delta(300), {0.3, 7}},
-      {empty, {0.5, 256}},           {ramp_delta(33), {0.0, 7}},
-      {ramp_delta(1000), {0.5, 1}},  {ramp_delta(5), {0.0, 256}}};
-  for (const auto& [delta, config] : inputs) {
-    encode_delta(delta, config, frame);
-    const auto fresh = encode_delta(delta, config);
+  const std::vector<double> inputs[] = {ramp_delta(600), ramp_delta(300),
+                                        {},              ramp_delta(33),
+                                        ramp_delta(1000), ramp_delta(5)};
+  for (const auto& delta : inputs) {
+    encode_delta(delta, frame);
+    const auto fresh = encode_delta(delta);
     EXPECT_EQ(frame.dim, fresh.dim);
-    EXPECT_EQ(frame.block, fresh.block);
-    EXPECT_EQ(frame.dense, fresh.dense);
-    EXPECT_EQ(frame.indices, fresh.indices);
     ASSERT_EQ(frame.payload.size(), fresh.payload.size());
     for (std::size_t i = 0; i < frame.payload.size(); ++i) {
       ASSERT_EQ(frame.payload[i].bits, fresh.payload[i].bits) << "i=" << i;
@@ -604,49 +560,9 @@ TEST(DeltaCodec, ReusedFrameMatchesFreshEncode) {
 
 // --- Transit hash: every single-bit flip ------------------------------------
 
-/// Flips every bit of `bytes` bytes at `data`, one at a time, calling
-/// `caught()` after each flip; returns the flips it missed.
-template <typename Caught>
-std::size_t missed_flips(void* data, std::size_t bytes, const Caught& caught) {
-  auto* raw = static_cast<unsigned char*>(data);
-  std::size_t missed = 0;
-  for (std::size_t b = 0; b < bytes; ++b) {
-    for (int bit = 0; bit < 8; ++bit) {
-      raw[b] ^= static_cast<unsigned char>(1U << bit);
-      if (!caught()) ++missed;
-      raw[b] ^= static_cast<unsigned char>(1U << bit);
-    }
-  }
-  return missed;
-}
-
-/// Misses over every bit of every field of `frame`.
-std::size_t missed_frame_flips(CompressedDelta frame) {
-  const std::uint64_t sent = frame.checksum;
-  const auto caught = [&] { return compressed_delta_checksum(frame) != sent; };
-  std::size_t missed = missed_flips(&frame.dim, sizeof(frame.dim), caught) +
-                       missed_flips(&frame.block, sizeof(frame.block), caught);
-  frame.dense = !frame.dense;  // the layout flag is one bit on the wire
-  if (!caught()) ++missed;
-  frame.dense = !frame.dense;
-  return missed +
-         missed_flips(frame.indices.data(),
-                      frame.indices.size() * sizeof(std::uint32_t), caught) +
-         missed_flips(frame.payload.data(),
-                      frame.payload.size() * sizeof(linalg::Half), caught) +
-         missed_flips(frame.scales.data(), frame.scales.size() * sizeof(float),
-                      caught);
-}
-
 TEST(DeltaCodec, ChecksumCatchesEverySingleBitFlip) {
-  const auto dense = encode_delta(ramp_delta(300));
-  ASSERT_TRUE(dense.dense);
-  EXPECT_EQ(missed_frame_flips(dense), 0U);
-
-  const auto sparse = encode_delta(golden_delta(2, 300), {0.3, 7});
-  ASSERT_FALSE(sparse.dense);
-  ASSERT_GT(sparse.indices.size(), 50U);
-  EXPECT_EQ(missed_frame_flips(sparse), 0U);
+  EXPECT_EQ(missed_frame_flips(encode_delta(ramp_delta(300))), 0U);
+  EXPECT_EQ(missed_frame_flips(encode_delta(golden_delta(2, 300))), 0U);
 
   auto raw = ramp_delta(100);
   const std::uint64_t sent = delta_checksum(raw);
@@ -674,53 +590,19 @@ TEST(DeltaCodec, ChecksumCatchesPairedSignFlips) {
 
 // --- Validation --------------------------------------------------------------
 
-TEST(DeltaCodec, RejectsInvalidConfigAndStructure) {
-  const auto delta = ramp_delta(32);
-  EXPECT_THROW(encode_delta(delta, {0.0, 0}), std::invalid_argument);
-  EXPECT_THROW(encode_delta(delta, {-0.1, 256}), std::invalid_argument);
-  EXPECT_THROW(
-      encode_delta(delta, {std::numeric_limits<double>::quiet_NaN(), 256}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      encode_delta(delta, {std::numeric_limits<double>::infinity(), 256}),
-      std::invalid_argument);
-
-  const auto encoded = encode_delta(delta);
+TEST(DeltaCodec, RejectsInconsistentStructure) {
+  const auto encoded = encode_delta(ramp_delta(32));
   std::vector<double> wrong_size(encoded.dim + 1);
   EXPECT_THROW(decode_delta(encoded, wrong_size), std::invalid_argument);
 
   auto truncated = encoded;
-  truncated.payload.pop_back();  // dense payload no longer covers dim
+  truncated.payload.pop_back();  // the payload no longer covers dim
   std::vector<double> out(encoded.dim);
   EXPECT_THROW(decode_delta(truncated, out), std::invalid_argument);
 
   auto missing_scales = encoded;
   missing_scales.scales.clear();
   EXPECT_THROW(decode_delta(missing_scales, out), std::invalid_argument);
-}
-
-TEST(DeltaCodec, RejectsOutOfRangeOrUnsortedIndices) {
-  // A hostile sparse frame must fail as a typed error before decode writes
-  // through its index list.
-  const auto reference = encode_delta(ramp_delta(64), {0.5, 256});
-  ASSERT_FALSE(reference.dense);
-  ASSERT_GE(reference.indices.size(), 3U);
-  std::vector<double> out(reference.dim);
-  EXPECT_NO_THROW(decode_delta(reference, out));
-
-  auto out_of_range = reference;
-  out_of_range.indices.back() = 1000000;
-  EXPECT_THROW(decode_delta(out_of_range, out), std::invalid_argument);
-  out_of_range.indices.back() = reference.dim;  // one past the end
-  EXPECT_THROW(decode_delta(out_of_range, out), std::invalid_argument);
-
-  auto duplicate = reference;
-  duplicate.indices[1] = duplicate.indices[0];
-  EXPECT_THROW(decode_delta(duplicate, out), std::invalid_argument);
-
-  auto descending = reference;
-  std::swap(descending.indices[0], descending.indices[1]);
-  EXPECT_THROW(decode_delta(descending, out), std::invalid_argument);
 }
 
 }  // namespace

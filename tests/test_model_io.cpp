@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/model_io.hpp"
 #include "core/seq_scd.hpp"
 #include "data/generators.hpp"
+#include "sparse/io_binary.hpp"
 
 namespace tpa::core {
 namespace {
@@ -163,6 +165,65 @@ TEST(ModelIo, UnseekableStreamReadsInBoundedChunks) {
 
 TEST(ModelIo, MissingFileThrows) {
   EXPECT_THROW(read_model_file("/no/such/model.tpam"), std::runtime_error);
+}
+
+// A diverged run's weights never reach a file: the writer refuses a NaN or
+// an infinity before writing a byte, and the file form keeps the previous
+// model.
+TEST(ModelIo, WriteRefusesNonFiniteEntries) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    auto weights = sample_model();
+    weights.weights[1] = bad;
+    std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+    EXPECT_THROW(write_model(stream, weights), NonFiniteModel);
+    EXPECT_TRUE(stream.str().empty());
+
+    auto shared = sample_model();
+    shared.shared[0] = -bad;
+    EXPECT_THROW(write_model(stream, shared), NonFiniteModel);
+  }
+  const auto path =
+      (std::filesystem::temp_directory_path() / "tpa_model_io_nonfinite.tpam")
+          .string();
+  write_model_file(path, sample_model());
+  auto diverged = sample_model();
+  diverged.weights[0] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(write_model_file(path, diverged), NonFiniteModel);
+  EXPECT_EQ(read_model_file(path).weights, sample_model().weights);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+// A hand-written model holding one NaN under a valid checksum: the digest
+// passes, and the reader still refuses it by entry.
+TEST(ModelIo, ReadRefusesNonFiniteEntryUnderValidChecksum) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  write_model(stream, sample_model());
+  auto bytes = stream.str();
+  // Magic (4) and header (32) precede the weights; the digest covers
+  // everything between the magic and its own trailing 8 bytes.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(bytes.data() + 4 + 32 + 2 * sizeof(float), &nan, sizeof(nan));
+  const std::uint64_t digest = sparse::fnv1a(bytes.data() + 4,
+                                             bytes.size() - 4 - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &digest, sizeof(digest));
+  std::stringstream hostile(bytes, std::ios::in | std::ios::binary);
+  try {
+    read_model(hostile);
+    FAIL() << "a NaN weight was read";
+  } catch (const NonFiniteModel& error) {
+    EXPECT_NE(std::string(error.what()).find("weight entry 2"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ModelIo, ReadRefusesTrailingBytes) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  write_model(stream, sample_model());
+  std::stringstream longer(stream.str() + "x", std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_model(longer), sparse::FormatError);
 }
 
 // File-level failure paths: the serving registry reloads models from disk,

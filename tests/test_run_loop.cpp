@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -17,6 +18,7 @@
 #include "cluster/dist_solver.hpp"
 #include "core/convergence.hpp"
 #include "core/seq_scd.hpp"
+#include "core/solver_factory.hpp"
 #include "data/generators.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -220,6 +222,55 @@ INSTANTIATE_TEST_SUITE_P(Drivers, RunLoopContract, ::testing::ValuesIn(kArms),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
+
+// A non-finite gap ends the run at its epoch: the point is recorded, the
+// trace reads diverged and train.diverged counts it.
+TEST(RunLoopDivergence, StopsAtTheFirstNonFiniteGap) {
+  auto& diverged = obs::metrics().counter("train.diverged");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const auto before = diverged.value();
+    int epochs_run = 0;
+    const auto trace = core::run_loop(
+        five_epochs(1), {},
+        [&](int, ConvergenceTrace&) {
+          ++epochs_run;
+          return core::EpochReport{};
+        },
+        [&](util::ThreadPool*) { return epochs_run == 3 ? bad : 1.0; });
+    EXPECT_EQ(epochs_run, 3);
+    EXPECT_EQ(epochs_of(trace), (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(trace.diverged());
+    EXPECT_EQ(diverged.value() - before, 1u);
+  }
+}
+
+TEST(RunLoopDivergence, FiniteRunsAreNotDiverged) {
+  const auto trace = Sequential().run(five_epochs(1));
+  EXPECT_EQ(trace.points().size(), 5u);
+  EXPECT_FALSE(trace.diverged());
+  EXPECT_FALSE(ConvergenceTrace().diverged());
+}
+
+// TPA-SCD on the Titan X (48-block window) runs past its bounded-delay
+// limit at lambda 1e-5 on 2048 x 4096: the gap goes NaN within 5 epochs and
+// the run stops there.
+TEST(RunLoopDivergence, TitanXTpaScdStopsWhereItDiverges) {
+  data::WebspamLikeConfig data_config;
+  data_config.num_examples = 2048;
+  data_config.num_features = 4096;
+  data_config.seed = 1;
+  const auto dataset = data::make_webspam_like(data_config);
+  const core::RidgeProblem problem(dataset, 1e-5);
+  core::SolverConfig config;
+  config.kind = core::SolverKind::kTpaTitanX;
+  config.formulation = Formulation::kDual;
+  config.seed = 1;
+  const auto solver = core::make_solver(problem, config);
+  const auto trace = core::run_solver(*solver, problem, five_epochs(1));
+  ASSERT_TRUE(trace.diverged());
+  EXPECT_LT(trace.points().back().epoch, 5);
+}
 
 TEST(RunLoopResume, StreamedPointsStartAfterTheResumeEpoch) {
   store::MemoryShardedDataset source("ds", corpus_rows(), 4);

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -275,6 +276,22 @@ TEST(ModelRegistryTest, BadFileLeavesLiveModelUntouched) {
   EXPECT_EQ(registry.version(), 1u);
   EXPECT_EQ(registry.current()->beta[0], 1.0F);
   std::filesystem::remove(path);
+}
+
+TEST(ModelRegistryTest, NonFiniteModelLeavesLiveModelUntouched) {
+  ModelRegistry registry;
+  registry.publish(primal_model({1.0F}));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(registry.publish(primal_model({2.0F, nan})),
+               core::NonFiniteModel);
+  auto dual = primal_model({2.0F});
+  dual.formulation = core::Formulation::kDual;
+  dual.lambda = 1e-3;
+  dual.shared = {-inf};
+  EXPECT_THROW(registry.publish(dual), core::NonFiniteModel);
+  EXPECT_EQ(registry.version(), 1u);
+  EXPECT_EQ(registry.current()->beta, (std::vector<float>{1.0F}));
 }
 
 TEST(ModelRegistryTest, PublishFileRoundTrips) {

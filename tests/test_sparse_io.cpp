@@ -177,18 +177,6 @@ TEST(BinaryIo, HostileLengthThrowsRuntimeError) {
   EXPECT_THROW(read_binary(hostile), std::runtime_error);
 }
 
-// A mapped image whose header counts make file_bytes() wrap uint64: with
-// 2^61 - 1 rows the offsets alone take exactly 2^64 bytes, so a 44-byte
-// image "matches" its declared size.  The counts must be bounded first.
-TEST(BinaryIo, MappedHeaderWhoseSizeWrapsThrowsRuntimeError) {
-  const std::uint64_t fields[5] = {(std::uint64_t{1} << 61) - 1, 6144, 0, 0,
-                                   0};
-  std::string image = "TPA1";
-  image.append(reinterpret_cast<const char*>(fields), sizeof(fields));
-  ASSERT_EQ(image.size(), 44u);
-  EXPECT_THROW(read_binary(image.data(), image.size()), std::runtime_error);
-}
-
 TEST(BinaryIo, DetectsTruncation) {
   const auto data = sample_data();
   std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);

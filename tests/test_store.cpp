@@ -76,34 +76,6 @@ TEST(Fnv1a, ChainedUpdatesEqualOneShot) {
   EXPECT_EQ(empty.digest(), sparse::Fnv1a::kOffsetBasis);
 }
 
-TEST(BinaryHeader, PeekMatchesWrittenShapeWithoutPayloadRead) {
-  const auto data = make_data(9, 12);
-  std::stringstream stream;
-  sparse::write_binary(stream, data);
-  const auto header = sparse::read_binary_header(stream);
-  EXPECT_EQ(header.rows, 9u);
-  EXPECT_EQ(header.cols, 12u);
-  EXPECT_EQ(header.nnz, data.matrix.nnz());
-  EXPECT_EQ(header.labels, 9u);
-  EXPECT_EQ(header.file_bytes(), stream.str().size());
-}
-
-TEST(BinaryHeader, MemoryImageReadMatchesStreamRead) {
-  const auto data = make_data(7, 10);
-  std::stringstream stream;
-  sparse::write_binary(stream, data);
-  const auto image = stream.str();
-  const auto from_memory = sparse::read_binary(image.data(), image.size());
-  const auto from_stream = sparse::read_binary(stream);
-  EXPECT_EQ(to_vec(from_memory.matrix.values()),
-            to_vec(from_stream.matrix.values()));
-  EXPECT_EQ(to_vec(from_memory.matrix.col_indices()),
-            to_vec(from_stream.matrix.col_indices()));
-  EXPECT_EQ(from_memory.labels, from_stream.labels);
-  const auto header = sparse::read_binary_header(image.data(), image.size());
-  EXPECT_EQ(header.rows, 7u);
-}
-
 TEST(RowsPerShard, CeilSplitRule) {
   EXPECT_EQ(rows_per_shard(10, 4), 3u);   // 3+3+3+1 -> 4 shards
   EXPECT_EQ(rows_per_shard(6, 4), 2u);    // 2+2+2 -> only 3 shards
@@ -157,7 +129,7 @@ TEST(Manifest, RejectsMismatchedTotals) {
   EXPECT_THROW(read_manifest(stream), std::runtime_error);
 }
 
-TEST_F(StoreTest, WriteStoreRoundTripsThroughBothReadModes) {
+TEST_F(StoreTest, WriteStoreRoundTrips) {
   const auto data = make_data(10, 8);
   const auto manifest = write_store(dir_.string(), "rt", data, 4);
   EXPECT_EQ(manifest.rows, 10u);
@@ -166,27 +138,27 @@ TEST_F(StoreTest, WriteStoreRoundTripsThroughBothReadModes) {
   ASSERT_EQ(manifest.shards.size(), 4u);  // 3+3+3+1
   EXPECT_EQ(manifest.shards[3].rows, 1u);
 
-  for (const auto mode : {ReadMode::kBuffered, ReadMode::kMmap}) {
-    const ShardReader reader(read_manifest_file(
-                                 (dir_ / "rt.manifest").string()),
-                             dir_.string(), mode);
-    sparse::Index row = 0;
-    for (std::size_t s = 0; s < reader.num_shards(); ++s) {
-      const auto slice = reader.read_shard(s);
-      EXPECT_EQ(slice.matrix.cols(), data.matrix.cols());
-      for (sparse::Index r = 0; r < slice.matrix.rows(); ++r, ++row) {
-        EXPECT_EQ(slice.labels[r], data.labels[row]);
-        const auto got = slice.matrix.row(r);
-        const auto want = data.matrix.row(row);
-        ASSERT_EQ(got.nnz(), want.nnz());
-        for (std::size_t k = 0; k < got.nnz(); ++k) {
-          EXPECT_EQ(got.indices[k], want.indices[k]);
-          EXPECT_EQ(got.values[k], want.values[k]);
-        }
+  const ShardReader reader(read_manifest_file((dir_ / "rt.manifest").string()),
+                           dir_.string());
+  sparse::Index row = 0;
+  for (std::size_t s = 0; s < reader.num_shards(); ++s) {
+    const auto slice = reader.read_shard(s);
+    EXPECT_EQ(slice.matrix.cols(), data.matrix.cols());
+    for (sparse::Index r = 0; r < slice.matrix.rows(); ++r, ++row) {
+      EXPECT_EQ(slice.labels[r], data.labels[row]);
+      const auto got = slice.matrix.row(r);
+      const auto want = data.matrix.row(row);
+      ASSERT_EQ(got.nnz(), want.nnz());
+      for (std::size_t k = 0; k < got.nnz(); ++k) {
+        EXPECT_EQ(got.indices[k], want.indices[k]);
+        EXPECT_EQ(got.values[k], want.values[k]);
       }
     }
-    EXPECT_EQ(row, data.matrix.rows());
   }
+  EXPECT_EQ(row, data.matrix.rows());
+  // The manifest's byte count is the decoded shard's exact file size.
+  EXPECT_EQ(manifest.shards[0].bytes,
+            std::filesystem::file_size(dir_ / manifest.shards[0].file));
 }
 
 TEST_F(StoreTest, ShardWriterNeverBuffersMoreThanOneShard) {
@@ -224,8 +196,8 @@ TEST_F(StoreTest, RejectsTruncatedShard) {
 }
 
 // A shard whose header sizes wrap uint64 must fail as a typed error that
-// names the shard in both read modes, never as an allocation failure.
-TEST_F(StoreTest, RejectsWrappingHeaderInBothModes) {
+// names the shard, never as an allocation failure.
+TEST_F(StoreTest, RejectsWrappingHeader) {
   const auto data = make_data(8, 6);
   write_store(dir_.string(), "wrap", data, 2);
   const auto shard_path = dir_ / "wrap.shard00001.tpa1";
@@ -238,20 +210,17 @@ TEST_F(StoreTest, RejectsWrappingHeaderInBothModes) {
   }
   auto manifest = read_manifest_file((dir_ / "wrap.manifest").string());
   manifest.shards[1].bytes = 44;
-  for (const auto mode : {ReadMode::kBuffered, ReadMode::kMmap}) {
-    const ShardReader reader(manifest, dir_.string(), mode);
-    try {
-      reader.read_shard(1);
-      FAIL() << "wrapping header was accepted in mode "
-             << read_mode_name(mode);
-    } catch (const std::runtime_error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find(shard_path.string()), std::string::npos) << what;
-    }
+  const ShardReader reader(manifest, dir_.string());
+  try {
+    reader.read_shard(1);
+    FAIL() << "wrapping header was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(shard_path.string()), std::string::npos) << what;
   }
 }
 
-TEST_F(StoreTest, RejectsCorruptedShardInBothModes) {
+TEST_F(StoreTest, RejectsCorruptedShard) {
   const auto data = make_data(8, 6);
   write_store(dir_.string(), "corrupt", data, 2);
   const auto shard_path = dir_ / "corrupt.shard00000.tpa1";
@@ -267,24 +236,19 @@ TEST_F(StoreTest, RejectsCorruptedShardInBothModes) {
     file.seekp(48);
     file.put(static_cast<char>(byte ^ 0x40));
   }
-  for (const auto mode : {ReadMode::kBuffered, ReadMode::kMmap}) {
-    const auto reader =
-        ShardReader::open((dir_ / "corrupt.manifest").string(), mode);
-    // The error must point an operator at the damaged file and where the
-    // digest-covered payload sits inside it, not just say "mismatch".
-    try {
-      reader.read_shard(0);
-      FAIL() << "corrupted shard was accepted in mode "
-             << read_mode_name(mode);
-    } catch (const std::runtime_error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
-      EXPECT_NE(what.find(shard_path.string()), std::string::npos) << what;
-      EXPECT_NE(what.find("stored digest at byte"), std::string::npos)
-          << what;
-    }
-    EXPECT_NO_THROW(reader.read_shard(1));
+  const auto reader = ShardReader::open((dir_ / "corrupt.manifest").string());
+  // The error must point an operator at the damaged file and where the
+  // digest-covered payload sits inside it, not just say "mismatch".
+  try {
+    reader.read_shard(0);
+    FAIL() << "corrupted shard was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find(shard_path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("stored digest at byte"), std::string::npos) << what;
   }
+  EXPECT_NO_THROW(reader.read_shard(1));
 }
 
 TEST_F(StoreTest, RejectsMissingShardFile) {
@@ -352,14 +316,6 @@ TEST_F(StoreTest, SvmlightStreamingConversionRejectsWhatTheReaderRejects) {
           << what;
     }
   }
-}
-
-TEST(ReadModeParse, NamesRoundTripAndRejectsUnknown) {
-  EXPECT_EQ(parse_read_mode("buffered"), ReadMode::kBuffered);
-  EXPECT_EQ(parse_read_mode("mmap"), ReadMode::kMmap);
-  EXPECT_THROW(parse_read_mode("directio"), std::invalid_argument);
-  EXPECT_STREQ(read_mode_name(ReadMode::kBuffered), "buffered");
-  EXPECT_STREQ(read_mode_name(ReadMode::kMmap), "mmap");
 }
 
 }  // namespace

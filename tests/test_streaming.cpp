@@ -95,7 +95,7 @@ TEST_F(StreamingTest, StoreRunIsBitExactWithInMemoryShards) {
   const auto data = make_data();
   write_store(dir_.string(), "ds", data, 5);
   StoreStreamingDataset disk(ShardReader::open(
-      (dir_ / "ds.manifest").string(), ReadMode::kMmap));
+      (dir_ / "ds.manifest").string()));
   MemoryShardedDataset memory("ds", data, 5);
   ASSERT_EQ(disk.num_shards(), memory.num_shards());
 

@@ -4,7 +4,7 @@
 # Six CLI steps on the same generated dataset (criteo-like, 6 shards):
 #   1. tpascd_shard --generate               -> store on disk
 #   2. tpascd_shard --verify                 -> every shard checksums clean
-#   3. train --store (disk, mmap)            -> store.tpam
+#   3. train --store (disk)                  -> store.tpam
 #   4. train --stream-shards (memory, sync)  -> memory.tpam  == store.tpam
 #   5. both arms again with --stream-threads 3 --precision fp16
 #                                            -> store_fp16_t3.tpam
@@ -23,14 +23,13 @@ if(NOT shard_result EQUAL 0)
 endif()
 execute_process(
   COMMAND ${SHARD_BIN} --verify ${WORK_DIR}/store_rt/criteo.manifest
-          --store-mode mmap
   RESULT_VARIABLE verify_result)
 if(NOT verify_result EQUAL 0)
   message(FATAL_ERROR "store verification failed: ${verify_result}")
 endif()
 execute_process(
   COMMAND ${TRAIN_BIN} ${train_common}
-          --store ${WORK_DIR}/store_rt/criteo.manifest --store-mode mmap
+          --store ${WORK_DIR}/store_rt/criteo.manifest
           --save ${WORK_DIR}/store.tpam
   RESULT_VARIABLE store_result)
 if(NOT store_result EQUAL 0)
@@ -56,7 +55,7 @@ endif()
 # the fp32 one).
 execute_process(
   COMMAND ${TRAIN_BIN} ${train_common} --stream-threads 3 --precision fp16
-          --store ${WORK_DIR}/store_rt/criteo.manifest --store-mode mmap
+          --store ${WORK_DIR}/store_rt/criteo.manifest
           --save ${WORK_DIR}/store_fp16_t3.tpam
   RESULT_VARIABLE store_fp16_result)
 execute_process(
@@ -66,7 +65,7 @@ execute_process(
   RESULT_VARIABLE memory_fp16_result)
 execute_process(
   COMMAND ${TRAIN_BIN} ${train_common} --stream-threads 3
-          --store ${WORK_DIR}/store_rt/criteo.manifest --store-mode mmap
+          --store ${WORK_DIR}/store_rt/criteo.manifest
           --save ${WORK_DIR}/store_fp32_t3.tpam
   RESULT_VARIABLE store_fp32_result)
 if(NOT store_fp16_result EQUAL 0 OR NOT memory_fp16_result EQUAL 0

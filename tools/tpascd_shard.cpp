@@ -3,14 +3,14 @@
 // Converts a dataset (svmlight text, our .bin cache, or a generated
 // stand-in) into the TPASTORE manifest + TPA1 shard-slice layout that
 // tpascd_train --store trains from, or verifies an existing store
-// shard-by-shard (sizes, header shapes, checksums).
+// shard-by-shard (sizes, checksums, decoded shapes).
 //
 // Examples:
 //   tpascd_shard --data train.svm --out store --name criteo --shards 8
 //   tpascd_shard --data huge.svm --stream --rows-per-shard 1000000
 //                --num-features 75000000 --out store --name criteo1day
 //   tpascd_shard --generate criteo --examples 65536 --shards 8 --out store
-//   tpascd_shard --verify store/criteo.manifest --store-mode mmap
+//   tpascd_shard --verify store/criteo.manifest
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -52,15 +52,15 @@ sparse::LabeledMatrix generate_matrix(const util::ArgParser& parser) {
       std::vector<float>(dataset.labels().begin(), dataset.labels().end())};
 }
 
-int verify_store(const std::string& manifest_path, store::ReadMode mode) {
-  const auto reader = store::ShardReader::open(manifest_path, mode);
+int verify_store(const std::string& manifest_path) {
+  const auto reader = store::ShardReader::open(manifest_path);
   const auto& manifest = reader.manifest();
-  std::printf("store %s: %llu rows x %llu cols, %llu nnz, %zu shards (%s)\n",
+  std::printf("store %s: %llu rows x %llu cols, %llu nnz, %zu shards\n",
               manifest.name.c_str(),
               static_cast<unsigned long long>(manifest.rows),
               static_cast<unsigned long long>(manifest.cols),
               static_cast<unsigned long long>(manifest.nnz),
-              manifest.shards.size(), store::read_mode_name(mode));
+              manifest.shards.size());
   for (std::size_t i = 0; i < reader.num_shards(); ++i) {
     const auto slice = reader.read_shard(i);  // validates size+shape+checksum
     std::printf("  shard %zu: rows [%llu, %llu), nnz %llu — ok\n", i,
@@ -99,15 +99,11 @@ int main(int argc, char** argv) {
   parser.add_option("verify",
                     "validate every shard of this manifest instead of "
                     "converting");
-  parser.add_option("store-mode", "verify read mode: buffered | mmap",
-                    "buffered");
   if (!parser.parse(argc, argv)) return 1;
 
   try {
     if (parser.has("verify")) {
-      return verify_store(
-          parser.get_string("verify", ""),
-          store::parse_read_mode(parser.get_string("store-mode", "buffered")));
+      return verify_store(parser.get_string("verify", ""));
     }
 
     const auto out = parser.get_string("out", "store");

@@ -185,6 +185,20 @@ void write_trace_outputs(const util::ArgParser& parser,
   }
 }
 
+/// Exit code of a run whose duality gap went NaN or infinite.  run_loop
+/// stops at that epoch; the trace and the run report are still written,
+/// the model is not.
+constexpr int kDivergedExit = 3;
+
+int report_divergence(const core::ConvergenceTrace& trace) {
+  const auto& last = trace.points().back();
+  std::fprintf(stderr,
+               "error: training diverged at epoch %d (gap %g); no model "
+               "saved\n",
+               last.epoch, last.gap);
+  return kDivergedExit;
+}
+
 /// The run options of both modes.  A streamed run ignores gap_threads: its
 /// gap is the serial streamed pass.
 core::RunOptions read_run_options(const util::ArgParser& parser) {
@@ -205,8 +219,6 @@ int run_streaming_mode(const util::ArgParser& parser,
                        const core::RunOptions& run_options,
                        const std::string& trace_out, bool chrome_trace) {
   const auto manifest_path = parser.get_string("store", "");
-  const auto read_mode =
-      store::parse_read_mode(parser.get_string("store-mode", "buffered"));
   const auto stream_shards = parser.get_int<std::uint64_t>("stream-shards", 4);
 
   store::StreamingConfig config;
@@ -244,7 +256,7 @@ int run_streaming_mode(const util::ArgParser& parser,
   std::unique_ptr<store::StreamingDataset> source;
   if (!manifest_path.empty()) {
     source = std::make_unique<store::StoreStreamingDataset>(
-        store::ShardReader::open(manifest_path, read_mode));
+        store::ShardReader::open(manifest_path));
   } else {
     data::Dataset dataset = load_dataset(parser);
     memory_data.matrix = dataset.by_row();
@@ -283,6 +295,10 @@ int run_streaming_mode(const util::ArgParser& parser,
       static_cast<unsigned long long>(stats.loads),
       static_cast<unsigned long long>(stats.stalls), stats.load_seconds,
       stats.wait_seconds, 100.0 * stats.overlap_fraction());
+  if (trace.diverged()) {
+    write_trace_outputs(parser, trace, trace_out, chrome_trace);
+    return report_divergence(trace);
+  }
 
   if (parser.has("save")) {
     core::SavedModel model;
@@ -342,10 +358,6 @@ int main(int argc, char** argv) {
                   "cluster drivers: ship worker deltas quantized (fp16 "
                   "payload + per-block fp32 scales, checksummed in "
                   "encoded form)");
-  parser.add_option("delta-threshold",
-                    "compressed deltas: drop entries below this fraction of "
-                    "the delta's max magnitude (0 = dense-quantized layout)",
-                    "0");
   parser.add_option("workers", "distribute across this many workers", "1");
   parser.add_option("fleet",
                     "heterogeneous worker fleet: comma-separated "
@@ -387,8 +399,6 @@ int main(int argc, char** argv) {
   parser.add_option("store",
                     "train out-of-core from this shard-store manifest "
                     "(see tpascd_shard)");
-  parser.add_option("store-mode", "shard read mode: buffered | mmap",
-                    "buffered");
   parser.add_option("resident-shards",
                     "decoded shards resident at once (2 = double buffer)",
                     "2");
@@ -546,7 +556,6 @@ int main(int argc, char** argv) {
     cluster_config.placement = placement_mode;
     cluster_config.placement_seed = placement_seed;
     cluster_config.compress_deltas = parser.get_bool("compress-deltas");
-    cluster_config.delta_threshold = parser.get_double("delta-threshold", 0.0);
     build_faults(cluster_config.faults);
 
     cluster::AsyncConfig async(cluster_config);
@@ -725,6 +734,11 @@ int main(int argc, char** argv) {
                   trace.final_gap(), trace.points().back().sim_seconds);
       model.weights = solver->state().weights;
       model.shared = solver->state().shared;
+    }
+    if (trace.diverged()) {
+      write_trace_outputs(parser, trace, trace_out, chrome_trace,
+                          placement_json, drift_json);
+      return report_divergence(trace);
     }
 
     const auto beta = formulation == core::Formulation::kPrimal
