@@ -1,6 +1,6 @@
 // Ablation: when does dropping the barrier pay?
 //
-// The design choice under test (DESIGN.md §13): the asynchronous driver
+// The design choice under test (DESIGN.md §8): the no-barrier schedule
 // lets each worker push its delta the moment its cycle lands, bounded by a
 // staleness window, instead of joining the synchronous Reduce.  This bench
 // races the two drivers to a target duality gap under three regimes —
@@ -13,10 +13,15 @@
 // compute-bound race (the no-barrier tax: per-delta line search is myopic
 // next to sync's summed pre-cancelled direction), async wins under the
 // moderate straggler (pushes land inside the staleness window while sync
-// burns its grace deadline every round), the severe straggler is a wash
-// (sync's deadline + late-delta path is itself an asynchrony valve), and
+// burns its grace deadline every round), the severe straggler favours sync
+// again (its deadline + late-delta path is itself an asynchrony valve), and
 // only the elastic arm reaches the target at all after an eviction.
+//
+// Both arms run on the one cluster scheduler; only the config type (and so
+// the barrier) differs.  Every row of both tables lands in BENCH_async.json
+// (--out-dir).
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 
 #include <cmath>
 
@@ -57,6 +62,8 @@ struct ArmResult {
   double final_gap = 0.0;
   long long damped = 0;
   long long misses = 0;
+  long long evictions = 0;
+  long long joins = 0;
 };
 
 ArmResult summarize(const core::ConvergenceTrace& trace, double eps,
@@ -72,7 +79,24 @@ ArmResult summarize(const core::ConvergenceTrace& trace, double eps,
       static_cast<long long>(trace.count_events(core::ClusterEventKind::kStaleRejected));
   result.misses = static_cast<long long>(
       trace.count_events(core::ClusterEventKind::kDeadlineMiss));
+  result.evictions = static_cast<long long>(
+      trace.count_events(core::ClusterEventKind::kEvict));
+  result.joins = static_cast<long long>(
+      trace.count_events(core::ClusterEventKind::kJoin));
   return result;
+}
+
+bench::BenchResult record(const std::string& name, const ArmResult& r) {
+  return {name,
+          r.seconds,
+          "sim_seconds",
+          {{"reached", r.reached ? 1.0 : 0.0},
+           {"rounds", static_cast<double>(r.rounds)},
+           {"final_gap", r.final_gap},
+           {"stale", static_cast<double>(r.damped)},
+           {"miss", static_cast<double>(r.misses)},
+           {"evictions", static_cast<double>(r.evictions)},
+           {"joins", static_cast<double>(r.joins)}}};
 }
 
 void add_row(util::Table& table, const std::string& scenario,
@@ -99,6 +123,7 @@ int main(int argc, char** argv) {
   parser.add_option("workers", "simulated workers", "4");
   parser.add_option("target-gap", "duality gap both arms race to", "1e-4");
   parser.add_option("max-rounds", "round budget per arm", "200");
+  parser.add_option("out-dir", "directory for BENCH_async.json", ".");
   if (!parser.parse(argc, argv)) return 1;
   auto options = bench::read_common_options(parser);
   const int workers = static_cast<int>(parser.get_int("workers", 4));
@@ -134,6 +159,12 @@ int main(int argc, char** argv) {
             << workers << " (dual) ==\n";
   util::Table table({"scenario", "arm", "gamma", "reached", "sim s", "rounds",
                      "final gap", "stale", "miss"});
+  std::vector<bench::BenchResult> records;
+  const auto race_row = [&](const std::string& scenario, const char* arm,
+                            const char* mode, const ArmResult& r) {
+    add_row(table, scenario, arm, mode, r);
+    records.push_back(record(scenario + "/" + arm + "/" + mode, r));
+  };
   for (const auto& scenario : scenarios) {
     for (const auto& [mode_name, mode] : modes) {
       // One configuration drives both arms; only the scheduler differs.
@@ -148,14 +179,14 @@ int main(int argc, char** argv) {
         cluster::DistributedSolver solver(dataset,
                                           cluster::DistConfig(config));
         const auto trace = cluster::run_distributed(solver, run);
-        add_row(table, scenario.name, "sync", mode_name,
-                summarize(trace, target, solver.current_epoch()));
+        race_row(scenario.name, "sync", mode_name,
+                 summarize(trace, target, solver.current_epoch()));
       }
       {
         cluster::AsyncSolver solver(dataset, cluster::AsyncConfig(config));
         const auto trace = cluster::run_async(solver, run);
-        add_row(table, scenario.name, "async", mode_name,
-                summarize(trace, target, solver.current_epoch()));
+        race_row(scenario.name, "async", mode_name,
+                 summarize(trace, target, solver.current_epoch()));
       }
     }
   }
@@ -171,19 +202,17 @@ int main(int argc, char** argv) {
   util::Table drill({"arm", "reached", "sim s", "rounds", "final gap",
                      "evictions", "joins"});
   const auto drill_row = [&](const char* name,
-                             const core::ConvergenceTrace& trace, int rounds,
-                             double target_gap) {
-    const auto [seconds, reached] = bench::time_to_gap(trace, target_gap);
+                             const core::ConvergenceTrace& trace, int rounds) {
+    const ArmResult r = summarize(trace, target, rounds);
     drill.begin_row();
     drill.add_cell(name);
-    drill.add_cell(reached ? "yes" : "NO");
-    drill.add_number(seconds);
-    drill.add_integer(rounds);
-    drill.add_number(trace.final_gap());
-    drill.add_integer(static_cast<long long>(
-        trace.count_events(core::ClusterEventKind::kEvict)));
-    drill.add_integer(static_cast<long long>(
-        trace.count_events(core::ClusterEventKind::kJoin)));
+    drill.add_cell(r.reached ? "yes" : "NO");
+    drill.add_number(r.seconds);
+    drill.add_integer(r.rounds);
+    drill.add_number(r.final_gap);
+    drill.add_integer(r.evictions);
+    drill.add_integer(r.joins);
+    records.push_back(record(std::string("eviction/") + name, r));
   };
   cluster::ClusterConfig drill_config;
   drill_config.formulation = core::Formulation::kDual;
@@ -199,7 +228,7 @@ int main(int argc, char** argv) {
     cluster::DistributedSolver solver(dataset,
                                       cluster::DistConfig(drill_config));
     const auto trace = cluster::run_distributed(solver, run);
-    drill_row("sync (frozen)", trace, solver.current_epoch(), target);
+    drill_row("sync (frozen)", trace, solver.current_epoch());
   }
   {
     cluster::AsyncConfig config(drill_config);
@@ -210,9 +239,19 @@ int main(int argc, char** argv) {
     config.membership.push_back(join);
     cluster::AsyncSolver solver(dataset, config);
     const auto trace = cluster::run_async(solver, run);
-    drill_row("async (elastic)", trace, solver.current_epoch(), target);
+    drill_row("async (elastic)", trace, solver.current_epoch());
   }
   bench::emit(drill, options);
+
+  const auto out_dir = parser.get_string("out-dir", ".");
+  bench::write_json_file(
+      out_dir + "/BENCH_async.json", "async", records,
+      {{"workers", std::to_string(workers)},
+       {"target_gap", parser.get_string("target-gap", "1e-4")},
+       {"max_rounds", std::to_string(max_rounds)},
+       {"dataset", std::to_string(options.examples) + " x " +
+                       std::to_string(options.features) + " webspam-like"}});
+  std::cout << "wrote " << out_dir << "/BENCH_async.json\n";
 
   std::cout << "\nnote: the clean-run gap between sync and async is the "
                "no-barrier tax — each async delta is line-searched against "
@@ -221,7 +260,7 @@ int main(int argc, char** argv) {
                "moderate straggler flips the ordering: its pushes land near "
                "the staleness-window boundary undamped, while the sync "
                "master eats the grace deadline every round.  A severe "
-               "straggler re-levels the race (sync's deadline-miss path is "
+               "straggler favours sync again (its deadline-miss path is "
                "itself a pressure valve), and only the elastic arm survives "
                "an eviction with the full model still reachable.\n";
   return 0;

@@ -58,6 +58,34 @@ void validate_config(const std::string& who, const ClusterConfig& config,
   }
 }
 
+const DistConfig& validated(const DistConfig& config) {
+  if (!(config.straggler_grace > 1.0)) {
+    throw std::invalid_argument(
+        "DistributedSolver: straggler_grace must be > 1 (the deadline must "
+        "allow at least a full healthy epoch), got " +
+        std::to_string(config.straggler_grace));
+  }
+  return config;
+}
+
+const AsyncConfig& validated(const AsyncConfig& config) {
+  if (config.staleness_window < 0) {
+    throw std::invalid_argument(
+        "AsyncSolver: staleness_window must be >= 0 (0 = auto)");
+  }
+  for (const auto& event : config.membership) {
+    if (event.round < 1 || event.worker < 0 ||
+        event.worker >= config.num_workers) {
+      throw std::invalid_argument(
+          "AsyncSolver: membership event (round " +
+          std::to_string(event.round) + ", worker " +
+          std::to_string(event.worker) +
+          ") must name a round >= 1 and a valid worker slot");
+    }
+  }
+  return config;
+}
+
 // Fills `core` in place: the problem holds a reference to the shard, so the
 // WorkerCore must already sit at its final address.
 void init_worker_core(WorkerCore& core, const data::Dataset& global,
@@ -73,20 +101,36 @@ void init_worker_core(WorkerCore& core, const data::Dataset& global,
 }  // namespace
 
 ClusterSolver::ClusterSolver(const data::Dataset& global,
-                             const ClusterConfig& config, const char* who,
-                             std::int32_t master_track,
-                             const std::string& track_prefix,
+                             const DistConfig& config)
+    : ClusterSolver(global, validated(config), /*barrier=*/true,
+                    config.comm_overlap) {
+  straggler_grace_ = config.straggler_grace;
+  comm_overlap_ = config.comm_overlap;
+}
+
+ClusterSolver::ClusterSolver(const data::Dataset& global,
+                             const AsyncConfig& config)
+    : ClusterSolver(global, validated(config), /*barrier=*/false,
+                    /*comm_overlap=*/false) {
+  staleness_window_ = config.staleness_window;
+  staleness_policy_ = config.staleness_policy;
+  membership_ = config.membership;
+}
+
+ClusterSolver::ClusterSolver(const data::Dataset& global,
+                             const ClusterConfig& config, bool barrier,
                              bool comm_overlap)
     : config_(config),
+      barrier_(barrier),
       global_problem_(global, config.lambda),
       global_workload_(
           core::TimingWorkload::for_dataset(global, config.formulation)),
       injector_(config.faults),
       global_(&global),
-      who_(who),
-      master_track_(master_track) {
+      who_(barrier ? "DistributedSolver" : "AsyncSolver"),
+      master_track_(barrier ? kMasterTrack : kAsyncMasterTrack) {
   const auto dim = global_problem_.num_coordinates(config.formulation);
-  validate_config(who, config, dim);
+  validate_config(who_, config, dim);
   const auto shared_dim = static_cast<std::size_t>(global_workload_.shared_dim);
   model_bytes_ = shared_dim * sizeof(float);
   delta_leg_bytes_ = config.compress_deltas
@@ -101,7 +145,8 @@ ClusterSolver::ClusterSolver(const data::Dataset& global,
     // Plan the partition sizes against the placement cost model, then deal
     // the same permutation draw the legacy path uses.  With a homogeneous
     // fleet the planned sizes equal the uniform split and random_weighted
-    // reproduces Partition::random bit-for-bit.
+    // reproduces Partition::random bit-for-bit.  Only a barrier round has a
+    // reduce to overlap: no-barrier pushes are already point-to-point.
     placement::CostOptions cost_options;
     cost_options.local_passes = config.local_epochs_per_round;
     cost_options.comm_overlap = comm_overlap;
@@ -122,21 +167,30 @@ ClusterSolver::ClusterSolver(const data::Dataset& global,
   }
   shared_.assign(global_problem_.shared_dim(config.formulation), 0.0F);
 
-  cores_.reserve(static_cast<std::size_t>(config.num_workers));
-  for (std::size_t k = 0; k < static_cast<std::size_t>(config.num_workers);
-       ++k) {
+  const auto workers = static_cast<std::size_t>(config.num_workers);
+  cores_.reserve(workers);
+  workers_.resize(workers);
+  for (std::size_t k = 0; k < workers; ++k) {
     auto worker = std::make_unique<WorkerCore>();
     init_worker_core(*worker, global, partition_, k, config.lambda,
                      local_config(k));
     cores_.push_back(std::move(worker));
+    // Calibrate the nominal per-epoch compute time from a throwaway probe
+    // solver on the same shard: the timing models are state-independent, so
+    // this one number makes the event timeline a pure function of (config,
+    // seeds) — the worker's real permutation stream stays untouched and the
+    // numerics never feed back into the clock.
+    auto probe = core::make_solver(*cores_[k]->problem, local_config(k));
+    workers_[k].compute_seconds = probe->run_epoch().sim_seconds;
   }
 
-  obs::set_track_name(master_track, track_prefix + "/master");
-  obs::set_track_name(attribution_track(master_track),
-                      track_prefix + "/attribution (sim)");
+  const std::string prefix = barrier ? "dist" : "async";
+  obs::set_track_name(master_track_, prefix + "/master");
+  obs::set_track_name(attribution_track(master_track_),
+                      prefix + "/attribution (sim)");
   for (int k = 0; k < config.num_workers; ++k) {
-    obs::set_track_name(worker_track(master_track, k),
-                        track_prefix + "/worker " + std::to_string(k));
+    obs::set_track_name(worker_track(master_track_, k),
+                        prefix + "/worker " + std::to_string(k));
   }
 }
 
@@ -157,22 +211,6 @@ double ClusterSolver::host_coordinates(std::size_t k) const {
   return coordinates * static_cast<double>(partition_.owned[k].size()) /
          static_cast<double>(
              global_problem_.num_coordinates(config_.formulation));
-}
-
-double ClusterSolver::run_local_epochs(std::size_t k) {
-  auto& worker = *cores_[k];
-  auto& state = worker.solver->mutable_state();
-  state.shared.assign(shared_.begin(), shared_.end());
-  worker.weights_start = state.weights;
-  double seconds = 0.0;
-  for (int pass = 0; pass < config_.local_epochs_per_round; ++pass) {
-    seconds += worker.solver->run_epoch().sim_seconds;
-  }
-  return seconds;
-}
-
-std::span<const float> ClusterSolver::committed_weights(std::size_t k) const {
-  return cores_[k]->solver->state().weights;
 }
 
 double ClusterSolver::duality_gap(util::ThreadPool* pool) const {
@@ -214,73 +252,47 @@ void ClusterSolver::record_event(int worker, core::ClusterEventKind kind) {
                      worker_track(master_track_, worker), round_);
 }
 
-bool ClusterSolver::count_crash(int worker, int& crash_count) {
-  ++crash_count;
-  record_event(worker, core::ClusterEventKind::kCrash);
-  if (crash_count <= config_.max_restarts) return false;
-  record_event(worker, core::ClusterEventKind::kEvict);
-  return true;
-}
-
-ClusterSolver::Transit ClusterSolver::send_delta(
-    std::span<const float> local, std::span<const float> base, bool corrupt,
-    std::vector<double>& delta) {
+bool ClusterSolver::send_delta(std::span<const float> local,
+                               std::span<const float> base, bool corrupt,
+                               std::vector<double>& delta) {
   delta.resize(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     delta[i] = static_cast<double>(local[i]) - static_cast<double>(base[i]);
   }
-  Transit transit;
+  const std::size_t dense = dense_delta_wire_bytes(delta.size());
+  std::size_t wire_bytes = dense;
+  bool verified = true;
   if (config_.compress_deltas) {
     // A transit flip lands in the quantized payload; the transit hash over
     // the encoded image must still catch it.
     encode_delta(delta, frame_);
-    transit.wire_bytes = frame_.wire_bytes();
+    wire_bytes = frame_.wire_bytes();
     if (corrupt) {
       const std::uint64_t sent = frame_.checksum;
       corrupt_compressed_in_transit(frame_);
-      transit.verified = compressed_delta_checksum(frame_) == sent;
-      if (!transit.verified) return transit;
+      verified = compressed_delta_checksum(frame_) == sent;
     }
-    decode_delta(frame_, delta);
-    return transit;
-  }
-  transit.wire_bytes = dense_delta_wire_bytes(delta.size());
-  if (corrupt) {
+    if (verified) decode_delta(frame_, delta);
+  } else if (corrupt) {
     // The worker checksums its delta before sending; the master recomputes
     // on receipt and discards on mismatch — never silently aggregated.
     const std::uint64_t sent = delta_checksum(delta);
     corrupt_in_transit(delta);
-    transit.verified = delta_checksum(delta) == sent;
+    verified = delta_checksum(delta) == sent;
   }
-  return transit;
-}
-
-void ClusterSolver::charge_wire(std::size_t wire_bytes) {
-  const std::size_t dense = dense_delta_wire_bytes(shared_.size());
+  // The bytes crossed the wire either way; the raw fp64 size is recorded as
+  // the baseline.
   delta_bytes_on_wire_ += wire_bytes;
   delta_bytes_dense_ += dense;
   obs::metrics().counter("cluster.delta.wire_bytes").add(wire_bytes);
   obs::metrics().counter("cluster.delta.dense_bytes").add(dense);
-}
-
-template <typename Fn>
-void ClusterSolver::visit_move(const WorkerMove& move, Fn&& fn) const {
-  const auto& worker = *cores_[move.worker];
-  const auto& weights = worker.solver->state().weights;
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    const double from =
-        move.late_dweights != nullptr ? weights[j] : worker.weights_start[j];
-    const double delta = move.late_dweights != nullptr
-                             ? (*move.late_dweights)[j]
-                             : weights[j] - from;
-    fn(j, from, delta);
-  }
+  return verified;
 }
 
 double ClusterSolver::choose_gamma(std::span<const double> dshared,
-                                   std::span<const WorkerMove> moves,
+                                   std::span<const std::size_t> movers,
                                    double fallback) const {
-  if (moves.empty()) return 0.0;  // nothing landed; the model is untouched
+  if (movers.empty()) return 0.0;  // nothing landed; the model is untouched
   switch (config_.aggregation) {
     case AggregationMode::kAveraging:
       return fallback;
@@ -295,12 +307,16 @@ double ClusterSolver::choose_gamma(std::span<const double> dshared,
   const bool dual = f == core::Formulation::kDual;
   PrimalGammaTerms pterms;
   DualGammaTerms dterms;
-  for (const auto& move : moves) {
-    const auto labels = cores_[move.worker]->shard.labels();
-    visit_move(move, [&](std::size_t j, double from, double delta) {
+  for (const std::size_t k : movers) {
+    const auto& worker = *cores_[k];
+    const auto labels = worker.shard.labels();
+    const auto& weights = worker.solver->state().weights;
+    for (std::size_t j = 0; j < weights.size(); ++j) {
+      const double from = worker.weights_start[j];
       // Labels are per example: only dual coordinates index them.
-      add_gamma_terms(f, dual ? labels[j] : 0.0, from, delta, pterms, dterms);
-    });
+      add_gamma_terms(f, dual ? labels[j] : 0.0, from, weights[j] - from,
+                      pterms, dterms);
+    }
   }
   return line_search_gamma(
       f, shared_, dshared, global_->labels(), pterms, dterms,
@@ -309,16 +325,18 @@ double ClusterSolver::choose_gamma(std::span<const double> dshared,
 }
 
 void ClusterSolver::apply_step(std::span<const double> dshared,
-                               std::span<const WorkerMove> moves,
+                               std::span<const std::size_t> movers,
                                double step) {
   for (std::size_t i = 0; i < shared_.size(); ++i) {
     shared_[i] = static_cast<float>(shared_[i] + step * dshared[i]);
   }
-  for (const auto& move : moves) {
-    auto& weights = cores_[move.worker]->solver->mutable_state().weights;
-    visit_move(move, [&](std::size_t j, double from, double delta) {
-      weights[j] = static_cast<float>(from + step * delta);
-    });
+  for (const std::size_t k : movers) {
+    auto& worker = *cores_[k];
+    auto& weights = worker.solver->mutable_state().weights;
+    for (std::size_t j = 0; j < weights.size(); ++j) {
+      const double from = worker.weights_start[j];
+      weights[j] = static_cast<float>(from + step * (weights[j] - from));
+    }
   }
 }
 
@@ -331,55 +349,6 @@ void ClusterSolver::close_round(const obs::RoundAttribution& attr,
                                 attr_clock_seconds_, round_,
                                 attribution_track(master_track_));
   attr_clock_seconds_ += round_seconds;
-}
-
-core::SavedModel ClusterSolver::saved_model() const {
-  core::SavedModel saved;
-  saved.formulation = config_.formulation;
-  saved.lambda = config_.lambda;
-  saved.epoch = static_cast<std::uint32_t>(round_);
-  saved.weights = global_weights();
-  saved.shared = shared_;
-  return saved;
-}
-
-void ClusterSolver::validate_checkpoint(const core::SavedModel& saved) const {
-  const std::string prefix = std::string(who_) + "::restore: ";
-  if (round_ != 0) {
-    throw std::logic_error(prefix +
-                           "must be called on a fresh solver (rounds have "
-                           "already run)");
-  }
-  if (saved.formulation != config_.formulation) {
-    throw std::invalid_argument(prefix + "checkpoint formulation mismatch");
-  }
-  if (saved.weights.size() !=
-          static_cast<std::size_t>(
-              global_problem_.num_coordinates(config_.formulation)) ||
-      saved.shared.size() != shared_.size()) {
-    throw std::invalid_argument(
-        prefix + "checkpoint dimensions do not match the dataset/partition");
-  }
-  if (saved.lambda != config_.lambda) {
-    throw std::invalid_argument(prefix + "checkpoint lambda " +
-                                std::to_string(saved.lambda) +
-                                " != configured " +
-                                std::to_string(config_.lambda));
-  }
-}
-
-void ClusterSolver::scatter_checkpoint(const core::SavedModel& saved) {
-  shared_.assign(saved.shared.begin(), saved.shared.end());
-  for (std::size_t k = 0; k < cores_.size(); ++k) {
-    auto& worker = *cores_[k];
-    auto& state = worker.solver->mutable_state();
-    const auto& owned = partition_.owned[k];
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      state.weights[j] = saved.weights[owned[j]];
-    }
-    state.shared.assign(shared_.begin(), shared_.end());
-    worker.weights_start = state.weights;
-  }
 }
 
 core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,

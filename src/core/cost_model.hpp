@@ -143,7 +143,7 @@ int replica_auto_interval(std::uint64_t nnz, std::uint64_t num_coordinates,
 double replica_damping(std::uint64_t num_coordinates, int threads,
                        int interval) noexcept;
 
-/// Bounded-staleness window τ for the asynchronous cluster (DESIGN.md §13):
+/// Bounded-staleness window τ for the asynchronous cluster (DESIGN.md §8):
 /// the replica merge-interval math one level up.  A delta pushed by one of
 /// `live_workers` no-barrier workers is computed against a pull that is, in
 /// steady state, K−1 master versions old (every peer pushes once per cycle),

@@ -1,6 +1,8 @@
 #include "serve/servable_model.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace tpa::serve {
 
@@ -23,6 +25,15 @@ ServableModel ServableModel::from_saved(const core::SavedModel& saved,
   }
   if (model.beta.empty()) {
     throw std::invalid_argument("servable model: no usable weights");
+  }
+  // A finite w̄ can still map past FLT_MAX: w̄ · (1/λ) overflows to inf for
+  // |w̄| > FLT_MAX · λ.  Refuse it like any other non-finite model.
+  for (std::size_t i = 0; i < model.beta.size(); ++i) {
+    if (!std::isfinite(model.beta[i])) {
+      throw core::NonFiniteModel("servable model: non-finite beta entry " +
+                                 std::to_string(i) + " (" +
+                                 std::to_string(model.beta[i]) + ")");
+    }
   }
   return model;
 }

@@ -24,7 +24,9 @@ struct ServableModel {
 
   /// Normalises a SavedModel for scoring.  Throws std::invalid_argument when
   /// the model cannot yield dense weights: empty weight data, or a dual
-  /// model with λ <= 0 (eq. 5 would divide by zero).
+  /// model with λ <= 0 (eq. 5 would divide by zero); and
+  /// core::NonFiniteModel when a β entry is not finite, as when a finite
+  /// dual w̄ overflows float under the 1/λ mapping.
   static ServableModel from_saved(const core::SavedModel& saved,
                                   std::uint64_t version);
 };

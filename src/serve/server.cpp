@@ -46,7 +46,12 @@ std::uint64_t Server::reload(const std::string& path) {
       TPA_LOG_INFO << "serve: reloaded " << path << " as model v" << version;
       return version;
     } catch (const std::exception& error) {
-      if (attempt >= attempts) {
+      // A non-finite model is refused after its digest verified: the file is
+      // whole, and another read finds the same numbers.  Only a torn or
+      // missing file can change between attempts.
+      const bool deterministic =
+          dynamic_cast<const core::NonFiniteModel*>(&error) != nullptr;
+      if (deterministic || attempt >= attempts) {
         TPA_LOG_ERROR << "serve: reload of " << path << " failed after "
                       << attempt << " attempt" << (attempt == 1 ? "" : "s")
                       << ", giving up: " << error.what();

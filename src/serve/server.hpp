@@ -51,6 +51,9 @@ class Server {
   /// mid-rename by a trainer, torn partial write) are retried
   /// `reload_retries` times with `reload_backoff_ms` backoff; if every
   /// attempt fails the last error is rethrown and the old model stays live.
+  /// A core::NonFiniteModel is rethrown on the first attempt: it is raised
+  /// only after the file's digest verified, so a retry reads the same
+  /// numbers.
   std::uint64_t reload(const std::string& path);
 
   const ModelRegistry& registry() const noexcept { return registry_; }

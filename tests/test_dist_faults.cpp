@@ -1,17 +1,20 @@
-// The distributed fault layer: degraded aggregation when deltas are lost,
-// crash/backoff/restart/eviction state machines, straggler deadlines with
-// late-delta incorporation, checkpoint/restore, and the headline acceptance
-// scenario — a faulted run must still converge within 2x the fault-free
-// epoch budget.
+// The fault layer under barrier rounds: degraded aggregation when deltas are
+// lost, crash backoff (doubling, in event-timeline seconds) and eviction,
+// straggler deadlines with late deltas landing in the round their push
+// arrives in, the checkpoint that carries late deltas in flight and replays
+// faults on resume, and the headline acceptance scenario — a faulted run
+// must still converge within 2x the fault-free epoch budget.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <tuple>
 
 #include "cluster/dist_solver.hpp"
 #include "data/generators.hpp"
 #include "linalg/vector_ops.hpp"
+#include "sparse/io_binary.hpp"
 
 namespace tpa::cluster {
 namespace {
@@ -65,7 +68,7 @@ std::size_t count(const std::vector<core::ClusterEvent>& events,
 
 /// max |shared - A x assembled| — the Algorithms 3/4 consistency invariant
 /// the fault layer must preserve through every degraded epoch.
-double invariant_error(const DistributedSolver& solver, Formulation f) {
+double invariant_error(const ClusterSolver& solver, Formulation f) {
   const auto weights = solver.global_weights();
   const auto& by_row = corpus().by_row();
   const auto expected = f == Formulation::kPrimal
@@ -90,18 +93,17 @@ TEST(DistFaults, CrashEpochRescalesGammaToSurvivors) {
   solver.run_epoch();
   EXPECT_EQ(solver.last_contributors(), 3);
   EXPECT_DOUBLE_EQ(solver.last_gamma(), 1.0 / 3.0);
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kBackoff);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kBackoff);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kCrash), 1u);
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 0u);
 
-  // Backoff epoch: the worker restarts (seeded from master state) but sits
-  // this round out.
+  // The first backoff is one nominal cycle (point-to-point pull and push),
+  // shorter than a barrier round (tree reduce and broadcast), so it has run
+  // out by the next round start: the worker restarts from that round's
+  // broadcast and the round is whole again.
   solver.run_epoch();
-  EXPECT_EQ(solver.last_contributors(), 3);
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kActive);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kComputing);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 1u);
-
-  // Fully recovered.
-  solver.run_epoch();
   EXPECT_EQ(solver.last_contributors(), 4);
   EXPECT_DOUBLE_EQ(solver.last_gamma(), 0.25);
 }
@@ -164,10 +166,10 @@ TEST(DistFaults, DroppedAndCorruptedDeltasAreExcludedNotAggregated) {
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kDeltaCorrupted), 1u);
   EXPECT_LT(invariant_error(solver, Formulation::kDual), 2e-3);
 
-  // Transit faults are transient: both workers stay active and the next
+  // Transit faults are transient: both workers stay attached and the next
   // round is whole again.
-  EXPECT_EQ(solver.worker_status(0), WorkerStatus::kActive);
-  EXPECT_EQ(solver.worker_status(2), WorkerStatus::kActive);
+  EXPECT_EQ(solver.worker_status(0), AsyncWorkerStatus::kComputing);
+  EXPECT_EQ(solver.worker_status(2), AsyncWorkerStatus::kComputing);
   solver.run_epoch();
   EXPECT_EQ(solver.last_contributors(), 4);
 }
@@ -189,7 +191,7 @@ TEST(DistFaults, CorruptCompressedDeltaIsCaughtByTheEncodedChecksum) {
   solver.run_epoch();
   EXPECT_EQ(solver.last_contributors(), 3);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kDeltaCorrupted), 1u);
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kActive);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kComputing);
 
   // Quantization bounds the invariant drift per applied delta; a corrupted
   // round must not loosen it further.
@@ -222,15 +224,21 @@ TEST(DistFaults, SecondCrashDoublesTheBackoff) {
   config.faults.scripted.push_back(crash_at(3, 1));
   config.faults.scripted.push_back(crash_at(5, 1));
   DistributedSolver solver(corpus(), config);
-  for (int epoch = 1; epoch <= 5; ++epoch) solver.run_epoch();
-  // Second crash: backoff doubles to two epochs (1 << (2 - 1)).
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kBackoff);
+  for (int epoch = 1; epoch <= 4; ++epoch) solver.run_epoch();
+  // The first backoff (one nominal cycle) ran out within its crash round.
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kComputing);
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 1u);
+  solver.run_epoch();  // epoch 5: the second crash
+  // Second crash: the backoff doubles to two nominal cycles
+  // (ldexp(cycle, 2 - 1)), longer than the crash round, so the worker
+  // still sits out the next one.
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kBackoff);
   solver.run_epoch();  // epoch 6: still backing off
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kBackoff);
-  solver.run_epoch();  // epoch 7: restart fires
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kActive);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kBackoff);
+  EXPECT_EQ(solver.last_contributors(), 3);
+  solver.run_epoch();  // epoch 7: restart fires, back in the reduce
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kComputing);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 2u);
-  solver.run_epoch();  // epoch 8: back in the reduce
   EXPECT_EQ(solver.last_contributors(), 4);
 }
 
@@ -242,11 +250,11 @@ TEST(DistFaults, ExceedingMaxRestartsEvicts) {
   DistributedSolver solver(corpus(), config);
   for (int epoch = 1; epoch <= 4; ++epoch) solver.run_epoch();
   // First crash was survivable; the second exceeds max_restarts = 1.
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kEvicted);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kDetached);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kEvict), 1u);
   // Eviction is permanent: no restart ever follows the second crash.
   for (int epoch = 5; epoch <= 10; ++epoch) solver.run_epoch();
-  EXPECT_EQ(solver.worker_status(1), WorkerStatus::kEvicted);
+  EXPECT_EQ(solver.worker_status(1), AsyncWorkerStatus::kDetached);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 1u);
   EXPECT_EQ(solver.last_contributors(), 3);
 }
@@ -258,7 +266,7 @@ TEST(DistFaults, EvictionFreezesTheWorkersCoordinates) {
   DistributedSolver solver(corpus(), config);
   solver.run_epoch();
   solver.run_epoch();
-  ASSERT_EQ(solver.worker_status(0), WorkerStatus::kEvicted);
+  ASSERT_EQ(solver.worker_status(0), AsyncWorkerStatus::kDetached);
   const auto frozen = solver.global_weights();
   const double gap_at_eviction = solver.duality_gap();
 
@@ -287,11 +295,12 @@ TEST(DistFaults, StragglerMissesDeadlineAndLandsLate) {
   DistributedSolver solver(corpus(), config);
 
   solver.run_epoch();
-  // A 4x slowdown against a 1.5x grace deadline cannot make the cut.
+  // A 4x slowdown against a 1.5x grace deadline cannot make the cut: the
+  // straggler stays attached, its delta still in flight.
   EXPECT_EQ(solver.last_contributors(), 3);
-  EXPECT_EQ(solver.worker_status(2), WorkerStatus::kInFlight);
+  EXPECT_EQ(solver.worker_status(2), AsyncWorkerStatus::kComputing);
   EXPECT_EQ(count(solver.events(), ClusterEventKind::kDeadlineMiss), 1u);
-  EXPECT_GT(solver.last_deadline_seconds(), 0.0);
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kLateDelta), 0u);
   EXPECT_LT(invariant_error(solver, Formulation::kDual), 2e-3);
 
   double first_gap = solver.duality_gap();
@@ -300,12 +309,42 @@ TEST(DistFaults, StragglerMissesDeadlineAndLandsLate) {
     EXPECT_LT(invariant_error(solver, Formulation::kDual), 2e-3)
         << "epoch " << epoch;
   }
-  // The stale deltas do land (the PASSCoDe observation): the straggler
-  // contributes every few rounds rather than never.
+  // The stale deltas do land, in the round their push arrives in (the
+  // PASSCoDe observation): the straggler contributes every few rounds
+  // rather than never.
   EXPECT_GE(count(solver.events(), ClusterEventKind::kLateDelta), 2u);
   EXPECT_GE(count(solver.events(), ClusterEventKind::kDeadlineMiss), 2u);
   // And a permanently slow worker must not diverge the run.
   EXPECT_LT(solver.duality_gap(), first_gap);
+}
+
+TEST(DistFaults, CrashLosesTheLateDeltaInFlight) {
+  // Worker 2 is permanently 4x slow: its round-1 delta misses the deadline
+  // and would land in round 4.  A crash scripted for round 2, while that
+  // delta is in flight, still fires: the delta is lost with the cycle and
+  // the worker backs off like any crashed one.
+  auto config = base_config(Formulation::kDual, 4);
+  config.faults.scripted.push_back(permanent_stall(2, 4.0));
+  config.faults.scripted.push_back(crash_at(2, 2));
+  DistributedSolver solver(corpus(), config);
+
+  solver.run_epoch();
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kDeadlineMiss), 1u);
+  solver.run_epoch();  // round 2: the crash hits the worker in flight
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kCrash), 1u);
+  EXPECT_EQ(solver.worker_status(2), AsyncWorkerStatus::kBackoff);
+
+  // It rejoins at round 3 and its new delta, pulled then, is still in
+  // flight after round 5: the lost round-1 delta never landed, so the
+  // worker's coordinates are still the zeros they started at.
+  for (int epoch = 3; epoch <= 5; ++epoch) solver.run_epoch();
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kRestart), 1u);
+  EXPECT_EQ(count(solver.events(), ClusterEventKind::kLateDelta), 0u);
+  const auto weights = solver.global_weights();
+  for (const auto j : solver.partition().owned[2]) {
+    ASSERT_EQ(weights[j], 0.0f) << "coordinate " << j;
+  }
+  EXPECT_LT(invariant_error(solver, Formulation::kDual), 2e-3);
 }
 
 TEST(DistFaults, DeadlineMissExtendsTheEpochToTheGraceWindow) {
@@ -339,11 +378,12 @@ TEST(DistFaults, CheckpointRestoreReproducesTheUninterruptedRun) {
   EXPECT_EQ(saved.epoch, 5u);
 
   DistributedSolver resumed(corpus(), config);
-  resumed.restore(saved);
+  resumed.restore(saved, interrupted.checkpoint_state());
   EXPECT_EQ(resumed.current_epoch(), 5);
   for (int epoch = 6; epoch <= 10; ++epoch) resumed.run_epoch();
 
-  // The permutation streams realign exactly, so the resumed run is the
+  // The permutation streams realign exactly, and a fault-free barrier run
+  // has nothing in flight at a round boundary, so the resumed run is the
   // uninterrupted run bit for bit — comfortably within the 1e-6 budget.
   EXPECT_EQ(resumed.global_weights(), straight.global_weights());
   EXPECT_EQ(resumed.global_shared(), straight.global_shared());
@@ -351,51 +391,245 @@ TEST(DistFaults, CheckpointRestoreReproducesTheUninterruptedRun) {
 }
 
 TEST(DistFaults, ResumeReplaysTheFaultScheduleDeterministically) {
-  // Faults are pure functions of (seed, epoch, worker), so a resumed run
-  // sees the same schedule; a cold cluster restart clears crash history,
-  // but a *scripted* post-checkpoint fault must replay identically.
+  // Faults are pure functions of (seed, epoch, worker) and the sidecar
+  // carries each worker's crash history, stream position and restart
+  // timer, so a resumed run replays the original: worker 3's first crash
+  // happens before the checkpoint, and its second — after it — evicts it
+  // only because the count survived.  A permanent straggler has a delta in
+  // flight at the checkpoint (pulled in round 5); the sidecar carries it
+  // and the resumed run lands it in round 8, as the straight run does.
   auto config = base_config(Formulation::kDual, 4);
+  config.max_restarts = 1;
+  config.faults.scripted.push_back(crash_at(3, 3));
   config.faults.scripted.push_back(crash_at(7, 3));
+  config.faults.scripted.push_back(permanent_stall(2, 4.0));
 
   DistributedSolver straight(corpus(), config);
   for (int epoch = 1; epoch <= 10; ++epoch) straight.run_epoch();
+  EXPECT_EQ(count(straight.events(), ClusterEventKind::kEvict), 1u);
 
   DistributedSolver interrupted(corpus(), config);
   for (int epoch = 1; epoch <= 5; ++epoch) interrupted.run_epoch();
+  const auto saved = interrupted.checkpoint();
+  const auto state = interrupted.checkpoint_state();
+  ASSERT_EQ(state.in_flight.size(), 1u);
+  EXPECT_EQ(state.in_flight[0].worker, 2u);
   DistributedSolver resumed(corpus(), config);
-  resumed.restore(interrupted.checkpoint());
+  resumed.restore(saved, state);
   for (int epoch = 6; epoch <= 10; ++epoch) resumed.run_epoch();
 
   EXPECT_EQ(count(resumed.events(), ClusterEventKind::kCrash), 1u);
+  EXPECT_EQ(count(resumed.events(), ClusterEventKind::kEvict), 1u);
+  EXPECT_EQ(resumed.worker_status(3), AsyncWorkerStatus::kDetached);
+  // The resumed run's events are the straight run's after round 5, the
+  // late delta of the cycle in flight included.
+  std::vector<std::tuple<int, int, ClusterEventKind>> after, replayed;
+  for (const auto& event : straight.events()) {
+    if (event.epoch > 5) {
+      after.emplace_back(event.epoch, event.worker, event.kind);
+    }
+  }
+  for (const auto& event : resumed.events()) {
+    replayed.emplace_back(event.epoch, event.worker, event.kind);
+  }
+  EXPECT_EQ(replayed, after);
+  EXPECT_EQ(count(resumed.events(), ClusterEventKind::kLateDelta), 1u);
   EXPECT_EQ(resumed.global_weights(), straight.global_weights());
   EXPECT_EQ(resumed.global_shared(), straight.global_shared());
 }
 
-TEST(DistFaults, RestoreValidatesTheCheckpoint) {
-  const auto config = base_config(Formulation::kDual, 4);
-  DistributedSolver solver(corpus(), config);
-  auto good = solver.checkpoint();
+TEST(DistFaults, CheckpointsKeepTheLateDeltaInFlight) {
+  // A permanent 4x straggler's delta flies for three rounds (pulled in
+  // round 1, landing in round 4), so a checkpoint every 2 rounds always
+  // catches one in flight.  Checkpointing must not change the run, and a
+  // resume from any of those checkpoints must land the delta on time.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "tpa_dist_in_flight.ckpt")
+          .string();
+  auto config = base_config(Formulation::kDual, 4);
+  config.faults.scripted.push_back(permanent_stall(2, 4.0));
+  core::RunOptions options;
+  options.max_epochs = 12;
+  options.target_gap = 0.0;
 
-  auto wrong_form = good;
+  DistributedSolver plain(corpus(), config);
+  const auto plain_trace = run_distributed(plain, options);
+  ASSERT_EQ(plain_trace.count_events(ClusterEventKind::kLateDelta), 3u);
+
+  DistributedSolver checkpointed(corpus(), config);
+  const auto trace = run_distributed(checkpointed, options, {path, 2});
+  EXPECT_EQ(trace.count_events(ClusterEventKind::kLateDelta), 3u);
+  EXPECT_EQ(checkpointed.global_weights(), plain.global_weights());
+  EXPECT_EQ(checkpointed.global_shared(), plain.global_shared());
+
+  // Stop after round 6: the delta pulled in round 5 is in flight.
+  core::RunOptions first_leg_options = options;
+  first_leg_options.max_epochs = 6;
+  DistributedSolver first_leg(corpus(), config);
+  run_distributed(first_leg, first_leg_options, {path, 2});
+  const auto state = read_async_state_file(async_state_path(path));
+  EXPECT_TRUE(state.barrier);
+  ASSERT_EQ(state.in_flight.size(), 1u);
+  EXPECT_EQ(state.in_flight[0].worker, 2u);
+  EXPECT_EQ(state.in_flight[0].pulled_round, 5u);
+
+  DistributedSolver resumed(corpus(), config);
+  resumed.restore_files(path);
+  const auto resumed_trace = run_distributed(resumed, options);
+  // Rounds 8 and 12: the re-armed delta and the one after it.
+  EXPECT_EQ(resumed_trace.count_events(ClusterEventKind::kLateDelta), 2u);
+  EXPECT_EQ(resumed.global_weights(), plain.global_weights());
+  EXPECT_EQ(resumed.global_shared(), plain.global_shared());
+  std::remove(path.c_str());
+  std::remove(async_state_path(path).c_str());
+}
+
+TEST(DistFaults, RestoreValidatesTheCheckpoint) {
+  // Worker 2 is a permanent straggler, so the checkpoint after round 2
+  // carries its round-1 delta in flight.
+  auto config = base_config(Formulation::kDual, 4);
+  config.faults.scripted.push_back(permanent_stall(2, 4.0));
+  DistributedSolver solver(corpus(), config);
+  solver.run_epoch();
+  solver.run_epoch();
+  const auto saved = solver.checkpoint();
+  const auto state = solver.checkpoint_state();
+  ASSERT_EQ(state.in_flight.size(), 1u);
+  DistributedSolver(corpus(), config).restore(saved, state);  // the good pair
+
+  const auto refused = [&](const core::SavedModel& model,
+                           const AsyncCheckpointState& bad) {
+    DistributedSolver fresh(corpus(), config);
+    EXPECT_THROW(fresh.restore(model, bad), std::invalid_argument);
+  };
+  auto wrong_form = saved;
   wrong_form.formulation = Formulation::kPrimal;
   wrong_form.weights.resize(1024);  // primal dim, to isolate the form check
-  EXPECT_THROW(DistributedSolver(corpus(), config).restore(wrong_form),
-               std::invalid_argument);
-
-  auto wrong_dim = good;
-  wrong_dim.weights.resize(good.weights.size() - 1);
-  EXPECT_THROW(DistributedSolver(corpus(), config).restore(wrong_dim),
-               std::invalid_argument);
-
-  auto wrong_lambda = good;
+  refused(wrong_form, state);
+  auto wrong_dim = saved;
+  wrong_dim.weights.pop_back();
+  refused(wrong_dim, state);
+  auto wrong_lambda = saved;
   wrong_lambda.lambda = 2e-3;
-  EXPECT_THROW(DistributedSolver(corpus(), config).restore(wrong_lambda),
-               std::invalid_argument);
+  refused(wrong_lambda, state);
 
   // Restoring into a solver that already ran is a logic error: permutation
   // streams would desync and the "resume" would silently diverge.
-  solver.run_epoch();
-  EXPECT_THROW(solver.restore(good), std::logic_error);
+  EXPECT_THROW(solver.restore(saved, state), std::logic_error);
+
+  // The digest only proves the sidecar is what a writer wrote: every field
+  // a run cannot have written is refused too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto backoff = static_cast<std::uint32_t>(AsyncWorkerStatus::kBackoff);
+  auto bad = state;
+  bad.workers[0].status = 7;  // no such status
+  refused(saved, bad);
+  bad = state;
+  bad.workers[0].draws_consumed =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + 1;
+  refused(saved, bad);
+  bad = state;
+  bad.workers[0].crash_count = 0x80000000u;
+  refused(saved, bad);
+  for (const double at : {nan, inf, -1.0}) {
+    bad = state;
+    bad.workers[0].status = backoff;
+    bad.workers[0].restart_at = at;
+    refused(saved, bad);
+  }
+  bad = state;
+  bad.workers[0].restart_at = 1.0;  // a timer on a computing worker
+  refused(saved, bad);
+  bad = state;
+  bad.barrier = false;  // a no-barrier run's sidecar
+  bad.in_flight.clear();
+  refused(saved, bad);
+  for (const double clock : {nan, -1.0}) {
+    bad = state;
+    bad.clock = clock;
+    refused(saved, bad);
+  }
+  auto far = saved;
+  far.epoch = 3000000000u;
+  bad = state;
+  bad.round = far.epoch;
+  refused(far, bad);
+
+  // The cycle in flight.
+  bad = state;
+  bad.in_flight[0].worker = 9;
+  refused(saved, bad);
+  bad = state;
+  bad.in_flight.push_back(bad.in_flight[0]);  // the same worker twice
+  refused(saved, bad);
+  bad = state;
+  bad.workers[2].status = backoff;  // in flight, but not computing
+  refused(saved, bad);
+  for (const std::uint64_t round : {0u, 3u}) {
+    bad = state;
+    bad.in_flight[0].pulled_round = round;
+    refused(saved, bad);
+  }
+  bad = state;
+  bad.in_flight[0].pulled_version = state.version + 1;
+  refused(saved, bad);
+  for (const double at : {nan, -1.0}) {
+    bad = state;
+    bad.in_flight[0].push_at = at;
+    refused(saved, bad);
+  }
+  bad = state;
+  bad.in_flight[0].weights.pop_back();
+  refused(saved, bad);
+  bad = state;
+  bad.in_flight[0].pulled_shared.pop_back();
+  refused(saved, bad);
+  bad = state;
+  bad.in_flight[0].shared[0] = std::numeric_limits<float>::quiet_NaN();
+  refused(saved, bad);
+}
+
+TEST(DistFaults, BarrierSidecarRoundtripsItsCyclesInFlight) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "tpa_dist_sidecar.bin")
+          .string();
+  AsyncCheckpointState state;
+  state.round = 6;
+  state.version = 5;
+  state.seed = 99;
+  state.workers.assign(2, {});
+  state.barrier = true;
+  state.clock = 12.5;
+  AsyncCheckpointState::InFlightCycle cycle;
+  cycle.worker = 1;
+  cycle.pulled_round = 5;
+  cycle.pulled_version = 4;
+  cycle.push_at = 13.25;
+  cycle.weights = {1.0f, 2.0f};
+  cycle.shared = {3.0f, 4.0f, 5.0f};
+  cycle.pulled_shared = {6.0f, 7.0f, 8.0f};
+  state.in_flight.push_back(cycle);
+  write_async_state_file(path, state);
+  const auto loaded = read_async_state_file(path);
+  EXPECT_TRUE(loaded.barrier);
+  EXPECT_DOUBLE_EQ(loaded.clock, 12.5);
+  ASSERT_EQ(loaded.in_flight.size(), 1u);
+  const auto& back = loaded.in_flight[0];
+  EXPECT_EQ(back.worker, 1u);
+  EXPECT_EQ(back.pulled_round, 5u);
+  EXPECT_EQ(back.pulled_version, 4u);
+  EXPECT_DOUBLE_EQ(back.push_at, 13.25);
+  EXPECT_EQ(back.weights, cycle.weights);
+  EXPECT_EQ(back.shared, cycle.shared);
+  EXPECT_EQ(back.pulled_shared, cycle.pulled_shared);
+
+  // More cycles in flight than workers is a malformed file, refused before
+  // any of their arrays is read.
+  state.in_flight.assign(3, cycle);
+  write_async_state_file(path, state);
+  EXPECT_THROW(read_async_state_file(path), sparse::FormatError);
+  std::remove(path.c_str());
 }
 
 TEST(DistFaults, RunDistributedWritesAtomicPeriodicCheckpoints) {
@@ -417,13 +651,17 @@ TEST(DistFaults, RunDistributedWritesAtomicPeriodicCheckpoints) {
   const auto saved = core::read_model_file(path);
   EXPECT_EQ(saved.epoch, 5u);
   EXPECT_EQ(saved.weights, solver.global_weights());
-  // The atomic write leaves no temp file behind.
+  // The control-plane sidecar rides along; the atomic writes leave no
+  // temp file behind.
+  EXPECT_EQ(read_async_state_file(async_state_path(path)).round, 5u);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(async_state_path(path) + ".tmp"));
   // Every trace point carries the contributor count for the fault log.
   for (const auto& point : trace.points()) {
     EXPECT_EQ(point.contributors, 2);
   }
   std::remove(path.c_str());
+  std::remove(async_state_path(path).c_str());
 }
 
 // --- The acceptance scenario ------------------------------------------------

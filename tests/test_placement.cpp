@@ -349,7 +349,7 @@ TEST(DistPlacement, CheckpointResumePreservesThePlacedRun) {
   const auto saved = first_leg.checkpoint();
 
   DistributedSolver resumed(dataset, config);
-  resumed.restore(saved);
+  resumed.restore(saved, first_leg.checkpoint_state());
   EXPECT_EQ(resumed.partition().sizes(), straight.partition().sizes());
   for (int epoch = 0; epoch < 3; ++epoch) resumed.run_epoch();
 

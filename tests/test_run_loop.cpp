@@ -294,7 +294,8 @@ TEST(RunLoopResume, RestoredDistributedPointsStartAfterTheResumeEpoch) {
   interrupted.run_epoch();
 
   cluster::DistributedSolver resumed(corpus(), config);
-  resumed.restore(interrupted.checkpoint());
+  const auto saved = interrupted.checkpoint();
+  resumed.restore(saved, interrupted.checkpoint_state());
   const auto trace = cluster::run_distributed(resumed, five_epochs(1));
   EXPECT_EQ(epochs_of(trace), (std::vector<int>{3, 4, 5}));
 }

@@ -294,6 +294,20 @@ TEST(ModelRegistryTest, NonFiniteModelLeavesLiveModelUntouched) {
   EXPECT_EQ(registry.current()->beta, (std::vector<float>{1.0F}));
 }
 
+TEST(ModelRegistryTest, DualModelWhoseBetaOverflowsIsRefused) {
+  // Every stored entry is finite, but β = w̄ · (1/λ) is not: 1e36 · 1e3
+  // overflows float.
+  ModelRegistry registry;
+  registry.publish(primal_model({1.0F}));
+  auto dual = primal_model({0.0F, 0.0F});
+  dual.formulation = core::Formulation::kDual;
+  dual.lambda = 1e-3;
+  dual.shared = {1e36F, 0.5F};
+  EXPECT_THROW(registry.publish(dual), core::NonFiniteModel);
+  EXPECT_EQ(registry.version(), 1u);
+  EXPECT_EQ(registry.current()->beta, (std::vector<float>{1.0F}));
+}
+
 TEST(ModelRegistryTest, PublishFileRoundTrips) {
   const auto path =
       (std::filesystem::temp_directory_path() / "tpa_serve_ok.tpam").string();
@@ -357,6 +371,24 @@ TEST(ServerTest, ReloadRethrowsAfterExhaustedRetriesAndKeepsOldModel) {
   EXPECT_EQ(server.registry().version(), 1u);
   EXPECT_EQ(server.registry().current()->beta[0], 1.0F);
   std::filesystem::remove(path);
+}
+
+TEST(ServerTest, ReloadRefusesANonFiniteModelWithoutRetrying) {
+  // The file's digest verifies, so a retry would read the same NaN: the
+  // refusal surfaces at once instead of after a 10 s backoff, and the live
+  // model keeps serving.
+  ServerConfig config;
+  config.reload_retries = 3;
+  config.reload_backoff_ms = 10000;
+  Server server(config);
+  server.publish(primal_model({1.0F}));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(server.reload(TPA_TESTDATA_DIR "/nan_weight.tpam"),
+               core::NonFiniteModel);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(2000));
+  EXPECT_EQ(server.registry().version(), 1u);
+  EXPECT_EQ(server.registry().current()->beta[0], 1.0F);
 }
 
 TEST(ServerTest, ReloadWithZeroRetriesFailsFast) {

@@ -379,7 +379,7 @@ int main(int argc, char** argv) {
   parser.add_flag("adaptive", "use adaptive aggregation (Algorithm 4)");
   parser.add_flag("async",
                   "no-barrier bounded-staleness driver instead of the "
-                  "synchronous rounds (DESIGN.md §13)");
+                  "barrier rounds (DESIGN.md §8)");
   parser.add_option("staleness-window",
                     "async: max versions a delta may lag before the "
                     "staleness policy kicks in (0 = 2(K-1) adaptive)",
@@ -685,7 +685,7 @@ int main(int argc, char** argv) {
       model.shared = solver.global_shared();
     } else if (workers > 1) {
       cluster::DistributedSolver solver(dataset, dist);
-      if (resuming) solver.restore(resume_model);
+      if (resuming) solver.restore_files(parser.get_string("resume", ""));
       trace = cluster::run_distributed(solver, run_options, ckpt);
       std::printf("trained %d epochs across %d workers (%s): gap %.3e, "
                   "simulated %.3f s\n",
