@@ -76,8 +76,6 @@ int main(int argc, char** argv) {
                       "heterogeneous fleet for the drift arm "
                       "(see --help in tpascd_train)",
                       "4xtitanx,4xcpu:4");
-    parser.add_option("placement-seed", "annealer seed for the drift arm",
-                      "7");
     parser.add_option("out-dir", "directory for BENCH_precision.json", ".");
     parser.add_option("min-speedup",
                       "--check fails below this bandwidth-lean time-to-gap "
@@ -175,8 +173,8 @@ int main(int argc, char** argv) {
     bench::shape_check("delta bytes-on-wire reduction vs raw fp64",
                        lean.reduction, ">=2x (fp16 payload + fp32 scales)");
 
-    // Drift arm: the annealed heterogeneous placement, compressed.  The cost
-    // model prices the deterministic dense-quantized wire size, so the
+    // Drift arm: the makespan-split heterogeneous placement, compressed.  The
+    // cost model prices the deterministic dense-quantized wire size, so the
     // predicted round decomposition must still match the engine's measured
     // attribution term by term.
     const auto fleet = cluster::placement::parse_fleet_spec(
@@ -192,8 +190,6 @@ int main(int argc, char** argv) {
       config.seed = options.seed;
       config.fleet = fleet;
       config.placement = cluster::placement::PlacementMode::kOptimize;
-      config.placement_seed =
-          static_cast<std::uint64_t>(parser.get_int("placement-seed", 7));
       config.compress_deltas = true;
 
       cluster::DistributedSolver solver(dataset, config);

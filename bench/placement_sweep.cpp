@@ -1,13 +1,15 @@
-// Placement sweep: uniform vs annealer-optimized coordinate placement on an
+// Placement sweep: uniform vs optimized coordinate placement on an
 // imbalanced heterogeneous fleet (default: 4 Titan Xs + 4 four-thread CPU
 // pools over PCIe).  Under the uniform split every round waits on the CPU
-// workers; the optimizer shifts coordinates onto the GPUs until the
-// predicted round time (max compute + reduce/broadcast, with comm/compute
-// overlap) is minimised.  Three arms isolate the gains:
+// workers; the planner sizes each slot's share so every device finishes its
+// local passes by the smallest common deadline (the makespan split), and
+// keeps that split when it prices the round cheaper.  Three arms isolate the
+// gains:
 //
 //   uniform            equal split, no overlap (the legacy behaviour)
-//   optimized          annealer sizes, no overlap
-//   optimized+overlap  annealer sizes, master ingests deltas as they arrive
+//   optimized          makespan-split sizes, no overlap
+//   optimized+overlap  makespan-split sizes, master ingests deltas as they
+//                      arrive
 //
 // Each arm also runs the cost-model drift auditor: the plan's predicted
 // per-term round decomposition vs the engine's measured round attribution
@@ -30,14 +32,6 @@
 namespace {
 
 using namespace tpa;
-
-cluster::NetworkModel parse_network(const std::string& name) {
-  if (name == "10gbe") return cluster::NetworkModel::ethernet_10g();
-  if (name == "100gbe") return cluster::NetworkModel::ethernet_100g();
-  if (name == "pcie") return cluster::NetworkModel::pcie_peer();
-  throw std::invalid_argument("unknown network preset: " + name +
-                              " (expected 10gbe, 100gbe or pcie)");
-}
 
 struct Arm {
   const char* name;
@@ -66,7 +60,6 @@ int main(int argc, char** argv) {
                       "4xtitanx,4xcpu:4");
     parser.add_option("network", "10gbe | 100gbe | pcie", "pcie");
     parser.add_option("eps", "target duality gap", "3e-3");
-    parser.add_option("placement-seed", "annealer seed", "7");
     parser.add_option("out-dir", "directory for BENCH_placement.json", ".");
     parser.add_option("min-speedup",
                       "--check fails below this time-to-gap speedup", "1.3");
@@ -82,9 +75,8 @@ int main(int argc, char** argv) {
     const auto fleet =
         cluster::placement::parse_fleet_spec(
             parser.get_string("fleet", "4xtitanx,4xcpu:4"));
-    const auto network = parse_network(parser.get_string("network", "pcie"));
-    const auto placement_seed =
-        static_cast<std::uint64_t>(parser.get_int("placement-seed", 7));
+    const auto network =
+        cluster::NetworkModel::preset(parser.get_string("network", "pcie"));
 
     const auto dataset = bench::make_webspam(options);
     std::printf("fleet: %s, network %s, eps %.1e\n",
@@ -112,7 +104,6 @@ int main(int argc, char** argv) {
       config.seed = options.seed;
       config.fleet = fleet;
       config.placement = arm.mode;
-      config.placement_seed = placement_seed;
       config.comm_overlap = arm.overlap;
 
       cluster::DistributedSolver solver(dataset, config);
@@ -190,10 +181,8 @@ int main(int argc, char** argv) {
             {"max_drift", r.max_drift}}});
     }
     records.push_back({"speedup/round_time", round_speedup, "x", {}});
-    records.push_back({"speedup/time_to_gap", gap_speedup, "x",
-                       {{"eps", eps},
-                        {"placement_seed",
-                         static_cast<double>(placement_seed)}}});
+    records.push_back(
+        {"speedup/time_to_gap", gap_speedup, "x", {{"eps", eps}}});
     const auto out_dir = parser.get_string("out-dir", ".");
     bench::write_json_file(out_dir + "/BENCH_placement.json", "placement",
                            records, meta);

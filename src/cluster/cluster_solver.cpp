@@ -156,10 +156,8 @@ ClusterSolver::ClusterSolver(const data::Dataset& global,
     placement::PlacementCostModel cost_model(config.fleet, dim,
                                              global_workload_, config.network,
                                              cost_options);
-    placement::AnnealConfig anneal;
-    anneal.seed = config.placement_seed;
     placement_result_ =
-        placement::plan_placement(cost_model, config.placement, anneal);
+        placement::plan_placement(cost_model, config.placement);
     partition_ = Partition::random_weighted(dim, placement_result_->sizes,
                                             rng);
   } else {

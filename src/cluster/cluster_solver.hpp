@@ -45,7 +45,7 @@
 #include "cluster/fault_injector.hpp"
 #include "cluster/network_model.hpp"
 #include "cluster/partition.hpp"
-#include "cluster/placement/annealer.hpp"
+#include "cluster/placement/planner.hpp"
 #include "cluster/placement/fleet.hpp"
 #include "core/convergence.hpp"
 #include "core/model_io.hpp"
@@ -125,12 +125,9 @@ struct ClusterConfig {
   /// sized by the placement plan.
   placement::FleetSpec fleet{};
   /// kUniform reproduces the legacy equal split (bit-exact: same single
-  /// permutation draw from `seed`); kOptimize runs the seeded annealer over
-  /// partition sizes against the placement cost model.
+  /// permutation draw from `seed`); kOptimize sizes the partitions by the
+  /// makespan split when the placement cost model prices it cheaper.
   placement::PlacementMode placement = placement::PlacementMode::kUniform;
-  /// Seed of the annealer's proposal stream (independent of `seed`, which
-  /// keeps drawing the coordinate permutation).
-  std::uint64_t placement_seed = 7;
 
   // ---- Compressed delta exchange (DESIGN.md §16) ----
   /// Quantize worker → master deltas: fp16 payload with one fp32 scale per
@@ -311,8 +308,8 @@ class ClusterSolver {
   /// configured; the legacy equal split otherwise).
   const Partition& partition() const noexcept { return partition_; }
 
-  /// The placement plan (chosen sizes, uniform baseline, predictions, SA
-  /// trajectory); nullptr when no fleet is configured.
+  /// The placement plan (chosen sizes, uniform baseline, predictions);
+  /// nullptr when no fleet is configured.
   const placement::PlacementResult* placement_result() const noexcept {
     return placement_result_ ? &*placement_result_ : nullptr;
   }

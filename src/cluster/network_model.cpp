@@ -31,6 +31,14 @@ NetworkModel NetworkModel::pcie_peer() {
   return NetworkModel{"PCIe gen3 x16", 10e-6, 11.0};
 }
 
+NetworkModel NetworkModel::preset(const std::string& name) {
+  if (name == "10gbe") return ethernet_10g();
+  if (name == "100gbe") return ethernet_100g();
+  if (name == "pcie") return pcie_peer();
+  throw std::invalid_argument("unknown network preset '" + name +
+                              "' (10gbe | 100gbe | pcie)");
+}
+
 double NetworkModel::point_to_point_seconds(std::size_t bytes) const
     noexcept {
   return latency_s + static_cast<double>(bytes) / (bandwidth_gbps * 1e9);
@@ -49,11 +57,6 @@ double NetworkModel::reduce_seconds(std::size_t bytes, int workers) const
 double NetworkModel::broadcast_seconds(std::size_t bytes, int workers) const
     noexcept {
   return reduce_seconds(bytes, workers);  // same binomial-tree shape
-}
-
-double NetworkModel::allreduce_seconds(std::size_t bytes, int workers) const
-    noexcept {
-  return reduce_seconds(bytes, workers) + broadcast_seconds(bytes, workers);
 }
 
 }  // namespace tpa::cluster

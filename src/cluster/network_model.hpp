@@ -26,6 +26,9 @@ struct NetworkModel {
   static NetworkModel ethernet_100g();
   /// PCIe gen3 x16 peer-to-peer within one machine.
   static NetworkModel pcie_peer();
+  /// The preset named "10gbe" | "100gbe" | "pcie" (the --network token);
+  /// throws std::invalid_argument on any other name.
+  static NetworkModel preset(const std::string& name);
 
   /// Rejects physically meaningless parameters: bandwidth must be positive
   /// (the timing formulas divide by it) and latency non-negative.  Throws
@@ -41,9 +44,6 @@ struct NetworkModel {
 
   /// Tree Broadcast of `bytes` from the master to K workers; 0 for K <= 1.
   double broadcast_seconds(std::size_t bytes, int workers) const noexcept;
-
-  /// Reduce followed by Broadcast (the per-epoch aggregation pattern).
-  double allreduce_seconds(std::size_t bytes, int workers) const noexcept;
 };
 
 }  // namespace tpa::cluster

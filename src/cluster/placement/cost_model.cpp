@@ -84,6 +84,11 @@ core::TimingWorkload PlacementCostModel::worker_workload(Index size) const
   return w;
 }
 
+double PlacementCostModel::slot_seconds(std::size_t k, Index size) const {
+  return static_cast<double>(options_.local_passes) *
+         fleet_.at(k).epoch_seconds(worker_workload(size));
+}
+
 std::vector<double> PlacementCostModel::worker_compute_seconds(
     std::span<const Index> sizes) const {
   if (sizes.size() != fleet_.size()) {
@@ -92,8 +97,7 @@ std::vector<double> PlacementCostModel::worker_compute_seconds(
   }
   std::vector<double> seconds(sizes.size(), 0.0);
   for (std::size_t k = 0; k < sizes.size(); ++k) {
-    seconds[k] = static_cast<double>(options_.local_passes) *
-                 fleet_[k].epoch_seconds(worker_workload(sizes[k]));
+    seconds[k] = slot_seconds(k, sizes[k]);
   }
   return seconds;
 }
@@ -140,10 +144,6 @@ obs::RoundAttribution PlacementCostModel::price(
     prediction.network_seconds = tree_reduce + broadcast;
   }
   return prediction;
-}
-
-double PlacementCostModel::round_seconds(std::span<const Index> sizes) const {
-  return price(sizes).total();
 }
 
 }  // namespace tpa::cluster::placement

@@ -8,8 +8,8 @@
 // slot is a GPU, and NetworkModel tree reduce/broadcast — optionally with
 // the comm/compute-overlap pricing, where the master ingests each worker's
 // delta as it arrives instead of waiting for the slowest worker before
-// starting the reduce.  Because the objective matches the engine, the
-// annealer optimizes the real simulated round time, and `tpascd_train`
+// starting the reduce.  Because the price matches the engine, the planner
+// compares placements by the real simulated round time, and `tpascd_train`
 // can report predicted vs. simulated side by side.
 #pragma once
 
@@ -77,6 +77,10 @@ class PlacementCostModel {
   /// Worker k's workload when it owns `size` of the partitioned dimension.
   core::TimingWorkload worker_workload(Index size) const noexcept;
 
+  /// Slot k's local compute (local_passes epochs) when it owns `size`;
+  /// non-decreasing in `size`.
+  double slot_seconds(std::size_t k, Index size) const;
+
   /// Per-worker local compute times (local_passes epochs each) for the
   /// candidate sizes.  sizes.size() must equal the fleet size.
   std::vector<double> worker_compute_seconds(
@@ -88,9 +92,6 @@ class PlacementCostModel {
   /// A fault-free round has no straggler wait or stale overhead, so those
   /// stay zero and total() is compute + host + pcie + network exactly.
   obs::RoundAttribution price(std::span<const Index> sizes) const;
-
-  /// Shorthand for price(sizes).total() — the annealer's objective.
-  double round_seconds(std::span<const Index> sizes) const;
 
  private:
   FleetSpec fleet_;

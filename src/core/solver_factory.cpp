@@ -40,8 +40,6 @@ std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
           config.cpu_cost);
     case SolverKind::kThreadedAtomic:
       return threaded(CommitPolicy::kAtomicAdd);
-    case SolverKind::kThreadedWild:
-      return threaded(CommitPolicy::kLastWriterWins);
     case SolverKind::kThreadedReplicated:
       return threaded(CommitPolicy::kReplicated);
     case SolverKind::kTpaM4000:
@@ -57,7 +55,6 @@ SolverKind parse_solver_kind(const std::string& name) {
   if (name == "ascd") return SolverKind::kAsyncAtomic;
   if (name == "wild") return SolverKind::kAsyncWild;
   if (name == "ascd-threads") return SolverKind::kThreadedAtomic;
-  if (name == "wild-threads") return SolverKind::kThreadedWild;
   if (name == "rep-threads") return SolverKind::kThreadedReplicated;
   if (name == "tpa-m4000") return SolverKind::kTpaM4000;
   if (name == "tpa-titanx") return SolverKind::kTpaTitanX;
@@ -74,8 +71,6 @@ const char* solver_kind_name(SolverKind kind) {
       return "wild";
     case SolverKind::kThreadedAtomic:
       return "ascd-threads";
-    case SolverKind::kThreadedWild:
-      return "wild-threads";
     case SolverKind::kThreadedReplicated:
       return "rep-threads";
     case SolverKind::kTpaM4000:

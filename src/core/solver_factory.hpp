@@ -19,7 +19,6 @@ enum class SolverKind {
   kAsyncAtomic,         // A-SCD, deterministic round model
   kAsyncWild,           // PASSCoDe-Wild, deterministic round model
   kThreadedAtomic,      // A-SCD on real std::threads
-  kThreadedWild,        // PASSCoDe-Wild on real std::threads
   kThreadedReplicated,  // replicated SCD: deterministic lanes, pooled
   kTpaM4000,            // TPA-SCD on the simulated Quadro M4000
   kTpaTitanX,           // TPA-SCD on the simulated GTX Titan X
@@ -43,9 +42,8 @@ struct SolverConfig {
 std::unique_ptr<Solver> make_solver(const RidgeProblem& problem,
                                     const SolverConfig& config);
 
-/// Parses "seq" | "ascd" | "wild" | "ascd-threads" | "wild-threads" |
-/// "rep-threads" | "tpa-m4000" | "tpa-titanx"; throws std::invalid_argument
-/// otherwise.
+/// Parses "seq" | "ascd" | "wild" | "ascd-threads" | "rep-threads" |
+/// "tpa-m4000" | "tpa-titanx"; throws std::invalid_argument otherwise.
 SolverKind parse_solver_kind(const std::string& name);
 
 const char* solver_kind_name(SolverKind kind);

@@ -10,9 +10,8 @@ namespace tpa::core {
 namespace {
 
 std::string threaded_name(CommitPolicy policy, int threads) {
-  const char* base = policy == CommitPolicy::kAtomicAdd ? "A-SCD/threads"
-                     : policy == CommitPolicy::kLastWriterWins
-                         ? "PASSCoDe-Wild/threads"
+  const char* base = policy == CommitPolicy::kAtomicAdd
+                         ? "A-SCD/threads"
                          : "Replicated-SCD/threads";
   return std::string(base) + " (" + std::to_string(threads) + ")";
 }
@@ -31,14 +30,18 @@ ThreadedScdSolver::ThreadedScdSolver(const RidgeProblem& problem,
       cost_model_(cost_model),
       workload_(TimingWorkload::for_dataset(problem.dataset(), f)),
       // The replicated lanes are schedule-independent, so they share as
-      // many workers as the host can run at once; the racing policies
-      // keep one worker per thread.
+      // many workers as the host can run at once; the atomic race keeps
+      // one worker per thread.
       pool_(static_cast<std::size_t>(
           policy == CommitPolicy::kReplicated
               ? pool_dispatch().effective_threads(threads)
               : std::max(1, threads))) {
   if (threads <= 0) {
     throw std::invalid_argument("ThreadedScdSolver: threads must be positive");
+  }
+  if (policy == CommitPolicy::kLastWriterWins) {
+    throw std::invalid_argument(
+        "ThreadedScdSolver: last-writer-wins on real threads is a data race");
   }
 }
 
@@ -51,21 +54,13 @@ void ThreadedScdSolver::worker_pass(std::span<const std::uint32_t> coords) {
     const double delta = problem().coordinate_delta(formulation(), j, shared,
                                                     state.weights[j]);
     state.weights[j] = static_cast<float>(state.weights[j] + delta);
-    // The unpadded slice: a pad entry would be one more atomic, or one
-    // more racing read-modify-write, for a zero contribution.
+    // The unpadded slice: a pad entry would be one more atomic for a zero
+    // contribution.
     const auto vec = problem().coordinate_vector_unpadded(formulation(), j);
-    if (policy_ == CommitPolicy::kAtomicAdd) {
-      for (std::size_t k = 0; k < vec.nnz(); ++k) {
-        std::atomic_ref<float> cell(shared[vec.indices[k]]);
-        cell.fetch_add(static_cast<float>(delta * vec.values[k]),
-                       std::memory_order_relaxed);
-      }
-    } else {
-      for (std::size_t k = 0; k < vec.nnz(); ++k) {
-        // Deliberately non-atomic: racing writes may be lost ("wild").
-        shared[vec.indices[k]] +=
-            static_cast<float>(delta * vec.values[k]);
-      }
+    for (std::size_t k = 0; k < vec.nnz(); ++k) {
+      std::atomic_ref<float> cell(shared[vec.indices[k]]);
+      cell.fetch_add(static_cast<float>(delta * vec.values[k]),
+                     std::memory_order_relaxed);
     }
   }
 }
@@ -81,8 +76,8 @@ double ThreadedScdSolver::sweep(std::span<const std::uint32_t> order) {
     // Static partition of the shuffled coordinates across the persistent
     // pool, as the OpenMP parallel-for in the paper's implementation does:
     // the default grain gives each worker one ceil(order / threads) slice,
-    // and workers race on the shared vector inside worker_pass (atomic_ref
-    // vs wild commits).
+    // and workers race on the shared vector inside worker_pass's atomic_ref
+    // commits.
     pool_.parallel_for_chunks(
         order.size(), [this, order](std::size_t begin, std::size_t end) {
           // One span per pool-thread slice, on that thread's own track.
@@ -90,9 +85,7 @@ double ThreadedScdSolver::sweep(std::span<const std::uint32_t> order) {
                                static_cast<std::int64_t>(end - begin));
           worker_pass(order.subspan(begin, end - begin));
         });
-    speedup = policy_ == CommitPolicy::kAtomicAdd
-                  ? cost_model_.atomic_speedup(threads_)
-                  : cost_model_.wild_speedup(threads_);
+    speedup = cost_model_.atomic_speedup(threads_);
   }
   return cost_model_.epoch_seconds_sequential(workload_) / speedup;
 }

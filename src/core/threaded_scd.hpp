@@ -1,8 +1,9 @@
 // Real-thread asynchronous SCD: the paper's actual OpenMP-style CPU
 // implementation, here on std::thread.  Threads race on the shared vector
-// exactly as A-SCD / PASSCoDe-Wild do — with C++20 std::atomic_ref
-// fetch_add for the atomic variant and plain unsynchronised read-modify-
-// write for the wild variant.
+// as A-SCD does, committing with C++20 std::atomic_ref fetch_add.  There is
+// no real-thread PASSCoDe-Wild: its unsynchronised read-modify-write on
+// shared floats would be a data race, so undefined behaviour in C++; the
+// deterministic AsyncEngine models its lost updates instead (DESIGN.md §2).
 //
 // The kReplicated policy removes the shared-vector contention entirely: its
 // sweep is replicated_sweep, SySCD's per-worker replicas (replica_set.hpp),
@@ -11,11 +12,10 @@
 // independent of the physical schedule: pooled and inline execution are
 // bit-identical, and small problems skip the pool entirely (DESIGN.md §11).
 //
-// On genuinely parallel hardware the atomic/wild policies exhibit the
-// paper's staleness and lost-update behaviour natively; on the single-core
-// CI machine races are rare and results are near-sequential, which is why
-// the deterministic AsyncEngine solvers are the default for experiments
-// (DESIGN.md §2).
+// On genuinely parallel hardware the atomic policy exhibits the paper's
+// staleness natively; on the single-core CI machine races are rare and
+// results are near-sequential, which is why the deterministic AsyncEngine
+// solvers are the default for experiments (DESIGN.md §2).
 #pragma once
 
 #include <algorithm>
@@ -145,9 +145,9 @@ class ThreadedScdSolver final : public Solver {
   /// `merge_every` updates per lane (0 = automatic,
   /// core::replica_auto_interval; intervals beyond the safe staleness
   /// budget run under-relaxed by core::replica_damping rather than
-  /// diverging).  Atomic and wild start `threads` workers and ignore the
-  /// interval.  Throws std::invalid_argument on non-positive `threads` or
-  /// negative `merge_every`.
+  /// diverging).  Atomic starts `threads` workers and ignores the interval.
+  /// Throws std::invalid_argument on non-positive `threads`, negative
+  /// `merge_every` or the kLastWriterWins policy.
   ThreadedScdSolver(const RidgeProblem& problem, Formulation f, int threads,
                     CommitPolicy policy, std::uint64_t seed,
                     CpuCostModel cost_model = {}, int merge_every = 0);

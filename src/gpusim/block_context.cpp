@@ -35,14 +35,4 @@ double BlockContext::strided_reduce(
   return static_cast<double>(shared_cache_[0]);
 }
 
-void BlockContext::strided_for_each(
-    std::size_t count, const std::function<void(std::size_t)>& write) {
-  const auto threads = static_cast<std::size_t>(num_threads_);
-  for (std::size_t u = 0; u < threads; ++u) {
-    for (std::size_t i = u; i < count; i += threads) {
-      write(i);
-    }
-  }
-}
-
 }  // namespace tpa::gpusim

@@ -30,13 +30,6 @@ class BlockContext {
   double strided_reduce(std::size_t count,
                         const std::function<float(std::size_t)>& term);
 
-  /// Emulates the all-thread strided scatter loop that writes the shared
-  /// vector update: calls write(i) for i = u, u+T, ... for every thread u.
-  /// The visiting order is the interleaved per-thread order of the GPU loop,
-  /// which matters only for observability (all writes are atomic adds).
-  void strided_for_each(std::size_t count,
-                        const std::function<void(std::size_t)>& write);
-
  private:
   int num_threads_;
   std::vector<float> shared_cache_;  // models the block's shared memory

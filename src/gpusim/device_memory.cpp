@@ -25,9 +25,4 @@ double DeviceMemory::upload_seconds(std::size_t bytes, const PcieLink& link,
   return link.transfer_seconds(bytes, pinned);
 }
 
-double DeviceMemory::download_seconds(std::size_t bytes, const PcieLink& link,
-                                      bool pinned) const {
-  return link.transfer_seconds(bytes, pinned);
-}
-
 }  // namespace tpa::gpusim

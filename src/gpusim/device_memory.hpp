@@ -42,10 +42,6 @@ class DeviceMemory {
   double upload_seconds(std::size_t bytes, const PcieLink& link,
                         bool pinned = true) const;
 
-  /// Simulated device-to-host copy time.
-  double download_seconds(std::size_t bytes, const PcieLink& link,
-                          bool pinned = true) const;
-
  private:
   std::string device_name_;
   std::size_t capacity_;

@@ -54,7 +54,7 @@ enum class Driver { kSync, kAsync };
 enum class Compression { kOff, kOn };
 enum class Scenario {
   kPlain,       // the matrix arm as configured
-  kFleet,       // 2xtitanx,2xcpu:4 with the annealer (optimize)
+  kFleet,       // 2xtitanx,2xcpu:4 with the makespan split (optimize)
   kResume,      // checkpoint mid-run through files, resume a fresh solver
   kReject,      // async: stale deltas rejected under a tight window
   kLeaveJoin,   // async: scripted leave then join
@@ -307,7 +307,10 @@ std::vector<Arm> arms() {
 // when barrier rounds moved onto the one event loop: their restarts and late
 // deltas follow the timeline, and their resume replays the fault history
 // through the .async sidecar (DESIGN.md §8), which also carries the late
-// delta in flight at the checkpoint.  Every other arm held.
+// delta in flight at the checkpoint.  Every other arm held.  The two
+// *_fleet_optimize arms were re-recorded when the exact makespan split
+// replaced the seeded annealer: their partition sizes moved from
+// {115, 122, 10, 9} to {118, 118, 10, 10}, a 3.0% cheaper priced round.
 const std::map<std::string, std::uint64_t>& golden() {
   static const std::map<std::string, std::uint64_t> digests = {
       {"sync_primal_averaging_raw_clean", 0x00b00da6d4e6d9dcULL},
@@ -334,7 +337,7 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"sync_dual_fixed_raw_faults", 0x774ec84513f8767dULL},
       {"sync_dual_fixed_quantized_clean", 0x52668264826324dbULL},
       {"sync_dual_fixed_quantized_faults", 0x02d39b25342f1ae9ULL},
-      {"sync_fleet_optimize", 0xa043b20eec8105f9ULL},
+      {"sync_fleet_optimize", 0x87766ded9d7667a0ULL},
       {"sync_checkpoint_resume", 0xd38f1cb6f714982fULL},
       {"async_primal_averaging_raw_clean", 0x932f4004cde79442ULL},
       {"async_primal_averaging_raw_faults", 0x8e8c09c7a9d22332ULL},
@@ -360,7 +363,7 @@ const std::map<std::string, std::uint64_t>& golden() {
       {"async_dual_fixed_raw_faults", 0xde4a920871b78bebULL},
       {"async_dual_fixed_quantized_clean", 0x58068b298979d4d0ULL},
       {"async_dual_fixed_quantized_faults", 0x7d46e6253d6fcbc8ULL},
-      {"async_fleet_optimize", 0xff12f2cb348a8707ULL},
+      {"async_fleet_optimize", 0x17850871bc693fc2ULL},
       {"async_checkpoint_resume", 0xa54388ea73265412ULL},
       {"async_reject", 0xd541296d0d331173ULL},
       {"async_leave_join", 0x34a95419433f311aULL},

@@ -105,13 +105,6 @@ TEST(BlockContext, ReduceOfNothingIsZero) {
   EXPECT_EQ(block.strided_reduce(0, [](std::size_t) { return 1.0F; }), 0.0);
 }
 
-TEST(BlockContext, StridedForEachVisitsEveryIndexOnce) {
-  BlockContext block(4);
-  std::vector<int> hits(19, 0);
-  block.strided_for_each(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto h : hits) EXPECT_EQ(h, 1);
-}
-
 TEST(DeviceMemory, TracksAllocationsAndThrowsWhenFull) {
   DeviceMemory memory(DeviceSpec::titan_x());
   EXPECT_EQ(memory.allocated(), 0u);

@@ -2,12 +2,12 @@
 //   - At η = 0 the elastic net is ridge primal bit for bit — weights, shared
 //     vector and each epoch's sim_seconds — on every deterministic kind ×
 //     fp32/fp16 shared-vector storage × scalar/vectorized kernels (24 arms).
-//   - The elastic net (η = 0.5) and the hinge loss converge under all eight
+//   - The elastic net (η = 0.5) and the hinge loss converge under all seven
 //     kinds at both storage precisions.  Wild's lost updates leave both
-//     losses a floor, as they do for ridge, so their two Wild kinds assert
-//     only a finite measure (and, for the hinge, a feasible dual); the
-//     simulated Wild kind, being deterministic, must show its floor in the
-//     elastic net's KKT measure.
+//     losses a floor, as they do for ridge, so the Wild kind asserts only a
+//     finite measure (and, for the hinge, a feasible dual); being
+//     deterministic, it must show its floor in the elastic net's KKT
+//     measure.
 //   - A loss without the requested formulation is refused by every kind.
 #include <gtest/gtest.h>
 
@@ -33,12 +33,12 @@ using linalg::SharedPrecision;
 constexpr SolverKind kAllKinds[] = {
     SolverKind::kSequential,         SolverKind::kAsyncAtomic,
     SolverKind::kAsyncWild,          SolverKind::kThreadedAtomic,
-    SolverKind::kThreadedWild,       SolverKind::kThreadedReplicated,
-    SolverKind::kTpaM4000,           SolverKind::kTpaTitanX,
+    SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
+    SolverKind::kTpaTitanX,
 };
 
 // The kinds whose trajectory is a pure function of the seed: all but the
-// real-thread atomic and wild races.
+// real-thread atomic race.
 constexpr SolverKind kDeterministicKinds[] = {
     SolverKind::kSequential,         SolverKind::kAsyncAtomic,
     SolverKind::kAsyncWild,          SolverKind::kThreadedReplicated,
@@ -167,10 +167,6 @@ std::vector<ConvergenceArm> convergence_arms() {
   return arms;
 }
 
-bool wild(SolverKind kind) {
-  return kind == SolverKind::kAsyncWild || kind == SolverKind::kThreadedWild;
-}
-
 class LossConvergence : public ::testing::TestWithParam<ConvergenceArm> {};
 
 TEST_P(LossConvergence, ReachesItsBoundAfterFortyEpochs) {
@@ -194,7 +190,7 @@ TEST_P(LossConvergence, ReachesItsBoundAfterFortyEpochs) {
       ASSERT_LE(alpha, 1.0) << n;
     }
   }
-  if (wild(arm.kind)) return;
+  if (arm.kind == SolverKind::kAsyncWild) return;
   if (hinge) {
     // Measured: ≤ 1.6e-7 at fp32 (seq 1.2e-8), ≤ 1.2e-4 with fp16 replicas.
     EXPECT_LT(gap, arm.precision == SharedPrecision::kFp16 ? 1e-3 : 5e-6);

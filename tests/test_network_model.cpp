@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 namespace tpa::cluster {
 namespace {
@@ -11,7 +12,6 @@ TEST(NetworkModel, SingleWorkerHasNoCollectiveCost) {
   const auto net = NetworkModel::ethernet_10g();
   EXPECT_EQ(net.reduce_seconds(1 << 20, 1), 0.0);
   EXPECT_EQ(net.broadcast_seconds(1 << 20, 1), 0.0);
-  EXPECT_EQ(net.allreduce_seconds(1 << 20, 0), 0.0);
 }
 
 TEST(NetworkModel, CostGrowsWithBytes) {
@@ -40,14 +40,6 @@ TEST(NetworkModel, BandwidthTermPaidOncePerCollective) {
               transfer, 1e-12);
 }
 
-TEST(NetworkModel, AllreduceIsReducePlusBroadcast) {
-  const auto net = NetworkModel::pcie_peer();
-  const std::size_t bytes = 123456;
-  EXPECT_DOUBLE_EQ(net.allreduce_seconds(bytes, 6),
-                   net.reduce_seconds(bytes, 6) +
-                       net.broadcast_seconds(bytes, 6));
-}
-
 TEST(NetworkModel, ValidateRejectsNonPhysicalParameters) {
   auto net = NetworkModel::ethernet_10g();
   EXPECT_NO_THROW(net.validate());
@@ -71,7 +63,6 @@ TEST(NetworkModel, CollectivesDegenerateGracefully) {
     for (const int workers : {-1, 0, 1}) {
       EXPECT_EQ(net.reduce_seconds(bytes, workers), 0.0);
       EXPECT_EQ(net.broadcast_seconds(bytes, workers), 0.0);
-      EXPECT_EQ(net.allreduce_seconds(bytes, workers), 0.0);
     }
   }
   // Zero bytes still pays the per-level latency.
@@ -98,6 +89,18 @@ TEST(NetworkModel, PresetOrdering) {
   EXPECT_LT(pcie.reduce_seconds(bytes, 8), eth10.reduce_seconds(bytes, 8));
   // PCIe has the lowest latency.
   EXPECT_LT(pcie.latency_s, eth10.latency_s);
+}
+
+TEST(NetworkModel, PresetParsesTheNetworkTokens) {
+  EXPECT_EQ(NetworkModel::preset("10gbe").name,
+            NetworkModel::ethernet_10g().name);
+  EXPECT_EQ(NetworkModel::preset("100gbe").name,
+            NetworkModel::ethernet_100g().name);
+  EXPECT_EQ(NetworkModel::preset("pcie").name,
+            NetworkModel::pcie_peer().name);
+  for (const char* bad : {"", "10GbE", "infiniband", "pcie "}) {
+    EXPECT_THROW(NetworkModel::preset(bad), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

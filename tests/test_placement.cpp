@@ -1,12 +1,18 @@
 // Heterogeneous placement layer (DESIGN.md §14): fleet specs, the round
-// cost model with comm/compute overlap, the seeded annealer, and the wiring
-// into both cluster drivers — including the bit-exactness guarantees
-// (uniform fleet == legacy equal split; same placement seed == same run;
+// cost model with comm/compute overlap, the makespan split and its plan, and
+// the wiring into both cluster drivers — including the bit-exactness
+// guarantees (uniform fleet == legacy equal split; same config == same run;
 // checkpoint/resume preserves both).
-#include "cluster/placement/annealer.hpp"
+#include "cluster/placement/planner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/async_solver.hpp"
@@ -187,7 +193,7 @@ TEST(PlacementCostModel, ComputeIsTheSlowestWorker) {
   EXPECT_DOUBLE_EQ(prediction.compute_seconds, slowest);
   // CPU pools are the stragglers under the equal split.
   EXPECT_GT(per_worker[2], per_worker[0]);
-  EXPECT_DOUBLE_EQ(model.round_seconds(uniform), prediction.total());
+  EXPECT_DOUBLE_EQ(model.slot_seconds(2, uniform[2]), per_worker[2]);
 }
 
 TEST(PlacementCostModel, FullDimensionReproducesTheGlobalWorkload) {
@@ -207,11 +213,12 @@ TEST(PlacementCostModel, OverlapNeverRaisesThePrice) {
   const auto overlapped = imbalanced_model(dataset, overlap);
   const auto uniform =
       uniform_partition_sizes(plain.partition_dim(), plain.num_workers());
-  EXPECT_LE(overlapped.round_seconds(uniform) * (1.0 - 1e-12),
-            plain.round_seconds(uniform));
+  EXPECT_LE(overlapped.price(uniform).total() * (1.0 - 1e-12),
+            plain.price(uniform).total());
 }
 
-// ---- annealer -------------------------------------------------------------
+// ---- the plan ---------------------------------------------------------------
+// (The suite keeps the name of the seeded annealer the split replaced.)
 
 TEST(Annealer, ParsesPlacementModes) {
   EXPECT_EQ(parse_placement_mode("uniform"), PlacementMode::kUniform);
@@ -222,18 +229,16 @@ TEST(Annealer, ParsesPlacementModes) {
 TEST(Annealer, UniformModeSkipsTheSearch) {
   const auto dataset = corpus();
   const auto model = imbalanced_model(dataset);
-  const auto plan = plan_placement(model, PlacementMode::kUniform, {});
+  const auto plan = plan_placement(model, PlacementMode::kUniform);
   EXPECT_FALSE(plan.optimized);
   EXPECT_EQ(plan.sizes, plan.uniform_sizes);
-  EXPECT_EQ(plan.sa_iterations, 0);
-  EXPECT_TRUE(plan.trajectory.empty());
   EXPECT_DOUBLE_EQ(plan.predicted.total(), plan.uniform_predicted.total());
 }
 
 TEST(Annealer, OptimizedNeverLosesToUniform) {
   const auto dataset = corpus();
   const auto model = imbalanced_model(dataset);
-  const auto plan = plan_placement(model, PlacementMode::kOptimize, {});
+  const auto plan = plan_placement(model, PlacementMode::kOptimize);
   EXPECT_LE(plan.predicted.total(), plan.uniform_predicted.total());
   Index total = 0;
   for (const auto size : plan.sizes) {
@@ -248,29 +253,11 @@ TEST(Annealer, BeatsUniformOnAnImbalancedFleet) {
   CostOptions options;
   options.comm_overlap = true;
   const auto model = imbalanced_model(dataset, options);
-  const auto plan = plan_placement(model, PlacementMode::kOptimize, {});
+  const auto plan = plan_placement(model, PlacementMode::kOptimize);
   EXPECT_TRUE(plan.optimized);
   EXPECT_GT(plan.predicted_speedup(), 1.3);
   // The GPUs end up owning more coordinates than the CPU pools.
   EXPECT_GT(plan.sizes[0] + plan.sizes[1], plan.sizes[2] + plan.sizes[3]);
-}
-
-TEST(Annealer, SameSeedSamePlacement) {
-  const auto dataset = corpus();
-  const auto model = imbalanced_model(dataset);
-  AnnealConfig config;
-  config.seed = 123;
-  const auto a = optimize_placement(model, config);
-  const auto b = optimize_placement(model, config);
-  EXPECT_EQ(a.sizes, b.sizes);
-  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
-  for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
-    EXPECT_EQ(a.trajectory[i].accepted, b.trajectory[i].accepted);
-    EXPECT_DOUBLE_EQ(a.trajectory[i].candidate_seconds,
-                     b.trajectory[i].candidate_seconds);
-    EXPECT_DOUBLE_EQ(a.trajectory[i].best_seconds,
-                     b.trajectory[i].best_seconds);
-  }
 }
 
 TEST(Annealer, SingleWorkerShortCircuitsToUniform) {
@@ -278,10 +265,102 @@ TEST(Annealer, SingleWorkerShortCircuitsToUniform) {
   PlacementCostModel model(parse_fleet_spec("1xtitanx"),
                            dataset.num_examples(), paper_workload(dataset),
                            NetworkModel::pcie_peer(), {});
-  const auto plan = plan_placement(model, PlacementMode::kOptimize, {});
+  const auto plan = plan_placement(model, PlacementMode::kOptimize);
   EXPECT_FALSE(plan.optimized);
   ASSERT_EQ(plan.sizes.size(), 1u);
   EXPECT_EQ(plan.sizes[0], dataset.num_examples());
+}
+
+double compute_makespan(const PlacementCostModel& model,
+                        const std::vector<Index>& sizes) {
+  const auto seconds = model.worker_compute_seconds(sizes);
+  return *std::max_element(seconds.begin(), seconds.end());
+}
+
+// The minimum compute makespan over every size vector (each >= 1, summing
+// to the dimension), by exhaustive enumeration.
+double exhaustive_makespan(const PlacementCostModel& model) {
+  const auto slots = static_cast<std::size_t>(model.num_workers());
+  std::vector<Index> sizes(slots, 1);
+  double best = std::numeric_limits<double>::infinity();
+  const std::function<void(std::size_t, Index)> fill = [&](std::size_t k,
+                                                           Index left) {
+    if (k + 1 == slots) {
+      sizes[k] = left;
+      best = std::min(best, compute_makespan(model, sizes));
+      return;
+    }
+    const auto later = static_cast<Index>(slots - k - 1);
+    for (Index size = 1; size + later <= left; ++size) {
+      sizes[k] = size;
+      fill(k + 1, left - size);
+    }
+  };
+  fill(0, model.partition_dim());
+  return best;
+}
+
+TEST(MakespanSplit, ReachesTheExhaustiveMinimumOnEverySmallFleet) {
+  // Every fleet of 2-4 slots over four devices, every dimension up to 16,
+  // priced on this corpus (launch overhead dominates a GPU's small share)
+  // and on a paper-scale webspam dual (bandwidth does) with two local
+  // passes and overlap.
+  const auto dataset = corpus();
+  CostOptions paper_options;
+  paper_options.local_passes = 2;
+  paper_options.comm_overlap = true;
+  const std::pair<core::TimingWorkload, CostOptions> workloads[] = {
+      {paper_workload(dataset), CostOptions{}},
+      {core::TimingWorkload{980'000'000, 262'938, 680'715}, paper_options},
+  };
+  const std::string devices[] = {"cpu", "cpu:4", "m4000", "titanx"};
+  int cases = 0;
+  for (std::size_t slots = 2; slots <= 4; ++slots) {
+    std::vector<std::size_t> pick(slots, 0);
+    for (;;) {
+      FleetSpec fleet;
+      bool homogeneous = true;
+      for (const auto d : pick) {
+        fleet.push_back(parse_fleet_spec("1x" + devices[d])[0]);
+        homogeneous = homogeneous && d == pick[0];
+      }
+      for (const auto& [workload, options] : workloads) {
+        for (Index dim = static_cast<Index>(slots); dim <= 16; ++dim) {
+          const PlacementCostModel model(fleet, dim, workload,
+                                         NetworkModel::pcie_peer(), options);
+          const auto split = makespan_split(model);
+          const auto uniform =
+              uniform_partition_sizes(dim, model.num_workers());
+          const std::string where =
+              fleet_summary(fleet) + ", dim " + std::to_string(dim);
+          ASSERT_EQ(split.size(), slots) << where;
+          Index total = 0;
+          for (const auto size : split) {
+            EXPECT_GE(size, 1u) << where;
+            total += size;
+          }
+          EXPECT_EQ(total, dim) << where;
+          EXPECT_EQ(compute_makespan(model, split), exhaustive_makespan(model))
+              << where;
+
+          const auto plan = plan_placement(model, PlacementMode::kOptimize);
+          EXPECT_LE(plan.predicted.total(), plan.uniform_predicted.total())
+              << where;
+          EXPECT_EQ(plan.optimized, plan.sizes != uniform) << where;
+          if (homogeneous) {
+            EXPECT_EQ(split, uniform) << where;
+            EXPECT_EQ(plan.sizes, uniform) << where;
+          }
+          ++cases;
+        }
+      }
+      // Next fleet: count `pick` up in base 4.
+      std::size_t k = 0;
+      while (k < slots && ++pick[k] == std::size(devices)) pick[k++] = 0;
+      if (k == slots) break;
+    }
+  }
+  EXPECT_EQ(cases, 2 * (16 * 15 + 64 * 14 + 256 * 13));
 }
 
 // ---- driver integration ---------------------------------------------------
@@ -360,8 +439,8 @@ TEST(DistPlacement, CheckpointResumePreservesThePlacedRun) {
 TEST(DistPlacement, OverlapOnlyChangesTheClockNotTheMath) {
   // Uniform mode pins the partition, so the two arms run identical math and
   // differ only in how the round's network time is priced.  (In optimize
-  // mode the overlap flag feeds the annealer's objective, so the arms may
-  // legitimately choose different placements.)
+  // mode the overlap flag feeds the price the split must beat, so the arms
+  // may legitimately choose different placements.)
   const auto dataset = corpus();
   const auto fleet = parse_fleet_spec("2xtitanx,2xcpu:4");
   DistributedSolver plain(
@@ -417,7 +496,6 @@ TEST(AsyncPlacement, FleetRunsAndPlansDeterministically) {
   config.seed = 21;
   config.fleet = parse_fleet_spec("2xtitanx,2xcpu:4");
   config.placement = PlacementMode::kOptimize;
-  config.placement_seed = 7;
   AsyncSolver a(dataset, config);
   AsyncSolver b(dataset, config);
   ASSERT_NE(a.placement_result(), nullptr);

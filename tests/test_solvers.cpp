@@ -151,6 +151,15 @@ TEST(ThreadedScd, AtomicVariantConverges) {
   EXPECT_LT(solver.duality_gap(problem), 1e-4);
 }
 
+TEST(ThreadedScd, RefusesTheRacingLastWriterWinsCommit) {
+  // Unsynchronised += on shared floats from several threads is a data race;
+  // Wild's lost updates are modelled by the deterministic AsyncEngine.
+  const RidgeProblem problem(webspam_small(), 1e-3);
+  EXPECT_THROW(ThreadedScdSolver(problem, Formulation::kDual, 4,
+                                 CommitPolicy::kLastWriterWins, 7),
+               std::invalid_argument);
+}
+
 TEST(ThreadedScd, SingleThreadMatchesSequentialClosely) {
   const RidgeProblem problem(webspam_small(), 1e-3);
   ThreadedScdSolver threaded(problem, Formulation::kPrimal, 1,
@@ -171,8 +180,8 @@ TEST(SolverFactory, BuildsEveryKind) {
   for (const auto kind :
        {SolverKind::kSequential, SolverKind::kAsyncAtomic,
         SolverKind::kAsyncWild, SolverKind::kThreadedAtomic,
-        SolverKind::kThreadedWild, SolverKind::kThreadedReplicated,
-        SolverKind::kTpaM4000, SolverKind::kTpaTitanX}) {
+        SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
+        SolverKind::kTpaTitanX}) {
     SolverConfig config;
     config.kind = kind;
     config.threads = 4;
@@ -187,11 +196,12 @@ TEST(SolverFactory, ParseRoundTripsNames) {
   for (const auto kind :
        {SolverKind::kSequential, SolverKind::kAsyncAtomic,
         SolverKind::kAsyncWild, SolverKind::kThreadedAtomic,
-        SolverKind::kThreadedWild, SolverKind::kThreadedReplicated,
-        SolverKind::kTpaM4000, SolverKind::kTpaTitanX}) {
+        SolverKind::kThreadedReplicated, SolverKind::kTpaM4000,
+        SolverKind::kTpaTitanX}) {
     EXPECT_EQ(parse_solver_kind(solver_kind_name(kind)), kind);
   }
   EXPECT_THROW(parse_solver_kind("nope"), std::invalid_argument);
+  EXPECT_THROW(parse_solver_kind("wild-threads"), std::invalid_argument);
 }
 
 class SolverConvergenceSweep

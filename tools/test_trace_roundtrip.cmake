@@ -4,9 +4,12 @@
 # and the attribution track, and a run report whose cluster.event.* counters
 # agree with the fault log; a .csv trace-out must produce the gap-vs-time
 # table.  The stalled worker guarantees a non-zero straggler_wait component.
+# The drill's subject is tracing, so its workers run sequential SCD, which
+# converges on its 85-86-row shards (TPA-SCD's 48-block window blows up
+# there), and the run report's gap must fall.
 execute_process(
   COMMAND ${TRAIN_BIN} --generate webspam --examples 256 --features 512
-          --epochs 8 --target-gap 0 --workers 3
+          --epochs 8 --target-gap 0 --workers 3 --solver seq
           --crash-worker 1 --crash-epoch 3
           --stall-worker 2 --stall-factor 4
           --trace-out ${WORK_DIR}/drill_trace.json
@@ -103,6 +106,22 @@ foreach(needle "\"name\": \"cluster.event.crash\", \"value\": 1"
     message(FATAL_ERROR "counter mismatch, expected ${needle}:\n${metrics_jsonl}")
   endif()
 endforeach()
+# A drill whose model blows up must not pass on its spans alone: the last
+# recorded gap must be below the first.
+string(REGEX MATCHALL "\"type\": \"point\", \"epoch\": [0-9]+, \"gap\": [^,]+"
+       gap_points "${metrics_jsonl}")
+list(LENGTH gap_points gap_count)
+if(gap_count LESS 2)
+  message(FATAL_ERROR "run report holds ${gap_count} gap points:\n${metrics_jsonl}")
+endif()
+list(GET gap_points 0 first_point)
+list(GET gap_points -1 last_point)
+string(REGEX REPLACE ".*\"gap\": " "" first_gap "${first_point}")
+string(REGEX REPLACE ".*\"gap\": " "" last_gap "${last_point}")
+if(NOT last_gap LESS first_gap)
+  message(FATAL_ERROR
+          "drill did not converge: gap ${first_gap} -> ${last_gap}")
+endif()
 
 # CSV convergence trace from a single-worker run.
 execute_process(
@@ -126,10 +145,11 @@ if(final_row STREQUAL "")
   message(FATAL_ERROR "csv trace missing epoch-5 row:\n${gap_csv}")
 endif()
 
-# Traced serve replay: batch/reload spans and the serving stats report.
+# Traced serve replay: batch/reload spans and the serving stats report, on
+# a sequential model (TPA-SCD's window blows up on 256 rows too).
 execute_process(
   COMMAND ${TRAIN_BIN} --generate webspam --examples 256 --features 512
-          --epochs 5 --save ${WORK_DIR}/trace_model.tpam
+          --epochs 5 --solver seq --save ${WORK_DIR}/trace_model.tpam
   RESULT_VARIABLE model_result)
 if(NOT model_result EQUAL 0)
   message(FATAL_ERROR "model training failed: ${model_result}")

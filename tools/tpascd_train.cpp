@@ -91,16 +91,8 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-cluster::NetworkModel parse_network_preset(const std::string& name) {
-  if (name == "10gbe") return cluster::NetworkModel::ethernet_10g();
-  if (name == "100gbe") return cluster::NetworkModel::ethernet_100g();
-  if (name == "pcie") return cluster::NetworkModel::pcie_peer();
-  throw std::invalid_argument("unknown network preset '" + name +
-                              "' (10gbe | 100gbe | pcie)");
-}
-
 /// {"type":"placement",...} line for the --metrics-out report: the chosen
-/// sizes, the uniform baseline, predicted round times and the SA totals.
+/// sizes, the uniform baseline and the predicted round times.
 std::string placement_report_json(
     const cluster::placement::PlacementResult& plan,
     double simulated_round_seconds) {
@@ -115,7 +107,6 @@ std::string placement_report_json(
   return obs::JsonObject()
       .field_str("type", "placement")
       .field_str("mode", cluster::placement::placement_mode_name(plan.mode))
-      .field_uint("placement_seed", plan.seed)
       .field_bool("optimized", plan.optimized)
       .field_raw("sizes", sizes_json(plan.sizes))
       .field_raw("uniform_sizes", sizes_json(plan.uniform_sizes))
@@ -123,8 +114,6 @@ std::string placement_report_json(
       .field_num("uniform_round_seconds", plan.uniform_predicted.total())
       .field_num("predicted_speedup", plan.predicted_speedup())
       .field_num("simulated_round_seconds", simulated_round_seconds)
-      .field_int("sa_iterations", plan.sa_iterations)
-      .field_int("sa_accepted", plan.sa_accepted)
       .str();
 }
 
@@ -330,8 +319,8 @@ int main(int argc, char** argv) {
   parser.add_option("features", "generated feature count", "2x examples");
   parser.add_option("seed", "RNG seed", "42");
   parser.add_option("solver",
-                    "seq | ascd | wild | ascd-threads | wild-threads | "
-                    "rep-threads | tpa-m4000 | tpa-titanx",
+                    "seq | ascd | wild | ascd-threads | rep-threads | "
+                    "tpa-m4000 | tpa-titanx",
                     "tpa-titanx");
   parser.add_option("form", "primal | dual", "dual");
   parser.add_option("lambda", "regularisation strength", "1e-3");
@@ -366,10 +355,8 @@ int main(int argc, char** argv) {
                     "DESIGN.md §14)");
   parser.add_option("placement",
                     "fleet partitioning: uniform (equal split) | optimize "
-                    "(seeded annealer over partition sizes)",
+                    "(partition sizes that minimise the compute makespan)",
                     "optimize");
-  parser.add_option("placement-seed",
-                    "seed of the placement annealer's proposal stream", "7");
   parser.add_flag("no-overlap",
                   "disable comm/compute overlap of the delta reduce "
                   "(overlap is on by default for --fleet runs)");
@@ -500,10 +487,8 @@ int main(int argc, char** argv) {
     }
     const auto placement_mode = cluster::placement::parse_placement_mode(
         parser.get_string("placement", "optimize"));
-    const auto placement_seed =
-        parser.get_int<std::uint64_t>("placement-seed", 7);
     const auto network =
-        parse_network_preset(parser.get_string("network", "10gbe"));
+        cluster::NetworkModel::preset(parser.get_string("network", "10gbe"));
     // --fleet names one device per worker slot, so it pins the worker count.
     const int workers =
         fleet.empty() ? parser.get_int<int>("workers", 1)
@@ -554,7 +539,6 @@ int main(int argc, char** argv) {
     cluster_config.network = network;
     cluster_config.fleet = fleet;
     cluster_config.placement = placement_mode;
-    cluster_config.placement_seed = placement_seed;
     cluster_config.compress_deltas = parser.get_bool("compress-deltas");
     build_faults(cluster_config.faults);
 
@@ -626,10 +610,9 @@ int main(int argc, char** argv) {
           if (plan == nullptr) return;
           cluster::placement::record_placement_obs(*plan);
           std::printf(
-              "placement: %s (seed %llu, %s) — predicted round %.3f ms vs "
+              "placement: %s (%s) — predicted round %.3f ms vs "
               "uniform %.3f ms (%.2fx), simulated round %.3f ms\n",
               cluster::placement::placement_mode_name(plan->mode),
-              static_cast<unsigned long long>(plan->seed),
               plan->optimized ? "non-uniform sizes" : "uniform sizes",
               1e3 * plan->predicted.total(),
               1e3 * plan->uniform_predicted.total(),
