@@ -165,22 +165,43 @@ ClusterSolver::ClusterSolver(const data::Dataset& global,
   }
   shared_.assign(global_problem_.shared_dim(config.formulation), 0.0F);
 
+  // A round's local epochs stream every stored entry once per pass; the
+  // pool is built only when spreading them over the workers' threads is
+  // predicted to beat the calling thread alone.
+  const auto& dispatch = core::pool_dispatch();
+  const std::uint64_t round_entries =
+      global.nnz() *
+      static_cast<std::uint64_t>(config.local_epochs_per_round);
+  if (dispatch.use_pool(round_entries, config.num_workers)) {
+    pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(
+        dispatch.effective_threads(config.num_workers)));
+  }
+
   const auto workers = static_cast<std::size_t>(config.num_workers);
   cores_.reserve(workers);
   workers_.resize(workers);
   for (std::size_t k = 0; k < workers; ++k) {
-    auto worker = std::make_unique<WorkerCore>();
-    init_worker_core(*worker, global, partition_, k, config.lambda,
-                     local_config(k));
-    cores_.push_back(std::move(worker));
-    // Calibrate the nominal per-epoch compute time from a throwaway probe
-    // solver on the same shard: the timing models are state-independent, so
-    // this one number makes the event timeline a pure function of (config,
-    // seeds) — the worker's real permutation stream stays untouched and the
-    // numerics never feed back into the clock.
-    auto probe = core::make_solver(*cores_[k]->problem, local_config(k));
-    workers_[k].compute_seconds = probe->run_epoch().sim_seconds;
+    auto& local = *cores_.emplace_back(std::make_unique<WorkerCore>());
+    // One task per worker slot, writing only that slot.
+    auto build = [this, &global, &local, &worker = workers_[k], k] {
+      init_worker_core(local, global, partition_, k, config_.lambda,
+                       local_config(k));
+      // Calibrate the nominal per-epoch compute time from a throwaway
+      // probe solver on the same shard: the timing models are
+      // state-independent, so this one number makes the event timeline a
+      // pure function of (config, seeds) — the worker's real permutation
+      // stream stays untouched and the numerics never feed back into the
+      // clock.
+      auto probe = core::make_solver(*local.problem, local_config(k));
+      worker.compute_seconds = probe->run_epoch().sim_seconds;
+    };
+    if (pool_) {
+      local.epochs.start(*pool_, std::move(build));
+    } else {
+      build();
+    }
   }
+  for (auto& local : cores_) local->epochs.join();
 
   const std::string prefix = barrier ? "dist" : "async";
   obs::set_track_name(master_track_, prefix + "/master");
@@ -382,6 +403,8 @@ core::ConvergenceTrace ClusterSolver::run(const core::RunOptions& options,
         point.gamma = last_gamma();
         point.contributors = last_contributors();
       });
+  // The call covers its own work: no local epochs are left computing.
+  for (auto& local : cores_) local->epochs.join();
   // A diverged state is not worth resuming (and write_model refuses its
   // non-finite entries).
   if (ckpt.enabled() && current_epoch() > last_checkpointed &&

@@ -31,6 +31,16 @@
 // checkpoint protocol (the .async control-plane sidecar, written after a
 // rendezvous without a barrier and with the late deltas in flight with
 // one, so a resumed run replays the original bit for bit, faults included).
+//
+// The workers compute side by side, as Algorithm 3 has them: when
+// core::pool_dispatch() predicts a win, the driver owns a host pool of
+// min(num_workers, usable CPUs) threads, builds the workers on it and runs
+// each scheduled cycle's local epochs there as one task.  Everything that
+// touches driver state stays on the calling thread, and a cycle is joined
+// only where its worker's local state is read next, so the gap evaluation
+// and the master steps overlap the cycles still computing.  A cycle's
+// epochs read and write only their own worker's state, from inputs fixed at
+// the pull, so where they run cannot move a bit (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -51,12 +61,15 @@
 #include "core/model_io.hpp"
 #include "core/solver_factory.hpp"
 #include "obs/attribution.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tpa::cluster {
 
-// Virtual trace tracks: the simulation runs on one OS thread, but the
-// exported timeline should still read as a cluster — one track for the
-// master's aggregation phases and one per simulated worker.  Barrier and
+// Virtual trace tracks: the master's steps run on the calling thread and
+// the workers' local epochs on whichever pool thread (or the calling
+// thread) runs them, but the exported timeline should read as a cluster —
+// one track for the master's aggregation phases and one per simulated
+// worker, whatever OS thread recorded the span.  Barrier and
 // no-barrier runs use disjoint bases so a process that runs both (the
 // ablation bench) exports distinguishable timelines.
 inline constexpr std::int32_t kMasterTrack = 1000;       // dist/*
@@ -249,13 +262,17 @@ std::string async_state_path(const std::string& model_path);
 /// The data-plane share of a simulated worker: its shard, the local view of
 /// the ridge problem (carrying the *global* example count so the λN terms
 /// match the global objective, Section IV.A), the local solver seeded
-/// per-slot, and the committed weights its in-flight local work started
-/// from.
+/// per-slot, the committed weights its in-flight local work started from,
+/// and that work: the cycle's local epochs (a task on the driver's pool, or
+/// none when they ran on the calling thread) and their simulated seconds,
+/// which only the task writes.
 struct WorkerCore {
   data::Dataset shard;
   std::unique_ptr<core::RidgeProblem> problem;
   std::unique_ptr<core::Solver> solver;
   std::vector<float> weights_start;
+  util::PoolTask epochs;
+  double run_seconds = 0.0;
 };
 
 class ClusterSolver {
@@ -269,20 +286,27 @@ class ClusterSolver {
   /// takes one master step over the batch.  No barrier: the same start,
   /// then the event timeline runs until the master has absorbed one push
   /// attempt per live member, each taking its own master step (cycles
-  /// regularly straddle round boundaries).  Returns the simulated time the
-  /// round advanced the cluster clock.
+  /// regularly straddle round boundaries, and their local epochs may still
+  /// be computing on the pool when it returns).  Returns the simulated time
+  /// the round advanced the cluster clock.
   core::EpochReport run_epoch();
 
   /// Runs the solver through core::run_loop from current_epoch() (nonzero
   /// after a restore), adding γ, the contributor count and every fault
   /// event to the trace and checkpointing on the configured cadence, plus
   /// a final checkpoint so a later --resume continues where the run
-  /// stopped (none after a divergence).  Behind run_distributed and
-  /// run_async.
+  /// stopped (none after a divergence).  Returns with no local epochs
+  /// still computing.  Behind run_distributed and run_async.
   core::ConvergenceTrace run(const core::RunOptions& options,
                              const CheckpointConfig& ckpt = {});
 
   int num_workers() const noexcept { return config_.num_workers; }
+  /// Host threads the workers' local epochs run on: the driver's pool, or 1
+  /// when they run on the calling thread (one usable CPU, or a problem too
+  /// small for core::pool_dispatch() to predict a win).
+  int host_threads() const noexcept {
+    return pool_ ? static_cast<int>(pool_->size()) : 1;
+  }
   core::Formulation formulation() const noexcept {
     return config_.formulation;
   }
@@ -426,8 +450,7 @@ class ClusterSolver {
     std::uint64_t pulled_version = 0;
     std::vector<float> pulled_shared;
     int pulled_round = 0;
-    double run_seconds = 0.0;  // the local epochs' own sim time (barrier)
-    bool late = false;         // missed its barrier round's deadline
+    bool late = false;  // missed its barrier round's deadline
 
     // round_fault()'s memo: a crash is consumed the first time it fires in
     // a round so the restart path cannot re-crash on the same draw and
@@ -486,9 +509,13 @@ class ClusterSolver {
   /// worker), and a crash fires only the first time it is asked for.
   FaultEvent round_fault(int index);
   /// The pull: starts a cycle (or consumes a crash) for an idle member —
-  /// the worker takes the master's shared vector, runs its local epochs and
-  /// arms the push's arrival on the timeline.
+  /// the worker takes the master's shared vector and starts its local
+  /// epochs (on the pool when there is one), and a no-barrier push's
+  /// arrival is armed on the timeline.  A barrier push's arrival needs the
+  /// epochs' own sim time; wait_for_pushes arms it.
   void schedule_cycle(int index);
+  /// Rolls a cycle in flight back to its pull snapshot, once its local
+  /// epochs have finished.
   void discard_in_flight(std::size_t index);
 
   /// Takes worker `index`'s finished cycle off the wire: a dropped or
@@ -519,8 +546,9 @@ class ClusterSolver {
   void apply_step(std::span<const double> dshared,
                   std::span<const std::size_t> movers, double step);
 
-  /// The barrier round's wait, from the cycles scheduled this round; marks
-  /// the ones that miss the grace deadline late.
+  /// The barrier round's wait, from the cycles scheduled this round: joins
+  /// them and arms their pushes' arrivals, then marks the ones that miss
+  /// the grace deadline late.
   BarrierWait wait_for_pushes();
   /// Closes a barrier round: the queued pushes, summed in worker-index
   /// order, take one master step, and the round is priced as the
@@ -593,6 +621,11 @@ class ClusterSolver {
   // Monotone sim clock for the attribution spans: never re-zeroed by the
   // checkpoint rendezvous, so rounds tile left-to-right.
   double attr_clock_seconds_ = 0.0;
+
+  // Runs the workers' local epochs; null when they run on the calling
+  // thread.  The last member, so it is destroyed first: its threads finish
+  // every queued task before the state those tasks touch goes away.
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace tpa::cluster

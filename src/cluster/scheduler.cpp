@@ -275,7 +275,9 @@ void ClusterSolver::discard_in_flight(std::size_t index) {
   if (!worker.busy) return;
   // The cycle's permutation draws stay consumed (draws_consumed already
   // counts them), so the stream position survives the discard.
-  core(index).solver->mutable_state().weights = core(index).weights_start;
+  auto& local = core(index);
+  local.epochs.join();
+  local.solver->mutable_state().weights = local.weights_start;
   worker.busy = false;
 }
 
@@ -315,47 +317,52 @@ void ClusterSolver::schedule_cycle(int index) {
   worker.pulled_version = version_;
   worker.pulled_shared = shared_;
   worker.pulled_round = round_;
+  // The worker starts from the master's shared vector and its committed
+  // weights; its local copy then diverges as it applies local updates.
+  auto& state = local.solver->mutable_state();
+  state.shared.assign(shared_.begin(), shared_.end());
+  local.weights_start = state.weights;
   // Flow ids carry the master track: barrier and no-barrier arrows in one
   // trace never pair up.
   const auto next_flow_id = [&] {
     return (static_cast<std::uint64_t>(master_track_) << 40) | ++flow_seq_;
   };
   // Model arrow: the master publishes its current vector to this worker.
+  // Delta arrow: opened at solve end, closed when the master takes the push
+  // off the wire.
   const std::uint64_t model_flow = next_flow_id();
+  worker.push_flow_id = next_flow_id();
   obs::trace_flow_begin("flow/model", model_flow, master_track_);
-  {
-    obs::TraceSpan span(barrier_ ? "dist/local_solve" : "async/local_solve",
-                        worker_track(master_track_, index), round_);
-    obs::trace_flow_end("flow/model", model_flow,
-                        worker_track(master_track_, index));
-    // The worker starts from the master's shared vector and its committed
-    // weights; its local copy then diverges as it applies local updates.
-    auto& state = local.solver->mutable_state();
-    state.shared.assign(shared_.begin(), shared_.end());
-    local.weights_start = state.weights;
-    worker.run_seconds = 0.0;
-    for (int pass = 0; pass < passes; ++pass) {
-      worker.run_seconds += local.solver->run_epoch().sim_seconds;
-    }
-    // Delta arrow: opened at solve end, closed when the master takes the
-    // push off the wire.
-    worker.push_flow_id = next_flow_id();
-    obs::trace_flow_begin("flow/delta", worker.push_flow_id,
-                          worker_track(master_track_, index));
-  }
   worker.draws_consumed += static_cast<std::uint64_t>(passes);
-  // A barrier push lands after the local epochs' own sim time (the round is
-  // priced as a collective); a no-barrier push after the calibrated cycle
-  // cost, whose nominal() + stall reproduces the legacy sum order
-  // bit-for-bit.
-  worker.event_at =
-      now_ + (barrier_ ? push_offset(worker.run_seconds, fault)
-                       : cycle_cost(index).total());
+  // A no-barrier push lands after the calibrated cycle cost, whose
+  // nominal() + stall reproduces the legacy sum order bit-for-bit.
+  if (!barrier_) worker.event_at = now_ + cycle_cost(index).total();
+
+  // The local epochs read and write only this worker's core, from inputs
+  // fixed above, so they give the same bits on any thread; the task holds
+  // them until a join, which comes before anything reads the core again.
+  auto epochs = [&local, passes, model_flow, push_flow = worker.push_flow_id,
+                 name = barrier_ ? "dist/local_solve" : "async/local_solve",
+                 track = worker_track(master_track_, index), round = round_] {
+    obs::TraceSpan span(name, track, round);
+    obs::trace_flow_end("flow/model", model_flow, track);
+    local.run_seconds = 0.0;
+    for (int pass = 0; pass < passes; ++pass) {
+      local.run_seconds += local.solver->run_epoch().sim_seconds;
+    }
+    obs::trace_flow_begin("flow/delta", push_flow, track);
+  };
+  if (pool_) {
+    local.epochs.start(*pool_, std::move(epochs));
+  } else {
+    epochs();
+  }
 }
 
 bool ClusterSolver::receive_push(int index) {
   auto& worker = workers_[index];
   auto& local = core(index);
+  local.epochs.join();
   worker.busy = false;
   ++pushes_this_round_;
   obs::metrics().counter("cluster.async.pushes").add();
@@ -449,13 +456,19 @@ ClusterSolver::BarrierWait ClusterSolver::wait_for_pushes() {
   const auto scheduled = [&](const Worker& worker) {
     return worker.busy && worker.pulled_round == round_;
   };
+  // A barrier push lands after its local epochs' own sim time (the round is
+  // priced as a collective), so each scheduled cycle is joined here.
   double healthy_max = 0.0;
   double runner_max = 0.0;
-  for (const auto& worker : workers_) {
+  for (int k = 0; k < config_.num_workers; ++k) {
+    auto& worker = workers_[k];
     if (!scheduled(worker)) continue;
-    runner_max = std::max(runner_max, worker.run_seconds);
+    auto& local = core(k);
+    local.epochs.join();
+    worker.event_at = now_ + push_offset(local.run_seconds, worker.fault);
+    runner_max = std::max(runner_max, local.run_seconds);
     if (worker.fault.kind != FaultKind::kStall) {
-      healthy_max = std::max(healthy_max, worker.run_seconds);
+      healthy_max = std::max(healthy_max, local.run_seconds);
     }
   }
   if (healthy_max == 0.0) healthy_max = runner_max;  // every runner stalled
@@ -467,7 +480,7 @@ ClusterSolver::BarrierWait ClusterSolver::wait_for_pushes() {
   for (int k = 0; k < config_.num_workers; ++k) {
     auto& worker = workers_[k];
     if (!scheduled(worker)) continue;
-    const double offset = push_offset(worker.run_seconds, worker.fault);
+    const double offset = push_offset(core(k).run_seconds, worker.fault);
     if (offset > deadline) {
       // Missed the deadline: the worker keeps computing, and its delta
       // lands in the round its push arrives in.
@@ -478,7 +491,7 @@ ClusterSolver::BarrierWait ClusterSolver::wait_for_pushes() {
     }
     if (offset > compute_max) {
       compute_max = offset;
-      wait.crit_compute = worker.run_seconds;
+      wait.crit_compute = core(k).run_seconds;
     }
   }
   // When a straggler blew the deadline the master waited out the full grace
@@ -517,7 +530,8 @@ double ClusterSolver::close_barrier_round(double round_start,
     }
     movers.push_back(static_cast<std::size_t>(k));
     if (fresh) {
-      fresh_arrivals.push_back(push_offset(worker.run_seconds, worker.fault));
+      fresh_arrivals.push_back(
+          push_offset(core(k).run_seconds, worker.fault));
     }
   }
   const int contributors = static_cast<int>(movers.size());

@@ -22,23 +22,30 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Trivially default-constructible, so a new ring's slots stay unwritten.
 struct TraceEvent {
-  const char* name = nullptr;
-  double ts_us = 0.0;
-  double dur_us = 0.0;   // complete events only
-  std::int32_t track = kCurrentThread;
-  std::int64_t arg = kNoArg;
-  std::uint64_t flow_id = 0;  // flow events only
-  char phase = 'X';      // 'X' complete, 'i' instant, 's'/'f' flow halves
+  const char* name;
+  double ts_us;
+  double dur_us;          // complete events only
+  std::int32_t track;
+  std::int64_t arg;
+  std::uint64_t flow_id;  // flow events only
+  char phase;             // 'X' complete, 'i' instant, 's'/'f' flow halves
 };
 
-/// One ring per recording thread.  Only the owning thread writes; exporters
-/// read `recorded` with acquire so every slot published before it is
-/// visible.  kCapacity events ≈ 1.3 MB — paid only by threads that trace.
+/// One ring per live recording thread.  Only the owning thread writes;
+/// exporters read `recorded` with acquire so every slot published before it
+/// is visible.  kCapacity events ≈ 1.3 MB of address space, of which only
+/// the slots written so far are touched (reset_trace() rewinds to the
+/// start), paid once per tracing thread alive at a time: a ring outlives
+/// its thread (its events still export) and the next new tracing thread
+/// takes it over, tid and all.
 struct ThreadBuffer {
   static constexpr std::size_t kCapacity = std::size_t{1} << 15;
 
-  explicit ThreadBuffer(int tid_in) : events(kCapacity), tid(tid_in) {}
+  explicit ThreadBuffer(int tid_in)
+      : events(std::make_unique_for_overwrite<TraceEvent[]>(kCapacity)),
+        tid(tid_in) {}
 
   void record(const TraceEvent& event) noexcept {
     const std::uint64_t n = recorded.load(std::memory_order_relaxed);
@@ -46,15 +53,16 @@ struct ThreadBuffer {
     recorded.store(n + 1, std::memory_order_release);
   }
 
-  std::vector<TraceEvent> events;
+  std::unique_ptr<TraceEvent[]> events;
   std::atomic<std::uint64_t> recorded{0};
   int tid;
 };
 
 struct TraceState {
   Clock::time_point epoch = Clock::now();
-  std::mutex mutex;  // guards buffers growth, track names, metadata
+  std::mutex mutex;  // guards buffers growth, free rings, names, metadata
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  std::vector<ThreadBuffer*> free_buffers;  // rings of exited threads
   std::map<std::int32_t, std::string> track_names;
   std::map<std::string, std::string> metadata;
 };
@@ -64,15 +72,36 @@ TraceState& state() {
   return s;
 }
 
+// The hot path reads the plain pointer; the owner exists only to hand the
+// ring back when its thread exits.
 thread_local ThreadBuffer* tl_buffer = nullptr;
+
+struct BufferOwner {
+  ThreadBuffer* buffer = nullptr;
+
+  ~BufferOwner() {
+    tl_buffer = nullptr;
+    if (buffer == nullptr) return;
+    auto& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.free_buffers.push_back(buffer);
+  }
+};
+thread_local BufferOwner tl_owner;
 
 ThreadBuffer& local_buffer() {
   if (tl_buffer == nullptr) {
     auto& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.buffers.push_back(
-        std::make_unique<ThreadBuffer>(static_cast<int>(s.buffers.size())));
-    tl_buffer = s.buffers.back().get();
+    if (s.free_buffers.empty()) {
+      s.buffers.push_back(std::make_unique<ThreadBuffer>(
+          static_cast<int>(s.buffers.size())));
+      tl_buffer = s.buffers.back().get();
+    } else {
+      tl_buffer = s.free_buffers.back();
+      s.free_buffers.pop_back();
+    }
+    tl_owner.buffer = tl_buffer;
   }
   return *tl_buffer;
 }
@@ -152,38 +181,37 @@ double trace_now_us() noexcept {
 void trace_complete(const char* name, double ts_us, double dur_us,
                     std::int32_t track, std::int64_t arg) {
   if (!trace_enabled()) return;
-  TraceEvent event;
-  event.name = name;
-  event.ts_us = ts_us;
-  event.dur_us = dur_us < 0.0 ? 0.0 : dur_us;
-  event.track = track;
-  event.arg = arg;
-  event.phase = 'X';
-  local_buffer().record(event);
+  local_buffer().record({.name = name,
+                         .ts_us = ts_us,
+                         .dur_us = dur_us < 0.0 ? 0.0 : dur_us,
+                         .track = track,
+                         .arg = arg,
+                         .flow_id = 0,
+                         .phase = 'X'});
 }
 
 void trace_instant(const char* name, std::int32_t track, std::int64_t arg) {
   if (!trace_enabled()) return;
-  TraceEvent event;
-  event.name = name;
-  event.ts_us = trace_now_us();
-  event.track = track;
-  event.arg = arg;
-  event.phase = 'i';
-  local_buffer().record(event);
+  local_buffer().record({.name = name,
+                         .ts_us = trace_now_us(),
+                         .dur_us = 0.0,
+                         .track = track,
+                         .arg = arg,
+                         .flow_id = 0,
+                         .phase = 'i'});
 }
 
 namespace {
 
 void record_flow(const char* name, std::uint64_t flow_id, std::int32_t track,
                  char phase) {
-  TraceEvent event;
-  event.name = name;
-  event.ts_us = trace_now_us();
-  event.track = track;
-  event.flow_id = flow_id;
-  event.phase = phase;
-  local_buffer().record(event);
+  local_buffer().record({.name = name,
+                         .ts_us = trace_now_us(),
+                         .dur_us = 0.0,
+                         .track = track,
+                         .arg = kNoArg,
+                         .flow_id = flow_id,
+                         .phase = phase});
 }
 
 }  // namespace

@@ -25,11 +25,16 @@
 // one trace; matching is by (name, id).
 //
 // Timelines ("tracks"): by default events land on the recording OS thread's
-// track.  A caller may pin events to a virtual track instead (the
-// distributed solver gives each simulated worker its own track, so the
-// per-worker solve/reduce/broadcast timeline of a fault drill is visible
-// even though the simulation runs on one thread).  Name tracks with
-// set_track_name().
+// track.  A caller may pin events to a virtual track instead (the cluster
+// driver gives the master and each simulated worker its own track, so the
+// per-worker solve/reduce/broadcast timeline of a fault drill reads as a
+// cluster whichever host thread ran each worker's local epochs).  Name
+// tracks with set_track_name().
+//
+// Rings outlive their threads: when a tracing thread exits, its ring (and
+// the events in it, which still export) passes to the next new tracing
+// thread, which keeps appending under the same tid.  Memory is one ring
+// per tracing thread alive at once, however many threads come and go.
 //
 // Enabling: set_trace_enabled(true) in code, or the TPA_TRACE environment
 // variable — TPA_TRACE=1 enables recording; any other non-empty, non-zero

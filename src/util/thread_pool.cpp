@@ -3,6 +3,8 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace tpa::util {
 namespace {
@@ -143,6 +145,50 @@ void ThreadPool::worker_loop() {
       all_idle_.notify_all();
     }
   }
+}
+
+void PoolTask::start(ThreadPool& pool, std::function<void()> fn) {
+  if (state_.load(std::memory_order_acquire) != kIdle) {
+    throw std::logic_error("PoolTask::start: the previous task is not joined");
+  }
+  fn_ = std::move(fn);
+  spin_iterations_ = pool.spin_iterations();
+  // Release: whoever claims the task sees fn_ and everything the owner
+  // wrote before starting it.
+  state_.store(kQueued, std::memory_order_release);
+  pool.submit([this] { run_if_queued(); });
+}
+
+void PoolTask::run_if_queued() noexcept {
+  std::uint32_t expected = kQueued;
+  if (!state_.compare_exchange_strong(expected, kRunning,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+    return;
+  }
+  try {
+    fn_();
+  } catch (...) {
+    error_ = std::current_exception();
+  }
+  state_.store(kDone, std::memory_order_release);
+  state_.notify_one();
+}
+
+void PoolTask::join() {
+  if (state_.load(std::memory_order_acquire) == kIdle) return;
+  run_if_queued();
+  for (std::size_t spin = 0; spin < spin_iterations_; ++spin) {
+    if (state_.load(std::memory_order_acquire) == kDone) break;
+    cpu_pause();
+  }
+  for (std::uint32_t state = state_.load(std::memory_order_acquire);
+       state != kDone; state = state_.load(std::memory_order_acquire)) {
+    state_.wait(state, std::memory_order_acquire);
+  }
+  fn_ = nullptr;
+  state_.store(kIdle, std::memory_order_relaxed);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace tpa::util

@@ -1,8 +1,11 @@
 // Fixed-size thread pool used by the real-threaded A-SCD / PASSCoDe-Wild
 // solvers (one worker per thread), by core::replicated_sweep (as many
 // workers as the host runs at once, whatever the lane count — the lanes
-// are deterministic, so the pool only decides where they run) and by the
-// pooled objective/gap passes.
+// are deterministic, so the pool only decides where they run), by the
+// pooled objective/gap passes and by cluster::ClusterSolver, which builds
+// its simulated workers and runs their local epochs as PoolTasks (each
+// epoch reads and writes only its worker's state, so again the pool only
+// decides where it runs).
 //
 // Wakeup is spin-then-park: a worker that runs out of work spins on an
 // atomic pending-task counter for a bounded number of pause iterations
@@ -22,7 +25,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -95,6 +100,42 @@ class ThreadPool {
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> shutting_down_{false};
   std::size_t spin_iterations_;
+};
+
+/// One task at a time on a ThreadPool, joined by its owner where the
+/// task's results are read next.  join() claims a task that no pool worker
+/// has picked up yet and runs it on the calling thread; otherwise it spins
+/// for the pool's budget on an atomic state word and then waits on it
+/// (std::atomic::wait), so a join neither parks at once nor burns a core
+/// for long.  A task's exception is rethrown by join(), on the joining
+/// thread.  The pool holds a pointer to this object until its queued
+/// closure has run, so the pool must be destroyed (or drained) before it.
+class PoolTask {
+ public:
+  PoolTask() = default;
+  PoolTask(const PoolTask&) = delete;
+  PoolTask& operator=(const PoolTask&) = delete;
+
+  /// Queues `fn` on `pool`.  The task started before must have been
+  /// joined.
+  void start(ThreadPool& pool, std::function<void()> fn);
+
+  /// Returns once the task started last has run, and rethrows its
+  /// exception.  A no-op when nothing was started since the last join.
+  void join();
+
+ private:
+  enum State : std::uint32_t { kIdle, kQueued, kRunning, kDone };
+
+  /// Runs fn_ if this call claims the queued task.  Any claimer may run
+  /// it: a closure the pool dequeues late may find the next task queued
+  /// and run that one, and that task's own closure then finds nothing.
+  void run_if_queued() noexcept;
+
+  std::atomic<std::uint32_t> state_{kIdle};
+  std::function<void()> fn_;
+  std::exception_ptr error_;
+  std::size_t spin_iterations_ = 0;
 };
 
 }  // namespace tpa::util

@@ -1,7 +1,9 @@
 // Golden conformance for both cluster drivers: every arm of the matrix
 // (driver x formulation x aggregation x compression x faults, plus fleet,
 // checkpoint/resume, reject and elastic arms) runs a short deterministic
-// training and folds everything observable into one FNV-1a digest:
+// training — once as the default pool-dispatch model has it (serial at this
+// size) and once with the workers' local epochs forced onto the driver's
+// pool — and folds everything observable into one FNV-1a digest:
 //   - the final global_weights() and global_shared();
 //   - per round: gap, γ, contributors and sim_seconds;
 //   - the event list, delta_bytes_on_wire() and the six attribution totals;
@@ -13,6 +15,7 @@
 // kernel backend and fp32 shared precision, the bit-exact reference path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -20,6 +23,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -27,6 +31,7 @@
 
 #include "cluster/async_solver.hpp"
 #include "cluster/dist_solver.hpp"
+#include "core/cost_model.hpp"
 #include "data/generators.hpp"
 #include "linalg/half.hpp"
 #include "linalg/kernels.hpp"
@@ -68,9 +73,42 @@ struct Arm {
   Compression compression = Compression::kOff;
   bool faults = false;
   Scenario scenario = Scenario::kPlain;
+  bool forced_pool = false;  // local epochs on the driver's pool
 };
 
 void PrintTo(const Arm& arm, std::ostream* out) { *out << arm.name; }
+
+/// A dispatch model that always builds the driver's pool (8 assumed
+/// hardware threads, free dispatch), whatever the host and problem size.
+core::PoolDispatchModel forced_pool() {
+  core::PoolDispatchModel model;
+  model.hardware_threads = 8;
+  model.dispatch_seconds = 0.0;
+  model.per_chunk_seconds = 0.0;
+  return model;
+}
+
+/// A dispatch model that never builds one: one assumed hardware thread.
+core::PoolDispatchModel forced_serial() {
+  core::PoolDispatchModel model;
+  model.hardware_threads = 1;
+  return model;
+}
+
+/// Installs a dispatch model for the current scope.
+class ScopedDispatch {
+ public:
+  explicit ScopedDispatch(const core::PoolDispatchModel& model)
+      : saved_(core::pool_dispatch()) {
+    core::set_pool_dispatch(model);
+  }
+  ScopedDispatch(const ScopedDispatch&) = delete;
+  ScopedDispatch& operator=(const ScopedDispatch&) = delete;
+  ~ScopedDispatch() { core::set_pool_dispatch(saved_); }
+
+ private:
+  core::PoolDispatchModel saved_;
+};
 
 FaultConfig scripted_faults() {
   FaultConfig faults;
@@ -167,15 +205,20 @@ class Digest {
     put(totals.network_seconds);
     put(totals.straggler_wait_seconds);
     put(totals.stale_overhead_seconds);
+    host_threads_ = std::max(host_threads_, solver.host_threads());
   }
   std::uint64_t value() const { return hash_.digest(); }
   bool saw(core::ClusterEventKind kind) const {
     return kinds_seen_.count(kind) > 0;
   }
+  /// Most host threads any digested solver ran its local epochs on (not
+  /// hashed: where the epochs run must not move a bit).
+  int host_threads() const { return host_threads_; }
 
  private:
   sparse::Fnv1a hash_;
   std::set<core::ClusterEventKind> kinds_seen_;
+  int host_threads_ = 0;
 };
 
 std::string temp_path(const std::string& arm) {
@@ -184,27 +227,35 @@ std::string temp_path(const std::string& arm) {
       .string();
 }
 
-void run_sync(const Arm& arm, Digest& digest) {
-  const auto config = make_config<DistConfig>(arm);
-  if (arm.scenario == Scenario::kResume) {
-    const std::string path = temp_path(arm.name);
-    DistributedSolver first(corpus(), config);
-    digest.put_trace(
-        run_distributed(first, run_options(kRounds / 2), {path, 2}));
-    digest.put_solver(first);
-    digest.put_file(path);
-    digest.put_file(async_state_path(path));
-    DistributedSolver resumed(corpus(), config);
-    resumed.restore_files(path);
-    std::remove(path.c_str());
-    std::remove(async_state_path(path).c_str());
-    digest.put_trace(run_distributed(resumed, run_options(kRounds)));
-    digest.put_solver(resumed);
+/// Runs kRounds rounds; a resumed arm runs half of them with a checkpoint
+/// every 2 rounds, then a fresh solver restored from the files runs the
+/// rest.
+template <typename SolverT, typename ConfigT>
+void run_arm(const ConfigT& config, const std::string& name, bool resume,
+             Digest& digest) {
+  if (!resume) {
+    SolverT solver(corpus(), config);
+    digest.put_trace(solver.run(run_options(kRounds)));
+    digest.put_solver(solver);
     return;
   }
-  DistributedSolver solver(corpus(), config);
-  digest.put_trace(run_distributed(solver, run_options(kRounds)));
-  digest.put_solver(solver);
+  const std::string path = temp_path(name);
+  SolverT first(corpus(), config);
+  digest.put_trace(first.run(run_options(kRounds / 2), {path, 2}));
+  digest.put_solver(first);
+  digest.put_file(path);
+  digest.put_file(async_state_path(path));
+  SolverT resumed(corpus(), config);
+  resumed.restore_files(path);
+  std::remove(path.c_str());
+  std::remove(async_state_path(path).c_str());
+  digest.put_trace(resumed.run(run_options(kRounds)));
+  digest.put_solver(resumed);
+}
+
+void run_sync(const Arm& arm, Digest& digest) {
+  run_arm<DistributedSolver>(make_config<DistConfig>(arm), arm.name,
+                             arm.scenario == Scenario::kResume, digest);
 }
 
 void run_async_arm(const Arm& arm, Digest& digest) {
@@ -217,24 +268,8 @@ void run_async_arm(const Arm& arm, Digest& digest) {
     config.membership = {{3, 1, MembershipEvent::Kind::kLeave},
                          {5, 1, MembershipEvent::Kind::kJoin}};
   }
-  if (arm.scenario == Scenario::kResume) {
-    const std::string path = temp_path(arm.name);
-    AsyncSolver first(corpus(), config);
-    digest.put_trace(run_async(first, run_options(kRounds / 2), {path, 2}));
-    digest.put_solver(first);
-    digest.put_file(path);
-    digest.put_file(async_state_path(path));
-    AsyncSolver resumed(corpus(), config);
-    resumed.restore_files(path);
-    std::remove(path.c_str());
-    std::remove(async_state_path(path).c_str());
-    digest.put_trace(run_async(resumed, run_options(kRounds)));
-    digest.put_solver(resumed);
-    return;
-  }
-  AsyncSolver solver(corpus(), config);
-  digest.put_trace(run_async(solver, run_options(kRounds)));
-  digest.put_solver(solver);
+  run_arm<AsyncSolver>(config, arm.name, arm.scenario == Scenario::kResume,
+                       digest);
 }
 
 std::vector<Arm> arms() {
@@ -378,8 +413,10 @@ class ClusterConformance : public ::testing::TestWithParam<Arm> {
     precision_ = linalg::shared_precision();
     linalg::set_kernel_backend(linalg::KernelBackend::kScalar);
     linalg::set_shared_precision(linalg::SharedPrecision::kFp32);
+    if (GetParam().forced_pool) dispatch_.emplace(forced_pool());
   }
   void TearDown() override {
+    dispatch_.reset();
     linalg::set_kernel_backend(backend_);
     linalg::set_shared_precision(precision_);
   }
@@ -387,6 +424,7 @@ class ClusterConformance : public ::testing::TestWithParam<Arm> {
  private:
   linalg::KernelBackend backend_{};
   linalg::SharedPrecision precision_{};
+  std::optional<ScopedDispatch> dispatch_;
 };
 
 TEST_P(ClusterConformance, DigestMatchesGolden) {
@@ -418,6 +456,13 @@ TEST_P(ClusterConformance, DigestMatchesGolden) {
     EXPECT_TRUE(digest.saw(Kind::kLeave));
     EXPECT_TRUE(digest.saw(Kind::kJoin));
   }
+  // At 256 x 512 the default dispatch model keeps the driver serial on any
+  // host, so the forced arms are the ones that reach the pool.
+  if (arm.forced_pool) {
+    EXPECT_GT(digest.host_threads(), 1);
+  } else {
+    EXPECT_EQ(digest.host_threads(), 1);
+  }
   const std::uint64_t actual = digest.value();
   const auto it = golden().find(arm.name);
   char hex[32];
@@ -432,6 +477,96 @@ TEST_P(ClusterConformance, DigestMatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ClusterConformance, ::testing::ValuesIn(arms()),
     [](const ::testing::TestParamInfo<Arm>& info) { return info.param.name; });
+
+std::vector<Arm> forced_pool_arms() {
+  auto out = arms();
+  for (auto& arm : out) arm.forced_pool = true;
+  return out;
+}
+
+// The same matrix with every driver's pool forced on, against the same
+// digests: at this size the default model keeps every arm serial.
+INSTANTIATE_TEST_SUITE_P(
+    ForcedPool, ClusterConformance, ::testing::ValuesIn(forced_pool_arms()),
+    [](const ::testing::TestParamInfo<Arm>& info) { return info.param.name; });
+
+// --- Pooled ≡ serial ----------------------------------------------------------
+
+struct PoolArm {
+  std::string name;
+  Driver driver = Driver::kSync;
+  Formulation formulation = Formulation::kDual;
+  bool fleet = false;  // 2xtitanx,2xcpu:4: a cpu:4 slot runs its own pool
+};
+
+void PrintTo(const PoolArm& arm, std::ostream* out) { *out << arm.name; }
+
+/// Compressed deltas, scripted crash / stall / drop / corrupt, adaptive γ,
+/// a checkpoint and resume; without a barrier also a scripted leave and
+/// join.
+Digest pool_arm_digest(const PoolArm& arm) {
+  Arm base;
+  base.formulation = arm.formulation;
+  base.aggregation = AggregationMode::kAdaptive;
+  base.compression = Compression::kOn;
+  base.faults = true;
+  base.scenario = arm.fleet ? Scenario::kFleet : Scenario::kPlain;
+  const std::string name = "pooled_" + arm.name;
+  Digest digest;
+  if (arm.driver == Driver::kSync) {
+    run_arm<DistributedSolver>(make_config<DistConfig>(base), name,
+                               /*resume=*/true, digest);
+  } else {
+    auto config = make_config<AsyncConfig>(base);
+    config.membership = {{3, 1, MembershipEvent::Kind::kLeave},
+                         {5, 1, MembershipEvent::Kind::kJoin}};
+    run_arm<AsyncSolver>(config, name, /*resume=*/true, digest);
+  }
+  return digest;
+}
+
+class ClusterPool : public ::testing::TestWithParam<PoolArm> {};
+
+// Where the local epochs run moves no bit: the digest (trajectory, events,
+// wire bytes, final model, attribution and checkpoint bytes) of a run whose
+// driver has no pool equals that of a run whose driver builds every worker
+// and runs every cycle on its pool.
+TEST_P(ClusterPool, PooledRunEqualsSerialRun) {
+  const PoolArm& arm = GetParam();
+  const Digest serial = [&] {
+    const ScopedDispatch dispatch(forced_serial());
+    return pool_arm_digest(arm);
+  }();
+  const Digest pooled = [&] {
+    const ScopedDispatch dispatch(forced_pool());
+    return pool_arm_digest(arm);
+  }();
+  EXPECT_EQ(serial.host_threads(), 1);
+  EXPECT_EQ(pooled.host_threads(), 4);
+  EXPECT_EQ(pooled.value(), serial.value());
+  // The scripted faults fired, so the comparison covers their paths.
+  using Kind = core::ClusterEventKind;
+  for (const Kind kind : {Kind::kCrash, Kind::kDeltaCorrupted}) {
+    EXPECT_TRUE(serial.saw(kind)) << core::cluster_event_name(kind);
+  }
+  if (arm.driver == Driver::kAsync) {
+    EXPECT_TRUE(serial.saw(Kind::kLeave));
+    EXPECT_TRUE(serial.saw(Kind::kJoin));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, ClusterPool,
+    ::testing::Values(
+        PoolArm{"sync_primal", Driver::kSync, Formulation::kPrimal},
+        PoolArm{"sync_dual", Driver::kSync, Formulation::kDual},
+        PoolArm{"async_primal", Driver::kAsync, Formulation::kPrimal},
+        PoolArm{"async_dual", Driver::kAsync, Formulation::kDual},
+        PoolArm{"sync_fleet", Driver::kSync, Formulation::kDual, true},
+        PoolArm{"async_fleet", Driver::kAsync, Formulation::kDual, true}),
+    [](const ::testing::TestParamInfo<PoolArm>& info) {
+      return info.param.name;
+    });
 
 // --- Shared validation: NaN must fail every check ---------------------------
 

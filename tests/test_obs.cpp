@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -370,6 +371,32 @@ TEST_F(TraceTest, SpanDurationIsNonNegativeAndOrdered) {
   set_trace_enabled(false);
   EXPECT_LE(before, after);
   EXPECT_EQ(trace_events_recorded(), 1u);
+}
+
+// A thread's ring outlives the thread: its events still export, and the
+// next new tracing thread takes the ring over instead of allocating another
+// 1.3 MB one, so threads started one after another share one ring.
+TEST_F(TraceTest, ExitedThreadsHandTheirRingOn) {
+  set_trace_enabled(true);
+  constexpr int kThreads = 64;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      TraceSpan span("recycle/span", kCurrentThread, i);
+    }).join();
+  }
+  set_trace_enabled(false);
+
+  std::vector<std::int64_t> args;
+  std::set<std::int32_t> tracks;
+  for (const auto& record : trace_records()) {
+    if (record.name != "recycle/span") continue;
+    args.push_back(record.arg);
+    tracks.insert(record.track);
+  }
+  ASSERT_EQ(args.size(), static_cast<std::size_t>(kThreads));
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(args[i], i);  // oldest first
+  EXPECT_EQ(tracks.size(), 1u);
+  EXPECT_EQ(trace_events_dropped(), 0u);
 }
 
 // ---- Build info -----------------------------------------------------------

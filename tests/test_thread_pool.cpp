@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -191,6 +194,100 @@ TEST(ThreadPool, ShutsDownPromptlyWithLargeSpinBudget) {
   ThreadPool pool(4, 1u << 22);
   pool.parallel_for(64, [](std::size_t) {});
   // Destructor joins here; a hang fails via the test timeout.
+}
+
+// ---- PoolTask --------------------------------------------------------------
+
+TEST(PoolTask, JoinWithoutStartReturns) {
+  PoolTask task;
+  task.join();
+  task.join();
+}
+
+// The only pool worker is held busy, so the task is still queued when the
+// owner joins: the join claims it and runs it on the joining thread, and
+// the closure the worker dequeues later finds nothing to run.
+TEST(PoolTask, JoinRunsAnUnclaimedTaskInline) {
+  PoolTask task;  // outlives the pool's queue, as the contract asks
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  int runs = 0;
+  std::thread::id ran_on;
+  task.start(pool, [&] {
+    ++runs;
+    ran_on = std::this_thread::get_id();
+  });
+  task.join();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  release.store(true);
+  pool.wait_idle();
+  EXPECT_EQ(runs, 1);
+}
+
+// A task a pool worker is running is waited for, not run again.
+TEST(PoolTask, JoinWaitsForARunningTask) {
+  PoolTask task;
+  ThreadPool pool(1, /*spin_iterations=*/0);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  int runs = 0;
+  task.start(pool, [&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+    ++runs;
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
+  task.join();
+  releaser.join();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(PoolTask, JoinRethrowsTheTaskException) {
+  PoolTask task;
+  ThreadPool pool(2);
+  task.start(pool, [] { throw std::runtime_error("local epoch failed"); });
+  EXPECT_THROW(task.join(), std::runtime_error);
+  // The error is delivered once; the task can run again.
+  int runs = 0;
+  task.start(pool, [&runs] { ++runs; });
+  task.join();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(PoolTask, StartBeforeJoinIsRefused) {
+  PoolTask task;
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  task.start(pool, [&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  EXPECT_THROW(task.start(pool, [] {}), std::logic_error);
+  release.store(true);
+  task.join();
+}
+
+// Restarted back to back, every task runs exactly once, whichever claimer
+// (a late closure of an earlier start, its own closure or the join) runs
+// it.
+TEST(PoolTask, EveryStartRunsOnce) {
+  std::vector<PoolTask> tasks(4);
+  std::vector<int> runs(tasks.size(), 0);
+  ThreadPool pool(3);
+  for (int wave = 0; wave < 500; ++wave) {
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      tasks[k].start(pool, [&runs, k] { ++runs[k]; });
+    }
+    for (auto& task : tasks) task.join();
+  }
+  for (const int count : runs) EXPECT_EQ(count, 500);
 }
 
 }  // namespace
